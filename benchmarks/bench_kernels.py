@@ -3,7 +3,8 @@
 Run:  python3 benchmarks/bench_kernels.py [n_splats] [repeats]
 
 Times the three hot per-step kernels (cone rows, baseline rows, audit
-margins) on a synthetic activation set, plus one end-to-end filter step on a
+margins) on a synthetic activation set, the filter solve on programs whose
+optimum binds 0, 1 and 2 norm balls, plus one end-to-end filter step on a
 170k-splat scene. Numba timings exclude JIT compilation (warmup call first).
 Only the backends that can be selected are timed: without numba (an optional
 extra) the numba column and the speed-up are left out.
@@ -15,6 +16,7 @@ import numpy as np
 
 from splatcone import kernels
 from splatcone.filter import FilterConfig, filter_step
+from splatcone.qp import FilterProblem, norm_balls, solve_filter
 from splatcone.simulator import RobotState
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 
@@ -30,6 +32,24 @@ def make_batch(rng, m):
     L = inv_s[:, :, None] * np.swapaxes(R, 1, 2)
     inv_cov = np.einsum("nji,njk->nik", L, L)
     return means, np.ascontiguousarray(inv_cov), s.min(axis=1)
+
+
+def solve_cases(rng, m):
+    """Filter programs with m rows, all slack inside the acceleration ball,
+    at a speed just under v_max: the reference decides which balls bind."""
+    normals = rng.normal(size=(m, 3))
+    offsets = -10.0 * np.linalg.norm(normals, axis=1) * rng.uniform(1.05, 2.0, size=m)
+    kw = dict(a_max=10.0, v_current=np.array([2.49, 0.0, 0.0]), v_max=2.5, dt=0.02,
+              normals=normals, offsets=offsets)
+    refs = (np.array([-1.0, 0.5, 0.2]),   # inside both balls
+            np.array([0.0, 3.0, 30.0]),   # beyond a_max, speed kept
+            np.array([5.0, 30.0, 0.0]))   # beyond a_max, and faster
+    return [FilterProblem(reference=ref, **kw) for ref in refs]
+
+
+def binding_balls(prob, u):
+    Q, R = norm_balls(prob.a_max, prob.v_current, prob.v_max, prob.dt)
+    return int((np.linalg.norm(u - Q, axis=1) >= R * (1 - 1e-7)).sum())
 
 
 def timeit(fn, repeats):
@@ -77,6 +97,11 @@ def main():
         if kernels._HAVE_NUMBA:
             row += f" {t['numpy']/t['numba']:8.2f}x"
         print(f"{name:24s}{row}")
+
+    print(f"\nfilter solve, {min(m, 400)} rows, by binding norm balls, best of {repeats}")
+    for prob in solve_cases(rng, min(m, 400)):
+        k = binding_balls(prob, solve_filter(prob).u)
+        print(f"{f'solve_filter, {k} binding':24s} {timeit(lambda: solve_filter(prob), repeats)*1e6:10.1f}us")
 
     print("\nend-to-end filter step, 170k-splat scene, ~2000 active")
     scene = make_synthetic_scene(

@@ -9,21 +9,30 @@ of barrier half-spaces and norm balls:
          ||v + dt u|| <= v_max          (optional velocity bound, a ball in u)
 
 Half-spaces are handled by a dual active-set projection (no feasible start
-needed, detects infeasibility); each ball enters through a scalar multiplier
-nu >= 0 found by root-finding on the complementarity condition, exploiting
-that ||u*(nu) - center|| is monotone in nu. With slack enabled the rows turn
-into quadratic penalties and the same ball machinery wraps a piecewise
-Newton solve.
+needed, detects infeasibility). Each ball ||u - q_k|| <= R_k enters through a
+multiplier nu_k >= 0; for fixed nu the optimum u(nu) is the rows-only
+solution at the shifted target (u_ref + sum nu_k q_k) / (1 + sum nu_k).
+One routine, `_ball_multipliers`, finds nu for the hard and the slack mode:
+a dual active set over the (at most two) balls (Goldfarb & Idnani 1983)
+with a safeguarded Newton step on the secular functions
+phi_k(nu) = 1/R_k - 1/||u(nu) - q_k|| (More & Sorensen 1983), whose
+Jacobian comes from the null-space projector of the active rows. With no
+row active, phi_k is linear in nu_k and one step lands on the root; with
+rows active the step is taken on the part of u - q_k in their null space,
+which keeps it exact while those rows stay active. A dual value above an
+upper bound on the optimum certifies infeasibility; the search stops after
+`_BALL_BUDGET` evaluations of u(nu) with a SolverError carrying its
+residuals. Without rows the program is a projection onto two balls, solved
+in closed form (`project_balls`). With slack enabled the rows turn into
+quadratic penalties and u(nu) is a piecewise Newton solve.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-
-from .constraints import LinearControlConstraint
 
 
 class SolverError(RuntimeError):
@@ -36,6 +45,8 @@ class SolverError(RuntimeError):
 
 _ZERO_NORMAL = 1e-30
 _FEAS_TOL = 1e-9
+_BALL_TOL = 1e-10    # |1 - R_k / ||u - q_k||| at which a working-set ball counts as met
+_BALL_BUDGET = 60    # evaluations of u(nu) per solve before SolverError
 
 
 @dataclass
@@ -62,35 +73,6 @@ class FilterProblem:
             self.splat_ids = np.full(m, -1, dtype=np.intp)
         if self.h_values.shape[0] != m:
             self.h_values = np.full(m, np.nan)
-
-    @classmethod
-    def from_constraints(
-        cls,
-        reference: np.ndarray,
-        constraints: list[LinearControlConstraint],
-        a_max: float,
-        **kwargs,
-    ) -> "FilterProblem":
-        m = len(constraints)
-        normals = np.zeros((m, 3))
-        offsets = np.zeros(m)
-        ids = np.full(m, -1, dtype=np.intp)
-        hs = np.full(m, np.nan)
-        for i, c in enumerate(constraints):
-            normals[i] = c.normal
-            offsets[i] = c.offset
-            ids[i] = c.splat_id
-            hs[i] = c.h_value
-        return cls(reference=reference, a_max=a_max, normals=normals,
-                   offsets=offsets, splat_ids=ids, h_values=hs, **kwargs)
-
-    @property
-    def constraints(self) -> list[LinearControlConstraint]:
-        return [
-            LinearControlConstraint(normal=self.normals[i], offset=float(self.offsets[i]),
-                                    splat_id=int(self.splat_ids[i]), h_value=float(self.h_values[i]))
-            for i in range(self.normals.shape[0])
-        ]
 
 
 @dataclass
@@ -184,68 +166,244 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, max_iter: i
                       {"min_violation": float((N @ u - b).min())})
 
 
-def _project_with_balls(ubar, N, b, balls, sweeps: int = 60):
-    """Projection onto {N u >= b} intersect balls. Returns (u, lam, nus, status)."""
-    u, lam, feas = _project_polyhedron(ubar, N, b)
-    if not feas:
-        return None, None, None, "infeasible"
-    nus = np.zeros(len(balls))
-    if all(np.linalg.norm(u - q) <= R * (1 + _FEAS_TOL) for q, R in balls):
-        return u, lam, nus, "optimal"
+def norm_balls(a_max: float, v_current: np.ndarray | None = None, v_max: float | None = None,
+               dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The norm bounds as balls ||u - Q[k]|| <= R[k]: ||u|| <= a_max, plus
+    ||v + dt u|| <= v_max when a velocity bound is given."""
+    if v_max is None or v_current is None or not dt:
+        return np.zeros((1, 3)), np.array([float(a_max)])
+    Q = np.zeros((2, 3))
+    Q[1] = -np.asarray(v_current, dtype=np.float64) / dt
+    return Q, np.array([float(a_max), float(v_max) / dt])
 
-    centers = [np.asarray(q, dtype=np.float64) for q, _ in balls]
-    radii = [float(R) for _, R in balls]
 
-    def solve_at(nu_vec):
-        sigma = 1.0 + nu_vec.sum()
-        target = ubar.copy()
-        for nu, q in zip(nu_vec, centers):
-            target = target + nu * q
-        return _project_polyhedron(target / sigma, N, b)
+def _balls_disjoint(Q: np.ndarray, R: np.ndarray) -> bool:
+    if R.size < 2:
+        return False
+    d = Q[1] - Q[0]
+    return float(d @ d) > float(R[0] + R[1]) ** 2
 
-    u_cur = u
-    lam_cur = lam
-    for _ in range(sweeps):
-        moved = 0.0
-        for k in range(len(balls)):
-            qk, Rk = centers[k], radii[k]
 
-            def g(nu_k):
-                trial = nus.copy()
-                trial[k] = nu_k
-                uu, _, _ = solve_at(trial)
-                return float(np.linalg.norm(uu - qk)) - Rk
+def project_balls(point: np.ndarray, Q: np.ndarray,
+                  R: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Closed-form projection of `point` onto the intersection of one or two
+    balls ||u - Q[k]|| <= R[k].
 
-            old = nus[k]
-            if g(0.0) <= 0.0:
-                new = 0.0
+    Returns (u, nus), nus the multipliers in (u - point) + sum nu_k (u - q_k)
+    = 0, or None when the balls are disjoint. The optimum is a single-ball
+    projection when one lies in both balls; otherwise both spheres are
+    active and it is the nearest point of their intersection circle.
+    """
+    point = np.asarray(point, dtype=np.float64)
+    reach2 = (R * (1.0 + _FEAS_TOL)) ** 2
+    for k in range(R.size):
+        d = point - Q[k]
+        nd = math.sqrt(float(d @ d))
+        u = point if nd <= R[k] else Q[k] + d * (R[k] / nd)
+        D = u - Q
+        if ((D * D).sum(axis=1) <= reach2).all():
+            nus = np.zeros(R.size)
+            nus[k] = max(nd / R[k] - 1.0, 0.0)
+            return u, nus
+    if _balls_disjoint(Q, R):
+        return None
+    (q1, q2), (R1, R2) = Q, R
+    e = q2 - q1
+    D = math.sqrt(float(e @ e))
+    e = e / D
+    a = (D * D + R1 * R1 - R2 * R2) / (2.0 * D)
+    c = q1 + a * e
+    w = point - c
+    w = w - (w @ e) * e
+    nw = math.sqrt(float(w @ w))
+    if nw == 0.0:  # point on the axis: every circle point is as near
+        w = np.cross(e, np.eye(3)[int(np.argmin(np.abs(e)))])
+        nw = math.sqrt(float(w @ w))
+    u = c + math.sqrt(max(R1 * R1 - a * a, 0.0)) * w / nw
+    G = np.stack([u - q1, u - q2], axis=1)
+    nus = np.maximum(np.linalg.lstsq(G, point - u, rcond=None)[0], 0.0)
+    return u, nus
+
+
+def _null_projector(Na: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the null space of the unit rows `Na`."""
+    if Na.shape[0] == 0:
+        return np.eye(3)
+    if Na.shape[0] == 1:
+        return np.eye(3) - np.outer(Na[0], Na[0])
+    _, s, vt = np.linalg.svd(Na)
+    rank = int((s > 1e-9 * s[0]).sum())
+    if rank == 3:
+        return np.zeros((3, 3))
+    return np.eye(3) - vt[:rank].T @ vt[:rank]
+
+
+def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = _BALL_BUDGET,
+                      start=None):
+    """Multipliers nu >= 0 of the norm balls ||u - Q[k]|| <= R[k];
+    `evaluate` handles the rest of the program.
+
+    `evaluate(nu)` returns (u, jac, f, aux): the minimiser u(nu) of the
+    Lagrangian with the balls priced at nu, a callable giving the symmetric
+    M with du/dnu_k = -M (u - q_k) (called only when a step is taken), the
+    objective at u (the dual value less the ball terms
+    nu_k (||u - q_k||^2 - R_k^2) / 2), and caller data handed back with the
+    optimum. Returns (u, nu, aux), or None once the dual value exceeds
+    `dual_bound`, an upper bound on the optimal value: then no point meets
+    every constraint. Raises SolverError after `budget` evaluations. `start`
+    is `evaluate` at nu = 0 when the caller has it already.
+
+    A working set W over the balls: the most violated ball joins once every
+    ball in W is met, and a ball leaves when its nu reaches 0. The balls in W
+    are met by Newton steps on the secular functions
+    r_k = R_k phi_k = 1 - R_k / ||u(nu) - q_k||, with Jacobian
+    -R_k / ||d_k||^3 d_k^T M d_j (d_k = u - q_k). Where u(nu) projects onto
+    the affine set of the active rows ((1 + sum nu) M is then the null-space
+    projector P of those rows), the step is exact for that set: the
+    row-space part of d_k stays fixed there, so one ball's Newton step runs
+    on 1/rho_k - 1/||P d_k||, linear in nu_k, and two balls are solved in
+    closed form on the set. With one ball in W, r_k is monotone in nu_k and
+    the step stays in a bracket, bisecting when Newton leaves it; with two,
+    a backtracking line search on the dual value guards the step.
+    """
+    evals = 0
+
+    def at(nu, known=None):
+        nonlocal evals
+        evals += 1
+        u, jac, f, aux = evaluate(nu) if known is None else known
+        D = u - Q
+        nd2 = (D * D).sum(axis=1)
+        nd = np.maximum(np.sqrt(nd2), 1e-300)
+        return nu, u, jac, f + 0.5 * float(nu @ (nd2 - R * R)), aux, D, nd, 1.0 - R / nd
+
+    cur = at(np.zeros(R.size), start)
+    W: list[int] = []
+    lo, hi = 0.0, np.inf
+    while True:
+        nu, u, jac, dual, aux, D, nd, r = cur
+        # the bound is attained when the feasible set is one point opposite
+        # the reference (the braking apex of the cone rows on the a_max sphere)
+        if dual > dual_bound * (1.0 + 1e-9):
+            return None
+        if all(abs(r[k]) <= _BALL_TOL for k in W):
+            out = [k for k in range(R.size) if k not in W and r[k] > _FEAS_TOL]
+            if not out:
+                return u, nu, aux
+            W.append(max(out, key=lambda k: nd[k] - R[k]))
+            lo, hi = 0.0, np.inf
+        if evals >= budget:
+            raise SolverError("ball multipliers did not converge within budget",
+                              {"ball_residual": float(np.abs(r[W]).max()), "working_set": list(W),
+                               "nu": nu.tolist(), "evaluations": evals})
+        w = np.array(W)
+        P = (1.0 + nu.sum()) * jac()
+        affine = float(np.abs(P @ P - P).max()) <= 1e-9
+        G = D[w] @ P @ D[w].T                    # ||P d_k||^2 on the diagonal
+        rho2 = R[w] ** 2 - (nd[w] ** 2 - np.diag(G))
+        J = -(R[w] / nd[w] ** 3)[:, None] * G / (1.0 + nu.sum())
+        if len(W) == 1:
+            k = W[0]
+            if r[k] > 0.0:
+                lo = max(lo, nu[k])
             else:
-                hi = max(1.0, 2.0 * old)
-                while g(hi) > 0.0:
-                    hi *= 4.0
-                    if hi > 1e13:
-                        u_lim, _, _ = _project_polyhedron(qk.copy(), N, b)
-                        if np.linalg.norm(u_lim - qk) > Rk + 1e-8:
-                            return None, None, None, "infeasible"
-                        break
-                if hi > 1e13:
-                    new = hi
-                else:
-                    new = brentq(g, 0.0, hi, xtol=1e-14, maxiter=200)
-            moved = max(moved, abs(new - old))
-            nus[k] = new
-        u_cur, lam_cur, _ = solve_at(nus)
-        ok = all(np.linalg.norm(u_cur - q) <= R * (1 + _FEAS_TOL) + 1e-12
-                 for q, R in zip(centers, radii))
-        if ok and moved <= 1e-12:
-            break
-    else:
-        viol = max(np.linalg.norm(u_cur - q) - R for q, R in zip(centers, radii))
-        if viol > 1e-7 * max(1.0, max(radii)):
-            raise SolverError("ball multiplier sweep did not converge",
-                              {"ball_violation": float(viol)})
-    lam_scaled = lam_cur * (1.0 + nus.sum()) if lam_cur is not None else None
-    return u_cur, lam_scaled, nus, "optimal"
+                hi = min(hi, nu[k])
+            if affine:
+                t = (nu[k] + (1.0 + nu.sum()) * (np.sqrt(G[0, 0] / rho2[0]) - 1.0)
+                     if rho2[0] > 0.0 and G[0, 0] > 0.0 else np.nan)
+            else:
+                t = nu[k] - r[k] / J[0, 0] if J[0, 0] < 0.0 else np.nan
+            if not lo < t < hi:
+                # bisect, in log scale across a wide bracket; expand without one
+                t = (max(2.0 * lo, 1.0) if hi == np.inf else 0.5 * (lo + hi) if hi <= 4.0 * (1.0 + lo)
+                     else np.sqrt((1.0 + lo) * (1.0 + hi)) - 1.0)
+            trial = nu.copy()
+            trial[k] = t
+            cur = at(trial)
+            continue
+        g = 0.5 * (nd[w] ** 2 - R[w] ** 2)  # gradient of the dual value
+        if G[0, 0] * G[1, 1] - G[0, 1] ** 2 <= 1e-12 * G[0, 0] * G[1, 1]:
+            # u(nu) moves along one direction only (two rows active, or the
+            # projected ball normals parallel): along the null vector of G
+            # u stays put and the dual value rises linearly
+            step = np.array([-G[0, 1], G[0, 0]]) if G[0, 0] >= G[1, 1] else np.array([G[1, 1], -G[0, 1]])
+            if not step.any():
+                step = np.array([1.0, -1.0])
+            if g @ step < 0.0:
+                step = -step
+            falls = step < 0.0
+            # go until the first multiplier reaches 0; if none falls, stretch
+            step = (step * (nu[w][falls] / -step[falls]).min() if falls.any()
+                    else step * (1.0 + nu.sum()) / step.max())
+        else:
+            piece = None
+            if affine and (rho2 > 0.0).all():
+                # centers and reference projected onto the rows' affine set
+                # (by stationarity the reference lands on u + sum nu_k P d_k)
+                piece = project_balls(u + P @ (nu @ D), u - D[w] @ P, np.sqrt(rho2))
+            step = piece[1] - nu[w] if piece is not None else np.linalg.solve(J, -r[w])
+            if g @ step <= 0.0:
+                step = np.linalg.solve(G, g) * (1.0 + nu.sum())
+        ratios = np.where(step < 0.0, nu[w] / np.maximum(-step, 1e-300), np.inf)
+        block = int(np.argmin(ratios))
+        t = min(1.0, ratios[block])
+        merit = float(r[w] @ r[w])
+        while True:
+            blocked = ratios[block] <= t * (1.0 + 1e-12)
+            trial = nu.copy()
+            trial[w] = np.maximum(nu[w] + t * step, 0.0)
+            if blocked:
+                trial[w[block]] = 0.0
+            nxt = at(trial)
+            rise = nxt[3] - dual
+            r_new = nxt[-1][w]
+            # sufficient dual ascent; near the optimum, where the dual is flat
+            # to rounding, a step that cuts the residual suffices
+            if (rise >= 1e-4 * t * float(g @ step)
+                    or (not blocked and float(r_new @ r_new) <= 0.25 * merit
+                        and rise >= -1e-9 * (1.0 + abs(dual)))
+                    or evals >= budget):
+                break
+            t *= 0.5
+        cur = nxt
+        if blocked:
+            W.remove(int(w[block]))
+            lo, hi = 0.0, np.inf
+
+
+def _project_with_balls(ubar, N, b, Q, R):
+    """Projection onto {N u >= b} intersect the balls ||u - Q[k]|| <= R[k].
+    Returns (u, lam, nus), or None when the intersection is empty.
+
+    For fixed nu the optimum is the polyhedron projection of the shifted
+    target (ubar + sum nu_k q_k) / (1 + sum nu_k), with row multipliers scaled
+    by 1 + sum nu_k. The dual value is checked against
+    min_k (||ubar - q_k|| + R_k)^2 / 2, which bounds the primal optimum
+    because every feasible point lies in each ball.
+    """
+    def evaluate(nu):
+        sigma = 1.0 + float(nu.sum())
+        target = ubar if sigma == 1.0 else (ubar + nu @ Q) / sigma
+        u, lam, feasible = _project_polyhedron(target, N, b)
+        if not feasible:
+            return u, None, np.inf, None
+
+        def jac():
+            return _null_projector(N[lam > 0.0]) / sigma
+
+        return u, jac, 0.5 * float((u - ubar) @ (u - ubar)), lam * sigma
+
+    start = evaluate(np.zeros(R.size))
+    u, _, f, lam = start
+    D = u - Q
+    if f < np.inf and (np.einsum("ij,ij->i", D, D) <= (R * (1.0 + _FEAS_TOL)) ** 2).all():
+        return u, lam, np.zeros(R.size)  # no ball binds: the rows-only projection
+    bound = 0.5 * min(math.dist(ubar, q) + r for q, r in zip(Q, R)) ** 2
+    res = _ball_multipliers(evaluate, Q, R, bound, start=start)
+    if res is None:
+        return None
+    u, nus, lam = res
+    return u, lam, nus
 
 
 def _slack_objective_grad(u, ubar, N, b, sw, nus, centers):
@@ -294,39 +452,21 @@ def _solve_slack_at(ubar, N, b, sw, nus, centers, max_iter: int = 100):
     return u
 
 
-def _solve_slack(ubar, N, b, sw, balls, sweeps: int = 60):
-    centers = [np.asarray(q, dtype=np.float64) for q, _ in balls]
-    radii = [float(R) for _, R in balls]
-    nus = np.zeros(len(balls))
-    u = _solve_slack_at(ubar, N, b, sw, nus, centers)
-    for _ in range(sweeps):
-        moved = 0.0
-        for k in range(len(balls)):
-            qk, Rk = centers[k], radii[k]
+def _solve_slack(ubar, N, b, sw, Q, R):
+    """Slack-mode optimum (u, nus). The balls must intersect: the rows are
+    soft, so the balls alone decide feasibility."""
+    def evaluate(nu):
+        u = _solve_slack_at(ubar, N, b, sw, nu, Q)
+        xi = np.maximum(b - N @ u, 0.0)
+        Na = N[xi > 0.0]
+        f = 0.5 * float((u - ubar) @ (u - ubar)) + 0.5 * sw * float(xi @ xi)
 
-            def g(nu_k):
-                trial = nus.copy()
-                trial[k] = nu_k
-                return float(np.linalg.norm(_solve_slack_at(ubar, N, b, sw, trial, centers) - qk)) - Rk
+        def jac():
+            return np.linalg.inv((1.0 + nu.sum()) * np.eye(3) + sw * (Na.T @ Na))
 
-            old = nus[k]
-            if g(0.0) <= 0.0:
-                new = 0.0
-            else:
-                hi = max(1.0, 2.0 * old)
-                while g(hi) > 0.0 and hi <= 1e13:
-                    hi *= 4.0
-                if hi > 1e13:
-                    new = hi  # balls always contain a point: cannot happen for sane inputs
-                else:
-                    new = brentq(g, 0.0, hi, xtol=1e-14, maxiter=200)
-            moved = max(moved, abs(new - old))
-            nus[k] = new
-        u = _solve_slack_at(ubar, N, b, sw, nus, centers)
-        ok = all(np.linalg.norm(u - q) <= R * (1 + _FEAS_TOL) + 1e-12
-                 for q, R in zip(centers, radii))
-        if ok and moved <= 1e-12:
-            break
+        return u, jac, f, None
+
+    u, nus, _ = _ball_multipliers(evaluate, Q, R)
     return u, nus
 
 
@@ -337,48 +477,49 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
     t0 = time.perf_counter()
     ubar = np.asarray(problem.reference, dtype=np.float64)
 
-    norms = np.linalg.norm(problem.normals, axis=1) if problem.normals.size else np.zeros(0)
-    zero = norms <= _ZERO_NORMAL
-    if np.any(zero & (problem.offsets > 1e-12)):
-        # vacuous row demanding 0 >= positive: nothing to optimize
+    def infeasible():
         return FilterSolution(u=None, status="infeasible", active_ids=np.zeros(0, dtype=np.intp),
                               slack_used=0.0, solve_time=time.perf_counter() - t0,
                               kkt_residual=np.nan)
-    keep = ~zero
-    N = problem.normals[keep] / norms[keep, None] if keep.any() else np.zeros((0, 3))
-    b = problem.offsets[keep] / norms[keep] if keep.any() else np.zeros(0)
-    ids = problem.splat_ids[keep]
 
-    balls = [(np.zeros(3), float(problem.a_max))]
-    if problem.v_max is not None and problem.v_current is not None and problem.dt:
-        balls.append((-np.asarray(problem.v_current, dtype=np.float64) / problem.dt,
-                      float(problem.v_max) / problem.dt))
+    N, b, ids = problem.normals.reshape(-1, 3), problem.offsets, problem.splat_ids
+    norms = np.sqrt(np.einsum("ij,ij->i", N, N))
+    zero = norms <= _ZERO_NORMAL
+    if zero.any():
+        if np.any(problem.offsets[zero] > 1e-12):
+            # vacuous row demanding 0 >= positive: nothing to optimize
+            return infeasible()
+        N, b, ids, norms = N[~zero], b[~zero], ids[~zero], norms[~zero]
+    N = N / norms[:, None]
+    b = b / norms
+    Q, R = norm_balls(problem.a_max, problem.v_current, problem.v_max, problem.dt)
+    if _balls_disjoint(Q, R):
+        return infeasible()
+
+    if N.shape[0] == 0:
+        u, nus = project_balls(ubar, Q, R)
+        g = u - ubar + nus.sum() * u - nus @ Q
+        return FilterSolution(u=u, status="optimal", active_ids=np.zeros(0, dtype=np.intp),
+                              slack_used=0.0, solve_time=time.perf_counter() - t0,
+                              kkt_residual=math.sqrt(float(g @ g)))
 
     if problem.slack_weight is not None:
-        u, nus = _solve_slack(ubar, N, b, float(problem.slack_weight), balls)
-        xi = np.maximum(0.0, b - N @ u) if N.size else np.zeros(0)
-        grad, _, _ = _slack_objective_grad(u, ubar, N, b, float(problem.slack_weight),
-                                           nus, [q for q, _ in balls])
-        slack_used = float(xi.max()) if xi.size else 0.0
+        sw = float(problem.slack_weight)
+        u, nus = _solve_slack(ubar, N, b, sw, Q, R)
+        xi = np.maximum(0.0, b - N @ u)
+        grad, _, _ = _slack_objective_grad(u, ubar, N, b, sw, nus, Q)
+        slack_used = float(xi.max())
         status = "degraded" if slack_used > 1e-8 else "optimal"
-        active = ids[xi > 1e-8] if xi.size else np.zeros(0, dtype=np.intp)
-        return FilterSolution(u=u, status=status, active_ids=np.asarray(active),
+        return FilterSolution(u=u, status=status, active_ids=np.asarray(ids[xi > 1e-8]),
                               slack_used=slack_used, solve_time=time.perf_counter() - t0,
                               kkt_residual=float(np.linalg.norm(grad)) / 2.0)
 
-    u, lam, nus, status = _project_with_balls(ubar, N, b, balls)
-    if status == "infeasible":
-        return FilterSolution(u=None, status="infeasible", active_ids=np.zeros(0, dtype=np.intp),
-                              slack_used=0.0, solve_time=time.perf_counter() - t0,
-                              kkt_residual=np.nan)
+    res = _project_with_balls(ubar, N, b, Q, R)
+    if res is None:
+        return infeasible()
+    u, lam, nus = res
     # stationarity: (u - ubar) + sum nu_k (u - q_k) - N^T lam = 0
-    g = u - ubar
-    for nu, (q, _) in zip(nus, balls):
-        g = g + nu * (u - q)
-    if lam.size:
-        g = g - N.T @ lam
-    kkt = float(np.linalg.norm(g))
-    tight = (np.abs(N @ u - b) <= 1e-7 * (1.0 + np.abs(b))) | (lam > 1e-12) if N.size else np.zeros(0, dtype=bool)
-    active = np.asarray(ids[tight]) if N.size else np.zeros(0, dtype=np.intp)
-    return FilterSolution(u=u, status="optimal", active_ids=active, slack_used=0.0,
-                          solve_time=time.perf_counter() - t0, kkt_residual=kkt)
+    g = u - ubar + nus.sum() * u - nus @ Q - N.T @ lam
+    tight = (np.abs(N @ u - b) <= 1e-7 * (1.0 + np.abs(b))) | (lam > 1e-12)
+    return FilterSolution(u=u, status="optimal", active_ids=np.asarray(ids[tight]), slack_used=0.0,
+                          solve_time=time.perf_counter() - t0, kkt_residual=math.sqrt(float(g @ g)))

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels
-from .filter import DEFAULT_SLACK_WEIGHT, FilterConfig, filter_step
-from .qp import FilterProblem, FilterSolution, solve_filter
+from .filter import DEFAULT_SLACK_WEIGHT, FilterConfig, effective_c2, filter_step
+from .qp import FilterProblem, FilterSolution, norm_balls, project_balls, solve_filter
 from .scene import Scene
 from .sceneio import _atomic_write_text
 
@@ -190,7 +190,7 @@ def baseline_distance_filter_step(scene: Scene, state: RobotState, u_ref: np.nda
     v = np.asarray(state.v, dtype=np.float64)
     idx = scene.query_nearby(p, cfg.activation_radius)
     if idx.size:
-        c2eff = _baseline_c2eff(scene, cfg, idx)
+        c2eff = effective_c2(scene, cfg, idx)
         normals, offsets, h = kernels.baseline_rows(
             p, v, scene.means[idx], scene.inv_cov[idx], c2eff, a1, a2)
     else:
@@ -229,14 +229,6 @@ def baseline_distance_filter_step(scene: Scene, state: RobotState, u_ref: np.nda
     return sol, diagnostics
 
 
-def _baseline_c2eff(scene: Scene, cfg: FilterConfig, idx: np.ndarray) -> np.ndarray:
-    c2 = cfg.resolved_c2(scene)
-    if cfg.rho == 0.0:
-        return np.full(idx.size, c2)
-    c = np.sqrt(c2)
-    return (c + cfg.rho / scene.s_min[idx]) ** 2
-
-
 def _passthrough_step(scene: Scene, state: RobotState, u_ref: np.ndarray, cfg: FilterConfig):
     """Filter 'off': clip the reference to the norm bounds; cone barrier
     values are still evaluated for the record (diagnostics only)."""
@@ -244,7 +236,7 @@ def _passthrough_step(scene: Scene, state: RobotState, u_ref: np.ndarray, cfg: F
     p = np.asarray(state.p, dtype=np.float64)
     idx = scene.query_nearby(p, cfg.activation_radius)
     if idx.size:
-        c2eff = _baseline_c2eff(scene, cfg, idx)
+        c2eff = effective_c2(scene, cfg, idx)
         _, _, h, _ = kernels.cone_rows(p, state.v, scene.means[idx],
                                        scene.inv_cov[idx], c2eff, cfg.p_k)
         min_h = float(h.min())
@@ -266,17 +258,11 @@ _FILTER_STEPS = {
 }
 
 
-def _clip_reference(u_ref: np.ndarray, v: np.ndarray, fcfg: FilterConfig) -> np.ndarray:
-    """Reference projected onto the norm bounds only (no barrier rows)."""
-    inside_a = np.linalg.norm(u_ref) <= fcfg.a_max
-    inside_v = (fcfg.v_max is None
-                or np.linalg.norm(v + fcfg.dt * u_ref) <= fcfg.v_max)
-    if inside_a and inside_v:
-        return np.asarray(u_ref, dtype=np.float64)
-    prob = FilterProblem(reference=u_ref, a_max=fcfg.a_max,
-                         v_current=v if fcfg.v_max is not None else None,
-                         v_max=fcfg.v_max, dt=fcfg.dt)
-    return solve_filter(prob).u
+def _clip_reference(u_ref: np.ndarray, v: np.ndarray, fcfg: FilterConfig) -> np.ndarray | None:
+    """Reference projected onto the norm bounds only (no barrier rows), in
+    closed form; None when the bounds exclude each other."""
+    clipped = project_balls(u_ref, *norm_balls(fcfg.a_max, v, fcfg.v_max, fcfg.dt))
+    return None if clipped is None else clipped[0]
 
 
 def first_intervention_distance(record: TrajectoryRecord, center: np.ndarray) -> float | None:

@@ -165,3 +165,27 @@ def finite_difference_jacobian(f, x, step=1e-6):
         e[j] = step
         J[:, j] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * step)
     return J
+
+
+def kkt_residual(point, u, halfspaces, balls, tight_rtol=1e-7):
+    """Stationarity residual of `u` as the projection of `point` onto
+    {a.u >= b} intersect balls, with multipliers recomputed independently:
+    min ||sum lam_i a_i - sum nu_k (u - q_k) - (u - point)|| over lam, nu >= 0,
+    taken over the constraints tight at u (non-negative least squares)."""
+    from scipy.optimize import nnls
+
+    u = np.asarray(u, dtype=np.float64)
+    cols = []
+    for a, b in halfspaces:
+        a = np.asarray(a, dtype=np.float64)
+        na = np.linalg.norm(a)
+        if a @ u / na - b / na <= tight_rtol * (1.0 + abs(b / na)):
+            cols.append(a / na)
+    for q, R in balls:
+        d = u - np.asarray(q, dtype=np.float64)
+        if np.linalg.norm(d) >= R * (1.0 - tight_rtol):
+            cols.append(-d)
+    target = u - np.asarray(point, dtype=np.float64)
+    if not cols:
+        return float(np.linalg.norm(target))
+    return float(nnls(np.array(cols).T, target)[1])

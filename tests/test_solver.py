@@ -2,8 +2,15 @@
 import numpy as np
 import pytest
 
-from splatcone.qp import FilterProblem, solve_filter
-from helpers import dykstra_projection, enumeration_projection, grid_refine_projection
+from splatcone.qp import FilterProblem, SolverError, _ball_multipliers, project_balls, solve_filter
+from splatcone.filter import FilterConfig
+from splatcone.simulator import _clip_reference
+from helpers import (
+    dykstra_projection,
+    enumeration_projection,
+    grid_refine_projection,
+    kkt_residual,
+)
 
 
 def _solve(ubar, normals, offsets, a_max, **kw):
@@ -161,7 +168,7 @@ def test_kkt_stationarity_with_active_ball_and_halfspaces():
 
 
 def test_iteration_cap_raises_solver_error():
-    from splatcone.qp import SolverError, _project_polyhedron
+    from splatcone.qp import _project_polyhedron
 
     with pytest.raises(SolverError) as exc:
         _project_polyhedron(np.zeros(3), np.array([[1.0, 0, 0]]), np.array([1.0]),
@@ -185,3 +192,123 @@ def test_both_balls_active():
         np.testing.assert_allclose(sol.u, ref, atol=1e-6)
         assert np.linalg.norm(sol.u) <= a_max * (1 + 1e-9)
         assert np.linalg.norm(v + dt * sol.u) <= v_max * (1 + 1e-9)
+
+
+def _lens_instance(rng, n_rows, dt, a_max, v_max=2.5):
+    """Speed near v_max, so the velocity ball cuts through the acceleration
+    ball. The optimum u* is placed on the circle where both spheres meet,
+    `n_rows` rows pass through it (plus two slack rows), and the reference
+    is u* moved along the outward ball normals and inward row normals with
+    positive multipliers: u* is then the projection by the KKT conditions."""
+    vhat = rng.normal(size=3)
+    vhat /= np.linalg.norm(vhat)
+    v = vhat * v_max * rng.uniform(0.995, 1.0)
+    q_v = -v / dt
+    D = np.linalg.norm(q_v)
+    e = q_v / D
+    a = (D * D + a_max**2 - (v_max / dt) ** 2) / (2.0 * D)
+    w = rng.normal(size=3)
+    w -= (w @ e) * e
+    u_star = a * e + np.sqrt(a_max**2 - a * a) * w / np.linalg.norm(w)
+    normals = rng.normal(size=(n_rows + 2, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = normals @ u_star
+    offsets[n_rows:] -= rng.uniform(0.5, 2.0, size=2)
+    ubar = (u_star + rng.uniform(0.05, 1.0) * u_star + rng.uniform(0.001, 0.02) * (u_star - q_v)
+            - rng.uniform(0.5, 5.0, size=n_rows) @ normals[:n_rows])
+    balls = [(np.zeros(3), a_max), (q_v, v_max / dt)]
+    return ubar, normals, offsets, v, u_star, balls
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3])
+def test_rows_and_both_balls_active(n_rows):
+    # the solve's tail in closed loop: cruising at v_max with the
+    # acceleration bound and barrier rows binding together
+    rng = np.random.default_rng(40 + n_rows)
+    for dt, a_max, oracle in ((0.1, 4.0, True), (0.02, 10.0, False)):
+        for _ in range(8):
+            ubar, normals, offsets, v, u_star, balls = _lens_instance(rng, n_rows, dt, a_max)
+            sol = _solve(ubar, normals, offsets, a_max=a_max, v_current=v, v_max=2.5, dt=dt)
+            assert sol.status == "optimal"
+            np.testing.assert_allclose(sol.u, u_star, atol=1e-9)
+            assert kkt_residual(ubar, sol.u, list(zip(normals, offsets)), balls) < 1e-9
+            assert sol.kkt_residual < 1e-9
+            if oracle:
+                # Dykstra converges sublinearly on the thin lens of the
+                # closed-loop geometry (dt = 0.02), so it checks dt = 0.1
+                ref = dykstra_projection(ubar, list(zip(normals, offsets)), balls)
+                np.testing.assert_allclose(sol.u, ref, atol=1e-4)
+
+
+def test_two_balls_closed_form():
+    a_max, dt, v_max = 10.0, 0.02, 2.5
+    fcfg = FilterConfig(a_max=a_max, v_max=v_max, dt=dt)
+    # start from rest: concentric balls, the smaller one is the projection
+    u_ref = np.array([30.0, -40.0, 0.0])
+    sol = _solve(u_ref, np.zeros((0, 3)), [], a_max=a_max, v_current=np.zeros(3), v_max=v_max, dt=dt)
+    np.testing.assert_allclose(sol.u, u_ref / 5.0, atol=1e-12)
+    np.testing.assert_allclose(_clip_reference(u_ref, np.zeros(3), fcfg), u_ref / 5.0, atol=1e-12)
+    # at v_max, pushing along v: the optimum is on the intersection circle
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        v = rng.normal(size=3)
+        v *= v_max * rng.uniform(0.9, 1.0) / np.linalg.norm(v)
+        u_ref = rng.normal(size=3) * 3.0 + 20.0 * v / np.linalg.norm(v)
+        balls = [(np.zeros(3), a_max), (-v / dt, v_max / dt)]
+        u, nus = project_balls(u_ref, np.array([q for q, _ in balls]), np.array([a_max, v_max / dt]))
+        assert np.linalg.norm(u) <= a_max * (1 + 1e-12)
+        assert np.linalg.norm(v + dt * u) <= v_max * (1 + 1e-12)
+        assert (nus >= 0.0).all()
+        assert kkt_residual(u_ref, u, [], balls) < 1e-9
+        ref = dykstra_projection(u_ref, [], balls, iters=200000, tol=1e-15)
+        np.testing.assert_allclose(u, ref, atol=1e-6)
+        np.testing.assert_allclose(_clip_reference(u_ref, v, fcfg), u, atol=0.0)
+    # above v_max with dt * a_max too small to recover: the balls are disjoint
+    v = np.array([3.0, 0.0, 0.0])
+    assert project_balls(np.zeros(3), np.array([np.zeros(3), -v / dt]),
+                         np.array([a_max, v_max / dt])) is None
+    assert _clip_reference(np.zeros(3), v, fcfg) is None
+    sol = _solve(np.zeros(3), [[1.0, 0.0, 0.0]], [-1.0], a_max=a_max, v_current=v,
+                 v_max=v_max, dt=dt)
+    assert sol.status == "infeasible" and sol.u is None
+
+
+def test_ball_budget_raises_solver_error():
+    # a minimiser that never moves toward the ball: the working set cannot
+    # be met, and the budget stops the search
+    def stuck(nu):
+        return np.array([2.0, 0.0, 0.0]), lambda: np.zeros((3, 3)), 0.0, None
+
+    with pytest.raises(SolverError) as exc:
+        _ball_multipliers(stuck, np.zeros((1, 3)), np.array([1.0]), budget=7)
+    assert {"ball_residual", "working_set", "nu", "evaluations"} <= exc.value.residuals.keys()
+    assert exc.value.residuals["evaluations"] == 7
+    assert exc.value.residuals["ball_residual"] > 0.0
+
+
+def test_feasible_set_of_one_point_is_optimal():
+    # cruising at v_max with p_k = 8: every cone row passes through the
+    # braking apex -p_k v / 2, which lies on the a_max sphere, and the rows
+    # open away from the ball. The apex is the only feasible point, exactly
+    # opposite the reference, where the dual bound of the solve is attained.
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        v = rng.normal(size=3)
+        v *= 2.5 / np.linalg.norm(v)
+        apex = -4.0 * v
+        e = apex / np.linalg.norm(apex)
+        normals = e + 0.5 * rng.normal(size=(6, 3))
+        normals[0] = e  # keeps the rows' cone on the far side of the apex
+        sol = _solve(-rng.uniform(0.5, 20.0) * e, normals, normals @ apex, a_max=10.0,
+                     v_current=v, v_max=2.5, dt=0.02)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.u, apex, atol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the row projection takes a violated row "
+                   "nearly antiparallel to a working-set row for unreachable")
+def test_nearly_antiparallel_rows_are_feasible():
+    # u_y >= 0 and u_y <= 1e-8 u_z meet in a thin wedge that contains u = 0
+    sol = _solve([0.0, 0.0, -1.0], [[0.0, 1.0, 0.0], [0.0, -1.0, 1e-8]], [0.0, 0.0], a_max=1.0)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.u, np.zeros(3), atol=1e-6)
