@@ -1,13 +1,12 @@
-"""Timing comparison of the numba and numpy kernel backends.
+"""Timing of the per-step numpy kernels, the filter solve and one filter step.
 
-Run:  python3 benchmarks/bench_kernels.py [n_splats] [repeats]
+Run:  PYTHONPATH=src python3 benchmarks/bench_kernels.py [n_splats] [repeats]
 
-Times the three hot per-step kernels (cone rows, baseline rows, audit
-margins) on a synthetic activation set, the filter solve on programs whose
-optimum binds 0, 1 and 2 norm balls, plus one end-to-end filter step on a
-170k-splat scene. Numba timings exclude JIT compilation (warmup call first).
-Only the backends that can be selected are timed: without numba (an optional
-extra) the numba column and the speed-up are left out.
+Times the hot per-step kernels (cone rows, exact-inflation cone rows,
+baseline rows, audit margins) on a synthetic activation set, the filter
+solve on programs whose optimum binds 0, 1 and 2 norm balls, plus one
+end-to-end filter step on a 170k-splat scene. Each timing is the best of
+`repeats` calls after one warmup call.
 """
 import sys
 import time
@@ -53,7 +52,7 @@ def binding_balls(prob, u):
 
 
 def timeit(fn, repeats):
-    fn()  # warmup (includes JIT on first numba call)
+    fn()  # warmup
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -80,23 +79,9 @@ def main():
         "min_margin(256 pts)": lambda: kernels.min_margin(pts, means, inv_cov, c2eff),
     }
 
-    backends = ("numba", "numpy") if kernels._HAVE_NUMBA else ("numpy",)
     print(f"batch kernels, m = {m} splats, best of {repeats}")
-    if not kernels._HAVE_NUMBA:
-        print("numba is not importable: timing the numpy backend only")
-    header = "".join(f" {b:>12s}" for b in backends)
-    if kernels._HAVE_NUMBA:
-        header += f" {'speedup':>9s}"
-    print(f"{'kernel':24s}{header}")
     for name, fn in cases.items():
-        t = {}
-        for backend in backends:
-            kernels.set_backend(backend)
-            t[backend] = timeit(fn, repeats)
-        row = "".join(f" {t[b]*1e6:10.1f}us" for b in backends)
-        if kernels._HAVE_NUMBA:
-            row += f" {t['numpy']/t['numba']:8.2f}x"
-        print(f"{name:24s}{row}")
+        print(f"{name:24s} {timeit(fn, repeats)*1e6:10.1f}us")
 
     print(f"\nfilter solve, {min(m, 400)} rows, by binding norm balls, best of {repeats}")
     for prob in solve_cases(rng, min(m, 400)):
@@ -111,18 +96,15 @@ def main():
     cfg = FilterConfig(p_k=8.0, activation_radius=5.0, a_max=10.0, v_max=2.5)
     state = RobotState(p=np.zeros(3), v=np.array([1.0, 0.5, 0.2]), t=0.0)
     u_ref = np.array([2.0, 0.0, 0.0])
-    for backend in backends:
-        kernels.set_backend(backend)
-        for _ in range(3):
-            filter_step(scene, state, u_ref, cfg)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            filter_step(scene, state, u_ref, cfg)
-            times.append(time.perf_counter() - t0)
-        med = float(np.median(times))
-        print(f"{backend:8s} median {med*1e3:.3f} ms  ({1.0/med:.0f} Hz)")
-    kernels.set_backend("auto")
+    for _ in range(3):
+        filter_step(scene, state, u_ref, cfg)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        filter_step(scene, state, u_ref, cfg)
+        times.append(time.perf_counter() - t0)
+    med = float(np.median(times))
+    print(f"median {med*1e3:.3f} ms  ({1.0/med:.0f} Hz)")
 
 
 if __name__ == "__main__":

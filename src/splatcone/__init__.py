@@ -29,16 +29,13 @@ from .constraints import (
     build_constraint_inflated,
     lie_derivative_w,
 )
-from .filter import FilterConfig, filter_step
-from .kernels import active_backend, set_backend
+from .filter import FilterConfig, baseline_distance_filter_step, filter_step
 from .qp import FilterProblem, FilterSolution, SolverError, solve_filter
 from .scene import (
     PreprocessOptions,
     Scene,
     SceneError,
-    Splat,
     chi2_confidence,
-    query_nearby,
     rotation_from_quat,
 )
 from .sceneio import load_ply, load_scene_dump, save_ply, save_scene_dump
@@ -48,7 +45,6 @@ from .simulator import (
     SimulationError,
     SmoothnessMetrics,
     TrajectoryRecord,
-    baseline_distance_filter_step,
     batch_start_goal,
     compute_metrics,
     first_intervention_distance,

@@ -1,7 +1,18 @@
-"""Per-step cone safety filter over a splat scene.
+"""Per-step safety filter over a splat scene: one pipeline for every filter.
 
-Queries the splats near the robot, builds one barrier half-space per active
-splat with the batch kernels, and solves the minimally-invasive program.
+Each step queries the splats near the robot, builds one half-space row per
+active splat with a batch kernel, applies the inside policy and solves the
+minimally-invasive program with `solve_filter`. The filters differ only in
+their row builder:
+
+    cone               collision-cone barrier rows (exact Minkowski rows when
+                       rho > 0 and inflation_mode is "exact"); the robot is
+                       inside a splat when eta <= 0
+    distance_baseline  second-order Mahalanobis-distance barrier rows; inside
+                       when h <= 0
+    off                no rows (the reference is only clipped to the norm
+                       bounds); cone barrier values are kept for the record
+
 Splats whose (inflated) ellipsoid already contains the robot break the
 barrier premise; policy is configurable: hard (report infeasible) or slack
 (relax all rows quadratically and keep flying).
@@ -48,69 +59,58 @@ def effective_c2(scene: Scene, cfg: FilterConfig, idx: np.ndarray) -> np.ndarray
     return (c + cfg.rho / scene.s_min[idx]) ** 2
 
 
-def filter_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig,
-                obstacle_velocities: np.ndarray | None = None):
-    """One cone-filter step. Returns (FilterSolution, diagnostics).
+def _cone_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
+    means, A = scene.means[idx], scene.inv_cov[idx]
+    if cfg.rho > 0.0 and cfg.inflation_mode == "exact":
+        c = float(np.sqrt(cfg.resolved_c2(scene)))
+        normals, offsets, h, eta, fb = kernels.cone_rows_inflated(
+            p, v, means, A, scene.s_min[idx], c, cfg.rho, cfg.p_k)
+        return normals, offsets, h, eta <= 0.0, int(fb.sum())
+    normals, offsets, h, eta = kernels.cone_rows(
+        p, v, means, A, effective_c2(scene, cfg, idx), cfg.p_k)
+    return normals, offsets, h, eta <= 0.0, 0
 
-    Diagnostics: min_h (+inf sentinel when no splat is active), per-splat h,
-    active splat indices, constraint build time, and inside-splat ids.
 
-    `obstacle_velocities` (n_scene, 3) switches the geometry to per-splat
-    relative velocities for slowly moving obstacle means. The hook is typed
-    and exercised only for plausibility; no moving-obstacle scenarios ship.
+def _baseline_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
+    a1 = cfg.baseline_alpha1 if cfg.baseline_alpha1 is not None else cfg.p_k
+    a2 = cfg.baseline_alpha2 if cfg.baseline_alpha2 is not None else cfg.p_k
+    normals, offsets, h = kernels.baseline_rows(
+        p, v, scene.means[idx], scene.inv_cov[idx], effective_c2(scene, cfg, idx), a1, a2)
+    return normals, offsets, h, h <= 0.0, 0
+
+
+def _no_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
+    # conservative cone values for the record only; nothing is constrained
+    _, _, h, _ = kernels.cone_rows(p, v, scene.means[idx], scene.inv_cov[idx],
+                                   effective_c2(scene, cfg, idx), cfg.p_k)
+    return np.zeros((0, 3)), np.zeros(0), h, np.zeros(h.size, dtype=bool), 0
+
+
+def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
+    """query -> rows -> diagnostics -> inside policy -> FilterProblem -> solve.
+
+    `build_rows(scene, idx, p, v, cfg)` returns (normals, offsets, h,
+    inside mask, inflation fallback count) for the active splats `idx`; its
+    rows either match `idx` one to one or are empty ('off').
     """
     t0 = time.perf_counter()
     p = np.asarray(state.p, dtype=np.float64)
     v = np.asarray(state.v, dtype=np.float64)
     idx = scene.query_nearby(p, cfg.activation_radius)
-    c2 = cfg.resolved_c2(scene)
-    c = float(np.sqrt(c2))
-
-    fallback_count = 0
-    if idx.size and obstacle_velocities is not None:
-        # slow path: per-splat relative velocity through the scalar builder
-        from .cone import RelativeGeometry
-        from .constraints import build_constraint
-
-        normals = np.empty((idx.size, 3))
-        offsets = np.empty(idx.size)
-        h = np.empty(idx.size)
-        eta = np.empty(idx.size)
-        for j, i in enumerate(idx):
-            v_rel = v - np.asarray(obstacle_velocities[i], dtype=np.float64)
-            geom = RelativeGeometry(r=scene.means[i] - p, v=v_rel, A=scene.inv_cov[i],
-                                    c2=effective_c2(scene, cfg, np.array([i]))[0])
-            con = build_constraint(geom, p_k=cfg.p_k, splat_id=int(i))
-            normals[j] = con.normal
-            offsets[j] = con.offset
-            h[j] = con.h_value
-            eta[j] = geom.gamma
-    elif idx.size:
-        means = scene.means[idx]
-        A = scene.inv_cov[idx]
-        if cfg.rho > 0.0 and cfg.inflation_mode == "exact":
-            normals, offsets, h, eta, fb = kernels.cone_rows_inflated(
-                p, v, means, A, scene.s_min[idx], c, cfg.rho, cfg.p_k)
-            fallback_count = int(fb.sum())
-        else:
-            c2eff = effective_c2(scene, cfg, idx)
-            normals, offsets, h, eta = kernels.cone_rows(p, v, means, A, c2eff, cfg.p_k)
+    if idx.size:
+        normals, offsets, h, is_inside, fallbacks = build_rows(scene, idx, p, v, cfg)
     else:
-        normals = np.zeros((0, 3))
-        offsets = np.zeros(0)
-        h = np.zeros(0)
-        eta = np.zeros(0)
-
-    inside = np.nonzero(eta <= 0.0)[0]
-    build_time = time.perf_counter() - t0
+        normals, offsets, h = np.zeros((0, 3)), np.zeros(0), np.zeros(0)
+        is_inside, fallbacks = np.zeros(0, dtype=bool), 0
+    inside = np.nonzero(is_inside)[0]
     diagnostics = {
         "min_h": float(h.min()) if h.size else float("inf"),
         "h": h,
         "active_splats": idx,
         "inside_ids": idx[inside] if inside.size else np.zeros(0, dtype=np.intp),
-        "build_time": build_time,
+        "build_time": time.perf_counter() - t0,
         "n_active": int(idx.size),
-        "inflation_fallbacks": fallback_count,
+        "inflation_fallbacks": fallbacks,
     }
 
     slack_weight = cfg.slack_weight
@@ -122,17 +122,48 @@ def filter_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig,
     if inside.size and slack_weight is None:
         slack_weight = DEFAULT_SLACK_WEIGHT
 
+    n_rows = offsets.size
     problem = FilterProblem(
         reference=np.asarray(u_ref, dtype=np.float64),
         a_max=cfg.a_max,
         normals=normals,
         offsets=offsets,
-        splat_ids=idx,
-        h_values=h,
+        splat_ids=idx[:n_rows],
+        h_values=h[:n_rows],
         v_current=v if cfg.v_max is not None else None,
         v_max=cfg.v_max,
         dt=cfg.dt,
         slack_weight=slack_weight,
     )
-    sol = solve_filter(problem)
-    return sol, diagnostics
+    # looked up as this module's global at call time, so a wrapper set on
+    # `filter.solve_filter` sees every filter's programs
+    return solve_filter(problem), diagnostics
+
+
+def filter_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
+    """One cone-filter step. Returns (FilterSolution, diagnostics).
+
+    Diagnostics (the same keys for every filter): min_h (+inf sentinel when
+    no splat is active), per-splat h, active splat indices, inside-splat ids,
+    build time (query and rows), n_active and inflation fallbacks.
+    """
+    return _filter_pipeline(_cone_rows, scene, state, u_ref, cfg)
+
+
+def baseline_distance_filter_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
+    """Distance-barrier comparison filter (second-order condition).
+
+    Uses the Mahalanobis surrogate h_d = (p - mu)^T A (p - mu) - c_M^2 per
+    splat, which needs the second-order condition
+    hdd + (a1 + a2) hd' + a1 a2 h_d >= 0 to expose the control. This is a
+    documented simplified stand-in for distance-program planners, not a
+    reimplementation of one. Gains a1, a2 are matched to p_k by default.
+    """
+    return _filter_pipeline(_baseline_rows, scene, state, u_ref, cfg)
+
+
+def passthrough_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
+    """Filter 'off': the reference clipped to the norm bounds only; cone
+    barrier values are still evaluated for the record. Never infeasible
+    unless the bounds exclude each other."""
+    return _filter_pipeline(_no_rows, scene, state, u_ref, cfg)

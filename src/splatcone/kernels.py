@@ -1,71 +1,35 @@
 """Batch per-splat kernels for the closed-loop hot path.
 
-Every kernel has two interchangeable implementations: a numba @njit loop and
-a pure-numpy vectorized twin. The active backend is chosen at import from the
-SPLATCONE_BACKEND environment variable ("numba", "numpy", or "auto"; auto
-prefers numba when importable; numba is the optional `numba` extra) and can
-be switched at runtime with `set_backend`. Outputs agree to float rounding
-(summation order differs).
+One vectorized numpy implementation per row type. Each kernel is checked
+against the scalar builders in `cone.py` and `constraints.py`
+(`tests/test_kernels.py`); `benchmarks/bench_kernels.py` times it.
 
 Row conventions match the scalar constraint builders: each active splat i
 contributes one half-space `normals[i] @ u >= offsets[i]` in acceleration
-space, plus its barrier value for diagnostics. `benchmarks/bench_kernels.py`
-times the two backends against each other.
+space, plus its barrier value for diagnostics.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; the numpy twins then serve
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(f):
-            return f
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-_ENV_VAR = "SPLATCONE_BACKEND"
-
-
-def _resolve_backend(name: str) -> str:
-    name = name.lower()
-    if name in ("numpy", "py"):
-        return "numpy"
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("SPLATCONE_BACKEND=numba but numba is not importable")
-        return "numba"
-    if name != "auto":
-        raise ValueError(f"unknown backend {name!r}")
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _resolve_backend(os.environ.get(_ENV_VAR, "auto"))
 
 
 def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Switch kernel backend ('numba' | 'numpy' | 'auto'); returns the choice."""
-    global _BACKEND
-    _BACKEND = _resolve_backend(name)
-    return _BACKEND
+    """Name of the kernel implementation, recorded in benchmark metadata."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # cone constraint rows (fixed effective confidence per splat)
 # ---------------------------------------------------------------------------
 
-def _cone_rows_np(p, v, means, inv_cov, c2eff, p_k):
+def cone_rows(p, v, means, inv_cov, c2eff, p_k):
+    """Half-space rows of the cone barrier constraint, one per splat.
+
+    c2eff is the per-splat effective squared confidence radius (already
+    inflated for conservative robot-radius handling).
+    """
+    p, v, means, inv_cov, c2eff = _as_batch(p, v, means, inv_cov, c2eff)
+    p_k = float(p_k)
     r = means - p
     Ar = np.einsum("mij,mj->mi", inv_cov, r)
     Av = inv_cov @ v
@@ -79,55 +43,20 @@ def _cone_rows_np(p, v, means, inv_cov, c2eff, p_k):
     return normals, offsets, h, eta
 
 
-@njit(cache=True)
-def _cone_rows_nb(p, v, means, inv_cov, c2eff, p_k):
-    m = means.shape[0]
-    normals = np.empty((m, 3))
-    offsets = np.empty(m)
-    h = np.empty(m)
-    eta = np.empty(m)
-    for i in range(m):
-        A = inv_cov[i]
-        r0 = means[i, 0] - p[0]
-        r1 = means[i, 1] - p[1]
-        r2 = means[i, 2] - p[2]
-        ar0 = A[0, 0] * r0 + A[0, 1] * r1 + A[0, 2] * r2
-        ar1 = A[1, 0] * r0 + A[1, 1] * r1 + A[1, 2] * r2
-        ar2 = A[2, 0] * r0 + A[2, 1] * r1 + A[2, 2] * r2
-        av0 = A[0, 0] * v[0] + A[0, 1] * v[1] + A[0, 2] * v[2]
-        av1 = A[1, 0] * v[0] + A[1, 1] * v[1] + A[1, 2] * v[2]
-        av2 = A[2, 0] * v[0] + A[2, 1] * v[1] + A[2, 2] * v[2]
-        rar = r0 * ar0 + r1 * ar1 + r2 * ar2
-        delta = r0 * av0 + r1 * av1 + r2 * av2
-        beta = v[0] * av0 + v[1] * av1 + v[2] * av2
-        et = rar - c2eff[i]
-        hh = beta * et - delta * delta
-        eta[i] = et
-        h[i] = hh
-        normals[i, 0] = et * av0 - delta * ar0
-        normals[i, 1] = et * av1 - delta * ar1
-        normals[i, 2] = et * av2 - delta * ar2
-        offsets[i] = -0.5 * p_k * hh
-    return normals, offsets, h, eta
-
-
-def cone_rows(p, v, means, inv_cov, c2eff, p_k):
-    """Half-space rows of the cone barrier constraint, one per splat.
-
-    c2eff is the per-splat effective squared confidence radius (already
-    inflated for conservative robot-radius handling).
-    """
-    args = _as_batch(p, v, means, inv_cov, c2eff)
-    if _BACKEND == "numba":
-        return _cone_rows_nb(*args, float(p_k))
-    return _cone_rows_np(*args, float(p_k))
-
-
 # ---------------------------------------------------------------------------
 # cone rows with exact direction-dependent inflation
 # ---------------------------------------------------------------------------
 
-def _cone_rows_inflated_np(p, v, means, inv_cov, s_min, c, rho, p_k):
+def cone_rows_inflated(p, v, means, inv_cov, s_min, c, rho, p_k):
+    """Cone rows with exact Minkowski inflation c_M = c + rho * psi(p, v).
+
+    Splats with a degenerate direction (v parallel to the sight line, or
+    beta = 0) fall back per-splat to the conservative radius c + rho/s_min;
+    the returned mask marks them.
+    """
+    p, v, means, inv_cov, _ = _as_batch(p, v, means, inv_cov, None)
+    s_min = np.ascontiguousarray(s_min, dtype=np.float64)
+    c, rho, p_k = float(c), float(rho), float(p_k)
     r = means - p
     Ar = np.einsum("mij,mj->mi", inv_cov, r)
     Av = inv_cov @ v
@@ -168,104 +97,14 @@ def _cone_rows_inflated_np(p, v, means, inv_cov, s_min, c, rho, p_k):
     return normals, offsets, h, eta, fallback
 
 
-@njit(cache=True)
-def _cone_rows_inflated_nb(p, v, means, inv_cov, s_min, c, rho, p_k):
-    m = means.shape[0]
-    normals = np.empty((m, 3))
-    offsets = np.empty(m)
-    h = np.empty(m)
-    eta = np.empty(m)
-    fallback = np.zeros(m, dtype=np.bool_)
-    for i in range(m):
-        A = inv_cov[i]
-        r0 = means[i, 0] - p[0]
-        r1 = means[i, 1] - p[1]
-        r2 = means[i, 2] - p[2]
-        ar0 = A[0, 0] * r0 + A[0, 1] * r1 + A[0, 2] * r2
-        ar1 = A[1, 0] * r0 + A[1, 1] * r1 + A[1, 2] * r2
-        ar2 = A[2, 0] * r0 + A[2, 1] * r1 + A[2, 2] * r2
-        av0 = A[0, 0] * v[0] + A[0, 1] * v[1] + A[0, 2] * v[2]
-        av1 = A[1, 0] * v[0] + A[1, 1] * v[1] + A[1, 2] * v[2]
-        av2 = A[2, 0] * v[0] + A[2, 1] * v[1] + A[2, 2] * v[2]
-        rar = r0 * ar0 + r1 * ar1 + r2 * ar2
-        delta = r0 * av0 + r1 * av1 + r2 * av2
-        beta = v[0] * av0 + v[1] * av1 + v[2] * av2
-        rn = np.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
-
-        use_fallback = beta <= 0.0
-        t0 = t1 = t2 = 0.0
-        if not use_fallback:
-            s = delta / beta
-            t0 = r0 - v[0] * s
-            t1 = r1 - v[1] * s
-            t2 = r2 - v[2] * s
-            tn = np.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
-            if tn <= 1e-9 * rn:
-                use_fallback = True
-
-        gp0 = gp1 = gp2 = 0.0
-        gv0 = gv1 = gv2 = 0.0
-        if use_fallback:
-            psi = 1.0 / s_min[i]
-            fallback[i] = True
-        else:
-            tn = np.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
-            at0 = A[0, 0] * t0 + A[0, 1] * t1 + A[0, 2] * t2
-            at1 = A[1, 0] * t0 + A[1, 1] * t1 + A[1, 2] * t2
-            at2 = A[2, 0] * t0 + A[2, 1] * t1 + A[2, 2] * t2
-            q = np.sqrt(t0 * at0 + t1 * at1 + t2 * at2)
-            psi = q / tn
-            c1 = 1.0 / (tn * q)
-            c2_ = q / (tn * tn * tn)
-            g0 = at0 * c1 - c2_ * t0
-            g1 = at1 * c1 - c2_ * t1
-            g2 = at2 * c1 - c2_ * t2
-            gdotv = g0 * v[0] + g1 * v[1] + g2 * v[2]
-            # grad wrt p = -rho * (dt/dr)^T g
-            gp0 = -rho * (g0 - av0 * gdotv / beta)
-            gp1 = -rho * (g1 - av1 * gdotv / beta)
-            gp2 = -rho * (g2 - av2 * gdotv / beta)
-            b2 = beta * beta
-            k0 = (beta * ar0 - 2.0 * delta * av0) / b2
-            k1 = (beta * ar1 - 2.0 * delta * av1) / b2
-            k2 = (beta * ar2 - 2.0 * delta * av2) / b2
-            sb = delta / beta
-            gv0 = rho * (-k0 * gdotv - sb * g0)
-            gv1 = rho * (-k1 * gdotv - sb * g1)
-            gv2 = rho * (-k2 * gdotv - sb * g2)
-
-        c_M = c + rho * psi
-        et = rar - c_M * c_M
-        hh = beta * et - delta * delta
-        bcm = beta * c_M
-        eta[i] = et
-        h[i] = hh
-        normals[i, 0] = et * av0 - delta * ar0 - bcm * gv0
-        normals[i, 1] = et * av1 - delta * ar1 - bcm * gv1
-        normals[i, 2] = et * av2 - delta * ar2 - bcm * gv2
-        offsets[i] = -0.5 * p_k * hh + bcm * (gp0 * v[0] + gp1 * v[1] + gp2 * v[2])
-    return normals, offsets, h, eta, fallback
-
-
-def cone_rows_inflated(p, v, means, inv_cov, s_min, c, rho, p_k):
-    """Cone rows with exact Minkowski inflation c_M = c + rho * psi(p, v).
-
-    Splats with a degenerate direction (v parallel to the sight line, or
-    beta = 0) fall back per-splat to the conservative radius c + rho/s_min;
-    the returned mask marks them.
-    """
-    p, v, means, inv_cov, _ = _as_batch(p, v, means, inv_cov, None)
-    s_min = np.ascontiguousarray(s_min, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _cone_rows_inflated_nb(p, v, means, inv_cov, s_min, float(c), float(rho), float(p_k))
-    return _cone_rows_inflated_np(p, v, means, inv_cov, s_min, float(c), float(rho), float(p_k))
-
-
 # ---------------------------------------------------------------------------
 # distance-barrier (second-order) rows for the comparison baseline
 # ---------------------------------------------------------------------------
 
-def _baseline_rows_np(p, v, means, inv_cov, c2eff, a1, a2):
+def baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
+    """Half-space rows of the second-order Mahalanobis-distance barrier."""
+    p, v, means, inv_cov, c2eff = _as_batch(p, v, means, inv_cov, c2eff)
+    a1, a2 = float(a1), float(a2)
     e = p - means
     Ae = np.einsum("mij,mj->mi", inv_cov, e)
     Av = inv_cov @ v
@@ -277,79 +116,9 @@ def _baseline_rows_np(p, v, means, inv_cov, c2eff, a1, a2):
     return normals, offsets, h
 
 
-@njit(cache=True)
-def _baseline_rows_nb(p, v, means, inv_cov, c2eff, a1, a2):
-    m = means.shape[0]
-    normals = np.empty((m, 3))
-    offsets = np.empty(m)
-    h = np.empty(m)
-    for i in range(m):
-        A = inv_cov[i]
-        e0 = p[0] - means[i, 0]
-        e1 = p[1] - means[i, 1]
-        e2 = p[2] - means[i, 2]
-        ae0 = A[0, 0] * e0 + A[0, 1] * e1 + A[0, 2] * e2
-        ae1 = A[1, 0] * e0 + A[1, 1] * e1 + A[1, 2] * e2
-        ae2 = A[2, 0] * e0 + A[2, 1] * e1 + A[2, 2] * e2
-        av0 = A[0, 0] * v[0] + A[0, 1] * v[1] + A[0, 2] * v[2]
-        av1 = A[1, 0] * v[0] + A[1, 1] * v[1] + A[1, 2] * v[2]
-        av2 = A[2, 0] * v[0] + A[2, 1] * v[1] + A[2, 2] * v[2]
-        hh = e0 * ae0 + e1 * ae1 + e2 * ae2 - c2eff[i]
-        hdot = 2.0 * (e0 * av0 + e1 * av1 + e2 * av2)
-        curv = 2.0 * (v[0] * av0 + v[1] * av1 + v[2] * av2)
-        h[i] = hh
-        normals[i, 0] = 2.0 * ae0
-        normals[i, 1] = 2.0 * ae1
-        normals[i, 2] = 2.0 * ae2
-        offsets[i] = -curv - (a1 + a2) * hdot - (a1 * a2) * hh
-    return normals, offsets, h
-
-
-def baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
-    """Half-space rows of the second-order Mahalanobis-distance barrier."""
-    args = _as_batch(p, v, means, inv_cov, c2eff)
-    if _BACKEND == "numba":
-        return _baseline_rows_nb(*args, float(a1), float(a2))
-    return _baseline_rows_np(*args, float(a1), float(a2))
-
-
 # ---------------------------------------------------------------------------
 # ellipsoid margins (audits, inside checks)
 # ---------------------------------------------------------------------------
-
-def _margins_np(points, means, inv_cov, c2eff):
-    e = points[:, None, :] - means[None, :, :]      # (k, m, 3)
-    Ae = np.einsum("mij,kmj->kmi", inv_cov, e)
-    vals = np.einsum("kmi,kmi->km", e, Ae) - c2eff[None, :]
-    return vals.min(axis=1)
-
-
-@njit(cache=True)
-def _margins_nb(points, means, inv_cov, c2eff):
-    k = points.shape[0]
-    m = means.shape[0]
-    out = np.empty(k)
-    for a in range(k):
-        best = np.inf
-        p0 = points[a, 0]
-        p1 = points[a, 1]
-        p2 = points[a, 2]
-        for i in range(m):
-            A = inv_cov[i]
-            e0 = p0 - means[i, 0]
-            e1 = p1 - means[i, 1]
-            e2 = p2 - means[i, 2]
-            val = (
-                e0 * (A[0, 0] * e0 + A[0, 1] * e1 + A[0, 2] * e2)
-                + e1 * (A[1, 0] * e0 + A[1, 1] * e1 + A[1, 2] * e2)
-                + e2 * (A[2, 0] * e0 + A[2, 1] * e1 + A[2, 2] * e2)
-                - c2eff[i]
-            )
-            if val < best:
-                best = val
-        out[a] = best
-    return out
-
 
 def min_margin(points, means, inv_cov, c2eff):
     """Per-point min over splats of (p - mu)^T A (p - mu) - c2eff.
@@ -363,9 +132,10 @@ def min_margin(points, means, inv_cov, c2eff):
         return np.full(points.shape[0], np.inf)
     inv_cov = np.ascontiguousarray(inv_cov, dtype=np.float64)
     c2eff = np.ascontiguousarray(c2eff, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _margins_nb(points, means, inv_cov, c2eff)
-    return _margins_np(points, means, inv_cov, c2eff)
+    e = points[:, None, :] - means[None, :, :]      # (k, m, 3)
+    Ae = np.einsum("mij,kmj->kmi", inv_cov, e)
+    vals = np.einsum("kmi,kmi->km", e, Ae) - c2eff[None, :]
+    return vals.min(axis=1)
 
 
 def _as_batch(p, v, means, inv_cov, c2eff):

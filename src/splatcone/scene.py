@@ -79,36 +79,6 @@ class PreprocessOptions:
         return chi2_confidence(3, 0.99)
 
 
-@dataclass(frozen=True)
-class Splat:
-    """One Gaussian primitive's geometric parameters."""
-
-    mean: np.ndarray        # (3,)
-    rotation: np.ndarray    # (4,) unit quaternion, scalar-first
-    scales: np.ndarray      # (3,) positive axis lengths
-    opacity: float
-    inv_cov: np.ndarray     # (3, 3) A = Sigma^-1
-    whitening: np.ndarray   # (3, 3) L = S^-1 R^T, L^T L = A
-    s_min: float            # smallest scale after clamping
-
-
-class _SplatSeq:
-    """Lazy list-like view over a scene's splats."""
-
-    def __init__(self, scene: "Scene"):
-        self._scene = scene
-
-    def __len__(self) -> int:
-        return self._scene.means.shape[0]
-
-    def __getitem__(self, i: int) -> Splat:
-        return self._scene.splat(i)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self._scene.splat(i)
-
-
 @dataclass
 class Scene:
     """Immutable splat collection with a spatial index over the means.
@@ -138,21 +108,6 @@ class Scene:
 
     def __len__(self) -> int:
         return self.means.shape[0]
-
-    @property
-    def splats(self) -> _SplatSeq:
-        return _SplatSeq(self)
-
-    def splat(self, i: int) -> Splat:
-        return Splat(
-            mean=self.means[i],
-            rotation=self.quats[i],
-            scales=self.scales[i],
-            opacity=float(self.opacities[i]),
-            inv_cov=self.inv_cov[i],
-            whitening=self.whitening[i],
-            s_min=float(self.s_min[i]),
-        )
 
     def query_nearby(self, p: np.ndarray, radius: float) -> np.ndarray:
         """Indices i with ||mean_i - p|| <= radius, ascending."""
@@ -249,8 +204,3 @@ class Scene:
             bounds=bounds,
             options=opts,
         )
-
-
-def query_nearby(scene: Scene, p: np.ndarray, radius: float) -> np.ndarray:
-    """Module-level alias for Scene.query_nearby."""
-    return scene.query_nearby(p, radius)

@@ -1,23 +1,27 @@
-"""Closed-loop double-integrator simulation with pluggable safety filters.
+"""Closed-loop double-integrator simulation under one of the safety filters.
 
 The robot follows a PD reference toward a goal; each step the chosen filter
 (cone barrier, second-order distance-barrier baseline, or none) minimally
-modifies the reference acceleration. Collision is judged post hoc by an
-audit that sees only recorded positions and raw scene geometry, never the
-filter's own barrier bookkeeping.
+modifies the reference acceleration. All three are bindings of the one
+filter-step pipeline in `filter.py`, looked up in `_FILTER_STEPS` when a
+trajectory starts. Collision is judged post hoc by an audit that sees only
+recorded positions and raw scene geometry, never the filter's own barrier
+bookkeeping.
 """
 from __future__ import annotations
 
 import json
-import time
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .filter import DEFAULT_SLACK_WEIGHT, FilterConfig, effective_c2, filter_step
-from .qp import FilterProblem, FilterSolution, norm_balls, project_balls, solve_filter
+from .filter import FilterConfig, baseline_distance_filter_step, filter_step, passthrough_step
+from .qp import norm_balls, project_balls
+# Unused here since every filter solves through `filter.solve_filter`, but
+# perfbench/tracing.py patches `simulator.solve_filter` by name.
+from .qp import solve_filter  # noqa: F401
 from .scene import Scene
 from .sceneio import _atomic_write_text
 
@@ -102,15 +106,6 @@ class TrajectoryRecord:
     interventions: int = 0
     intervened: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
-    @property
-    def samples(self):
-        """Sample tuples (t, p, v, u, min_h, solve_time)."""
-        return [
-            (float(self.t[i]), self.p[i], self.v[i], self.u[i],
-             float(self.min_h[i]), float(self.solve_time[i]))
-            for i in range(self.t.size)
-        ]
-
     def __len__(self) -> int:
         return self.t.size
 
@@ -173,88 +168,12 @@ def scene_margins(scene: Scene, points: np.ndarray, rho: float = 0.0) -> np.ndar
     return out
 
 
-def baseline_distance_filter_step(scene: Scene, state: RobotState, u_ref: np.ndarray,
-                                  cfg: FilterConfig):
-    """Distance-barrier comparison filter (second-order condition).
-
-    Uses the Mahalanobis surrogate h_d = (p - mu)^T A (p - mu) - c_M^2 per
-    splat, which needs the second-order condition
-    hdd + (a1 + a2) hd' + a1 a2 h_d >= 0 to expose the control. This is a
-    documented simplified stand-in for distance-program planners, not a
-    reimplementation of one. Gains a1, a2 are matched to p_k by default.
-    """
-    a1 = cfg.baseline_alpha1 if cfg.baseline_alpha1 is not None else cfg.p_k
-    a2 = cfg.baseline_alpha2 if cfg.baseline_alpha2 is not None else cfg.p_k
-    t0 = time.perf_counter()
-    p = np.asarray(state.p, dtype=np.float64)
-    v = np.asarray(state.v, dtype=np.float64)
-    idx = scene.query_nearby(p, cfg.activation_radius)
-    if idx.size:
-        c2eff = effective_c2(scene, cfg, idx)
-        normals, offsets, h = kernels.baseline_rows(
-            p, v, scene.means[idx], scene.inv_cov[idx], c2eff, a1, a2)
-    else:
-        normals, offsets, h = np.zeros((0, 3)), np.zeros(0), np.zeros(0)
-    inside = np.nonzero(h <= 0.0)[0]
-    build_time = time.perf_counter() - t0
-    diagnostics = {
-        "min_h": float(h.min()) if h.size else float("inf"),
-        "h": h,
-        "active_splats": idx,
-        "inside_ids": idx[inside] if inside.size else np.zeros(0, dtype=np.intp),
-        "build_time": build_time,
-        "n_active": int(idx.size),
-    }
-    slack_weight = cfg.slack_weight
-    if inside.size and cfg.inside_policy == "hard":
-        sol = FilterSolution(u=None, status="infeasible",
-                             active_ids=diagnostics["inside_ids"], slack_used=0.0,
-                             solve_time=0.0, kkt_residual=np.nan)
-        return sol, diagnostics
-    if inside.size and slack_weight is None:
-        slack_weight = DEFAULT_SLACK_WEIGHT
-    problem = FilterProblem(
-        reference=np.asarray(u_ref, dtype=np.float64),
-        a_max=cfg.a_max,
-        normals=normals,
-        offsets=offsets,
-        splat_ids=idx,
-        h_values=h,
-        v_current=v if cfg.v_max is not None else None,
-        v_max=cfg.v_max,
-        dt=cfg.dt,
-        slack_weight=slack_weight,
-    )
-    sol = solve_filter(problem)
-    return sol, diagnostics
-
-
-def _passthrough_step(scene: Scene, state: RobotState, u_ref: np.ndarray, cfg: FilterConfig):
-    """Filter 'off': clip the reference to the norm bounds; cone barrier
-    values are still evaluated for the record (diagnostics only)."""
-    t0 = time.perf_counter()
-    p = np.asarray(state.p, dtype=np.float64)
-    idx = scene.query_nearby(p, cfg.activation_radius)
-    if idx.size:
-        c2eff = effective_c2(scene, cfg, idx)
-        _, _, h, _ = kernels.cone_rows(p, state.v, scene.means[idx],
-                                       scene.inv_cov[idx], c2eff, cfg.p_k)
-        min_h = float(h.min())
-    else:
-        min_h = float("inf")
-    build_time = time.perf_counter() - t0
-    problem = FilterProblem(reference=np.asarray(u_ref, dtype=np.float64), a_max=cfg.a_max,
-                            v_current=state.v if cfg.v_max is not None else None,
-                            v_max=cfg.v_max, dt=cfg.dt)
-    sol = solve_filter(problem)
-    diagnostics = {"min_h": min_h, "build_time": build_time, "n_active": int(idx.size)}
-    return sol, diagnostics
-
-
+# looked up per trajectory, so an entry replaced at run time (timers,
+# tracers) takes effect on the next run
 _FILTER_STEPS = {
     "cone": filter_step,
     "distance_baseline": baseline_distance_filter_step,
-    "off": _passthrough_step,
+    "off": passthrough_step,
 }
 
 
@@ -305,9 +224,9 @@ def run_trajectory(scene: Scene, start: np.ndarray, goal: np.ndarray,
         ps.append(state.p)
         vs.append(state.v)
         us.append(u)
-        hs.append(diag.get("min_h", float("inf")))
+        hs.append(diag["min_h"])
         sts.append(sol.solve_time)
-        bts.append(diag.get("build_time", 0.0))
+        bts.append(diag["build_time"])
         state = step(state, u, cfg.dt)
         if (np.linalg.norm(state.p - goal) < cfg.goal_tol_p
                 and np.linalg.norm(state.v) < cfg.goal_tol_v):

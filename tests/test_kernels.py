@@ -1,14 +1,5 @@
-"""Batch kernels: numba/numpy backend agreement and consistency with the
-scalar constraint builders.
-
-The agreement tests need numba (an optional extra); where it is not
-importable they are skipped and the numpy kernels are still checked against
-the scalar builders below."""
-import importlib.util
-import os
-import subprocess
-import sys
-
+"""Batch kernels: consistency with the scalar constraint builders and with
+direct per-splat evaluation of the barrier formulas."""
 import numpy as np
 import pytest
 
@@ -16,11 +7,6 @@ from splatcone import kernels
 from splatcone.cone import RelativeGeometry
 from splatcone.constraints import build_constraint, build_constraint_inflated
 from helpers import random_spd
-
-needs_numba = pytest.mark.skipif(
-    importlib.util.find_spec("numba") is None,
-    reason="numba is not importable; the numba backend cannot be selected")
-
 
 @pytest.fixture
 def batch():
@@ -37,92 +23,6 @@ def batch():
     v = rng.normal(size=3) * 2.0
     c2eff = rng.uniform(1.0, 12.0, size=m)
     return p, v, means, inv_cov, smin, c2eff
-
-
-def _with_backend(name, fn, *args, **kwargs):
-    prev = kernels.active_backend()
-    try:
-        kernels.set_backend(name)
-        return fn(*args, **kwargs)
-    finally:
-        kernels.set_backend(prev)
-
-
-def test_backend_resolution(monkeypatch):
-    assert kernels._resolve_backend("numpy") == "numpy"
-    assert kernels._resolve_backend("auto") in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        kernels._resolve_backend("fortran")
-
-    # Without numba, asking for it is refused and leaves the backend as it was.
-    monkeypatch.setattr(kernels, "_HAVE_NUMBA", False)
-    before = kernels.active_backend()
-    with pytest.raises(RuntimeError):
-        kernels.set_backend("numba")
-    assert kernels.active_backend() == before
-    assert kernels._resolve_backend("auto") == "numpy"
-
-
-def _import_kernels_in_child(backend):
-    """Import splatcone.kernels in a fresh interpreter with SPLATCONE_BACKEND
-    set, making the same splatcone package importable there as here."""
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
-    env = dict(os.environ, SPLATCONE_BACKEND=backend)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [pkg_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return subprocess.run(
-        [sys.executable, "-c", "from splatcone import kernels; print(kernels.active_backend())"],
-        env=env, capture_output=True, text=True)
-
-
-def test_env_var_selects_backend():
-    out = _import_kernels_in_child("numpy")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-    # "auto" also resolves to numpy without numba, so check that the variable
-    # is read at all: an unknown name must fail the import.
-    bad = _import_kernels_in_child("fortran")
-    assert bad.returncode != 0
-    assert "unknown backend" in bad.stderr, bad.stderr
-
-
-@needs_numba
-def test_cone_rows_backends_agree(batch):
-    p, v, means, inv_cov, smin, c2eff = batch
-    out_np = _with_backend("numpy", kernels.cone_rows, p, v, means, inv_cov, c2eff, 1.3)
-    out_nb = _with_backend("numba", kernels.cone_rows, p, v, means, inv_cov, c2eff, 1.3)
-    for a, b in zip(out_np, out_nb):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@needs_numba
-def test_inflated_rows_backends_agree(batch):
-    p, v, means, inv_cov, smin, c2eff = batch
-    out_np = _with_backend("numpy", kernels.cone_rows_inflated,
-                           p, v, means, inv_cov, smin, 2.0, 0.4, 1.0)
-    out_nb = _with_backend("numba", kernels.cone_rows_inflated,
-                           p, v, means, inv_cov, smin, 2.0, 0.4, 1.0)
-    for a, b in zip(out_np, out_nb):
-        np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-11)
-
-
-@needs_numba
-def test_baseline_rows_backends_agree(batch):
-    p, v, means, inv_cov, smin, c2eff = batch
-    out_np = _with_backend("numpy", kernels.baseline_rows, p, v, means, inv_cov, c2eff, 1.0, 1.5)
-    out_nb = _with_backend("numba", kernels.baseline_rows, p, v, means, inv_cov, c2eff, 1.0, 1.5)
-    for a, b in zip(out_np, out_nb):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@needs_numba
-def test_margins_backends_agree(batch):
-    p, v, means, inv_cov, smin, c2eff = batch
-    pts = np.random.default_rng(3).normal(size=(17, 3)) * 5.0
-    a = _with_backend("numpy", kernels.min_margin, pts, means, inv_cov, c2eff)
-    b = _with_backend("numba", kernels.min_margin, pts, means, inv_cov, c2eff)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-    assert kernels.min_margin(pts, means[:0], inv_cov[:0], c2eff[:0]).min() == np.inf
 
 
 def test_cone_rows_match_scalar_builder(batch):
@@ -161,3 +61,25 @@ def test_margin_matches_direct_quadratic(batch):
         e = pt - means
         vals = np.einsum("mi,mij,mj->m", e, inv_cov, e) - c2eff
         assert got[k] == pytest.approx(vals.min(), rel=1e-12)
+    assert (kernels.min_margin(pts, means[:0], inv_cov[:0], c2eff[:0]) == np.inf).all()
+
+
+def test_baseline_rows_match_direct_formula(batch):
+    """Row i encodes hdd + (a1 + a2) hd + a1 a2 h >= 0 for the distance
+    barrier h = (p - mu)^T A (p - mu) - c2eff under p'' = u; hd and hdd are
+    checked by finite differences along a trajectory."""
+    p, v, means, inv_cov, smin, c2eff = batch
+    a1, a2 = 1.0, 1.5
+    normals, offsets, h = kernels.baseline_rows(p, v, means, inv_cov, c2eff, a1, a2)
+    u = np.array([0.7, -1.1, 0.4])
+    dt = 1e-4
+    for i in range(means.shape[0]):
+        def h_at(t):
+            e = p + v * t + 0.5 * u * t * t - means[i]
+            return e @ inv_cov[i] @ e - c2eff[i]
+        hd = (h_at(dt) - h_at(-dt)) / (2 * dt)
+        hdd = (h_at(dt) - 2 * h_at(0.0) + h_at(-dt)) / dt ** 2
+        scale = max(abs(h[i]), abs(offsets[i]), 1.0)
+        assert abs(h[i] - h_at(0.0)) <= 1e-12 * scale
+        lhs = normals[i] @ u - offsets[i]
+        assert lhs == pytest.approx(hdd + (a1 + a2) * hd + a1 * a2 * h[i], rel=1e-5, abs=1e-5 * scale)

@@ -143,8 +143,7 @@ def test_baseline_far_from_splats_passthrough():
 def test_baseline_reacts_at_standstill_unlike_cone():
     """A static robot near a splat with an inward reference: the distance
     barrier activates at v = 0 while the cone (velocity-based) does not."""
-    from splatcone.filter import FilterConfig, filter_step
-    from splatcone.simulator import baseline_distance_filter_step
+    from splatcone.filter import FilterConfig, baseline_distance_filter_step, filter_step
 
     scene = single_splat_scene()
     c = np.sqrt(scene.confidence)  # ellipsoid surface at 0.5 c =~ 1.68
@@ -259,27 +258,13 @@ def test_record_time_grid_uniform():
     dts = np.diff(rec.t)
     assert (dts > 0).all()
     np.testing.assert_allclose(dts, cfg.dt, rtol=1e-12)
-    t0, p0, v0, u0, h0, st0 = rec.samples[0]
-    assert t0 == 0.0 and p0.shape == v0.shape == u0.shape == (3,)
-    assert isinstance(h0, float) and isinstance(st0, float)
-
-
-def test_obstacle_velocity_hook():
-    from splatcone.filter import FilterConfig, filter_step
-
-    scene = single_splat_scene()
-    fcfg = FilterConfig(p_k=1.0, activation_radius=8.0, a_max=10.0)
-    state = RobotState(p=np.array([-4.0, 0.3, 0.0]), v=np.array([2.0, 0, 0]), t=0.0)
-    u_ref = np.array([1.0, 0, 0])
-    static_sol, static_diag = filter_step(scene, state, u_ref, fcfg)
-    zeros_sol, zeros_diag = filter_step(scene, state, u_ref, fcfg,
-                                        obstacle_velocities=np.zeros((1, 3)))
-    assert zeros_diag["min_h"] == pytest.approx(static_diag["min_h"], rel=1e-12)
-    np.testing.assert_allclose(zeros_sol.u, static_sol.u, atol=1e-9)
-    # an obstacle closing head-on shrinks the barrier (more dangerous)
-    _, closing_diag = filter_step(scene, state, u_ref, fcfg,
-                                  obstacle_velocities=np.array([[-1.0, 0.0, 0.0]]))
-    assert closing_diag["min_h"] < static_diag["min_h"]
+    n = len(rec)
+    assert rec.t[0] == 0.0
+    assert rec.p.shape == rec.v.shape == rec.u.shape == (n, 3)
+    assert rec.min_h.shape == rec.solve_time.shape == (n,)
+    assert rec.min_h.dtype == rec.solve_time.dtype == np.float64
+    np.testing.assert_array_equal(rec.p[0], [-8.0, 0.12, 0.0])
+    np.testing.assert_array_equal(rec.v[0], 0.0)
 
 
 def test_audit_independence_flags_manufactured_penetration():
@@ -332,3 +317,80 @@ def test_batch_start_perturbed_out_of_obstacle():
     with pytest.warns(RuntimeWarning, match="pushed radially"):
         start, goal = batch_start_goal(scene, 0, 1, cfg)
     assert scene_margins(scene, start[None, :])[0] > 0
+
+
+@pytest.mark.parametrize("name", ["cone", "distance_baseline", "off"])
+def test_inside_policy(monkeypatch, name):
+    """Robot inside the splat ellipsoid: 'hard' reports infeasible without a
+    solve, 'slack' solves with the default slack weight, 'off' never refuses."""
+    from splatcone import filter as filter_mod
+    from splatcone import simulator
+    from splatcone.filter import DEFAULT_SLACK_WEIGHT, FilterConfig
+
+    scene = single_splat_scene()
+    state = RobotState(p=np.array([0.4, 0.1, 0.0]), v=np.array([1.0, 0.2, 0.0]), t=0.0)
+    assert scene_margins(scene, state.p[None, :])[0] < 0
+    u_ref = np.array([2.0, 0.0, 0.0])
+    problems = []
+
+    def capture(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    solve = filter_mod.solve_filter
+    # both module bindings: the step may look the solver up in either
+    monkeypatch.setattr(filter_mod, "solve_filter", capture)
+    monkeypatch.setattr(simulator, "solve_filter", capture)
+    step_fn = simulator._FILTER_STEPS[name]
+    fcfg = FilterConfig(p_k=1.0, activation_radius=6.0, a_max=10.0, inside_policy="hard")
+
+    sol, diag = step_fn(scene, state, u_ref, fcfg)
+    if name == "off":
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.u, u_ref)
+        assert diag["min_h"] < 0 and len(problems) == 1
+        return
+    assert sol.status == "infeasible" and sol.u is None
+    assert diag["inside_ids"].tolist() == [0]
+    assert sol.active_ids.tolist() == [0]
+    assert problems == []
+
+    slack_cfg = FilterConfig(p_k=1.0, activation_radius=6.0, a_max=10.0, inside_policy="slack")
+    sol, diag = step_fn(scene, state, u_ref, slack_cfg)
+    assert diag["inside_ids"].tolist() == [0]
+    assert len(problems) == 1 and problems[0].slack_weight == DEFAULT_SLACK_WEIGHT
+    assert sol.status in ("optimal", "degraded") and sol.u is not None
+    # an explicit weight is kept
+    sol, _ = step_fn(scene, state, u_ref,
+                     FilterConfig(p_k=1.0, activation_radius=6.0, a_max=10.0,
+                                  inside_policy="slack", slack_weight=50.0))
+    assert len(problems) == 2 and problems[1].slack_weight == 50.0
+
+
+@pytest.mark.parametrize("name", ["cone", "distance_baseline", "off"])
+def test_every_filter_solves_through_the_filter_module(monkeypatch, name):
+    """Each step of a trajectory passes once through the simulator's step
+    table and once through `filter.solve_filter`, whatever the filter."""
+    from splatcone import filter as filter_mod
+    from splatcone import simulator
+
+    counts = {"step": 0, "solve": 0}
+    inner_step = simulator._FILTER_STEPS[name]
+    inner_solve = filter_mod.solve_filter
+
+    def counted_step(*args, **kwargs):
+        counts["step"] += 1
+        return inner_step(*args, **kwargs)
+
+    def counted_solve(problem):
+        counts["solve"] += 1
+        return inner_solve(problem)
+
+    monkeypatch.setitem(simulator._FILTER_STEPS, name, counted_step)
+    monkeypatch.setattr(filter_mod, "solve_filter", counted_solve)
+    scene = single_splat_scene()
+    cfg = SimConfig(filter=name, a_max=10.0, v_max=2.5, p_k=8.0,
+                    activation_radius=6.0, timeout=1.0)
+    rec = run_trajectory(scene, np.array([-4.0, 0.12, 0.0]), np.array([8.0, 0.0, 0.0]), cfg)
+    assert rec.outcome == "timeout"
+    assert counts == {"step": len(rec), "solve": len(rec)}
