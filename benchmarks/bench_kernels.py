@@ -4,9 +4,11 @@ Run:  PYTHONPATH=src python3 benchmarks/bench_kernels.py [n_splats] [repeats]
 
 Times the hot per-step kernels (cone rows, exact-inflation cone rows,
 baseline rows, audit margins) on a synthetic activation set, the filter
-solve on programs whose optimum binds 0, 1 and 2 norm balls, plus one
-end-to-end filter step on a 170k-splat scene. Each timing is the best of
-`repeats` calls after one warmup call.
+solve on programs whose optimum binds 0, 1 and 2 norm balls, plus the
+kd-tree query, the gather and one end-to-end filter step on a 170k-splat
+scene. Kernel and solve timings are the best of `repeats` calls after one
+warmup call; the 170k-scene timings are medians over 50 distinct
+free-space states.
 """
 import sys
 import time
@@ -14,10 +16,13 @@ import time
 import numpy as np
 
 from splatcone import kernels
-from splatcone.filter import FilterConfig, filter_step
+from splatcone.filter import FilterConfig, _gather, filter_step
 from splatcone.qp import FilterProblem, norm_balls, solve_filter
-from splatcone.simulator import RobotState
+from splatcone.simulator import RobotState, pd_reference, scene_margins
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
+
+
+N_STATES = 50
 
 
 def make_batch(rng, m):
@@ -49,6 +54,35 @@ def solve_cases(rng, m):
 def binding_balls(prob, u):
     Q, R = norm_balls(prob.a_max, prob.v_current, prob.v_max, prob.dt)
     return int((np.linalg.norm(u - Q, axis=1) >= R * (1 - 1e-7)).sum())
+
+
+def free_space_states(scene, rng, n):
+    """n robot states in [-10, 10]^3 outside every ellipsoid, with a speed
+    up to v_max and a PD reference toward a random goal. Distinct states
+    keep each call's gathered rows out of cache, as in a closed loop."""
+    states, refs = [], []
+    while len(states) < n:
+        p = rng.uniform(-10.0, 10.0, size=3)
+        if scene_margins(scene, p)[0] <= 0.0:
+            continue
+        v = rng.normal(size=3)
+        v *= rng.uniform(0.0, 2.5) / np.linalg.norm(v)
+        states.append(RobotState(p=p, v=v, t=0.0))
+        refs.append(pd_reference(states[-1], rng.uniform(-10.0, 10.0, size=3), (1.0, 2.0)))
+    return states, refs
+
+
+def median_over_states(fn, n, repeats):
+    """Median time of fn(k) over k = 0..n-1, `repeats` passes after a warmup pass."""
+    for k in range(n):
+        fn(k)
+    times = []
+    for _ in range(repeats):
+        for k in range(n):
+            t0 = time.perf_counter()
+            fn(k)
+            times.append(time.perf_counter() - t0)
+    return float(np.median(times))
 
 
 def timeit(fn, repeats):
@@ -88,23 +122,25 @@ def main():
         k = binding_balls(prob, solve_filter(prob).u)
         print(f"{f'solve_filter, {k} binding':24s} {timeit(lambda: solve_filter(prob), repeats)*1e6:10.1f}us")
 
-    print("\nend-to-end filter step, 170k-splat scene, ~2000 active")
+    print(f"\n170k-splat scene, ~2000 active, {N_STATES} free-space states, "
+          f"median per call over {repeats} passes")
     scene = make_synthetic_scene(
         SyntheticSpec(pattern="clutter", count=170000, extent=17.7,
                       scale_range=(0.05, 0.15), anisotropy_range=(1.0, 3.0)),
         seed=11)
     cfg = FilterConfig(p_k=8.0, activation_radius=5.0, a_max=10.0, v_max=2.5)
-    state = RobotState(p=np.zeros(3), v=np.array([1.0, 0.5, 0.2]), t=0.0)
-    u_ref = np.array([2.0, 0.0, 0.0])
-    for _ in range(3):
-        filter_step(scene, state, u_ref, cfg)
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        filter_step(scene, state, u_ref, cfg)
-        times.append(time.perf_counter() - t0)
-    med = float(np.median(times))
-    print(f"median {med*1e3:.3f} ms  ({1.0/med:.0f} Hz)")
+    states, refs = free_space_states(scene, rng, N_STATES)
+    idxs = [scene.query_nearby(s.p, cfg.activation_radius) for s in states]
+    print(f"active splats: median {int(np.median([i.size for i in idxs]))}")
+    calls = {
+        "query_nearby": lambda k: scene.query_nearby(states[k].p, cfg.activation_radius),
+        "gather": lambda k: _gather(scene, idxs[k]),
+        "filter_step": lambda k: filter_step(scene, states[k], refs[k], cfg),
+    }
+    med = {name: median_over_states(fn, N_STATES, repeats) for name, fn in calls.items()}
+    for name, t in med.items():
+        print(f"{name:24s} {t*1e6:10.1f}us")
+    print(f"{'filter_step rate':24s} {1.0/med['filter_step']:10.0f}Hz")
 
 
 if __name__ == "__main__":

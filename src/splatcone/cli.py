@@ -28,6 +28,7 @@ from .qp import SolverError
 from .scene import PreprocessOptions, Scene, SceneError
 from .sceneio import load_ply, load_scene_dump, save_scene_dump
 from .simulator import (
+    INFLATION_MODES,
     SimConfig,
     SimulationError,
     batch_start_goal,
@@ -288,7 +289,7 @@ def _add_common_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--kd", type=float)
     p.add_argument("--activation-radius", type=float, dest="activation_radius")
     p.add_argument("--confidence", type=float, help="override c^2")
-    p.add_argument("--inflation-mode", choices=["conservative", "exact"], dest="inflation_mode")
+    p.add_argument("--inflation-mode", choices=INFLATION_MODES, dest="inflation_mode")
     p.add_argument("--slack-weight", type=float, dest="slack_weight")
     p.add_argument("--timeout", type=float)
     p.add_argument("--start-radius", type=float, dest="start_radius")

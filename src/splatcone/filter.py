@@ -56,15 +56,20 @@ def effective_c2(scene: Scene, cfg: FilterConfig, idx: np.ndarray) -> np.ndarray
     if cfg.rho == 0.0:
         return np.full(idx.size, c2)
     c = np.sqrt(c2)
-    return (c + cfg.rho / scene.s_min[idx]) ** 2
+    return (c + cfg.rho / np.take(scene.s_min, idx)) ** 2
+
+
+def _gather(scene: Scene, idx: np.ndarray):
+    # np.take copies the same rows as fancy indexing at a fraction of its cost
+    return np.take(scene.means, idx, axis=0), np.take(scene.inv_cov, idx, axis=0)
 
 
 def _cone_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
-    means, A = scene.means[idx], scene.inv_cov[idx]
+    means, A = _gather(scene, idx)
     if cfg.rho > 0.0 and cfg.inflation_mode == "exact":
         c = float(np.sqrt(cfg.resolved_c2(scene)))
         normals, offsets, h, eta, fb = kernels.cone_rows_inflated(
-            p, v, means, A, scene.s_min[idx], c, cfg.rho, cfg.p_k)
+            p, v, means, A, np.take(scene.s_min, idx), c, cfg.rho, cfg.p_k)
         return normals, offsets, h, eta <= 0.0, int(fb.sum())
     normals, offsets, h, eta = kernels.cone_rows(
         p, v, means, A, effective_c2(scene, cfg, idx), cfg.p_k)
@@ -74,15 +79,16 @@ def _cone_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
 def _baseline_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     a1 = cfg.baseline_alpha1 if cfg.baseline_alpha1 is not None else cfg.p_k
     a2 = cfg.baseline_alpha2 if cfg.baseline_alpha2 is not None else cfg.p_k
+    means, A = _gather(scene, idx)
     normals, offsets, h = kernels.baseline_rows(
-        p, v, scene.means[idx], scene.inv_cov[idx], effective_c2(scene, cfg, idx), a1, a2)
+        p, v, means, A, effective_c2(scene, cfg, idx), a1, a2)
     return normals, offsets, h, h <= 0.0, 0
 
 
 def _no_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     # conservative cone values for the record only; nothing is constrained
-    _, _, h, _ = kernels.cone_rows(p, v, scene.means[idx], scene.inv_cov[idx],
-                                   effective_c2(scene, cfg, idx), cfg.p_k)
+    means, A = _gather(scene, idx)
+    _, _, h, _ = kernels.cone_rows(p, v, means, A, effective_c2(scene, cfg, idx), cfg.p_k)
     return np.zeros((0, 3)), np.zeros(0), h, np.zeros(h.size, dtype=bool), 0
 
 

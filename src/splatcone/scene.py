@@ -114,7 +114,7 @@ class Scene:
         if radius <= 0:
             raise SceneError(f"radius must be positive, got {radius!r}")
         idx = self._tree.query_ball_point(np.asarray(p, dtype=np.float64), radius)
-        return np.sort(np.asarray(idx, dtype=np.intp))
+        return np.sort(np.fromiter(idx, dtype=np.intp, count=len(idx)))
 
     @classmethod
     def from_arrays(

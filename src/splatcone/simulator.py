@@ -11,6 +11,7 @@ bookkeeping.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -26,6 +27,8 @@ from .scene import Scene
 from .sceneio import _atomic_write_text
 
 FILTERS = ("cone", "distance_baseline", "off")
+INSIDE_POLICIES = ("hard", "slack")
+INFLATION_MODES = ("conservative", "exact")
 
 
 class SimulationError(ValueError):
@@ -65,6 +68,12 @@ class SimConfig:
     def __post_init__(self):
         if self.filter not in FILTERS:
             raise SimulationError(f"unknown filter {self.filter!r}; options: {FILTERS}")
+        if self.inside_policy not in INSIDE_POLICIES:
+            raise SimulationError(
+                f"unknown inside_policy {self.inside_policy!r}; options: {INSIDE_POLICIES}")
+        if self.inflation_mode not in INFLATION_MODES:
+            raise SimulationError(
+                f"unknown inflation_mode {self.inflation_mode!r}; options: {INFLATION_MODES}")
         for name in ("dt", "kp", "kd", "a_max", "timeout", "goal_tol_p", "goal_tol_v",
                      "p_k", "activation_radius"):
             if getattr(self, name) <= 0:
@@ -162,9 +171,12 @@ def scene_margins(scene: Scene, points: np.ndarray, rho: float = 0.0) -> np.ndar
         idx = scene.query_nearby(pt, reach)
         if idx.size == 0:
             continue
-        c2eff = (c + rho / scene.s_min[idx]) ** 2 if rho else np.full(idx.size, scene.confidence)
-        out[k] = kernels.min_margin(pt[None, :], scene.means[idx],
-                                    scene.inv_cov[idx], c2eff)[0]
+        if rho:
+            c2eff = (c + rho / np.take(scene.s_min, idx)) ** 2
+        else:
+            c2eff = np.full(idx.size, scene.confidence)
+        out[k] = kernels.min_margin(pt[None, :], np.take(scene.means, idx, axis=0),
+                                    np.take(scene.inv_cov, idx, axis=0), c2eff)[0]
     return out
 
 
@@ -190,6 +202,12 @@ def first_intervention_distance(record: TrajectoryRecord, center: np.ndarray) ->
     if hits.size == 0:
         return None
     return float(np.linalg.norm(record.p[hits[0]] - np.asarray(center, dtype=np.float64)))
+
+
+def _norm(x: np.ndarray) -> float:
+    # np.linalg.norm's own formula for a 1-D float vector, without its
+    # per-call overhead; bit-identical
+    return math.sqrt(x.dot(x))
 
 
 def run_trajectory(scene: Scene, start: np.ndarray, goal: np.ndarray,
@@ -219,7 +237,7 @@ def run_trajectory(scene: Scene, start: np.ndarray, goal: np.ndarray,
         # interventions measured against the bound-clipped reference: the
         # norm balls are actuation limits, not safety actions
         u_clip = _clip_reference(u_ref, state.v, fcfg)
-        ivs.append(bool(np.linalg.norm(u - u_clip) > 1e-9 * max(1.0, np.linalg.norm(u_clip))))
+        ivs.append(bool(_norm(u - u_clip) > 1e-9 * max(1.0, _norm(u_clip))))
         ts.append(state.t)
         ps.append(state.p)
         vs.append(state.v)
@@ -228,8 +246,7 @@ def run_trajectory(scene: Scene, start: np.ndarray, goal: np.ndarray,
         sts.append(sol.solve_time)
         bts.append(diag["build_time"])
         state = step(state, u, cfg.dt)
-        if (np.linalg.norm(state.p - goal) < cfg.goal_tol_p
-                and np.linalg.norm(state.v) < cfg.goal_tol_v):
+        if _norm(state.p - goal) < cfg.goal_tol_p and _norm(state.v) < cfg.goal_tol_v:
             outcome = "reached_goal"
             break
 

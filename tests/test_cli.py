@@ -161,3 +161,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert summary["config"]["filter"] == "cone"  # flag wins
     assert summary["config"]["p_k"] == 8.0
     assert summary["seed"] == 4  # file value used where no flag given
+
+
+@pytest.mark.parametrize("line, option", [("inside_policy = hrad", "inside_policy"),
+                                          ("inflation_mode = exakt", "inflation_mode")])
+def test_config_file_rejects_unknown_enum(tmp_path, capsys, line, option):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\n{line}\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg), "--scene", "synth:single,count=1",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"unknown {option}" in err
+    expected = {"inside_policy": ("hard", "slack"), "inflation_mode": ("conservative", "exact")}
+    assert all(opt in err for opt in expected[option])
+    assert not out.exists()
