@@ -101,7 +101,36 @@ def load_scene_source(source: str, seed: int, opts: PreprocessOptions | None = N
     return load_ply(path, opts or PreprocessOptions(confidence=confidence))
 
 
-def _read_config_file(path: str | None) -> dict:
+# The simulation settings a config file or flag may set: key (as the CLI
+# reads it; a dash in a config key reads as an underscore) -> (SimConfig
+# field, cast, default). A config key the command does not read is an error.
+_SIM_KEYS = {
+    "filter": ("filter", str, "cone"),
+    "dt": ("dt", float, 0.02),
+    "kp": ("kp", float, 1.0),
+    "kd": ("kd", float, 2.0),
+    "a_max": ("a_max", float, 10.0),
+    "v_max": ("v_max", float, 2.5),
+    "timeout": ("timeout", float, 60.0),
+    "goal_tol_p": ("goal_tol_p", float, 0.05),
+    "goal_tol_v": ("goal_tol_v", float, 0.1),
+    "pk": ("p_k", float, 1.0),
+    "activation_radius": ("activation_radius", float, 5.0),
+    "confidence": ("confidence", float, None),
+    "rho": ("rho", float, 0.0),
+    "inflation_mode": ("inflation_mode", str, "conservative"),
+    "slack_weight": ("slack_weight", float, None),
+    "inside_policy": ("inside_policy", str, "hard"),
+    "baseline_alpha1": ("baseline_alpha1", float, None),
+    "baseline_alpha2": ("baseline_alpha2", float, None),
+    "start_radius": ("start_radius", float, None),
+    "start_height": ("start_height", float, None),
+}
+_RUN_KEYS = (*_SIM_KEYS, "scene", "seed", "out")
+_BATCH_KEYS = (*_RUN_KEYS, "n", "filters")
+
+
+def _read_config_file(path: str | None, known: tuple[str, ...]) -> dict:
     if not path:
         return {}
     cp = configparser.ConfigParser()
@@ -112,6 +141,10 @@ def _read_config_file(path: str | None) -> dict:
     for section in cp.sections():
         for key, val in cp.items(section):
             flat[key.replace("-", "_")] = val
+    unknown = sorted(set(flat) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in {path}; "
+                          f"known keys: {', '.join(sorted(known))}")
     return flat
 
 
@@ -125,32 +158,11 @@ def _merged(args: argparse.Namespace, file_cfg: dict, key: str, cast, default):
 
 
 def _build_sim_config(args, file_cfg) -> SimConfig:
-    def g(key, cast, default):
-        return _merged(args, file_cfg, key, cast, default)
-
-    v_max = g("v_max", float, 2.5)
-    if v_max is not None and v_max <= 0:
-        v_max = None
-    return SimConfig(
-        filter=g("filter", str, "cone"),
-        dt=g("dt", float, 0.02),
-        kp=g("kp", float, 1.0),
-        kd=g("kd", float, 2.0),
-        a_max=g("a_max", float, 10.0),
-        v_max=v_max,
-        timeout=g("timeout", float, 60.0),
-        goal_tol_p=g("goal_tol_p", float, 0.05),
-        goal_tol_v=g("goal_tol_v", float, 0.1),
-        p_k=g("pk", float, 1.0),
-        activation_radius=g("activation_radius", float, 5.0),
-        confidence=g("confidence", float, None),
-        rho=g("rho", float, 0.0),
-        inflation_mode=g("inflation_mode", str, "conservative"),
-        slack_weight=g("slack_weight", float, None),
-        inside_policy=g("inside_policy", str, "hard"),
-        start_radius=g("start_radius", float, None),
-        start_height=g("start_height", float, None),
-    )
+    values = {name: _merged(args, file_cfg, key, cast, default)
+              for key, (name, cast, default) in _SIM_KEYS.items()}
+    if values["v_max"] is not None and values["v_max"] <= 0:
+        values["v_max"] = None
+    return SimConfig(**values)
 
 
 def _parse_vec3(text: str) -> np.ndarray:
@@ -179,7 +191,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_run(args) -> int:
-    file_cfg = _read_config_file(args.config)
+    file_cfg = _read_config_file(args.config, _RUN_KEYS)
     cfg = _build_sim_config(args, file_cfg)
     seed = _merged(args, file_cfg, "seed", int, 0)
     source = _merged(args, file_cfg, "scene", str, None)
@@ -216,7 +228,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    file_cfg = _read_config_file(args.config)
+    file_cfg = _read_config_file(args.config, _BATCH_KEYS)
     seed = _merged(args, file_cfg, "seed", int, 0)
     n = _merged(args, file_cfg, "n", int, 50)
     source = _merged(args, file_cfg, "scene", str, None)

@@ -116,6 +116,15 @@ class Scene:
         idx = self._tree.query_ball_point(np.asarray(p, dtype=np.float64), radius)
         return np.sort(np.fromiter(idx, dtype=np.intp, count=len(idx)))
 
+    def has_nearby(self, points: np.ndarray, radius: float) -> np.ndarray:
+        """Mask over `points` (k, 3), True for every point where
+        `query_nearby(p, radius)` is non-empty, from one batched
+        nearest-mean query. The bound is widened by 1e-9 relative, so a
+        rounding difference between the two tree searches can only keep a
+        point, never drop one."""
+        dist, _ = self._tree.query(points, k=1, distance_upper_bound=radius * (1.0 + 1e-9))
+        return np.isfinite(dist)
+
     @classmethod
     def from_arrays(
         cls,

@@ -159,7 +159,9 @@ def scene_margins(scene: Scene, points: np.ndarray, rho: float = 0.0) -> np.ndar
     """Per-point min over splats of (p - mu)^T A (p - mu) - c_M^2.
 
     Uses the conservative per-splat inflation c_M = c + rho / s_min, computed
-    from raw geometry only (independent of any filter state).
+    from raw geometry only (independent of any filter state). One batched
+    nearest-mean query first drops the points with no splat mean in reach;
+    their margin is +inf either way.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(scene) == 0:
@@ -167,7 +169,8 @@ def scene_margins(scene: Scene, points: np.ndarray, rho: float = 0.0) -> np.ndar
     reach = audit_reach(scene, rho) + 1e-9
     c = np.sqrt(scene.confidence)
     out = np.full(points.shape[0], np.inf)
-    for k, pt in enumerate(points):
+    for k in np.flatnonzero(scene.has_nearby(points, reach)):
+        pt = points[k]
         idx = scene.query_nearby(pt, reach)
         if idx.size == 0:
             continue

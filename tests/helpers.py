@@ -1,7 +1,59 @@
-"""Shared test oracles, independent of the library's solution paths."""
+"""Shared test oracles, independent of the library's solution paths, and
+the acceptance ring batch's problems for replay."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+# The acceptance suite's ring batch (criteria 4-7): scene seed 7, 50 pairs.
+RING_SCENE_SEED = 7
+RING_PAIRS = 50
+RING_KW = dict(a_max=10.0, v_max=2.5, activation_radius=5.0, timeout=60.0,
+               p_k=8.0, start_radius=10.0, start_height=2.0)
+
+
+@functools.lru_cache(maxsize=1)
+def ring_scene():
+    from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
+
+    spec = SyntheticSpec(pattern="ring", count=2400, ring_radius=6.5, pillar_count=10,
+                         pillar_radius=0.45, height=4.0, scale_range=(0.08, 0.2),
+                         anisotropy_range=(1.0, 4.0))
+    return make_synthetic_scene(spec, seed=RING_SCENE_SEED)
+
+
+class _Captured(Exception):
+    pass
+
+
+def ring_problems(filter_name, pair, steps):
+    """The `FilterProblem`s of the first `steps` steps (fewer if the run
+    ends sooner) of ring batch pair `pair` under `filter_name`, captured
+    through the `filter.solve_filter` hook. Deterministic."""
+    from splatcone import filter as filter_mod
+    from splatcone.simulator import SimConfig, batch_start_goal, run_trajectory
+
+    scene = ring_scene()
+    cfg = SimConfig(filter=filter_name, **RING_KW)
+    start, goal = batch_start_goal(scene, pair, RING_PAIRS, cfg, cfg.rho)
+    problems = []
+    solve = filter_mod.solve_filter
+
+    def capture(problem):
+        problems.append(problem)
+        if len(problems) == steps:
+            raise _Captured
+        return solve(problem)
+
+    filter_mod.solve_filter = capture
+    try:
+        run_trajectory(scene, start, goal, cfg)
+    except _Captured:
+        pass
+    finally:
+        filter_mod.solve_filter = solve
+    return problems
 
 
 def dykstra_projection(point, halfspaces, balls, iters=20000, tol=1e-13):

@@ -177,3 +177,26 @@ def test_config_file_rejects_unknown_enum(tmp_path, capsys, line, option):
     expected = {"inside_policy": ("hard", "slack"), "inflation_mode": ("conservative", "exact")}
     assert all(opt in err for opt in expected[option])
     assert not out.exists()
+
+
+def test_config_file_reads_baseline_gains_and_rejects_unknown_keys(tmp_path, capsys):
+    head = "[scene]\nscene = synth:single,count=1,scale_lo=0.5,scale_hi=0.5\n[run]\n"
+    flags = ["--filter", "distance_baseline", "--start=-8,0.12,0", "--goal=8,0,0",
+             "--timeout", "0.1"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(head + "baseline_alpha1 = 3.0\nbaseline-alpha2 = 5.0\n")
+    out = tmp_path / "ok"
+    assert main(["run", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert (config["baseline_alpha1"], config["baseline_alpha2"]) == (3.0, 5.0)
+    capsys.readouterr()
+    # `p_k` is the name summary.json echoes, but the CLI reads `pk`
+    for line, key in (("p_k = 8", "p_k"), ("a_mx = 2", "a_mx")):
+        cfg.write_text(head + line + "\n")
+        out = tmp_path / key
+        for command in ("run", "batch"):
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags[:2]]) == 1
+            err = capsys.readouterr().err
+            assert f"unknown config key(s) {key}" in err
+            assert "pk" in err and "a_max" in err and "baseline_alpha1" in err
+            assert not out.exists()

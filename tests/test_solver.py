@@ -171,7 +171,7 @@ def test_iteration_cap_raises_solver_error():
     from splatcone.qp import _project_polyhedron
 
     with pytest.raises(SolverError) as exc:
-        _project_polyhedron(np.zeros(3), np.array([[1.0, 0, 0]]), np.array([1.0]),
+        _project_polyhedron(np.zeros(3), np.array([[1.0, 0, 0]]), np.array([1.0]), 2.0,
                             max_iter=0)
     assert "min_violation" in exc.value.residuals
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from splatcone.qp import FilterProblem, solve_filter  # noqa: E402
 from helpers import kkt_residual  # noqa: E402
+import reference_step  # noqa: E402
 
 coord = st.floats(-1.0, 1.0, allow_nan=False)
 vec3 = st.tuples(coord, coord, coord).map(np.array)
@@ -41,9 +42,14 @@ def test_solution_is_feasible_and_stationary(ubar, ubar_scale, v_dir, speed, a_m
     N = np.array(normals).reshape(-1, 3)
     b = N @ u0 - np.array(slacks[: N.shape[0]]) * np.linalg.norm(N, axis=1)
     ref = ubar * ubar_scale
-    sol = solve_filter(FilterProblem(reference=ref, a_max=a_max, normals=N, offsets=b,
-                                     v_current=v, v_max=v_max, dt=dt))
+    problem = FilterProblem(reference=ref, a_max=a_max, normals=N, offsets=b,
+                            v_current=v, v_max=v_max, dt=dt)
+    sol = solve_filter(problem)
     assert sol.status == "optimal"
+    # bit for bit the solve before its numpy calls were trimmed
+    want = reference_step.solve_filter(problem)
+    assert want.status == sol.status and want.kkt_residual == sol.kkt_residual
+    assert np.array_equal(want.u, sol.u) and np.array_equal(want.active_ids, sol.active_ids)
     u = sol.u
     scale = 1.0 + np.linalg.norm(u)
     if N.shape[0]:

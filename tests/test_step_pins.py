@@ -1,0 +1,182 @@
+"""Bit-identity pins of the closed-loop step: the filter solve, the norm-ball
+clip and the collision audit against their references in `reference_step.py`.
+
+The start-from-rest stall ends by rounding (see test_kernels.py), so a
+speed-up of any of these must leave every bit of every result unchanged.
+The solves are replayed from short ring batch trajectories of both filters;
+results are compared with np.array_equal, scalars with ==.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+import reference_step as ref
+from helpers import ring_problems, ring_scene
+from splatcone import qp
+from splatcone.filter import FilterConfig
+from splatcone.scene import Scene
+from splatcone.simulator import SimConfig, _clip_reference, audit_reach, run_trajectory, scene_margins
+
+# pairs that meet the pillars (interventions, the start-from-rest stall of
+# pair 3, the baseline's infeasible end of pair 3) and pairs that pass clear
+REPLAY = {"cone": (2, 3, 4, 8), "distance_baseline": (2, 3, 4, 8)}
+REPLAY_STEPS = 350
+
+# Radii r whose reach t = r (1 + 1e-9) squares differently as t ** 2 (libm
+# pow) and as t * t (numpy's square): t ** 2 < t * t for the first and
+# t ** 2 > t * t for the second (Python 3.11, x86-64 Linux).
+POW_RADII = (184.5816885635049, 84.96016335592222)
+
+
+def assert_same_solution(got, want):
+    assert got.status == want.status
+    assert (got.u is None) == (want.u is None)
+    if want.u is not None:
+        assert np.array_equal(got.u, want.u)
+    assert np.array_equal(got.active_ids, want.active_ids)
+    assert got.slack_used == want.slack_used
+    assert np.array_equal(got.kkt_residual, want.kkt_residual, equal_nan=True)
+
+
+def assert_same_solve(problem):
+    """Solve with the library and the reference; the same solution, or the
+    same SolverError with the same residuals. Returns the solution or None."""
+    try:
+        want = ref.solve_filter(problem)
+    except qp.SolverError as exc:
+        with pytest.raises(qp.SolverError) as got:
+            qp.solve_filter(problem)
+        assert str(got.value) == str(exc) and got.value.residuals == exc.residuals
+        return None
+    got = qp.solve_filter(problem)
+    assert_same_solution(got, want)
+    return got
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    return {(name, pair): ring_problems(name, pair, REPLAY_STEPS)
+            for name, pairs in REPLAY.items() for pair in pairs}
+
+
+def test_replayed_solves_bit_identical(replayed, monkeypatch):
+    projections = []
+    project = qp._project_polyhedron
+
+    def counted(*args, **kwargs):
+        projections[-1] += 1
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "_project_polyhedron", counted)
+    kinds = {"no rows": 0, "rows only": 0, "ball binds": 0, "tight rows": 0, "infeasible": 0,
+             "solver error": 0}
+    # the ring batch's own solves, plus every 7th with a_max cut to 0.05,
+    # where the rows often leave the ball and the dual bound proves it
+    replay = [p for ps in replayed.values() for p in ps]
+    replay += [dataclasses.replace(p, a_max=0.05) for p in replay[::7]]
+    for problem in replay:
+        projections.append(0)
+        got = assert_same_solve(problem)
+        if got is None:
+            kinds["solver error"] += 1
+        elif got.status == "infeasible":
+            kinds["infeasible"] += 1
+        elif problem.normals.shape[0] == 0:
+            kinds["no rows"] += 1
+        else:
+            kinds["ball binds" if projections[-1] > 1 else "rows only"] += 1
+            kinds["tight rows"] += bool(got.active_ids.size)
+    # the replay covers every branch of the solve tail
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_replayed_slack_solves_bit_identical(replayed):
+    # the same programs with the rows relaxed: the slack mode shares the
+    # ball-multiplier search, on its non-projector Jacobian
+    problems = [p for ps in replayed.values() for p in ps[::7] if p.normals.shape[0]]
+    assert len(problems) > 100
+    for problem in problems:
+        relaxed = dataclasses.replace(problem, slack_weight=1e4)
+        assert assert_same_solve(relaxed) is not None
+
+
+def test_clip_bit_identical_on_replayed_steps(replayed):
+    fcfg = FilterConfig(a_max=10.0, v_max=2.5, dt=0.02)  # the ring batch's bounds
+    for problems in replayed.values():
+        for problem in problems:
+            for u_ref in (problem.reference, 40.0 * problem.reference):
+                got = _clip_reference(u_ref, problem.v_current, fcfg)
+                assert np.array_equal(got, ref._clip_reference(u_ref, problem.v_current, fcfg))
+
+
+def test_project_balls_bit_identical_random():
+    rng = np.random.default_rng(61)
+    for _ in range(3000):
+        n_balls = int(rng.integers(1, 3))
+        Q = rng.normal(scale=rng.uniform(0.1, 20.0), size=(n_balls, 3))
+        R = rng.uniform(0.1, 30.0, size=n_balls)
+        point = Q[0] + rng.normal(scale=rng.uniform(0.1, 40.0), size=3)
+        got, want = qp.project_balls(point, Q, R), ref.project_balls(point, Q, R)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("r", POW_RADII)
+def test_project_balls_reach_squared_as_numpy_squares(r):
+    # the point lies exactly at the widened reach r (1 + 1e-9) of ball 1,
+    # where squaring by ** instead of * flips the membership test
+    t = r * (1.0 + 1e-9)
+    point = np.array([t, 0.0, 0.0])
+    Q, R = np.array([point, np.zeros(3)]), np.array([1.0, r])
+    got, want = qp.project_balls(point, Q, R), ref.project_balls(point, Q, R)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[0] is point  # inside both: returned as is
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.2])
+def test_scene_margins_bit_identical_on_ring_trajectory(rho):
+    scene = ring_scene()
+    cfg = SimConfig(filter="off", a_max=10.0, v_max=2.5, timeout=8.0, p_k=8.0)
+    record = run_trajectory(scene, np.array([-10.0, 0.3, 2.0]), np.array([10.0, -0.3, 2.0]), cfg)
+    points = np.concatenate([record.p, np.random.default_rng(3).uniform(-9, 9, (400, 3))])
+    got, want = scene_margins(scene, points, rho), ref.scene_margins(scene, points, rho)
+    assert np.isfinite(got).any() and np.isinf(got).any()
+    assert np.array_equal(got, want)
+
+
+def _one_splat_scene():
+    return Scene.from_arrays(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]),
+                             np.array([[0.5, 0.3, 0.2]]), np.ones(1))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.2])
+def test_audit_screen_keeps_every_point_in_reach(rho):
+    scene = _one_splat_scene()
+    reach = audit_reach(scene, rho) + 1e-9  # the radius scene_margins queries with
+    points = np.array([
+        [reach, 0.0, 0.0],                        # exactly reach from the mean
+        [0.0, -reach, 0.0],
+        [np.nextafter(reach, np.inf), 0.0, 0.0],  # just outside reach
+        [reach * (1.0 + 5e-10), 0.0, 0.0],        # outside, inside the widened screen
+        [0.0, 0.0, reach * 1.01],
+        [100.0, 100.0, 100.0],                    # no splat anywhere near
+    ])
+    near = [scene.query_nearby(pt, reach).size > 0 for pt in points]
+    assert near == [True, True, False, False, False, False]
+    assert scene.has_nearby(points, reach)[near].all()
+    got, want = scene_margins(scene, points, rho), ref.scene_margins(scene, points, rho)
+    assert np.array_equal(got, want)
+    assert np.isfinite(got[:2]).all() and np.isinf(got[2:]).all()
+
+
+def test_audit_screen_on_an_empty_scene():
+    empty = Scene(means=np.zeros((0, 3)), quats=np.zeros((0, 4)), scales=np.zeros((0, 3)),
+                  opacities=np.zeros(0), inv_cov=np.zeros((0, 3, 3)),
+                  whitening=np.zeros((0, 3, 3)), s_min=np.zeros(0), confidence=11.3,
+                  bounds=np.zeros((2, 3)))
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert not empty.has_nearby(points, 1.0).any()
+    got, want = scene_margins(empty, points), ref.scene_margins(empty, points)
+    assert np.array_equal(got, want) and np.isinf(got).all()
