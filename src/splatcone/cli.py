@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .filter import INFLATION_MODES
 from .qp import SolverError
 from .scene import PreprocessOptions, Scene, SceneError
 from .sceneio import load_ply, load_scene_dump, save_scene_dump
 from .simulator import (
-    INFLATION_MODES,
+    FILTERS,
     SimConfig,
     SimulationError,
     batch_start_goal,
@@ -103,30 +104,31 @@ def load_scene_source(source: str, seed: int, opts: PreprocessOptions | None = N
 
 # The simulation settings a config file or flag may set: key (as the CLI
 # reads it; a dash in a config key reads as an underscore) -> (SimConfig
-# field, cast, default). A config key the command does not read is an error.
+# field, cast). A key set neither way takes SimConfig's default, except
+# v_max (CLI_V_MAX). A config key the command does not read is an error.
 _SIM_KEYS = {
-    "filter": ("filter", str, "cone"),
-    "dt": ("dt", float, 0.02),
-    "kp": ("kp", float, 1.0),
-    "kd": ("kd", float, 2.0),
-    "a_max": ("a_max", float, 10.0),
-    "v_max": ("v_max", float, 2.5),
-    "timeout": ("timeout", float, 60.0),
-    "goal_tol_p": ("goal_tol_p", float, 0.05),
-    "goal_tol_v": ("goal_tol_v", float, 0.1),
-    "pk": ("p_k", float, 1.0),
-    "activation_radius": ("activation_radius", float, 5.0),
-    "confidence": ("confidence", float, None),
-    "rho": ("rho", float, 0.0),
-    "inflation_mode": ("inflation_mode", str, "conservative"),
-    "slack_weight": ("slack_weight", float, None),
-    "inside_policy": ("inside_policy", str, "hard"),
-    "baseline_alpha1": ("baseline_alpha1", float, None),
-    "baseline_alpha2": ("baseline_alpha2", float, None),
-    "start_radius": ("start_radius", float, None),
-    "start_height": ("start_height", float, None),
+    "filter": ("filter", str),
+    "dt": ("dt", float),
+    "kp": ("kp", float),
+    "kd": ("kd", float),
+    "a_max": ("a_max", float),
+    "v_max": ("v_max", float),
+    "timeout": ("timeout", float),
+    "goal_tol_p": ("goal_tol_p", float),
+    "goal_tol_v": ("goal_tol_v", float),
+    "pk": ("p_k", float),
+    "activation_radius": ("activation_radius", float),
+    "rho": ("rho", float),
+    "inflation_mode": ("inflation_mode", str),
+    "slack_weight": ("slack_weight", float),
+    "inside_policy": ("inside_policy", str),
+    "baseline_alpha1": ("baseline_alpha1", float),
+    "baseline_alpha2": ("baseline_alpha2", float),
+    "start_radius": ("start_radius", float),
+    "start_height": ("start_height", float),
 }
-_RUN_KEYS = (*_SIM_KEYS, "scene", "seed", "out")
+CLI_V_MAX = 2.5  # the CLI's speed bound when none is given
+_RUN_KEYS = (*_SIM_KEYS, "scene", "seed", "confidence", "out")
 _BATCH_KEYS = (*_RUN_KEYS, "n", "filters")
 
 
@@ -158,9 +160,10 @@ def _merged(args: argparse.Namespace, file_cfg: dict, key: str, cast, default):
 
 
 def _build_sim_config(args, file_cfg) -> SimConfig:
-    values = {name: _merged(args, file_cfg, key, cast, default)
-              for key, (name, cast, default) in _SIM_KEYS.items()}
-    if values["v_max"] is not None and values["v_max"] <= 0:
+    values = {name: value for key, (name, cast) in _SIM_KEYS.items()
+              if (value := _merged(args, file_cfg, key, cast, None)) is not None}
+    values.setdefault("v_max", CLI_V_MAX)
+    if values["v_max"] <= 0:
         values["v_max"] = None
     return SimConfig(**values)
 
@@ -197,7 +200,8 @@ def cmd_run(args) -> int:
     source = _merged(args, file_cfg, "scene", str, None)
     if source is None:
         raise ConfigError("a scene source is required (--scene or config file)")
-    scene = load_scene_source(source, seed, confidence=cfg.confidence)
+    confidence = _merged(args, file_cfg, "confidence", float, None)
+    scene = load_scene_source(source, seed, confidence=confidence)
     out_dir = Path(_merged(args, file_cfg, "out", str, "runs"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -215,7 +219,7 @@ def cmd_run(args) -> int:
         metrics = None
 
     config_echo = dataclasses.asdict(cfg)
-    config_echo.update({"scene": source, "seed": seed})
+    config_echo.update({"scene": source, "seed": seed, "confidence": confidence})
     summary = summary_dict(record, metrics, config_echo, seed)
     summary["timing"]["wall_clock_s"] = wall
     write_record_csv(out_dir / "record.csv", record)
@@ -240,7 +244,8 @@ def cmd_batch(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     base_cfg = _build_sim_config(args, file_cfg)
-    scene = load_scene_source(source, seed, confidence=base_cfg.confidence)
+    confidence = _merged(args, file_cfg, "confidence", float, None)
+    scene = load_scene_source(source, seed, confidence=confidence)
 
     per_filter: dict[str, dict] = {}
     timing: dict[str, dict] = {}
@@ -255,7 +260,7 @@ def cmd_batch(args) -> int:
 
     comparison = {
         "config": {**dataclasses.asdict(base_cfg), "scene": source, "n": n, "seed": seed,
-                   "filters": filter_list},
+                   "confidence": confidence, "filters": filter_list},
         "filters": per_filter,
         "timing": timing,
     }
@@ -289,7 +294,7 @@ def _write_batch_csv(path, result) -> None:
 def _add_common_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI config file; flags override its values")
     p.add_argument("--scene", help="scene source: .ply, .npz, or synth:<pattern>,k=v,...")
-    p.add_argument("--filter", choices=["cone", "distance_baseline", "off"])
+    p.add_argument("--filter", choices=FILTERS)
     p.add_argument("--pk", type=float, dest="pk", help="barrier decay gain p_k")
     p.add_argument("--rho", type=float, help="robot sphere radius")
     p.add_argument("--dt", type=float)
@@ -300,7 +305,7 @@ def _add_common_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--kp", type=float)
     p.add_argument("--kd", type=float)
     p.add_argument("--activation-radius", type=float, dest="activation_radius")
-    p.add_argument("--confidence", type=float, help="override c^2")
+    p.add_argument("--confidence", type=float, help="scene c^2, set when the scene loads")
     p.add_argument("--inflation-mode", choices=INFLATION_MODES, dest="inflation_mode")
     p.add_argument("--slack-weight", type=float, dest="slack_weight")
     p.add_argument("--timeout", type=float)

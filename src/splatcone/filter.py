@@ -29,12 +29,19 @@ from .qp import FilterProblem, FilterSolution, solve_filter
 from .scene import Scene
 
 DEFAULT_SLACK_WEIGHT = 1e4
+INSIDE_POLICIES = ("hard", "slack")
+INFLATION_MODES = ("conservative", "exact")
+
+
+class FilterConfigError(ValueError):
+    """A filter setting out of its range or not one of its options."""
 
 
 @dataclass(frozen=True)
 class FilterConfig:
+    """The filter's settings. c^2 is the scene's own (`Scene.confidence`)."""
+
     p_k: float = 1.0
-    confidence: float | None = None      # c^2 override; None uses the scene's
     activation_radius: float = 5.0
     rho: float = 0.0
     inflation_mode: str = "conservative"  # conservative | exact
@@ -46,13 +53,28 @@ class FilterConfig:
     baseline_alpha1: float | None = None  # distance baseline only; None -> p_k
     baseline_alpha2: float | None = None
 
-    def resolved_c2(self, scene: Scene) -> float:
-        return float(self.confidence) if self.confidence is not None else scene.confidence
+    def __post_init__(self):
+        if self.inside_policy not in INSIDE_POLICIES:
+            raise FilterConfigError(
+                f"unknown inside_policy {self.inside_policy!r}; options: {INSIDE_POLICIES}")
+        if self.inflation_mode not in INFLATION_MODES:
+            raise FilterConfigError(
+                f"unknown inflation_mode {self.inflation_mode!r}; options: {INFLATION_MODES}")
+        # `not x > 0` so that NaN fails too
+        for name in ("dt", "a_max", "p_k", "activation_radius"):
+            if not getattr(self, name) > 0:
+                raise FilterConfigError(f"{name} must be positive")
+        for name in ("v_max", "slack_weight", "baseline_alpha1", "baseline_alpha2"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise FilterConfigError(f"{name} must be positive when set")
+        if not self.rho >= 0:
+            raise FilterConfigError("rho must be non-negative")
 
 
 def effective_c2(scene: Scene, cfg: FilterConfig, idx: np.ndarray) -> np.ndarray:
     """Per-splat squared confidence radius after conservative inflation."""
-    c2 = cfg.resolved_c2(scene)
+    c2 = scene.confidence
     if cfg.rho == 0.0:
         return np.full(idx.size, c2)
     c = np.sqrt(c2)
@@ -67,7 +89,7 @@ def _gather(scene: Scene, idx: np.ndarray):
 def _cone_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     means, A = _gather(scene, idx)
     if cfg.rho > 0.0 and cfg.inflation_mode == "exact":
-        c = float(np.sqrt(cfg.resolved_c2(scene)))
+        c = float(np.sqrt(scene.confidence))
         normals, offsets, h, eta, fb = kernels.cone_rows_inflated(
             p, v, means, A, np.take(scene.s_min, idx), c, cfg.rho, cfg.p_k)
         return normals, offsets, h, eta <= 0.0, int(fb.sum())
@@ -135,7 +157,6 @@ def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: Fi
         normals=normals,
         offsets=offsets,
         splat_ids=idx[:n_rows],
-        h_values=h[:n_rows],
         v_current=v if cfg.v_max is not None else None,
         v_max=cfg.v_max,
         dt=cfg.dt,

@@ -2,7 +2,7 @@
 
 One vectorized numpy implementation per row type. Each kernel is checked
 against the scalar builders in `cone.py` and `constraints.py`
-(`tests/test_kernels.py`); `benchmarks/bench_kernels.py` times it.
+(`tests/test_kernels.py`).
 
 Row conventions match the scalar constraint builders: each active splat i
 contributes one half-space `normals[i] @ u >= offsets[i]` in acceleration

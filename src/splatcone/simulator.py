@@ -18,7 +18,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels
-from .filter import FilterConfig, baseline_distance_filter_step, filter_step, passthrough_step
+from .filter import (
+    FilterConfig,
+    FilterConfigError,
+    baseline_distance_filter_step,
+    filter_step,
+    passthrough_step,
+)
 from .qp import norm_balls, project_balls
 # Unused here since every filter solves through `filter.solve_filter`, but
 # perfbench/tracing.py patches `simulator.solve_filter` by name.
@@ -27,8 +33,6 @@ from .scene import Scene
 from .sceneio import _atomic_write_text
 
 FILTERS = ("cone", "distance_baseline", "off")
-INSIDE_POLICIES = ("hard", "slack")
-INFLATION_MODES = ("conservative", "exact")
 
 
 class SimulationError(ValueError):
@@ -43,57 +47,29 @@ class RobotState:
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(FilterConfig):
+    """A closed-loop run: the filter's settings plus the loop's own."""
+
+    v_max: float | None = 3.0             # FilterConfig's default is None: no bound
     filter: str = "cone"
-    dt: float = 0.02
     kp: float = 1.0
     kd: float = 2.0
-    a_max: float = 10.0
-    v_max: float | None = 3.0
     timeout: float = 60.0
     goal_tol_p: float = 0.05
     goal_tol_v: float = 0.1
-    p_k: float = 1.0
-    activation_radius: float = 5.0
-    confidence: float | None = None
-    rho: float = 0.0
-    inflation_mode: str = "conservative"
-    slack_weight: float | None = None
-    inside_policy: str = "hard"
-    baseline_alpha1: float | None = None  # None -> p_k (matched gains)
-    baseline_alpha2: float | None = None
     start_radius: float | None = None     # batch placement circle
     start_height: float | None = None
 
     def __post_init__(self):
         if self.filter not in FILTERS:
             raise SimulationError(f"unknown filter {self.filter!r}; options: {FILTERS}")
-        if self.inside_policy not in INSIDE_POLICIES:
-            raise SimulationError(
-                f"unknown inside_policy {self.inside_policy!r}; options: {INSIDE_POLICIES}")
-        if self.inflation_mode not in INFLATION_MODES:
-            raise SimulationError(
-                f"unknown inflation_mode {self.inflation_mode!r}; options: {INFLATION_MODES}")
-        for name in ("dt", "kp", "kd", "a_max", "timeout", "goal_tol_p", "goal_tol_v",
-                     "p_k", "activation_radius"):
-            if getattr(self, name) <= 0:
+        try:
+            super().__post_init__()
+        except FilterConfigError as e:
+            raise SimulationError(str(e)) from None
+        for name in ("kp", "kd", "timeout", "goal_tol_p", "goal_tol_v"):
+            if not getattr(self, name) > 0:
                 raise SimulationError(f"{name} must be positive")
-
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            p_k=self.p_k,
-            confidence=self.confidence,
-            activation_radius=self.activation_radius,
-            rho=self.rho,
-            inflation_mode=self.inflation_mode,
-            a_max=self.a_max,
-            v_max=self.v_max,
-            dt=self.dt,
-            slack_weight=self.slack_weight,
-            inside_policy=self.inside_policy,
-            baseline_alpha1=self.baseline_alpha1,
-            baseline_alpha2=self.baseline_alpha2,
-        )
 
 
 @dataclass
@@ -223,7 +199,6 @@ def run_trajectory(scene: Scene, start: np.ndarray, goal: np.ndarray,
     if scene_margins(scene, start[None, :], cfg.rho)[0] <= 0.0:
         raise SimulationError("start position lies inside an (inflated) ellipsoid")
 
-    fcfg = cfg.filter_config()
     filt = _FILTER_STEPS[cfg.filter]
     state = RobotState(p=start, v=np.zeros(3), t=0.0)
     max_steps = int(np.ceil(cfg.timeout / cfg.dt))
@@ -232,14 +207,14 @@ def run_trajectory(scene: Scene, start: np.ndarray, goal: np.ndarray,
 
     for _ in range(max_steps):
         u_ref = pd_reference(state, goal, (cfg.kp, cfg.kd))
-        sol, diag = filt(scene, state, u_ref, fcfg)
+        sol, diag = filt(scene, state, u_ref, cfg)
         if sol.status == "infeasible":
             outcome = "infeasible"
             break
         u = sol.u
         # interventions measured against the bound-clipped reference: the
         # norm balls are actuation limits, not safety actions
-        u_clip = _clip_reference(u_ref, state.v, fcfg)
+        u_clip = _clip_reference(u_ref, state.v, cfg)
         ivs.append(bool(_norm(u - u_clip) > 1e-9 * max(1.0, _norm(u_clip))))
         ts.append(state.t)
         ps.append(state.p)

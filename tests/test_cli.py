@@ -200,3 +200,18 @@ def test_config_file_reads_baseline_gains_and_rejects_unknown_keys(tmp_path, cap
             assert f"unknown config key(s) {key}" in err
             assert "pk" in err and "a_max" in err and "baseline_alpha1" in err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [("--rho=-3", "rho must be non-negative"),
+                                           ("--slack-weight=-1", "slack_weight must be positive"),
+                                           ("--slack-weight=0", "slack_weight must be positive")])
+def test_out_of_range_setting_exit_1(tmp_path, capsys, flag, message):
+    # a negative rho makes the audit's reach negative, and a path through
+    # the splat would be audited as clear
+    out = tmp_path / "out"
+    rc = main(["run", "--scene", "synth:single,count=1,scale_lo=0.5,scale_hi=0.5",
+               "--filter", "cone", "--pk", "8", "--activation-radius", "6",
+               "--start=-8,0.12,0", "--goal=8,0,0", "--out", str(out), flag])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

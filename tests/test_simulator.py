@@ -319,6 +319,22 @@ def test_batch_start_perturbed_out_of_obstacle():
     assert scene_margins(scene, start[None, :])[0] > 0
 
 
+@pytest.mark.parametrize("kw", [dict(inside_policy="hrad"), dict(inflation_mode="exakt"),
+                                dict(rho=-1.0), dict(p_k=0.0), dict(p_k=float("nan")),
+                                dict(v_max=-1.0), dict(slack_weight=0.0),
+                                dict(baseline_alpha2=-1.0)], ids=str)
+def test_filter_settings_checked_once(kw):
+    """FilterConfig rejects a bad filter setting; SimConfig, which extends
+    it, reports the same message as a SimulationError."""
+    from splatcone.filter import FilterConfig
+
+    with pytest.raises(ValueError) as exc:
+        FilterConfig(**kw)
+    with pytest.raises(SimulationError) as sim_exc:
+        SimConfig(**kw)
+    assert str(sim_exc.value) == str(exc.value)
+
+
 @pytest.mark.parametrize("name", ["cone", "distance_baseline", "off"])
 def test_inside_policy(monkeypatch, name):
     """Robot inside the splat ellipsoid: 'hard' reports infeasible without a

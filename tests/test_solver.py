@@ -312,3 +312,34 @@ def test_nearly_antiparallel_rows_are_feasible():
     sol = _solve([0.0, 0.0, -1.0], [[0.0, 1.0, 0.0], [0.0, -1.0, 1e-8]], [0.0, 0.0], a_max=1.0)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.u, np.zeros(3), atol=1e-6)
+
+
+# Both programs below have a redundant row (the balls lie inside its
+# half-space), so their optimum is the closed-form projection onto the balls.
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="known defect: _ball_multipliers passes the two balls in working-set "
+                   "order; with the velocity ball (R = v_max / dt = 125) first, the intersection "
+                   "circle's radius sqrt(R1^2 - a^2) at R1 ~ a ~ 125 loses ~1e-9 relative, and "
+                   "the residual floors at 6.35e-10, above _BALL_TOL")
+def test_two_ball_solve_with_large_velocity_ball_converges():
+    v = np.array([2.1695328761021178, -0.21181178013997382, -1.2240354853132365])
+    ref = np.array([25.621379452576274, -2.3571109340257754, -14.306413165842558])
+    kw = dict(a_max=0.05, v_current=v, v_max=2.5, dt=0.02)
+    balls_only = _solve(ref, np.zeros((0, 3)), [], **kw)
+    sol = _solve(ref, [[0.0, 0.0, 1.0]], [-100.0], **kw)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.u, balls_only.u, atol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="known defect: a row tangent to the velocity ball at u = 0 drives the "
+                   "velocity-ball multiplier to 2.6e5 and the ball search out of budget, "
+                   "although u = 0 is feasible")
+def test_row_tangent_to_velocity_ball_is_feasible():
+    kw = dict(a_max=1.0, v_current=2.5 * np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0),
+              v_max=2.5, dt=0.02)
+    ref = np.array([0.0, 0.0, 2.0])
+    balls_only = _solve(ref, np.zeros((0, 3)), [], **kw)
+    sol = _solve(ref, [[0.0, -1.0, -1.0]], [0.0], **kw)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.u, balls_only.u, atol=1e-9)
