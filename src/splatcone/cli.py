@@ -168,6 +168,14 @@ def _build_sim_config(args, file_cfg) -> SimConfig:
     return SimConfig(**values)
 
 
+def _scene_confidence(args, file_cfg) -> float | None:
+    """The scene's c^2 from the flag or config file; None for the default."""
+    confidence = _merged(args, file_cfg, "confidence", float, None)
+    if confidence is not None and not confidence > 0:
+        raise ConfigError("confidence must be positive")
+    return confidence
+
+
 def _parse_vec3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -200,7 +208,7 @@ def cmd_run(args) -> int:
     source = _merged(args, file_cfg, "scene", str, None)
     if source is None:
         raise ConfigError("a scene source is required (--scene or config file)")
-    confidence = _merged(args, file_cfg, "confidence", float, None)
+    confidence = _scene_confidence(args, file_cfg)
     scene = load_scene_source(source, seed, confidence=confidence)
     out_dir = Path(_merged(args, file_cfg, "out", str, "runs"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +252,7 @@ def cmd_batch(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     base_cfg = _build_sim_config(args, file_cfg)
-    confidence = _merged(args, file_cfg, "confidence", float, None)
+    confidence = _scene_confidence(args, file_cfg)
     scene = load_scene_source(source, seed, confidence=confidence)
 
     per_filter: dict[str, dict] = {}

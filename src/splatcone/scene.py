@@ -12,6 +12,7 @@ L^T L = A.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -73,18 +74,62 @@ class PreprocessOptions:
 
     def resolved_confidence(self) -> float:
         if self.confidence is not None:
-            if self.confidence <= 0:
+            if not self.confidence > 0:
                 raise SceneError("confidence must be positive")
             return float(self.confidence)
         return chi2_confidence(3, 0.99)
+
+
+# Skin of `Scene.query_nearby`'s neighbour list, relative to the radius: one
+# tree query at radius (1 + _SKIN) serves every later query of that radius
+# whose centre lies within _SKIN * radius of the first one's (less 1e-9
+# relative, so that no mean the later query needs sits on the list's edge).
+_SKIN = 0.1
+# Relative width of the shell around the radius inside which a filtered
+# result is not trusted to round as the tree does (see `_within`).
+_SHELL = 1e-12
+
+
+def _within(p: tuple, radius: float, sup: np.ndarray, xyz: np.ndarray) -> np.ndarray | None:
+    """The entries of `sup` whose means (columns of `xyz`) lie within
+    `radius` of `p`, in `sup`'s order; None when a mean lies within
+    _SHELL relative of the sphere, where the tree might round otherwise.
+
+    d2 is summed as the tree's leaf test sums it, but the tree admits whole
+    subtrees that lie inside the sphere without that test, so only a mean
+    clear of the shell is decided here.
+    """
+    e = xyz[0] - p[0]
+    d2 = e * e
+    e = xyz[1] - p[1]
+    e *= e
+    d2 += e
+    e = xyz[2] - p[2]
+    e *= e
+    d2 += e
+    r2 = radius * radius
+    inner = d2 <= r2 * (1.0 - _SHELL)
+    if np.count_nonzero(inner) != np.count_nonzero(d2 <= r2 * (1.0 + _SHELL)):
+        return None
+    return sup[inner]
 
 
 @dataclass
 class Scene:
     """Immutable splat collection with a spatial index over the means.
 
-    Arrays are read-only after construction; the scene is safe for concurrent
-    reads. `confidence` is the shared squared confidence radius c^2.
+    Arrays are read-only after construction. `confidence` is the shared
+    squared confidence radius c^2.
+
+    `query_nearby` keeps a neighbour list with a skin: the sorted result of
+    its last kd-tree query, made at radius (1 + _SKIN), with those means.
+    A later query of the same radius centred within the skin filters that
+    list instead of searching the tree. It returns the same indices, bit
+    for bit, as a fresh tree query; a mean too close to the sphere to be
+    decided the tree's way sends the query to the tree. The list is one
+    tuple, replaced by a single attribute store, so concurrent readers
+    always see a consistent entry and the scene stays safe to share; two
+    threads that replace it at once cost each other only a rebuild.
     """
 
     means: np.ndarray       # (n, 3)
@@ -98,6 +143,8 @@ class Scene:
     bounds: np.ndarray      # (2, 3) AABB of means padded by max splat extent
     options: PreprocessOptions = field(default_factory=PreprocessOptions)
     _tree: cKDTree | None = field(default=None, repr=False, compare=False)
+    # (radius, anchor, slack, sup, xyz) of query_nearby's neighbour list
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.means, self.quats, self.scales, self.opacities,
@@ -110,10 +157,24 @@ class Scene:
         return self.means.shape[0]
 
     def query_nearby(self, p: np.ndarray, radius: float) -> np.ndarray:
-        """Indices i with ||mean_i - p|| <= radius, ascending."""
-        if radius <= 0:
+        """Indices i with ||mean_i - p|| <= radius, ascending: the kd-tree's
+        result, from the neighbour list when it covers `p`."""
+        if not radius > 0:
             raise SceneError(f"radius must be positive, got {radius!r}")
-        idx = self._tree.query_ball_point(np.asarray(p, dtype=np.float64), radius)
+        p = np.asarray(p, dtype=np.float64)
+        pt = tuple(p.tolist())
+        memo = self._memo
+        if not (memo is not None and memo[0] == radius
+                and math.dist(pt, memo[1]) <= memo[2] * (1.0 - 1e-9)):
+            slack = _SKIN * radius
+            sup = self._ball(p, radius + slack)
+            memo = (radius, pt, slack, sup, np.take(self.means, sup, axis=0).T.copy())
+            self._memo = memo
+        found = _within(pt, radius, memo[3], memo[4])
+        return self._ball(p, radius) if found is None else found
+
+    def _ball(self, p: np.ndarray, radius: float) -> np.ndarray:
+        idx = self._tree.query_ball_point(p, radius)
         return np.sort(np.fromiter(idx, dtype=np.intp, count=len(idx)))
 
     def has_nearby(self, points: np.ndarray, radius: float) -> np.ndarray:

@@ -1,0 +1,47 @@
+"""tools/bench_record.py folds perfbench result files into one record."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def _result(tmp_path, side, seed, steps_per_s, p99, trace=0, failed=0):
+    rec = {
+        "correct": failed == 0, "attempted": 100, "failed": failed,
+        "metrics": {"steps_per_s": {"value": steps_per_s, "unit": "1/s"},
+                    "step_p99_ms": {"value": p99, "unit": "ms"}},
+        "meta": {"workload": "clutter170k_step", "seed": seed, "seconds": 25.0,
+                 "trace": trace, "commit": "abc", "source_sha1": side},
+    }
+    path = tmp_path / f"{side}-{seed}-{trace}.json"
+    path.write_text(json.dumps(rec))
+    return str(path)
+
+
+def test_sides_fold_into_quartiles_and_pairs(tmp_path):
+    parent = [_result(tmp_path, "p", s, v, 1.0) for s, v in ((1, 100.0), (2, 110.0), (3, 90.0))]
+    change = [_result(tmp_path, "c", s, v, p99, failed=f)
+              for s, v, p99, f in ((1, 120.0, 0.9, 0), (2, 105.0, 1.2, 1), (3, 130.0, 1.0, 0))]
+    out = tmp_path / "BENCH_x.json"
+    assert bench_record.main(["--label", "x", "--out", str(out),
+                              "--side", "parent", *parent, "--side", "change", *change]) == 0
+    rec = json.loads(out.read_text())
+    par = rec["sides"]["parent"]["clutter170k_step"]["end_to_end"]
+    assert par["seeds"] == [1, 2, 3]
+    assert par["metrics"]["steps_per_s"]["values"] == [100.0, 110.0, 90.0]
+    assert (par["metrics"]["steps_per_s"]["median"], par["metrics"]["steps_per_s"]["q1"],
+            par["metrics"]["steps_per_s"]["q3"]) == (100.0, 95.0, 105.0)
+    chg = rec["sides"]["change"]["clutter170k_step"]["end_to_end"]
+    assert (chg["correct"], chg["attempted"], chg["failed"]) == (False, 300, 1)
+    pairs = rec["pairs"]["clutter170k_step"]["end_to_end"]
+    assert (pairs["steps_per_s"]["better"], pairs["steps_per_s"]["worse"]) == (2, 1)
+    assert pairs["steps_per_s"]["median_ratio"] == pytest.approx(1.2)
+    assert pairs["steps_per_s"]["base_iqr"] == pytest.approx(10.0)
+    # lower is better for the tail; a tie counts for neither side
+    assert (pairs["step_p99_ms"]["better"], pairs["step_p99_ms"]["worse"]) == (1, 1)

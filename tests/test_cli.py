@@ -215,3 +215,22 @@ def test_out_of_range_setting_exit_1(tmp_path, capsys, flag, message):
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_out_of_range_confidence_exit_1(tmp_path, capsys, value):
+    # c^2 is a setting like any other: rejected before the scene loads, and
+    # NaN must not reach the audit's tree query
+    out = tmp_path / "out"
+    rc = main(["run", "--scene", "synth:single", "--confidence", value, "--out", str(out)])
+    assert rc == 1
+    assert "confidence must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_confidence_checked(tmp_path, capsys):
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text("[scene]\nscene = synth:single\nconfidence = nan\n")
+    assert main(["batch", "--config", str(cfg), "--n", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "confidence must be positive" in capsys.readouterr().err

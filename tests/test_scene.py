@@ -1,9 +1,14 @@
 """Scene construction, preprocessing invariants, PLY I/O, spatial queries,
 and the chi-squared confidence quantile."""
+import dataclasses
+import functools
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.spatial.transform import Rotation
 
@@ -261,6 +266,141 @@ def test_query_nearby_matches_linear_scan():
         got = set(scene.query_nearby(p, radius).tolist())
         want = set(np.nonzero(np.linalg.norm(scene.means - p, axis=1) <= radius)[0].tolist())
         assert got == want
+
+
+def test_query_nearby_rejects_nan_radius():
+    # a NaN radius fails `radius > 0`; it must not read as "no splats near"
+    scene = make_synthetic_scene(SyntheticSpec(pattern="single", count=1), seed=0)
+    with pytest.raises(SceneError, match="radius must be positive"):
+        scene.query_nearby(np.zeros(3), float("nan"))
+
+
+def test_confidence_rejects_nan():
+    with pytest.raises(SceneError, match="confidence must be positive"):
+        PreprocessOptions(confidence=float("nan")).resolved_confidence()
+
+
+def _tree_ball(scene, p, radius):
+    idx = scene._tree.query_ball_point(p, radius)
+    return np.sort(np.asarray(idx, dtype=np.intp))
+
+
+@functools.cache
+def _walk_scene():
+    return make_synthetic_scene(SyntheticSpec(pattern="clutter", count=2000), seed=3)
+
+
+_direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda d: np.linalg.norm(d) > 1e-3)
+_step = st.tuples(st.just("step"), _direction, st.floats(0.0, 2.5 * 0.02))  # |v| dt
+_jump = st.tuples(st.just("jump"), st.tuples(*[st.floats(-12.0, 12.0)] * 3).map(np.array))
+_walk_move = st.one_of(_step, _step, _step, _jump, st.just(("audit",)), st.just(("empty",)),
+                       st.just(("shell",)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.tuples(*[st.floats(-8.0, 8.0)] * 3).map(np.array),
+       moves=st.lists(_walk_move, min_size=1, max_size=40))
+def test_query_nearby_walk_matches_tree(start, moves):
+    """On a walk of control-step moves, jumps past the skin, audit-sized
+    radii between activation queries, empty neighbourhoods and centres that
+    put a mean exactly on the sphere, every query returns a fresh tree
+    query's indices, bit for bit."""
+    scene = dataclasses.replace(_walk_scene())  # a fresh neighbour list
+    radius, audit_radius = 5.0, 1.37
+    p = start
+    for move in moves:
+        kind, args = move[0], move[1:]
+        r = radius
+        if kind == "step":
+            direction, length = args
+            p = p + direction / np.linalg.norm(direction) * length
+        elif kind == "jump":
+            p = args[0]
+        elif kind == "audit":
+            r = audit_radius
+        elif kind == "empty":
+            p = scene.bounds[1] + 100.0
+        elif kind == "shell":
+            # move p radially so that the mean nearest the sphere lies on it
+            d = np.linalg.norm(scene.means - p, axis=1)
+            j = int(np.argmin(np.abs(d - radius)))
+            if d[j] > 0:
+                p = scene.means[j] + (p - scene.means[j]) * (radius / d[j])
+        got = scene.query_nearby(p, r)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _tree_ball(scene, p, r))
+
+
+def test_query_nearby_threads_share_the_neighbour_list():
+    """Threads walking one scene from one start, at two radii, replace
+    each other's neighbour list all the time; every result still equals a
+    fresh tree query. (A query that read the list twice, a check-then-act
+    race, fails here about every other run.)"""
+    scene = dataclasses.replace(_walk_scene())
+    errors = []
+
+    def walk(k, radius):
+        rng = np.random.default_rng(k)
+        p = np.array([1.0, -2.0, 0.5])
+        for _ in range(1000):
+            p = p + rng.normal(size=3) * 0.02
+            if not np.array_equal(scene.query_nearby(p, radius), _tree_ball(scene, p, radius)):
+                errors.append((k, p.copy(), radius))
+
+    threads = [threading.Thread(target=walk, args=(k, r))
+               for k, r in enumerate((5.0, 1.37, 5.0, 1.37))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+class _CountingTree:
+    """A kd-tree that records the radius of every `query_ball_point` call."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.radii = []
+
+    def query_ball_point(self, p, r):
+        self.radii.append(r)
+        return self.tree.query_ball_point(p, r)
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+
+def test_query_nearby_serves_steps_from_the_neighbour_list():
+    rng = np.random.default_rng(2)
+    means = np.vstack([[5.0, 0.0, 0.0], rng.uniform(-8.0, 8.0, size=(300, 3))])
+    scene = Scene.from_arrays(means, np.tile([1.0, 0.0, 0.0, 0.0], (301, 1)),
+                              np.full((301, 3), 0.2), np.full(301, 0.9))
+    tree = scene._tree
+    scene._tree = _CountingTree(tree)
+    calls = [
+        ((0.0, 0.2, 0.0), 5.0, [5.5]),   # a miss queries the tree at the skin's radius
+        ((0.0, 0.1, 0.0), 5.0, []),      # a control step inside the skin: no tree query
+        ((0.0, 0.0, 0.0), 5.0, [5.0]),   # mean 0 exactly on the sphere: the guard asks the tree
+        ((0.0, 0.05, 0.0), 5.0, []),
+        ((0.0, 0.05, 0.0), 1.0, [1.1]),  # another radius
+        ((0.0, 0.05, 0.0), 5.0, [5.5]),
+        ((0.0, 0.6, 0.0), 5.0, [5.5]),   # beyond the skin of the last miss
+    ]
+    for p, radius, radii in calls:
+        scene._tree.radii.clear()
+        got = scene.query_nearby(np.array(p), radius)
+        assert scene._tree.radii == pytest.approx(radii)
+        assert np.array_equal(got, np.sort(np.asarray(tree.query_ball_point(p, radius),
+                                                      dtype=np.intp)))
+    assert 0 in scene.query_nearby(np.zeros(3), 5.0)
 
 
 def test_chi2_confidence_against_integration_oracle():
