@@ -22,9 +22,7 @@ from .cone import (
     whitened_test,
 )
 from .constraints import (
-    DOUBLE_INTEGRATOR,
     LinearControlConstraint,
-    VelocityDynamics,
     build_constraint,
     build_constraint_inflated,
     lie_derivative_w,

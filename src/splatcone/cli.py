@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -46,8 +47,7 @@ from .synthetic import SyntheticSpec, make_synthetic_scene
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # config errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        raise ConfigError(message)
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 class ConfigError(ValueError):
@@ -76,7 +76,10 @@ def parse_synth_spec(text: str) -> SyntheticSpec:
         key, val = item.split("=", 1)
         if key not in _SYNTH_KEYS:
             raise ConfigError(f"unknown synthetic spec key {key!r}")
-        pairs[key] = _SYNTH_KEYS[key](val)
+        try:
+            pairs[key] = _SYNTH_KEYS[key](val)
+        except ValueError:
+            raise ConfigError(f"bad value for synthetic spec key {key}: {val!r}") from None
     for name in ("count", "pillar_count", "extent", "ring_radius", "pillar_radius", "height"):
         if name in pairs:
             kwargs[name] = pairs[name]
@@ -89,44 +92,26 @@ def parse_synth_spec(text: str) -> SyntheticSpec:
     return SyntheticSpec(**kwargs)
 
 
-def load_scene_source(source: str, seed: int, opts: PreprocessOptions | None = None,
-                      confidence: float | None = None) -> Scene:
+def load_scene_source(source: str, seed: int, confidence: float | None = None) -> Scene:
+    opts = PreprocessOptions(confidence=confidence)
     if source.startswith("synth:"):
-        o = opts or PreprocessOptions(confidence=confidence)
-        return make_synthetic_scene(parse_synth_spec(source), seed, o)
+        return make_synthetic_scene(parse_synth_spec(source), seed, opts)
     path = Path(source)
     if not path.exists():
         raise SceneError(f"scene source not found: {source}")
     if path.suffix == ".npz":
         return load_scene_dump(path, confidence=confidence)
-    return load_ply(path, opts or PreprocessOptions(confidence=confidence))
+    return load_ply(path, opts)
 
 
-# The simulation settings a config file or flag may set: key (as the CLI
-# reads it; a dash in a config key reads as an underscore) -> (SimConfig
-# field, cast). A key set neither way takes SimConfig's default, except
-# v_max (CLI_V_MAX). A config key the command does not read is an error.
-_SIM_KEYS = {
-    "filter": ("filter", str),
-    "dt": ("dt", float),
-    "kp": ("kp", float),
-    "kd": ("kd", float),
-    "a_max": ("a_max", float),
-    "v_max": ("v_max", float),
-    "timeout": ("timeout", float),
-    "goal_tol_p": ("goal_tol_p", float),
-    "goal_tol_v": ("goal_tol_v", float),
-    "pk": ("p_k", float),
-    "activation_radius": ("activation_radius", float),
-    "rho": ("rho", float),
-    "inflation_mode": ("inflation_mode", str),
-    "slack_weight": ("slack_weight", float),
-    "inside_policy": ("inside_policy", str),
-    "baseline_alpha1": ("baseline_alpha1", float),
-    "baseline_alpha2": ("baseline_alpha2", float),
-    "start_radius": ("start_radius", float),
-    "start_height": ("start_height", float),
-}
+# The simulation settings a config file or flag may set: each SimConfig field
+# under its own name, except p_k, read as `pk` (a dash in a config key reads
+# as an underscore); text fields are read as text, all others as numbers. A
+# key set neither way takes SimConfig's default, except v_max (CLI_V_MAX). A
+# config key the command does not read is an error.
+_SIM_KEYS = {("pk" if f.name == "p_k" else f.name):
+             (f.name, str if isinstance(f.default, str) else float)
+             for f in dataclasses.fields(SimConfig)}
 CLI_V_MAX = 2.5  # the CLI's speed bound when none is given
 _RUN_KEYS = (*_SIM_KEYS, "scene", "seed", "confidence", "out")
 _BATCH_KEYS = (*_RUN_KEYS, "n", "filters")
@@ -150,37 +135,60 @@ def _read_config_file(path: str | None, known: tuple[str, ...]) -> dict:
     return flat
 
 
-def _merged(args: argparse.Namespace, file_cfg: dict, key: str, cast, default):
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in file_cfg:
-        return cast(file_cfg[key])
-    return default
+def _prepare(args, known_keys: tuple[str, ...], default_out: str):
+    """Parse and check every input of `run` or `batch`; only then load the
+    scene and make the output directory, so a bad input writes nothing.
 
+    Returns the run's configs (one, or one per batch filter), the scene, the
+    output directory and the resolved config that the artifacts echo.
+    """
+    file_cfg = _read_config_file(args.config, known_keys)
 
-def _build_sim_config(args, file_cfg) -> SimConfig:
+    def get(key, cast, default):
+        """The flag's value, else the file's cast, else `default`."""
+        if (value := getattr(args, key, None)) is not None:
+            return value
+        if key not in file_cfg:
+            return default
+        try:
+            return cast(file_cfg[key])
+        except ValueError:
+            raise ConfigError(f"bad value for config key {key}: {file_cfg[key]!r}") from None
+
     values = {name: value for key, (name, cast) in _SIM_KEYS.items()
-              if (value := _merged(args, file_cfg, key, cast, None)) is not None}
+              if (value := get(key, cast, None)) is not None}
     values.setdefault("v_max", CLI_V_MAX)
     if values["v_max"] <= 0:
         values["v_max"] = None
-    return SimConfig(**values)
-
-
-def _scene_confidence(args, file_cfg) -> float | None:
-    """The scene's c^2 from the flag or config file; None for the default."""
-    confidence = _merged(args, file_cfg, "confidence", float, None)
+    cfg = SimConfig(**values)
+    seed = get("seed", int, 0)
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    source = get("scene", str, None)
+    if source is None:
+        raise ConfigError("a scene source is required (--scene or config file)")
+    confidence = get("confidence", float, None)
     if confidence is not None and not confidence > 0:
         raise ConfigError("confidence must be positive")
-    return confidence
+    echo = {**dataclasses.asdict(cfg), "scene": source, "seed": seed, "confidence": confidence}
+    cfgs = (cfg,)
+    if args.command == "run":
+        if (args.start is None) != (args.goal is None):
+            raise ConfigError("--start and --goal must be given together")
+    else:
+        echo["n"] = get("n", int, 50)
+        if echo["n"] < 1:
+            raise ConfigError("n must be at least 1")
+        filters = get("filters", str, "cone,distance_baseline")
+        echo["filters"] = [f.strip() for f in filters.split(",") if f.strip()]
+        if not echo["filters"]:
+            raise ConfigError("filters names no filter")
+        cfgs = tuple(dataclasses.replace(cfg, filter=name) for name in echo["filters"])
 
-
-def _parse_vec3(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"expected x,y,z triple, got {text!r}")
-    return np.array([float(p) for p in parts])
+    scene = load_scene_source(source, seed, confidence=confidence)
+    out_dir = Path(get("out", str, default_out))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfgs, scene, out_dir, echo
 
 
 def cmd_convert(args) -> int:
@@ -202,19 +210,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_run(args) -> int:
-    file_cfg = _read_config_file(args.config, _RUN_KEYS)
-    cfg = _build_sim_config(args, file_cfg)
-    seed = _merged(args, file_cfg, "seed", int, 0)
-    source = _merged(args, file_cfg, "scene", str, None)
-    if source is None:
-        raise ConfigError("a scene source is required (--scene or config file)")
-    confidence = _scene_confidence(args, file_cfg)
-    scene = load_scene_source(source, seed, confidence=confidence)
-    out_dir = Path(_merged(args, file_cfg, "out", str, "runs"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.start is not None and args.goal is not None:
-        start, goal = _parse_vec3(args.start), _parse_vec3(args.goal)
+    (cfg,), scene, out_dir, config_echo = _prepare(args, _RUN_KEYS, "runs")
+    if args.start is not None:
+        start, goal = np.array(args.start), np.array(args.goal)
     else:
         start, goal = batch_start_goal(scene, 0, 1, cfg, cfg.rho)
 
@@ -226,13 +224,11 @@ def cmd_run(args) -> int:
     except SimulationError:
         metrics = None
 
-    config_echo = dataclasses.asdict(cfg)
-    config_echo.update({"scene": source, "seed": seed, "confidence": confidence})
-    summary = summary_dict(record, metrics, config_echo, seed)
+    summary = summary_dict(record, metrics, config_echo, config_echo["seed"])
     summary["timing"]["wall_clock_s"] = wall
     write_record_csv(out_dir / "record.csv", record)
     write_json(out_dir / "summary.json", summary)
-    write_trajectory_svg(out_dir / "trajectory.svg", scene, record, axes=tuple(args.axes))
+    write_trajectory_svg(out_dir / "trajectory.svg", scene, record, axes=args.axes)
     print(f"outcome: {record.outcome}  samples: {len(record)}  "
           f"audit margin: {record.audit_min_margin:.6g}")
     print(f"artifacts in {out_dir}")
@@ -240,26 +236,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    file_cfg = _read_config_file(args.config, _BATCH_KEYS)
-    seed = _merged(args, file_cfg, "seed", int, 0)
-    n = _merged(args, file_cfg, "n", int, 50)
-    source = _merged(args, file_cfg, "scene", str, None)
-    if source is None:
-        raise ConfigError("a scene source is required (--scene or config file)")
-    filters = _merged(args, file_cfg, "filters", str, "cone,distance_baseline")
-    filter_list = [f.strip() for f in filters.split(",") if f.strip()]
-    out_dir = Path(_merged(args, file_cfg, "out", str, "batch_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    base_cfg = _build_sim_config(args, file_cfg)
-    confidence = _scene_confidence(args, file_cfg)
-    scene = load_scene_source(source, seed, confidence=confidence)
-
+    cfgs, scene, out_dir, config_echo = _prepare(args, _BATCH_KEYS, "batch_out")
     per_filter: dict[str, dict] = {}
     timing: dict[str, dict] = {}
-    for name in filter_list:
-        cfg = dataclasses.replace(base_cfg, filter=name)
-        result = run_batch(scene, n, cfg, seed)
+    for cfg in cfgs:
+        name = cfg.filter
+        result = run_batch(scene, config_echo["n"], cfg, config_echo["seed"])
         agg = dict(result.aggregate)
         timing[name] = agg.pop("timing")
         per_filter[name] = agg
@@ -267,8 +249,7 @@ def cmd_batch(args) -> int:
         print(f"{name}: success {agg['success_rate']:.0%}  outcomes {agg['outcomes']}")
 
     comparison = {
-        "config": {**dataclasses.asdict(base_cfg), "scene": source, "n": n, "seed": seed,
-                   "confidence": confidence, "filters": filter_list},
+        "config": config_echo,
         "filters": per_filter,
         "timing": timing,
     }
@@ -278,7 +259,7 @@ def cmd_batch(args) -> int:
         if cone_med and base_med:
             comparison["timing"]["planning_time_ratio_baseline_over_cone"] = base_med / cone_med
     write_json(out_dir / "comparison.json", comparison)
-    box_input = {name: {"metrics": per_filter[name]["metrics"]} for name in filter_list}
+    box_input = {name: {"metrics": per_filter[name]["metrics"]} for name in config_echo["filters"]}
     write_metric_boxes_svg(out_dir / "batch_metrics.svg", box_input)
     print(f"artifacts in {out_dir}")
     return 0
@@ -297,6 +278,34 @@ def _write_batch_csv(path, result) -> None:
         lines.append(",".join([str(i), rec.outcome, *vals, str(rec.interventions),
                                format(rec.audit_min_margin, ".17g")]))
     _atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _numbers(cast, count: int):
+    """An argparse type: exactly `count` comma-separated finite numbers, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(cast(p) for p in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != count or not all(map(math.isfinite, values)):
+            raise argparse.ArgumentTypeError(
+                f"expected {count} comma-separated finite numbers, got {text!r}")
+        return values
+    return parse
+
+
+def _scale_clamp(text: str) -> tuple[float, float]:
+    lo, hi = _numbers(float, 2)(text)
+    if not 0 < lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected 0 < min <= max, got {text!r}")
+    return lo, hi
+
+
+def _axes(text: str) -> tuple[int, int]:
+    axes = _numbers(int, 2)(text)
+    if axes[0] == axes[1] or not set(axes) <= {0, 1, 2}:
+        raise argparse.ArgumentTypeError(f"expected two distinct axes of 0, 1, 2, got {text!r}")
+    return axes
 
 
 def _add_common_run_flags(p: argparse.ArgumentParser):
@@ -330,16 +339,16 @@ def build_parser() -> _Parser:
     pc.add_argument("--in", dest="in_path", required=True)
     pc.add_argument("--out", required=True)
     pc.add_argument("--opacity-min", type=float, dest="opacity_min")
-    pc.add_argument("--scale-clamp", dest="scale_clamp", type=lambda s: tuple(map(float, s.split(","))),
+    pc.add_argument("--scale-clamp", dest="scale_clamp", type=_scale_clamp,
                     help="min,max scale clamp")
     pc.set_defaults(func=cmd_convert)
 
     pr = sub.add_parser("run", help="simulate one trajectory")
     _add_common_run_flags(pr)
-    pr.add_argument("--start", help="x,y,z (defaults to auto placement)")
-    pr.add_argument("--goal", help="x,y,z")
-    pr.add_argument("--axes", type=lambda s: [int(a) for a in s.split(",")],
-                    default=[0, 1], help="projection axis pair for the SVG (default 0,1)")
+    pr.add_argument("--start", type=_numbers(float, 3), help="x,y,z (defaults to auto placement)")
+    pr.add_argument("--goal", type=_numbers(float, 3), help="x,y,z")
+    pr.add_argument("--axes", type=_axes, default=(0, 1),
+                    help="projection axis pair for the SVG (default 0,1)")
     pr.set_defaults(func=cmd_run)
 
     pb = sub.add_parser("batch", help="batch experiment over filters")

@@ -1,13 +1,14 @@
-"""Per-splat barrier constraints in acceleration space.
+"""Per-splat barrier constraints in acceleration space, one splat at a time.
 
-For velocity dynamics v_dot = f_v(x) + g_v(x) u, the barrier condition
+For the double integrator (p_dot = v, v_dot = u) the barrier condition
 h_dot + p_k h >= 0 is affine in u. With w = eta * A v - delta * A r (eta is
 gamma for a point robot, or the inflated variant) the constraint reads
 
-    (g_v^T w_eff)^T u >= -(p_k / 2) h - (drift terms),
+    w_eff^T u >= -(p_k / 2) h - (drift terms),
 
-where both sides carry the same factor-of-two normalization of h_dot. The
-double integrator (f_v = 0, g_v = I) reduces to w^T u >= -(p_k / 2) h.
+where both sides carry the same factor-of-two normalization of h_dot; for a
+point robot there is no drift and it reduces to w^T u >= -(p_k / 2) h. These
+scalar builders are the oracles the vectorized row kernels are tested against.
 """
 from __future__ import annotations
 
@@ -19,30 +20,12 @@ from .cone import RelativeGeometry, barrier_value, inflate
 
 
 @dataclass(frozen=True)
-class VelocityDynamics:
-    """Pointwise velocity dynamics v_dot = f_v + g_v u (values at the
-    current state). `identity` marks the double-integrator fast path."""
-
-    f_v: np.ndarray
-    g_v: np.ndarray
-    identity: bool = False
-
-
-DOUBLE_INTEGRATOR = VelocityDynamics(f_v=np.zeros(3), g_v=np.eye(3), identity=True)
-
-
-@dataclass(frozen=True)
 class LinearControlConstraint:
     """One half-space `normal @ u >= offset` in control space."""
 
     normal: np.ndarray
     offset: float
-    splat_id: int = -1
     h_value: float = float("nan")
-
-    def residual(self, u: np.ndarray) -> float:
-        """Nonnegative iff the constraint is satisfied at u."""
-        return float(self.normal @ u - self.offset)
 
 
 def lie_derivative_w(geom: RelativeGeometry) -> np.ndarray:
@@ -51,34 +34,20 @@ def lie_derivative_w(geom: RelativeGeometry) -> np.ndarray:
     return geom.gamma * (A @ geom.v) - geom.delta * (A @ geom.r)
 
 
-def build_constraint(
-    geom: RelativeGeometry,
-    dynamics: VelocityDynamics = DOUBLE_INTEGRATOR,
-    p_k: float = 1.0,
-    splat_id: int = -1,
-) -> LinearControlConstraint:
+def build_constraint(geom: RelativeGeometry, p_k: float = 1.0) -> LinearControlConstraint:
     """Point-robot barrier constraint for one splat."""
     if p_k <= 0:
         raise ValueError("p_k must be positive")
-    w = lie_derivative_w(geom)
     h = barrier_value(geom)
-    if dynamics.identity:
-        return LinearControlConstraint(normal=w, offset=-0.5 * p_k * h,
-                                       splat_id=splat_id, h_value=h)
-    normal = dynamics.g_v.T @ w
-    offset = -0.5 * p_k * h - float(w @ dynamics.f_v)
-    return LinearControlConstraint(normal=normal, offset=offset,
-                                   splat_id=splat_id, h_value=h)
+    return LinearControlConstraint(normal=lie_derivative_w(geom), offset=-0.5 * p_k * h, h_value=h)
 
 
 def build_constraint_inflated(
     geom: RelativeGeometry,
     scales: np.ndarray,
     rho: float,
-    dynamics: VelocityDynamics = DOUBLE_INTEGRATOR,
     p_k: float = 1.0,
     mode: str = "exact",
-    splat_id: int = -1,
 ) -> LinearControlConstraint:
     """Robot-sphere-inflated barrier constraint for one splat.
 
@@ -99,10 +68,4 @@ def build_constraint_inflated(
     # h_dot = grad_p(h)^T p_dot + grad_v(h)^T v_dot, with p_dot = v:
     # the position part reduces to -2 beta c_M grad_p(c_M)^T v.
     drift_p = -bcm * float(inf.grad_cM_p @ v)
-    if dynamics.identity:
-        return LinearControlConstraint(normal=w_eff, offset=-0.5 * p_k * h - drift_p,
-                                       splat_id=splat_id, h_value=h)
-    normal = dynamics.g_v.T @ w_eff
-    offset = -0.5 * p_k * h - drift_p - float(w_eff @ dynamics.f_v)
-    return LinearControlConstraint(normal=normal, offset=offset,
-                                   splat_id=splat_id, h_value=h)
+    return LinearControlConstraint(normal=w_eff, offset=-0.5 * p_k * h - drift_p, h_value=h)

@@ -7,8 +7,8 @@ geometry matters: the confidence ellipsoid
 
 with R the rotation from a unit quaternion (scalar-first), S = diag(scales),
 and c^2 a scene-wide chi-squared confidence level. Each splat carries the
-precomputed inverse covariance A and whitening factor L = S^-1 R^T with
-L^T L = A.
+precomputed inverse covariance A = L^T L, formed from the whitening factor
+L = S^-1 R^T.
 """
 from __future__ import annotations
 
@@ -137,7 +137,6 @@ class Scene:
     scales: np.ndarray      # (n, 3)
     opacities: np.ndarray   # (n,)
     inv_cov: np.ndarray     # (n, 3, 3)
-    whitening: np.ndarray   # (n, 3, 3)
     s_min: np.ndarray       # (n,)
     confidence: float       # c^2
     bounds: np.ndarray      # (2, 3) AABB of means padded by max splat extent
@@ -148,7 +147,7 @@ class Scene:
 
     def __post_init__(self):
         for arr in (self.means, self.quats, self.scales, self.opacities,
-                    self.inv_cov, self.whitening, self.s_min, self.bounds):
+                    self.inv_cov, self.s_min, self.bounds):
             arr.setflags(write=False)
         if self._tree is None:
             object.__setattr__(self, "_tree", cKDTree(self.means))
@@ -199,8 +198,8 @@ class Scene:
 
         Applies the preprocessing pipeline: finiteness checks, degenerate
         quaternion rejection, opacity filtering, scale clamping with the
-        anisotropy cap, then precomputes inverse covariances and whitening
-        factors and builds the spatial index.
+        anisotropy cap, then precomputes inverse covariances and builds the
+        spatial index.
         """
         opts = opts or PreprocessOptions()
         means = np.ascontiguousarray(means, dtype=np.float64)
@@ -268,7 +267,6 @@ class Scene:
             scales=scales,
             opacities=opacities,
             inv_cov=inv_cov,
-            whitening=whitening,
             s_min=s_min,
             confidence=c2,
             bounds=bounds,

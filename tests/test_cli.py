@@ -1,14 +1,21 @@
 """CLI end-to-end: conversion, runs, batches, exit codes, artifact
 determinism, and SVG output sanity."""
+import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splatcone
 from splatcone.cli import main, parse_synth_spec
 from splatcone.cli import ConfigError
 from splatcone.sceneio import load_scene_dump
+from splatcone.simulator import SimConfig
 
 
 def _write_fixture_ply(path, rows):
@@ -234,3 +241,59 @@ def test_config_file_confidence_checked(tmp_path, capsys):
     assert main(["batch", "--config", str(cfg), "--n", "1",
                  "--out", str(tmp_path / "out")]) == 1
     assert "confidence must be positive" in capsys.readouterr().err
+
+
+_SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (f"run {_SINGLE} --start=x,0,0 --goal=1,0,0 --out {{out}}", None),
+    (f"run {_SINGLE} --start=-8,0,0 --goal=1,0 --out {{out}}", None),
+    (f"run {_SINGLE} --start=nan,0,0 --goal=1,0,0 --out {{out}}", None),
+    (f"run {_SINGLE} --start=-8,0,0 --out {{out}}", None),
+    (f"run {_SINGLE} --goal=8,0,0 --out {{out}}", None),
+    (f"run {_SINGLE} --axes 0 --out {{out}}", None),
+    (f"run {_SINGLE} --axes 0,3 --out {{out}}", None),
+    (f"run {_SINGLE} --axes 1,1 --out {{out}}", None),
+    (f"run {_SINGLE} --seed -1 --out {{out}}", None),
+    ("run --scene synth:single,count=x --out {out}", None),
+    ("run --config {cfg} --out {out}", "[run]\npk = abc\n"),
+    ("run --config {cfg} --out {out}", "[run]\nseed = 1.5\n"),
+    ("batch --config {cfg} --out {out}", "[batch]\nn = x\n"),
+    (f"batch {_SINGLE} --n 0 --out {{out}}", None),
+    (f"batch {_SINGLE} --n 1 --filters cone,bogus --out {{out}}", None),
+    (f"batch {_SINGLE} --n 1 --filters , --out {{out}}", None),
+    (f"batch {_SINGLE} --n 1 --rho -3 --out {{out}}", None),
+    ("convert --in {ply} --out {out} --scale-clamp 0.01", None),
+    ("convert --in {ply} --out {out} --scale-clamp 0.1,0.2,0.3", None),
+    ("convert --in {ply} --out {out} --scale-clamp 0.5,0.1", None),
+])
+def test_bad_input_exits_1_and_writes_nothing(tmp_path, fixture_ply, argv, config):
+    # every input is checked before the scene loads or a file is written
+    out, cfg = tmp_path / "out", tmp_path / "c.cfg"
+    if config is not None:
+        cfg.write_text(f"[scene]\nscene = synth:single\n{config}")
+    src = str(Path(splatcone.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "splatcone.cli",
+         *argv.format(out=out, cfg=cfg, ply=fixture_ply).split()],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_config_keys_are_simconfig_fields(tmp_path, capsys):
+    # the keys a config file may set, read back from the unknown-key error
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[run]\nbogus = 1\n")
+    sim_keys = {"pk" if f.name == "p_k" else f.name for f in dataclasses.fields(SimConfig)}
+    run_keys = sim_keys | {"scene", "seed", "confidence", "out"}
+    for command, expected in (("run", run_keys), ("batch", run_keys | {"n", "filters"})):
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "unknown config key(s) bogus" in err
+        assert set(err.split("known keys: ")[1].split(", ")) == expected

@@ -75,8 +75,8 @@ def test_load_ply_fixture_inv_cov_matches_dense_oracle(tmp_path):
         Sigma = R @ np.diag(s) @ np.diag(s) @ R.T
         A_expected = np.linalg.inv(Sigma)
         np.testing.assert_allclose(scene.inv_cov[i], A_expected, rtol=1e-10, atol=1e-13)
-        # whitening consistency L^T L = A
-        L = scene.whitening[i]
+        # whitening consistency L^T L = A, with L = diag(1/s) R^T
+        L = rotation_from_quat(scene.quats[i:i + 1])[0].T / scene.scales[i][:, None]
         np.testing.assert_allclose(L.T @ L, scene.inv_cov[i], rtol=1e-10, atol=1e-14)
 
 
@@ -156,8 +156,8 @@ def test_whitening_and_covariance_identity_synthetic():
     R = rotation_from_quat(scene.quats)
     S = scene.scales
     Sigma = np.einsum("nij,nj,nkj->nik", R, S * S, R)
-    # L Sigma L^T = I
-    L = scene.whitening
+    # L Sigma L^T = I, with L = diag(1/s) R^T
+    L = np.swapaxes(R, 1, 2) / S[:, :, None]
     prod = np.einsum("nij,njk,nlk->nil", L, Sigma, L)
     np.testing.assert_allclose(prod, np.broadcast_to(np.eye(3), prod.shape),
                                rtol=1e-8, atol=1e-8)

@@ -173,9 +173,8 @@ def test_audit_screen_keeps_every_point_in_reach(rho):
 
 def test_audit_screen_on_an_empty_scene():
     empty = Scene(means=np.zeros((0, 3)), quats=np.zeros((0, 4)), scales=np.zeros((0, 3)),
-                  opacities=np.zeros(0), inv_cov=np.zeros((0, 3, 3)),
-                  whitening=np.zeros((0, 3, 3)), s_min=np.zeros(0), confidence=11.3,
-                  bounds=np.zeros((2, 3)))
+                  opacities=np.zeros(0), inv_cov=np.zeros((0, 3, 3)), s_min=np.zeros(0),
+                  confidence=11.3, bounds=np.zeros((2, 3)))
     points = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     assert not empty.has_nearby(points, 1.0).any()
     got, want = scene_margins(empty, points), ref.scene_margins(empty, points)
