@@ -89,7 +89,12 @@ def parse_synth_spec(text: str) -> SyntheticSpec:
         default = getattr(SyntheticSpec, field)
         if lo in pairs or hi in pairs:
             kwargs[field] = (pairs.get(lo, default[0]), pairs.get(hi, default[1]))
-    return SyntheticSpec(**kwargs)
+    spec = SyntheticSpec(**kwargs)
+    try:
+        spec.validate()
+    except SceneError as e:  # out of range, like any other setting
+        raise ConfigError(f"synthetic spec: {e}") from None
+    return spec
 
 
 def load_scene_source(source: str, seed: int, confidence: float | None = None) -> Scene:
@@ -183,6 +188,8 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
         echo["filters"] = [f.strip() for f in filters.split(",") if f.strip()]
         if not echo["filters"]:
             raise ConfigError("filters names no filter")
+        if len(set(echo["filters"])) != len(echo["filters"]):
+            raise ConfigError(f"filters names a filter twice: {filters!r}")
         cfgs = tuple(dataclasses.replace(cfg, filter=name) for name in echo["filters"])
 
     scene = load_scene_source(source, seed, confidence=confidence)

@@ -72,13 +72,13 @@ class FilterConfig:
             raise FilterConfigError("rho must be non-negative")
 
 
-def effective_c2(scene: Scene, cfg: FilterConfig, idx: np.ndarray) -> np.ndarray:
-    """Per-splat squared confidence radius after conservative inflation."""
+def effective_c2(scene: Scene, rho: float, idx: np.ndarray) -> np.ndarray:
+    """Per-splat c_M^2 = (c + rho / s_min)^2: conservative inflation by radius rho."""
     c2 = scene.confidence
-    if cfg.rho == 0.0:
+    if rho == 0.0:
         return np.full(idx.size, c2)
     c = np.sqrt(c2)
-    return (c + cfg.rho / np.take(scene.s_min, idx)) ** 2
+    return (c + rho / np.take(scene.s_min, idx)) ** 2
 
 
 def _gather(scene: Scene, idx: np.ndarray):
@@ -94,7 +94,7 @@ def _cone_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
             p, v, means, A, np.take(scene.s_min, idx), c, cfg.rho, cfg.p_k)
         return normals, offsets, h, eta <= 0.0, int(fb.sum())
     normals, offsets, h, eta = kernels.cone_rows(
-        p, v, means, A, effective_c2(scene, cfg, idx), cfg.p_k)
+        p, v, means, A, effective_c2(scene, cfg.rho, idx), cfg.p_k)
     return normals, offsets, h, eta <= 0.0, 0
 
 
@@ -103,14 +103,14 @@ def _baseline_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     a2 = cfg.baseline_alpha2 if cfg.baseline_alpha2 is not None else cfg.p_k
     means, A = _gather(scene, idx)
     normals, offsets, h = kernels.baseline_rows(
-        p, v, means, A, effective_c2(scene, cfg, idx), a1, a2)
+        p, v, means, A, effective_c2(scene, cfg.rho, idx), a1, a2)
     return normals, offsets, h, h <= 0.0, 0
 
 
 def _no_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     # conservative cone values for the record only; nothing is constrained
     means, A = _gather(scene, idx)
-    _, _, h, _ = kernels.cone_rows(p, v, means, A, effective_c2(scene, cfg, idx), cfg.p_k)
+    _, _, h, _ = kernels.cone_rows(p, v, means, A, effective_c2(scene, cfg.rho, idx), cfg.p_k)
     return np.zeros((0, 3)), np.zeros(0), h, np.zeros(h.size, dtype=bool), 0
 
 

@@ -120,22 +120,15 @@ def baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
 # ellipsoid margins (audits, inside checks)
 # ---------------------------------------------------------------------------
 
-def min_margin(points, means, inv_cov, c2eff):
-    """Per-point min over splats of (p - mu)^T A (p - mu) - c2eff.
-
-    Negative means the point penetrates some (inflated) confidence ellipsoid.
-    Empty splat set gives +inf.
-    """
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-    means = np.ascontiguousarray(means, dtype=np.float64)
-    if means.shape[0] == 0:
-        return np.full(points.shape[0], np.inf)
-    inv_cov = np.ascontiguousarray(inv_cov, dtype=np.float64)
-    c2eff = np.ascontiguousarray(c2eff, dtype=np.float64)
-    e = points[:, None, :] - means[None, :, :]      # (k, m, 3)
-    Ae = np.einsum("mij,kmj->kmi", inv_cov, e)
-    vals = np.einsum("kmi,kmi->km", e, Ae) - c2eff[None, :]
-    return vals.min(axis=1)
+def min_margin(points, owner, means, inv_cov, c2eff):
+    """Per-point min of (p - mu)^T A (p - mu) - c2eff over its pairs; pair j
+    joins point owner[j] to row j of means, inv_cov and c2eff. Negative means
+    inside some (inflated) ellipsoid; a point with no pair gets +inf."""
+    e = np.take(points, owner, axis=0) - means
+    Ae = np.einsum("mij,mj->mi", inv_cov, e)
+    out = np.full(points.shape[0], np.inf)
+    np.minimum.at(out, owner, np.einsum("mi,mi->m", e, Ae) - c2eff)
+    return out
 
 
 def _matvec(mats, x):

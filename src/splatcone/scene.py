@@ -12,6 +12,7 @@ L = S^-1 R^T.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -176,14 +177,14 @@ class Scene:
         idx = self._tree.query_ball_point(p, radius)
         return np.sort(np.fromiter(idx, dtype=np.intp, count=len(idx)))
 
-    def has_nearby(self, points: np.ndarray, radius: float) -> np.ndarray:
-        """Mask over `points` (k, 3), True for every point where
-        `query_nearby(p, radius)` is non-empty, from one batched
-        nearest-mean query. The bound is widened by 1e-9 relative, so a
-        rounding difference between the two tree searches can only keep a
-        point, never drop one."""
-        dist, _ = self._tree.query(points, k=1, distance_upper_bound=radius * (1.0 + 1e-9))
-        return np.isfinite(dist)
+    def nearby_pairs(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, idx) of every pair of a row of `points` (k, 3) and a splat
+        whose mean lies within `radius`: the tree's own ball search, as in
+        `query_nearby`, batched; the neighbour list is left alone."""
+        found = self._tree.query_ball_point(points, radius)
+        counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+        idx = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp)
+        return np.repeat(np.arange(len(found)), counts), idx
 
     @classmethod
     def from_arrays(

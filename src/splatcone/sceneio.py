@@ -18,6 +18,7 @@ renormalization rounding):
 """
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -150,30 +151,24 @@ def save_ply(path: str | Path, scene: Scene) -> None:
 
 def save_scene_dump(path: str | Path, scene: Scene) -> None:
     """Write the versioned .npz scene dump (atomic)."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".npz.tmp")
-    try:
-        opts = scene.options
-        lo = opts.scale_min if opts.scale_min is not None else float(scene.scales.min())
-        hi = opts.scale_max if opts.scale_max is not None else float(scene.scales.max())
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                version=DUMP_VERSION,
-                means=scene.means,
-                quats=scene.quats,
-                scales=scene.scales,
-                opacities=scene.opacities,
-                confidence=scene.confidence,
-                opacity_min=opts.opacity_min,
-                scale_min=lo,
-                scale_max=hi,
-                anisotropy_cap=opts.anisotropy_cap,
-            )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    opts = scene.options
+    lo = opts.scale_min if opts.scale_min is not None else float(scene.scales.min())
+    hi = opts.scale_max if opts.scale_max is not None else float(scene.scales.max())
+    buf = io.BytesIO()
+    np.savez(
+        buf,
+        version=DUMP_VERSION,
+        means=scene.means,
+        quats=scene.quats,
+        scales=scene.scales,
+        opacities=scene.opacities,
+        confidence=scene.confidence,
+        opacity_min=opts.opacity_min,
+        scale_min=lo,
+        scale_max=hi,
+        anisotropy_cap=opts.anisotropy_cap,
+    )
+    _atomic_write_bytes(path, buf.getvalue())
 
 
 def load_scene_dump(path: str | Path, confidence: float | None = None) -> Scene:

@@ -40,6 +40,9 @@ class SyntheticSpec:
             lo, hi = rng
             if not (0 < lo <= hi):
                 raise SceneError(f"inverted or non-positive {name}: {rng}")
+        for name in ("extent", "ring_radius", "pillar_radius", "height"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise SceneError(f"{name} must be finite and non-negative")
         if self.pattern == "ring" and self.pillar_count < 1:
             raise SceneError("pillar_count must be positive")
         if self.pattern not in ("single", "ring", "clutter", "wall"):

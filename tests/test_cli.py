@@ -257,6 +257,16 @@ _SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
     (f"run {_SINGLE} --axes 1,1 --out {{out}}", None),
     (f"run {_SINGLE} --seed -1 --out {{out}}", None),
     ("run --scene synth:single,count=x --out {out}", None),
+    # out-of-range synthetic specs: exit 2 or a sampler traceback before
+    ("run --scene synth:single,count=0 --out {out}", None),
+    ("run --scene synth:single,scale_lo=nan --out {out}", None),
+    ("run --scene synth:wall,height=-1 --out {out}", None),
+    ("run --scene synth:ring,pillar_radius=-1 --out {out}", None),
+    ("run --scene synth:clutter,extent=-1 --out {out}", None),
+    ("run --scene synth:wall,height=nan --out {out}", None),
+    ("run --scene synth:clutter,extent=inf --out {out}", None),
+    ("run --scene synth:ring,ring_radius=-2 --out {out}", None),
+    (f"batch {_SINGLE} --n 1 --filters cone,cone --out {{out}}", None),
     ("run --config {cfg} --out {out}", "[run]\npk = abc\n"),
     ("run --config {cfg} --out {out}", "[run]\nseed = 1.5\n"),
     ("batch --config {cfg} --out {out}", "[batch]\nn = x\n"),

@@ -58,12 +58,17 @@ def test_inflated_rows_match_scalar_builder(batch):
 def test_margin_matches_direct_quadratic(batch):
     p, v, means, inv_cov, smin, c2eff = batch
     pts = np.random.default_rng(9).normal(size=(5, 3)) * 4.0
-    got = kernels.min_margin(pts, means, inv_cov, c2eff)
+    # every (point, splat) pair, as explicit pairs
+    m = means.shape[0]
+    owner = np.repeat(np.arange(5), m)
+    got = kernels.min_margin(pts, owner, np.tile(means, (5, 1)), np.tile(inv_cov, (5, 1, 1)),
+                             np.tile(c2eff, 5))
     for k, pt in enumerate(pts):
         e = pt - means
         vals = np.einsum("mi,mij,mj->m", e, inv_cov, e) - c2eff
         assert got[k] == pytest.approx(vals.min(), rel=1e-12)
-    assert (kernels.min_margin(pts, means[:0], inv_cov[:0], c2eff[:0]) == np.inf).all()
+    none = np.zeros(0, dtype=np.intp)
+    assert (kernels.min_margin(pts, none, means[:0], inv_cov[:0], c2eff[:0]) == np.inf).all()
 
 
 def test_baseline_rows_match_direct_formula(batch):

@@ -1,5 +1,7 @@
 """Bit-identity pins of the closed-loop step: the filter solve, the norm-ball
 clip and the collision audit against their references in `reference_step.py`.
+The reference audit runs on the dense margin kernel it was written against,
+kept below as `dense_min_margin`.
 
 The start-from-rest stall ends by rounding (see test_kernels.py), so a
 speed-up of any of these must leave every bit of every result unchanged.
@@ -7,6 +9,7 @@ The solves are replayed from short ring batch trajectories of both filters;
 results are compared with np.array_equal, scalars with ==.
 """
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from splatcone import qp
 from splatcone.filter import FilterConfig
 from splatcone.scene import Scene
 from splatcone.simulator import SimConfig, _clip_reference, audit_reach, run_trajectory, scene_margins
+from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 
 # pairs that meet the pillars (interventions, the start-from-rest stall of
 # pair 3, the baseline's infeasible end of pair 3) and pairs that pass clear
@@ -27,6 +31,31 @@ REPLAY_STEPS = 350
 # pow) and as t * t (numpy's square): t ** 2 < t * t for the first and
 # t ** 2 > t * t for the second (Python 3.11, x86-64 Linux).
 POW_RADII = (184.5816885635049, 84.96016335592222)
+
+
+def dense_min_margin(points, means, inv_cov, c2eff):
+    """Per-point min over splats of (p - mu)^T A (p - mu) - c2eff.
+
+    Negative means the point penetrates some (inflated) confidence ellipsoid.
+    Empty splat set gives +inf.
+    """
+    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
+    means = np.ascontiguousarray(means, dtype=np.float64)
+    if means.shape[0] == 0:
+        return np.full(points.shape[0], np.inf)
+    inv_cov = np.ascontiguousarray(inv_cov, dtype=np.float64)
+    c2eff = np.ascontiguousarray(c2eff, dtype=np.float64)
+    e = points[:, None, :] - means[None, :, :]      # (k, m, 3)
+    Ae = np.einsum("mij,kmj->kmi", inv_cov, e)
+    vals = np.einsum("kmi,kmi->km", e, Ae) - c2eff[None, :]
+    return vals.min(axis=1)
+
+
+@pytest.fixture(autouse=True)
+def _reference_audit_kernel(monkeypatch):
+    # the library's `kernels.min_margin` is the pair kernel now; the
+    # reference audit calls the dense one through its `kernels` global
+    monkeypatch.setattr(ref, "kernels", types.SimpleNamespace(min_margin=dense_min_margin))
 
 
 def assert_same_solution(got, want):
@@ -140,10 +169,33 @@ def test_scene_margins_bit_identical_on_ring_trajectory(rho):
     scene = ring_scene()
     cfg = SimConfig(filter="off", a_max=10.0, v_max=2.5, timeout=8.0, p_k=8.0)
     record = run_trajectory(scene, np.array([-10.0, 0.3, 2.0]), np.array([10.0, -0.3, 2.0]), cfg)
-    points = np.concatenate([record.p, np.random.default_rng(3).uniform(-9, 9, (400, 3))])
-    got, want = scene_margins(scene, points, rho), ref.scene_margins(scene, points, rho)
-    assert np.isfinite(got).any() and np.isinf(got).any()
-    assert np.array_equal(got, want)
+    rng = np.random.default_rng(3)
+    points = np.concatenate([record.p, rng.uniform(-9, 9, (400, 3))])
+    # criterion 9's splat density (170k in a 35.4 m box) in a smaller box,
+    # probed uniformly, next to splat means and outside the box
+    clutter = make_synthetic_scene(
+        SyntheticSpec(pattern="clutter", count=20000, extent=8.67,
+                      scale_range=(0.05, 0.15), anisotropy_range=(1.0, 3.0)),
+        seed=11)
+    probes = np.concatenate([rng.uniform(-8.67, 8.67, (400, 3)),
+                             clutter.means[:200] + rng.normal(scale=0.1, size=(200, 3)),
+                             rng.uniform(12.0, 20.0, (20, 3))])
+    for sc, pts in ((scene, points), (clutter, probes)):
+        got, want = scene_margins(sc, pts, rho), ref.scene_margins(sc, pts, rho)
+        assert np.isfinite(got).any() and np.isinf(got).any() and (got < 0).any()
+        assert np.array_equal(got, want)
+
+
+def test_scene_margins_leave_the_neighbour_list_alone():
+    # the audit's reach is not the filter's radius: replacing the filter's
+    # neighbour list would make its next step rebuild it
+    scene = ring_scene()
+    scene.query_nearby(np.array([-10.0, 0.3, 2.0]), 5.0)
+    memo = scene._memo
+    points = np.random.default_rng(4).uniform(-9, 9, (200, 3))
+    for rho in (0.0, 0.2):
+        assert np.isfinite(scene_margins(scene, points, rho)).any()
+        assert scene._memo is memo
 
 
 def _one_splat_scene():
@@ -159,13 +211,12 @@ def test_audit_screen_keeps_every_point_in_reach(rho):
         [reach, 0.0, 0.0],                        # exactly reach from the mean
         [0.0, -reach, 0.0],
         [np.nextafter(reach, np.inf), 0.0, 0.0],  # just outside reach
-        [reach * (1.0 + 5e-10), 0.0, 0.0],        # outside, inside the widened screen
+        [reach * (1.0 + 5e-10), 0.0, 0.0],        # outside by 5e-10 relative
         [0.0, 0.0, reach * 1.01],
         [100.0, 100.0, 100.0],                    # no splat anywhere near
     ])
     near = [scene.query_nearby(pt, reach).size > 0 for pt in points]
     assert near == [True, True, False, False, False, False]
-    assert scene.has_nearby(points, reach)[near].all()
     got, want = scene_margins(scene, points, rho), ref.scene_margins(scene, points, rho)
     assert np.array_equal(got, want)
     assert np.isfinite(got[:2]).all() and np.isinf(got[2:]).all()
@@ -176,6 +227,5 @@ def test_audit_screen_on_an_empty_scene():
                   opacities=np.zeros(0), inv_cov=np.zeros((0, 3, 3)), s_min=np.zeros(0),
                   confidence=11.3, bounds=np.zeros((2, 3)))
     points = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-    assert not empty.has_nearby(points, 1.0).any()
     got, want = scene_margins(empty, points), ref.scene_margins(empty, points)
     assert np.array_equal(got, want) and np.isinf(got).all()
