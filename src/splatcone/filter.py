@@ -68,6 +68,9 @@ class FilterConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise FilterConfigError(f"{name} must be positive when set")
+        # as FilterProblem requires: an infinite penalty is no slack at all
+        if self.slack_weight is not None and not self.slack_weight < float("inf"):
+            raise FilterConfigError("slack_weight must be finite when set")
         if not self.rho >= 0:
             raise FilterConfigError("rho must be non-negative")
 

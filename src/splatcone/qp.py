@@ -23,8 +23,16 @@ which keeps it exact while those rows stay active. A dual value above an
 upper bound on the optimum certifies infeasibility; the search stops after
 `_BALL_BUDGET` evaluations of u(nu) with a SolverError carrying its
 residuals. Without rows the program is a projection onto two balls, solved
-in closed form (`project_balls`). With slack enabled the rows turn into
-quadratic penalties and u(nu) is a piecewise Newton solve.
+in closed form (`project_balls`).
+
+With a slack weight sw the rows relax to a_i^T u + xi_i >= b_i at a cost
+sw ||xi||^2 (the elastic mode of SQP codes, Gill, Murray & Saunders 2005).
+The relaxed rows are hard rows [a_i, e_i / sqrt(sw)] in the lifted space of
+(u, sqrt(sw) xi), so the same projection solves them, and the slack is
+xi = lam / sw. Each lifted step comes from the SVD of the working rows, in
+O(k) for k rows. Lifted rows are never dependent, so the balls alone decide
+feasibility. Every violated row carries a multiplier under the penalty, so
+the working set grows to every penalised row, one step each.
 """
 from __future__ import annotations
 
@@ -65,8 +73,11 @@ class FilterProblem:
 
     def __post_init__(self):
         self.reference = np.asarray(self.reference, dtype=np.float64)
-        if self.a_max <= 0:
+        # `not x > 0` so that NaN fails too
+        if not self.a_max > 0:
             raise ValueError("a_max must be positive")
+        if self.slack_weight is not None and not 0 < self.slack_weight < math.inf:
+            raise ValueError("slack_weight must be positive and finite when set")
         m = self.normals.shape[0]
         if self.splat_ids.shape[0] != m:
             self.splat_ids = np.full(m, -1, dtype=np.intp)
@@ -83,13 +94,18 @@ class FilterSolution:
 
 
 def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: float,
-                        max_iter: int = 200):
-    """min ||u - c||^2 / 2 s.t. N u >= b, rows of N unit-norm.
+                        max_iter: int | None = None, eps: float = 0.0):
+    """min ||u - c||^2 / 2 s.t. N u >= b, rows of N unit-norm; with eps > 0,
+    min ||u - c||^2 / 2 + ||xi||^2 / (2 eps) s.t. N u + xi >= b.
 
     Dual active-set iteration starting from the unconstrained optimum.
-    `b_scale` is 1 + max|b|, computed once per solve by the caller.
-    Returns (u, lam, feasible, s); lam is None when infeasible, and s is the
-    last residual N u - b with the working-set rows zeroed.
+    `b_scale` is 1 + max|b|, computed once per solve by the caller. With eps
+    the rows are the lifted [n_i, sqrt(eps) e_i] and xi = eps lam; a row
+    outside the working set carries no slack. A row joins the working set in
+    one iteration, and with eps every penalised row joins, so `max_iter`
+    defaults to 200, plus two per row with eps. Returns (u, lam, feasible, s):
+    lam is None when infeasible, and s is the last residual N u - b with the
+    working-set rows zeroed.
     """
     m = N.shape[0]
     u = c.copy()
@@ -101,10 +117,12 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
     ftol = 1e-12 * scale
     step_cap = 1e9 * scale  # longer steps mean numerically unreachable constraints
 
+    if max_iter is None:
+        max_iter = 200 + (2 * m if eps else 0)
     for _ in range(max_iter):
         s = N @ u - b
-        for j in W:
-            s[j] = 0.0
+        if W:
+            s[W] = 0.0
         p = int(s.argmin())
         sp = float(s[p])
         if sp >= -ftol:
@@ -115,7 +133,22 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
         npv = N[p]
         lam_p = 0.0
         while True:
-            if W:
+            if W and eps:
+                # from the SVD Nw = U diag(sv) Vt, Vt a full basis of R^3 and d
+                # the sv^2 padded with zeros to length 3: with g = Vt npv and
+                # h = g / (d + eps), rr = (Nw Nw^T + eps I)^-1 Nw npv = U (sv h)
+                # and z = npv - Nw^T rr = Vt^T (eps h). No factor exceeds
+                # 1 / (2 sqrt(eps)) and nothing cancels; the rounding of a
+                # Gram matrix, 1e-16 k, would be large against eps = sigma / sw
+                Un, sv, Vt = np.linalg.svd(N.take(W, axis=0), full_matrices=len(W) < 3)
+                g = Vt @ npv
+                d = np.zeros(3)
+                d[:sv.size] = sv * sv
+                h = g / (d + eps)
+                rr = Un @ (sv * h[:sv.size])
+                z = Vt.T @ (eps * h)
+                zz = float(npv @ z) + eps  # the rate of row p's lifted residual: its lifted |z|^2
+            elif W:
                 Nw = N[W]
                 M = Nw @ Nw.T
                 rhs = Nw @ npv
@@ -124,45 +157,36 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
                 except np.linalg.LinAlgError:
                     rr = np.linalg.lstsq(M, rhs, rcond=None)[0]
                 z = npv - Nw.T @ rr
+                zz = float(z @ z)
             else:
                 rr = np.zeros(0)
                 z = npv.copy()
-            zz = float(z @ z)
+                zz = float(z @ z) + eps
+            # the first working-set multiplier to reach 0 along lam_W - t rr
+            rl = rr.tolist()
+            t_block, j_block = np.inf, -1
+            for j, rj in enumerate(rl):
+                if rj > 1e-14 and lamW[j] / rj < t_block:
+                    t_block, j_block = lamW[j] / rj, j
             # rows are unit norm, so zz is the squared independent component;
             # near-dependence gets the dual-only branch to avoid huge steps
-            if zz > 1e-12 and -sp / zz <= step_cap:
+            # (lifted rows are never dependent)
+            if eps or zz > 1e-12 and -sp / zz <= step_cap:
                 t_full = -sp / zz
-                t_block = np.inf
-                j_block = -1
-                for j, rj in enumerate(rr):
-                    if rj > 1e-14 and lamW[j] / rj < t_block:
-                        t_block = lamW[j] / rj
-                        j_block = j
                 t = min(t_full, t_block)
                 u += t * z
-                for j in range(len(W)):
-                    lamW[j] -= t * rr[j]
-                lam_p += t
-                if t_full <= t_block:
-                    W.append(p)
-                    lamW.append(lam_p)
-                    break
                 sp += t * zz
-                del W[j_block], lamW[j_block]
+            elif j_block < 0:
+                return u, None, False, s  # new normal dependent on W: p can never be reached
             else:
-                # new normal is dependent on the working set
-                t_block = np.inf
-                j_block = -1
-                for j, rj in enumerate(rr):
-                    if rj > 1e-14 and lamW[j] / rj < t_block:
-                        t_block = lamW[j] / rj
-                        j_block = j
-                if j_block < 0:
-                    return u, None, False, s  # constraint p can never be reached
-                for j in range(len(W)):
-                    lamW[j] -= t_block * rr[j]
-                lam_p += t_block
-                del W[j_block], lamW[j_block]
+                t_full, t = np.inf, t_block  # dependent: only the multipliers move
+            lamW = [lj - t * rj for lj, rj in zip(lamW, rl)]
+            lam_p += t
+            if t_full <= t_block:
+                W.append(p)
+                lamW.append(lam_p)
+                break
+            del W[j_block], lamW[j_block]
     raise SolverError("active-set projection hit iteration cap",
                       {"min_violation": float((N @ u - b).min())})
 
@@ -386,32 +410,41 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = 
             lo, hi = 0.0, np.inf
 
 
-def _project_with_balls(ubar, N, b, b_scale, Q, R):
+def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
     """Projection onto {N u >= b} intersect the balls ||u - Q[k]|| <= R[k],
-    with b_scale = 1 + max|b|. Returns (u, lam, s, nus), s the row residual
+    with b_scale = 1 + max|b|; with a slack weight `sw` the rows are relaxed
+    as in `_project_polyhedron`. Returns (u, lam, s, nus), s the row residual
     N u - b with the final working-set rows zeroed, or None when the
     intersection is empty.
 
     For fixed nu the optimum is the polyhedron projection of the shifted
     target (ubar + sum nu_k q_k) / (1 + sum nu_k), with row multipliers scaled
-    by 1 + sum nu_k. The dual value is checked against
-    min_k (||ubar - q_k|| + R_k)^2 / 2, which bounds the primal optimum
-    because every feasible point lies in each ball.
+    by 1 + sum nu_k (and eps = (1 + sum nu_k) / sw). With hard rows the dual
+    value is checked against min_k (||ubar - q_k|| + R_k)^2 / 2, which bounds
+    the primal optimum because every feasible point lies in each ball; a
+    penalised optimum can exceed it.
     """
     def evaluate(nu):
         sigma = 1.0 + float(nu.sum())
         target = ubar if sigma == 1.0 else (ubar + nu @ Q) / sigma
-        u, lam, feasible, s = _project_polyhedron(target, N, b, b_scale)
+        u, lam, feasible, s = _project_polyhedron(target, N, b, b_scale,
+                                                  eps=0.0 if sw is None else sigma / sw)
         if not feasible:
             return u, None, np.inf, None
 
         def jac():
             act = lam > 0.0
+            if sw is not None:
+                Na = N[act]
+                return np.linalg.inv(sigma * np.eye(3) + sw * (Na.T @ Na))
             return (_null_projector(N[act]) if act.any() else np.eye(3)) / sigma
 
         e = u - ubar
         rows = (lam if sigma == 1.0 else lam * sigma, s)  # x * 1.0 is x, bit for bit
-        return u, jac, 0.5 * float(e @ e), rows
+        f = 0.5 * float(e @ e)
+        if sw is not None:
+            f += 0.5 * float(rows[0] @ rows[0]) / sw  # sw ||xi||^2 / 2 with xi = lam / sw
+        return u, jac, f, rows
 
     start = evaluate(np.zeros(R.size))
     u, _, f, rows = start
@@ -421,76 +454,13 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R):
     if f < np.inf and all(d2 <= (r * (1.0 + _FEAS_TOL)) * (r * (1.0 + _FEAS_TOL))
                           for d2, r in zip(np.einsum("ij,ij->i", D, D).tolist(), R.tolist())):
         return u, *rows, np.zeros(R.size)  # no ball binds: the rows-only projection
-    bound = 0.5 * min(math.dist(ubar, q) + r for q, r in zip(Q, R)) ** 2
+    bound = (np.inf if sw is not None
+             else 0.5 * min(math.dist(ubar, q) + r for q, r in zip(Q, R)) ** 2)
     res = _ball_multipliers(evaluate, Q, R, bound, start=start)
     if res is None:
         return None
     u, nus, rows = res
     return u, *rows, nus
-
-
-def _slack_objective_grad(u, ubar, N, b, sw, nus, centers):
-    xi = b - N @ u
-    act = xi > 0.0
-    grad = 2.0 * (u - ubar)
-    if act.any():
-        grad = grad - 2.0 * sw * (N[act].T @ xi[act])
-    for nu, q in zip(nus, centers):
-        grad = grad + 2.0 * nu * (u - q)
-    return grad, xi, act
-
-
-def _solve_slack_at(ubar, N, b, sw, nus, centers, max_iter: int = 100):
-    """Piecewise-Newton minimization of the slack-penalized objective for
-    fixed ball multipliers. The objective is smooth (C1) convex piecewise
-    quadratic, so Newton on the active piece with an Armijo backtrack
-    converges globally."""
-    u = ubar.copy()
-    scale = 1.0 + float(np.linalg.norm(ubar))
-    for _ in range(max_iter):
-        grad, xi, act = _slack_objective_grad(u, ubar, N, b, sw, nus, centers)
-        gn = float(np.linalg.norm(grad))
-        if gn <= 1e-11 * scale:
-            return u
-        H = 2.0 * (1.0 + sum(nus)) * np.eye(3)
-        if act.any():
-            Na = N[act]
-            H = H + 2.0 * sw * (Na.T @ Na)
-        d = np.linalg.solve(H, -grad)
-
-        def f(x):
-            val = float((x - ubar) @ (x - ubar))
-            r = b - N @ x
-            r = r[r > 0.0]
-            val += sw * float(r @ r)
-            for nu, q in zip(nus, centers):
-                val += nu * float((x - q) @ (x - q))
-            return val
-
-        f0 = f(u)
-        t = 1.0
-        while f(u + t * d) > f0 + 1e-4 * t * float(grad @ d) and t > 1e-12:
-            t *= 0.5
-        u = u + t * d
-    return u
-
-
-def _solve_slack(ubar, N, b, sw, Q, R):
-    """Slack-mode optimum (u, nus). The balls must intersect: the rows are
-    soft, so the balls alone decide feasibility."""
-    def evaluate(nu):
-        u = _solve_slack_at(ubar, N, b, sw, nu, Q)
-        xi = np.maximum(b - N @ u, 0.0)
-        Na = N[xi > 0.0]
-        f = 0.5 * float((u - ubar) @ (u - ubar)) + 0.5 * sw * float(xi @ xi)
-
-        def jac():
-            return np.linalg.inv((1.0 + nu.sum()) * np.eye(3) + sw * (Na.T @ Na))
-
-        return u, jac, f, None
-
-    u, nus, _ = _ball_multipliers(evaluate, Q, R)
-    return u, nus
 
 
 def solve_filter(problem: FilterProblem) -> FilterSolution:
@@ -525,28 +495,23 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
                               slack_used=0.0, solve_time=time.perf_counter() - t0,
                               kkt_residual=_stationarity(u, ubar, nus, Q))
 
-    if problem.slack_weight is not None:
-        sw = float(problem.slack_weight)
-        u, nus = _solve_slack(ubar, N, b, sw, Q, R)
-        xi = np.maximum(0.0, b - N @ u)
-        grad, _, _ = _slack_objective_grad(u, ubar, N, b, sw, nus, Q)
-        slack_used = float(xi.max())
-        status = "degraded" if slack_used > 1e-8 else "optimal"
-        return FilterSolution(u=u, status=status, active_ids=np.asarray(ids[xi > 1e-8]),
-                              slack_used=slack_used, solve_time=time.perf_counter() - t0,
-                              kkt_residual=float(np.linalg.norm(grad)) / 2.0)
-
+    sw = problem.slack_weight
     abs_b = np.abs(b)
-    res = _project_with_balls(ubar, N, b, 1.0 + float(abs_b.max()), Q, R)
+    res = _project_with_balls(ubar, N, b, 1.0 + float(abs_b.max()), Q, R, sw)
     if res is None:
         return infeasible()
     u, lam, s, nus = res
-    # a row with lam > 0 is in the final working set, where s is zeroed, so
-    # the residual test alone finds every tight row
-    tight = np.abs(s) <= 1e-7 * (1.0 + abs_b)
-    return FilterSolution(u=u, status="optimal", active_ids=np.asarray(ids[tight]), slack_used=0.0,
-                          solve_time=time.perf_counter() - t0,
-                          kkt_residual=_stationarity(u, ubar, nus, Q, N, lam))
+    kkt = _stationarity(u, ubar, nus, Q, N, lam)
+    if sw is None:
+        # a row with lam > 0 is in the final working set, where s is zeroed, so
+        # the residual test alone finds every tight row
+        active, slack_used, status = ids[np.abs(s) <= 1e-7 * (1.0 + abs_b)], 0.0, "optimal"
+    else:
+        xi = np.maximum(0.0, b - N @ u)
+        slack_used = float(xi.max())
+        active, status = ids[xi > 1e-8], "degraded" if slack_used > 1e-8 else "optimal"
+    return FilterSolution(u=u, status=status, active_ids=np.asarray(active), slack_used=slack_used,
+                          solve_time=time.perf_counter() - t0, kkt_residual=kkt)
 
 
 def _stationarity(u, ubar, nus, Q, N=None, lam=None) -> float:

@@ -1,8 +1,12 @@
-"""Bit-identity references for the closed-loop step: the solver tail, the
-norm-ball clip and the collision audit as they stood before their numpy calls
-were trimmed. Kept verbatim (two type hints dropped), so a test can compare
-the library's results with these bit for bit; helpers that did not change
-are imported from the library. Nothing in the library imports this module.
+"""References for the closed-loop step: the solver tail, the norm-ball clip
+and the collision audit as they stood before their numpy calls were
+trimmed. Kept verbatim (two type hints dropped), so a test can compare the
+library's results with these bit for bit; helpers that did not change are
+imported from the library. Nothing in the library imports this module.
+
+The slack mode here is the piecewise-Newton solver (`_solve_slack_at`,
+`_slack_objective_grad`) that the library replaced by the lifted dual active
+set: its results are a reference to about 1e-8 relative, not bit for bit.
 """
 from __future__ import annotations
 
@@ -21,8 +25,6 @@ from splatcone.qp import (
     FilterSolution,
     SolverError,
     _null_projector,
-    _slack_objective_grad,
-    _solve_slack_at,
 )
 from splatcone.simulator import audit_reach
 
@@ -333,6 +335,52 @@ def _project_with_balls(ubar, N, b, Q, R):
         return None
     u, nus, lam = res
     return u, lam, nus
+
+
+def _slack_objective_grad(u, ubar, N, b, sw, nus, centers):
+    xi = b - N @ u
+    act = xi > 0.0
+    grad = 2.0 * (u - ubar)
+    if act.any():
+        grad = grad - 2.0 * sw * (N[act].T @ xi[act])
+    for nu, q in zip(nus, centers):
+        grad = grad + 2.0 * nu * (u - q)
+    return grad, xi, act
+
+
+def _solve_slack_at(ubar, N, b, sw, nus, centers, max_iter: int = 100):
+    """Piecewise-Newton minimization of the slack-penalized objective for
+    fixed ball multipliers. The objective is smooth (C1) convex piecewise
+    quadratic, so Newton on the active piece with an Armijo backtrack
+    converges globally."""
+    u = ubar.copy()
+    scale = 1.0 + float(np.linalg.norm(ubar))
+    for _ in range(max_iter):
+        grad, xi, act = _slack_objective_grad(u, ubar, N, b, sw, nus, centers)
+        gn = float(np.linalg.norm(grad))
+        if gn <= 1e-11 * scale:
+            return u
+        H = 2.0 * (1.0 + sum(nus)) * np.eye(3)
+        if act.any():
+            Na = N[act]
+            H = H + 2.0 * sw * (Na.T @ Na)
+        d = np.linalg.solve(H, -grad)
+
+        def f(x):
+            val = float((x - ubar) @ (x - ubar))
+            r = b - N @ x
+            r = r[r > 0.0]
+            val += sw * float(r @ r)
+            for nu, q in zip(nus, centers):
+                val += nu * float((x - q) @ (x - q))
+            return val
+
+        f0 = f(u)
+        t = 1.0
+        while f(u + t * d) > f0 + 1e-4 * t * float(grad @ d) and t > 1e-12:
+            t *= 0.5
+        u = u + t * d
+    return u
 
 
 def _solve_slack(ubar, N, b, sw, Q, R):

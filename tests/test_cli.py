@@ -211,7 +211,8 @@ def test_config_file_reads_baseline_gains_and_rejects_unknown_keys(tmp_path, cap
 
 @pytest.mark.parametrize("flag, message", [("--rho=-3", "rho must be non-negative"),
                                            ("--slack-weight=-1", "slack_weight must be positive"),
-                                           ("--slack-weight=0", "slack_weight must be positive")])
+                                           ("--slack-weight=0", "slack_weight must be positive"),
+                                           ("--slack-weight=inf", "slack_weight must be finite")])
 def test_out_of_range_setting_exit_1(tmp_path, capsys, flag, message):
     # a negative rho makes the audit's reach negative, and a path through
     # the splat would be audited as clear

@@ -322,6 +322,7 @@ def test_batch_start_perturbed_out_of_obstacle():
 @pytest.mark.parametrize("kw", [dict(inside_policy="hrad"), dict(inflation_mode="exakt"),
                                 dict(rho=-1.0), dict(p_k=0.0), dict(p_k=float("nan")),
                                 dict(v_max=-1.0), dict(slack_weight=0.0),
+                                dict(slack_weight=float("inf")),
                                 dict(baseline_alpha2=-1.0)], ids=str)
 def test_filter_settings_checked_once(kw):
     """FilterConfig rejects a bad filter setting; SimConfig, which extends

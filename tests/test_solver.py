@@ -1,4 +1,6 @@
 """Filter-solve correctness against independent projection oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from helpers import (
     enumeration_projection,
     grid_refine_projection,
     kkt_residual,
+    ring_problems,
 )
+import reference_step
 
 
 def _solve(ubar, normals, offsets, a_max, **kw):
@@ -82,6 +86,72 @@ def test_slack_mode_degraded():
     assert sol.slack_used > 1e-8
     # symmetric instance: slack optimum stays at the midpoint
     np.testing.assert_allclose(sol.u, [0.0, 0.0, 0.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("d, atol", [([0.0, 0.0, 1.0], 0.0), ([0.0, 1.0, 1.0], 1e-16)], ids=str)
+@pytest.mark.parametrize("sw", [1e4, 1e6, 1e8])
+def test_slack_on_conflicting_antiparallel_rows(sw, d, atol):
+    # d.u >= 0.3 and -d.u >= 0.5 (d unit) conflict; the penalised optimum is
+    # u = d sw (0.3 - 0.5) / (1 + 2 sw). The second row lies in the span of
+    # the first, so its lifted direction is O(1 / sw) and the step onto it
+    # O(sw) long: an absolute rounding of 1e-16 in that direction would
+    # carry about 1e-16 sw into u, so along an axis the step must be exact.
+    # Off the axes the rows' bits leave d known to about 1e-16 only, and the
+    # multipliers are about 0.4 sw, so u is fixed to about 1e-16 sw
+    d = np.array(d) / np.linalg.norm(d)
+    sol = _solve(np.zeros(3), [d, -d], [0.3, 0.5], a_max=10.0, slack_weight=sw)
+    assert sol.status == "degraded"
+    np.testing.assert_allclose(sol.u, d * sw * (0.3 - 0.5) / (1.0 + 2.0 * sw),
+                               rtol=0.0, atol=1e-15 + atol * sw)
+
+
+def test_slack_with_hundreds_of_violated_rows():
+    # 400 rows through the origin, all violated by the reference: under the
+    # penalty each carries a multiplier, so each joins the lifted working set
+    rng = np.random.default_rng(0)
+    normals = rng.normal(size=(400, 3))
+    normals[:, 0] = np.abs(normals[:, 0])
+    problem = FilterProblem(reference=np.array([-20.0, 0.0, 0.0]), a_max=10.0,
+                            normals=normals, offsets=np.zeros(400), slack_weight=1e4)
+    sol = solve_filter(problem)
+    assert sol.status == "degraded"
+    assert sol.active_ids.size > 350
+    assert sol.kkt_residual < 1e-9
+    want = reference_step.solve_filter(problem)
+    assert np.array_equal(sol.active_ids, want.active_ids)
+    assert np.abs(sol.u - want.u).max() <= 1e-8
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(slack_weight=float("nan")), "slack_weight"), (dict(slack_weight=-1.0), "slack_weight"),
+    (dict(slack_weight=0.0), "slack_weight"), (dict(slack_weight=float("inf")), "slack_weight"),
+    (dict(a_max=float("nan")), "a_max"), (dict(a_max=0.0), "a_max")], ids=str)
+def test_bad_weight_or_bound_rejected(kw, message):
+    # a NaN weight would solve to u = NaN marked optimal, a negative one
+    # makes the penalty non-convex, and a NaN a_max must fail here, not deep
+    # inside the solve
+    with pytest.raises(ValueError, match=message):
+        FilterProblem(reference=np.zeros(3), **{"a_max": 1.0, **kw})
+
+
+@pytest.mark.parametrize("pair", [3, 8])
+def test_slack_converges_at_large_weights(pair):
+    # replayed cone steps from rest: every row through the apex carries a
+    # multiplier, and the penalty optimum nears the hard one as
+    # (first-order term) / sw, so sw * ||u_sw - u_hard|| holds still
+    for problem in ring_problems("cone", pair, 350)[::25]:
+        hard = solve_filter(problem)
+        gap = {}
+        for sw in (1e6, 1e8):
+            relaxed = dataclasses.replace(problem, slack_weight=sw)
+            sols = [solve_filter(relaxed) for _ in range(3)]
+            assert min(sol.solve_time for sol in sols) < 0.02  # the control period
+            sol = sols[0]
+            assert sol.kkt_residual < 1e-9
+            assert np.linalg.norm(sol.u) <= problem.a_max * (1 + 1e-9)
+            gap[sw] = sw * np.linalg.norm(sol.u - hard.u)
+        assert gap[1e6] < 1e2
+        assert gap[1e8] == pytest.approx(gap[1e6], rel=1e-2, abs=1e-6)
 
 
 def test_slack_inactive_matches_hard():
