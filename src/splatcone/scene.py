@@ -81,6 +81,11 @@ class PreprocessOptions:
         return chi2_confidence(3, 0.99)
 
 
+# Splats per chunk of `Scene.from_arrays`' covariance pass: the chunk's
+# (k, 3, 3) temporaries (147 KB each) stay in a core's L2 cache, and the
+# pass holds no whole-scene array but its output.
+_BUILD_CHUNK = 2048
+
 # Skin of `Scene.query_nearby`'s neighbour list, relative to the radius: one
 # tree query at radius (1 + _SKIN) serves every later query of that radius
 # whose centre lies within _SKIN * radius of the first one's (less 1e-9
@@ -177,6 +182,11 @@ class Scene:
         idx = self._tree.query_ball_point(p, radius)
         return np.sort(np.fromiter(idx, dtype=np.intp, count=len(idx)))
 
+    def count_nearby(self, points: np.ndarray, radius: float) -> np.ndarray:
+        """Per row of `points` (k, 3), the number of splats whose mean lies
+        within `radius`: the lengths of `nearby_pairs`' per-point results."""
+        return self._tree.query_ball_point(points, radius, return_length=True)
+
     def nearby_pairs(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(owner, idx) of every pair of a row of `points` (k, 3) and a splat
         whose mean lies within `radius`: the tree's own ball search, as in
@@ -199,10 +209,12 @@ class Scene:
 
         Applies the preprocessing pipeline: finiteness checks, degenerate
         quaternion rejection, opacity filtering, scale clamping with the
-        anisotropy cap, then precomputes inverse covariances and builds the
-        spatial index.
+        anisotropy cap, then precomputes inverse covariances (chunk by chunk,
+        so no whole-scene temporary is held) and builds the spatial index.
+        The caller's arrays are left writable and are not aliased.
         """
         opts = opts or PreprocessOptions()
+        given_means, given_opacities = means, opacities
         means = np.ascontiguousarray(means, dtype=np.float64)
         quats = np.ascontiguousarray(quats, dtype=np.float64)
         scales = np.ascontiguousarray(scales, dtype=np.float64)
@@ -220,7 +232,6 @@ class Scene:
             i = int(np.argwhere(scales <= 0)[0][0])
             raise SceneError(f"non-positive scale at splat index {i}")
 
-        keep = np.ones(n, dtype=bool)
         qnorm = np.linalg.norm(quats, axis=1)
         degenerate = qnorm < 1e-8
         if degenerate.any():
@@ -229,13 +240,21 @@ class Scene:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            keep &= ~degenerate
+        keep = ~degenerate
         keep &= opacities >= opts.opacity_min
         if not keep.any():
             raise SceneError("zero splats after opacity/quaternion filtering")
 
-        means, quats = means[keep], quats[keep]
-        scales, opacities = scales[keep], opacities[keep]
+        if keep.all():
+            # The scene stores means and opacities as they are, so they must
+            # not alias the caller's arrays (which the scene would freeze).
+            if np.may_share_memory(means, given_means):
+                means = means.copy()
+            if np.may_share_memory(opacities, given_opacities):
+                opacities = opacities.copy()
+        else:
+            means, quats, qnorm = means[keep], quats[keep], qnorm[keep]
+            scales, opacities = scales[keep], opacities[keep]
 
         lo, hi = means.min(axis=0), means.max(axis=0)
         diam = float(np.linalg.norm(hi - lo))
@@ -248,19 +267,21 @@ class Scene:
         scales = np.clip(scales, s_lo, s_hi)
         # Anisotropy cap: raise the small axes so max(s)/min(s) <= cap.
         floor = scales.max(axis=1, keepdims=True) / opts.anisotropy_cap
-        scales = np.maximum(scales, floor)
+        np.maximum(scales, floor, out=scales)
 
-        quats = quats / np.linalg.norm(quats, axis=1, keepdims=True)
-        R = rotation_from_quat(quats)
-        inv_s = 1.0 / scales
-        # A = R diag(1/s^2) R^T, L = diag(1/s) R^T; both exact in this factored form.
-        whitening = inv_s[:, :, None] * np.swapaxes(R, 1, 2)
-        inv_cov = np.einsum("nji,njk->nik", whitening, whitening)
+        quats = quats / qnorm[:, None]
+        inv_cov = np.empty((quats.shape[0], 3, 3))
+        for k in range(0, quats.shape[0], _BUILD_CHUNK):
+            part = slice(k, k + _BUILD_CHUNK)
+            R = rotation_from_quat(quats[part])
+            # A = R diag(1/s^2) R^T, L = diag(1/s) R^T; both exact in this factored form.
+            whitening = (1.0 / scales[part])[:, :, None] * np.swapaxes(R, 1, 2)
+            np.einsum("nji,njk->nik", whitening, whitening, out=inv_cov[part])
         s_min = scales.min(axis=1)
 
         c2 = opts.resolved_confidence()
         pad = float(np.sqrt(c2) * scales.max())
-        bounds = np.stack([means.min(axis=0) - pad, means.max(axis=0) + pad])
+        bounds = np.stack([lo - pad, hi + pad])
 
         return cls(
             means=means,

@@ -111,16 +111,21 @@ def load_ply(path: str | Path, opts: PreprocessOptions | None = None) -> Scene:
         raise SceneError(f"truncated body: expected {count} vertices, got {raw.shape[0]}")
 
     for name in _REQUIRED:
-        col = raw[name]
-        bad = ~np.isfinite(col.astype(np.float64))
+        bad = ~np.isfinite(raw[name])
         if bad.any():
             i = int(np.argmax(bad))
             raise SceneError(f"non-finite value in property '{name}' at splat index {i}")
 
-    means = np.stack([raw["x"], raw["y"], raw["z"]], axis=1).astype(np.float64)
-    scales = np.exp(np.stack([raw["scale_0"], raw["scale_1"], raw["scale_2"]], axis=1).astype(np.float64))
-    quats = np.stack([raw["rot_0"], raw["rot_1"], raw["rot_2"], raw["rot_3"]], axis=1).astype(np.float64)
+    # column by column, with no stacked temporaries; the record is freed
+    # before the scene is built
+    means, scales, quats = np.empty((count, 3)), np.empty((count, 3)), np.empty((count, 4))
+    for arr, cols in ((means, ("x", "y", "z")), (scales, ("scale_0", "scale_1", "scale_2")),
+                      (quats, ("rot_0", "rot_1", "rot_2", "rot_3"))):
+        for j, name in enumerate(cols):
+            arr[:, j] = raw[name]
+    np.exp(scales, out=scales)
     opacities = _sigmoid(raw["opacity"].astype(np.float64))
+    del raw
     return Scene.from_arrays(means, quats, scales, opacities, opts)
 
 
@@ -146,7 +151,7 @@ def save_ply(path: str | Path, scene: Scene) -> None:
         + "".join(f"property float {name}\n" for name in _REQUIRED)
         + "end_header\n"
     )
-    _atomic_write_bytes(path, header.encode("ascii") + rec.tobytes())
+    _atomic_write_bytes(path, header.encode("ascii"), rec)
 
 
 def save_scene_dump(path: str | Path, scene: Scene) -> None:
@@ -168,7 +173,7 @@ def save_scene_dump(path: str | Path, scene: Scene) -> None:
         scale_max=hi,
         anisotropy_cap=opts.anisotropy_cap,
     )
-    _atomic_write_bytes(path, buf.getvalue())
+    _atomic_write_bytes(path, buf.getbuffer())
 
 
 def load_scene_dump(path: str | Path, confidence: float | None = None) -> Scene:
@@ -186,12 +191,15 @@ def load_scene_dump(path: str | Path, confidence: float | None = None) -> Scene:
         return Scene.from_arrays(z["means"], z["quats"], z["scales"], z["opacities"], opts)
 
 
-def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
+def _atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write the chunks (bytes-like objects, such as a contiguous array) to
+    `path` one after another, atomically."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -132,26 +132,41 @@ def audit_reach(scene: Scene, rho: float = 0.0) -> float:
     return float((c_m * scene.scales.max(axis=1)).max())
 
 
-# Points per audit pass: a pass holds all its (point, splat) pairs, and a run
-# stuck beside a ring pillar has 94k of them (~14 MB more peak RSS in one pass).
-_AUDIT_BLOCK = 128
+# (point, splat) pairs per audit pass, at about 170 B each: a pass holds all
+# its pairs at once, so this bounds the audit's memory (about 0.7 MB, or one
+# point's pairs where a point has more). 64k pairs would cost perfbench's
+# ring_baseline 12 MB of peak RSS.
+_AUDIT_PAIRS = 1 << 12
+
+
+def _pair_blocks(counts: np.ndarray, budget: int):
+    """(lo, hi) of consecutive runs of points whose pair counts sum to at
+    most `budget`; a point with more pairs than that is a run of its own."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + budget, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def scene_margins(scene: Scene, points: np.ndarray, rho: float = 0.0) -> np.ndarray:
     """Per-point min over splats of (p - mu)^T A (p - mu) - c_M^2, with the
     conservative c_M = c + rho / s_min from raw geometry only (independent
-    of any filter state). Per block of points, one tree search finds every
-    (point, splat) pair within reach and one kernel call takes each point's
-    minimum; a point with no pair gets +inf."""
+    of any filter state). The points are split into runs of at most
+    _AUDIT_PAIRS (point, splat) pairs within reach; per run, one tree search
+    finds its pairs and one kernel call takes each point's minimum, so the
+    margins do not depend on the split. A point with no pair gets +inf."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     out = np.full(points.shape[0], np.inf)
     if len(scene) == 0:
         return out
     reach = audit_reach(scene, rho) + 1e-9
-    for lo in range(0, points.shape[0], _AUDIT_BLOCK):
-        block = points[lo:lo + _AUDIT_BLOCK]
+    for lo, hi in _pair_blocks(scene.count_nearby(points, reach), _AUDIT_PAIRS):
+        block = points[lo:hi]
         owner, idx = scene.nearby_pairs(block, reach)
-        out[lo:lo + _AUDIT_BLOCK] = kernels.min_margin(
+        out[lo:hi] = kernels.min_margin(
             block, owner, np.take(scene.means, idx, axis=0),
             np.take(scene.inv_cov, idx, axis=0), effective_c2(scene, rho, idx))
     return out
