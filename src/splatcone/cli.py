@@ -97,15 +97,22 @@ def parse_synth_spec(text: str) -> SyntheticSpec:
     return spec
 
 
-def load_scene_source(source: str, seed: int, confidence: float | None = None) -> Scene:
-    opts = PreprocessOptions(confidence=confidence)
+def _preprocess_options(**kwargs) -> PreprocessOptions:
+    """PreprocessOptions from settings; an out-of-range one is a config error."""
+    try:
+        return PreprocessOptions(**kwargs)
+    except SceneError as e:
+        raise ConfigError(str(e)) from None
+
+
+def load_scene_source(source: str, seed: int, opts: PreprocessOptions) -> Scene:
     if source.startswith("synth:"):
         return make_synthetic_scene(parse_synth_spec(source), seed, opts)
     path = Path(source)
     if not path.exists():
         raise SceneError(f"scene source not found: {source}")
     if path.suffix == ".npz":
-        return load_scene_dump(path, confidence=confidence)
+        return load_scene_dump(path, confidence=opts.confidence)
     return load_ply(path, opts)
 
 
@@ -173,8 +180,7 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
     if source is None:
         raise ConfigError("a scene source is required (--scene or config file)")
     confidence = get("confidence", float, None)
-    if confidence is not None and not confidence > 0:
-        raise ConfigError("confidence must be positive")
+    opts = _preprocess_options(confidence=confidence)
     echo = {**dataclasses.asdict(cfg), "scene": source, "seed": seed, "confidence": confidence}
     cfgs = (cfg,)
     if args.command == "run":
@@ -192,14 +198,14 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
             raise ConfigError(f"filters names a filter twice: {filters!r}")
         cfgs = tuple(dataclasses.replace(cfg, filter=name) for name in echo["filters"])
 
-    scene = load_scene_source(source, seed, confidence=confidence)
+    scene = load_scene_source(source, seed, opts)
     out_dir = Path(get("out", str, default_out))
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfgs, scene, out_dir, echo
 
 
 def cmd_convert(args) -> int:
-    opts = PreprocessOptions(
+    opts = _preprocess_options(
         opacity_min=args.opacity_min if args.opacity_min is not None else 0.1,
         scale_min=args.scale_clamp[0] if args.scale_clamp else None,
         scale_max=args.scale_clamp[1] if args.scale_clamp else None,

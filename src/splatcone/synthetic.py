@@ -40,6 +40,8 @@ class SyntheticSpec:
             lo, hi = rng
             if not (0 < lo <= hi):
                 raise SceneError(f"inverted or non-positive {name}: {rng}")
+        if self.opacity_range[1] > 1:
+            raise SceneError(f"opacity_range above 1: {self.opacity_range}")
         for name in ("extent", "ring_radius", "pillar_radius", "height"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
                 raise SceneError(f"{name} must be finite and non-negative")

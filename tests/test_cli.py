@@ -52,6 +52,8 @@ def test_parse_synth_spec():
     assert spec.scale_range == (0.1, 0.3)
     with pytest.raises(ConfigError):
         parse_synth_spec("synth:ring,bogus=1")
+    with pytest.raises(ConfigError, match="opacity_range above 1"):
+        parse_synth_spec("synth:clutter,count=50,opacity_lo=0.5,opacity_hi=3")
 
 
 def test_convert_fixture(tmp_path, fixture_ply, capsys):
@@ -70,6 +72,17 @@ def test_convert_opacity_flag(tmp_path, fixture_ply, capsys):
     rc = main(["convert", "--in", str(fixture_ply), "--out", str(out), "--opacity-min", "0.0"])
     assert rc == 0
     assert "splats: 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.5"])
+def test_convert_out_of_range_opacity_min_exit_1(tmp_path, fixture_ply, capsys, value):
+    # `convert` is the command that takes --opacity-min; NaN used to filter
+    # every splat and exit 2 as if the file were bad
+    out = tmp_path / "scene.npz"
+    rc = main(["convert", "--in", str(fixture_ply), "--out", str(out), "--opacity-min", value])
+    assert rc == 1
+    assert "opacity_min must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_missing_file_exit_2(tmp_path, capsys):
@@ -225,7 +238,7 @@ def test_out_of_range_setting_exit_1(tmp_path, capsys, flag, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_out_of_range_confidence_exit_1(tmp_path, capsys, value):
     # c^2 is a setting like any other: rejected before the scene loads, and
     # NaN must not reach the audit's tree query
@@ -266,6 +279,7 @@ _SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
     ("run --scene synth:clutter,extent=-1 --out {out}", None),
     ("run --scene synth:wall,height=nan --out {out}", None),
     ("run --scene synth:clutter,extent=inf --out {out}", None),
+    ("run --scene synth:clutter,count=50,opacity_lo=0.5,opacity_hi=3 --out {out}", None),
     ("run --scene synth:ring,ring_radius=-2 --out {out}", None),
     (f"batch {_SINGLE} --n 1 --filters cone,cone --out {{out}}", None),
     ("run --config {cfg} --out {out}", "[run]\npk = abc\n"),

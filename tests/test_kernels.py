@@ -2,9 +2,10 @@
 direct per-splat evaluation of the barrier formulas."""
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from splatcone import filter as filter_mod
-from splatcone import kernels
+from splatcone import kernels, simulator
 from splatcone.cone import RelativeGeometry
 from splatcone.constraints import build_constraint, build_constraint_inflated
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
@@ -261,3 +262,27 @@ def test_query_nearby_matches_tree(request, scene_name):
             want = np.sort(np.asarray(scene._tree.query_ball_point(pt, radius)))
             assert got.dtype == np.intp
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scene_name", ["clutter_scene", "ring_scene"])
+def test_scene_queries_match_a_balanced_tree(request, scene_name):
+    """The scene's kd-tree splits at sliding midpoints; a balanced tree
+    (median splits) over the same means finds the same splats for
+    query_nearby, count_nearby and nearby_pairs, at the activation radii,
+    the neighbour list's skin radius and the audit's reach."""
+    scene = request.getfixturevalue(scene_name)
+    balanced = cKDTree(scene.means, balanced_tree=True)
+    rng = np.random.default_rng(6)
+    lo, hi = scene.bounds
+    points = rng.uniform(lo, hi, size=(60, 3))
+    for radius in (1.0, 5.0, 5.5, simulator.audit_reach(scene, 0.2) + 1e-9):
+        want = [set(found) for found in balanced.query_ball_point(points, radius)]
+        assert sum(map(len, want)) > 0
+        assert [set(scene.query_nearby(p, radius).tolist()) for p in points] == want
+        assert scene.count_nearby(points, radius).tolist() == list(map(len, want))
+        owner, idx = scene.nearby_pairs(points, radius)
+        assert len(idx) == sum(map(len, want))
+        got = [set() for _ in points]
+        for o, i in zip(owner.tolist(), idx.tolist()):
+            got[o].add(i)
+        assert got == want

@@ -61,6 +61,36 @@ def test_rotation_matches_scipy_oracle():
     np.testing.assert_allclose(ours, theirs, atol=1e-12)
 
 
+def _reference_rotation(quats):
+    """`rotation_from_quat` as it stood before it worked column by column:
+    renormalise with np.linalg.norm and a broadcast, then fill R."""
+    q = np.asarray(quats, dtype=np.float64)
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    R[..., 0, 1] = 2 * (x * y - w * z)
+    R[..., 0, 2] = 2 * (x * z + w * y)
+    R[..., 1, 0] = 2 * (x * y + w * z)
+    R[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    R[..., 1, 2] = 2 * (y * z - w * x)
+    R[..., 2, 0] = 2 * (x * z - w * y)
+    R[..., 2, 1] = 2 * (y * z + w * x)
+    R[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
+
+
+def test_rotation_from_quat_bit_identical_to_reference():
+    # the scene build's reference (tests/reference_scene.py) calls the
+    # library's rotation_from_quat, so it is pinned here on its own
+    rng = np.random.default_rng(4)
+    for shape in [(4,), (1, 4), (2049, 4), (3, 5, 4)]:
+        q = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape[:-1] + (1,))
+        assert np.array_equal(rotation_from_quat(q), _reference_rotation(q)), shape
+    for q in rng.normal(size=(500, 4)):  # one quaternion at a time, as svgplot calls it
+        assert np.array_equal(rotation_from_quat(q), _reference_rotation(q))
+
+
 def test_load_ply_fixture_inv_cov_matches_dense_oracle(tmp_path):
     path = tmp_path / "three.ply"
     _write_ply(path, _fixture_rows())
@@ -246,6 +276,11 @@ def test_synthetic_bad_spec():
         make_synthetic_scene(SyntheticSpec(scale_range=(2.0, 1.0)), seed=1)
     with pytest.raises(SceneError):
         make_synthetic_scene(SyntheticSpec(pattern="spiral"), seed=1)
+    # opacities above 1 would be clipped by save_ply, so a PLY round trip
+    # would change the scene
+    with pytest.raises(SceneError, match="opacity_range above 1"):
+        SyntheticSpec(pattern="clutter", count=50, opacity_range=(0.5, 3.0)).validate()
+    SyntheticSpec(opacity_range=(0.5, 1.0)).validate()
 
 
 def test_query_nearby_trivial():
@@ -278,6 +313,49 @@ def test_query_nearby_rejects_nan_radius():
 def test_confidence_rejects_nan():
     with pytest.raises(SceneError, match="confidence must be positive"):
         PreprocessOptions(confidence=float("nan")).resolved_confidence()
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("anisotropy_cap", 0.0), ("anisotropy_cap", 0.5), ("anisotropy_cap", -2.0),
+    ("anisotropy_cap", _NAN),
+    ("opacity_min", _NAN), ("opacity_min", -0.1), ("opacity_min", 1.5),
+    ("scale_min", 0.0), ("scale_min", -1.0), ("scale_min", _NAN), ("scale_min", _INF),
+    ("scale_max", 0.0), ("scale_max", _NAN), ("scale_max", _INF),
+    ("confidence", 0.0), ("confidence", -1.0), ("confidence", _INF),
+])
+def test_preprocess_options_reject_out_of_range(field, value):
+    # a cap of 0 built infinite scales and zero inverse covariances, a NaN
+    # cap NaN covariances, a cap of 0.5 spheres twice the longest axis
+    with pytest.raises(SceneError, match=field):
+        PreprocessOptions(**{field: value})
+
+
+def test_preprocess_options_range_ends():
+    PreprocessOptions(opacity_min=0.0, anisotropy_cap=1.0)
+    opts = PreprocessOptions(opacity_min=1.0, scale_min=1e-6, scale_max=10.0,
+                             anisotropy_cap=_INF)
+    # an infinite cap is no cap
+    scales = np.array([[1e-3, 0.5, 2.0]])
+    scene = Scene.from_arrays(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]), scales,
+                              np.ones(1), opts)
+    assert np.array_equal(scene.scales, scales)
+
+
+@pytest.mark.parametrize("field, value", [("anisotropy_cap", 0.0), ("anisotropy_cap", _NAN),
+                                          ("opacity_min", _NAN), ("scale_min", -1.0),
+                                          ("scale_max", _INF)])
+def test_tampered_scene_dump_rejected(tmp_path, field, value):
+    path = tmp_path / "scene.npz"
+    save_scene_dump(path, make_synthetic_scene(SyntheticSpec(pattern="ring", count=150), seed=2))
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays[field] = np.float64(value)
+    np.savez(path, **arrays)
+    with pytest.raises(SceneError, match=field):
+        load_scene_dump(path)
 
 
 def _tree_ball(scene, p, radius):
