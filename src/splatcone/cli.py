@@ -119,12 +119,11 @@ def load_scene_source(source: str, seed: int, opts: PreprocessOptions) -> Scene:
 # The simulation settings a config file or flag may set: each SimConfig field
 # under its own name, except p_k, read as `pk` (a dash in a config key reads
 # as an underscore); text fields are read as text, all others as numbers. A
-# key set neither way takes SimConfig's default, except v_max (CLI_V_MAX). A
-# config key the command does not read is an error.
+# key set neither way takes SimConfig's default. A config key the command
+# does not read is an error.
 _SIM_KEYS = {("pk" if f.name == "p_k" else f.name):
              (f.name, str if isinstance(f.default, str) else float)
              for f in dataclasses.fields(SimConfig)}
-CLI_V_MAX = 2.5  # the CLI's speed bound when none is given
 _RUN_KEYS = (*_SIM_KEYS, "scene", "seed", "confidence", "out")
 _BATCH_KEYS = (*_RUN_KEYS, "n", "filters")
 
@@ -169,8 +168,7 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
 
     values = {name: value for key, (name, cast) in _SIM_KEYS.items()
               if (value := get(key, cast, None)) is not None}
-    values.setdefault("v_max", CLI_V_MAX)
-    if values["v_max"] <= 0:
+    if "v_max" in values and values["v_max"] <= 0:  # --v-max <= 0: no speed bound
         values["v_max"] = None
     cfg = SimConfig(**values)
     seed = get("seed", int, 0)

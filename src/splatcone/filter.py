@@ -8,8 +8,9 @@ their row builder:
     cone               collision-cone barrier rows (exact Minkowski rows when
                        rho > 0 and inflation_mode is "exact"); the robot is
                        inside a splat when eta <= 0
-    distance_baseline  second-order Mahalanobis-distance barrier rows; inside
-                       when h <= 0
+    distance_baseline  second-order Mahalanobis-distance barrier rows; its
+                       barrier h is the conservative cone's eta, so
+                       inside is h <= 0
     off                no rows (the reference is only clipped to the norm
                        bounds); cone barrier values are kept for the record
 

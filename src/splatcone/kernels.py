@@ -1,12 +1,16 @@
 """Batch per-splat kernels for the closed-loop hot path.
 
-One vectorized numpy implementation per row type. Each kernel is checked
-against the scalar builders in `cone.py` and `constraints.py`
-(`tests/test_kernels.py`).
+One vectorized numpy implementation per row type, checked against the
+scalar builders in `cone.py` and `constraints.py` (`tests/test_kernels.py`).
+Every kernel starts from one Mahalanobis pass over its splats (`_terms`, the
+batch form of `cone.RelativeGeometry`). The distance baseline's barrier
+(p - mu)^T A (p - mu) - c2eff is the cone's eta, so its rows come from the
+same terms; negating r = mu - p is exact, so they are the bits of a pass
+over p - mu.
 
-Row conventions match the scalar constraint builders: each active splat i
-contributes one half-space `normals[i] @ u >= offsets[i]` in acceleration
-space, plus its barrier value for diagnostics.
+Each active splat i contributes one half-space `normals[i] @ u >= offsets[i]`
+in acceleration space, plus its barrier value for diagnostics. Inputs are
+float64 arrays.
 """
 from __future__ import annotations
 
@@ -18,34 +22,18 @@ def active_backend() -> str:
     return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# cone constraint rows (fixed effective confidence per splat)
-# ---------------------------------------------------------------------------
-
 def cone_rows(p, v, means, inv_cov, c2eff, p_k):
     """Half-space rows of the cone barrier constraint, one per splat.
 
     c2eff is the per-splat effective squared confidence radius (already
     inflated for conservative robot-radius handling).
     """
-    p, v, means, inv_cov, c2eff = _as_batch(p, v, means, inv_cov, c2eff)
-    p_k = float(p_k)
-    r = means - p
-    Ar = np.einsum("mij,mj->mi", inv_cov, r)
-    Av = _matvec(inv_cov, v)
-    rar = np.einsum("mi,mi->m", r, Ar)
-    delta = np.einsum("mi,mi->m", r, Av)
-    beta = Av @ v
+    _, Ar, Av, rar, delta, beta = _terms(p, v, means, inv_cov)
     eta = rar - c2eff
     h = beta * eta - delta * delta
     normals = eta[:, None] * Av - delta[:, None] * Ar
-    offsets = -0.5 * p_k * h
-    return normals, offsets, h, eta
+    return normals, -0.5 * p_k * h, h, eta
 
-
-# ---------------------------------------------------------------------------
-# cone rows with exact direction-dependent inflation
-# ---------------------------------------------------------------------------
 
 def cone_rows_inflated(p, v, means, inv_cov, s_min, c, rho, p_k):
     """Cone rows with exact Minkowski inflation c_M = c + rho * psi(p, v).
@@ -54,21 +42,11 @@ def cone_rows_inflated(p, v, means, inv_cov, s_min, c, rho, p_k):
     beta = 0) fall back per-splat to the conservative radius c + rho/s_min;
     the returned mask marks them.
     """
-    p, v, means, inv_cov, _ = _as_batch(p, v, means, inv_cov, None)
-    s_min = np.ascontiguousarray(s_min, dtype=np.float64)
-    c, rho, p_k = float(c), float(rho), float(p_k)
-    r = means - p
-    Ar = np.einsum("mij,mj->mi", inv_cov, r)
-    Av = _matvec(inv_cov, v)
-    rar = np.einsum("mi,mi->m", r, Ar)
-    delta = np.einsum("mi,mi->m", r, Av)
-    beta = Av @ v
-    rnorm = np.linalg.norm(r, axis=1)
-
+    r, Ar, Av, rar, delta, beta = _terms(p, v, means, inv_cov)
     safe_beta = np.where(beta > 0.0, beta, 1.0)
     t = r - v[None, :] * (delta / safe_beta)[:, None]
     tn = np.linalg.norm(t, axis=1)
-    fallback = (beta <= 0.0) | (tn <= 1e-9 * rnorm)
+    fallback = (beta <= 0.0) | (tn <= 1e-9 * np.linalg.norm(r, axis=1))
 
     tn_s = np.where(fallback, 1.0, tn)
     At = np.einsum("mij,mj->mi", inv_cov, t)
@@ -81,8 +59,7 @@ def cone_rows_inflated(p, v, means, inv_cov, s_min, c, rho, p_k):
     gt = At / (tn_s * q)[:, None] - (q / tn_s ** 3)[:, None] * t
     # dt/dr = I - v (Av)^T / beta ; grad wrt p flips sign through r = mu - p
     gt_dot_v = np.einsum("mi,i->m", gt, v)
-    grad_r = rho * (gt - Av * (gt_dot_v / safe_beta)[:, None])
-    grad_p = -grad_r
+    grad_p = -(rho * (gt - Av * (gt_dot_v / safe_beta)[:, None]))
     # dt/dv = -v (beta Ar - 2 delta Av)^T / beta^2 - (delta/beta) I
     k_vec = (beta[:, None] * Ar - 2.0 * delta[:, None] * Av) / safe_beta[:, None] ** 2
     grad_v = rho * (-k_vec * gt_dot_v[:, None] - (delta / safe_beta)[:, None] * gt)
@@ -97,38 +74,40 @@ def cone_rows_inflated(p, v, means, inv_cov, s_min, c, rho, p_k):
     return normals, offsets, h, eta, fallback
 
 
-# ---------------------------------------------------------------------------
-# distance-barrier (second-order) rows for the comparison baseline
-# ---------------------------------------------------------------------------
-
 def baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
-    """Half-space rows of the second-order Mahalanobis-distance barrier."""
-    p, v, means, inv_cov, c2eff = _as_batch(p, v, means, inv_cov, c2eff)
-    a1, a2 = float(a1), float(a2)
-    e = p - means
-    Ae = np.einsum("mij,mj->mi", inv_cov, e)
-    Av = _matvec(inv_cov, v)
-    h = np.einsum("mi,mi->m", e, Ae) - c2eff
-    hdot = 2.0 * np.einsum("mi,mi->m", e, Av)
-    curv = 2.0 * (Av @ v)
-    normals = 2.0 * Ae
-    offsets = -curv - (a1 + a2) * hdot - (a1 * a2) * h
-    return normals, offsets, h
+    """Half-space rows of the second-order Mahalanobis-distance barrier
+    h = (p - mu)^T A (p - mu) - c2eff: hdd + (a1 + a2) hd + a1 a2 h >= 0
+    under p'' = u, with grad h = -2 A r, hd = -2 delta and
+    hdd = 2 beta + grad h . u."""
+    _, Ar, _, rar, delta, beta = _terms(p, v, means, inv_cov)
+    # 0 - 2x rather than -2x: an exact zero stays +0, as 2 A (p - mu) gives it
+    h, hdot, curv = rar - c2eff, 0.0 - 2.0 * delta, 2.0 * beta
+    return 0.0 - 2.0 * Ar, -curv - (a1 + a2) * hdot - (a1 * a2) * h, h
 
-
-# ---------------------------------------------------------------------------
-# ellipsoid margins (audits, inside checks)
-# ---------------------------------------------------------------------------
 
 def min_margin(points, owner, means, inv_cov, c2eff):
     """Per-point min of (p - mu)^T A (p - mu) - c2eff over its pairs; pair j
     joins point owner[j] to row j of means, inv_cov and c2eff. Negative means
     inside some (inflated) ellipsoid; a point with no pair gets +inf."""
-    e = np.take(points, owner, axis=0) - means
-    Ae = np.einsum("mij,mj->mi", inv_cov, e)
+    _, _, rar = _position_terms(np.take(points, owner, axis=0), means, inv_cov)
     out = np.full(points.shape[0], np.inf)
-    np.minimum.at(out, owner, np.einsum("mi,mi->m", e, Ae) - c2eff)
+    np.minimum.at(out, owner, rar - c2eff)
     return out
+
+
+def _position_terms(p, means, inv_cov):
+    """r = mu - p, A r and r^T A r per splat; p is one point or one per splat."""
+    r = means - p
+    Ar = np.einsum("mij,mj->mi", inv_cov, r)
+    return r, Ar, np.einsum("mi,mi->m", r, Ar)
+
+
+def _terms(p, v, means, inv_cov):
+    """The batch form of `cone.RelativeGeometry`: r, A r, A v, r^T A r,
+    delta = r^T A v and beta = v^T A v, one row or entry per splat."""
+    r, Ar, rar = _position_terms(p, means, inv_cov)
+    Av = _matvec(inv_cov, v)
+    return r, Ar, Av, rar, np.einsum("mi,mi->m", r, Av), Av @ v
 
 
 def _matvec(mats, x):
@@ -139,13 +118,3 @@ def _matvec(mats, x):
     bit-identical: rounding changes move the start-from-rest stall.
     """
     return (mats.reshape(-1, 3) @ x).reshape(-1, 3)
-
-
-def _as_batch(p, v, means, inv_cov, c2eff):
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    means = np.ascontiguousarray(means, dtype=np.float64)
-    inv_cov = np.ascontiguousarray(inv_cov, dtype=np.float64)
-    if c2eff is not None:
-        c2eff = np.ascontiguousarray(c2eff, dtype=np.float64)
-    return p, v, means, inv_cov, c2eff

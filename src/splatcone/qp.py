@@ -80,7 +80,9 @@ class FilterProblem:
             raise ValueError("slack_weight must be positive and finite when set")
         m = self.normals.shape[0]
         if self.splat_ids.shape[0] != m:
-            self.splat_ids = np.full(m, -1, dtype=np.intp)
+            if self.splat_ids.size:
+                raise ValueError(f"{self.splat_ids.shape[0]} splat_ids for {m} rows")
+            self.splat_ids = np.full(m, -1, dtype=np.intp)  # no ids given
 
 
 @dataclass

@@ -51,7 +51,7 @@ class RobotState:
 class SimConfig(FilterConfig):
     """A closed-loop run: the filter's settings plus the loop's own."""
 
-    v_max: float | None = 3.0             # FilterConfig's default is None: no bound
+    v_max: float | None = 2.5             # FilterConfig's default is None: no bound
     filter: str = "cone"
     kp: float = 1.0
     kd: float = 2.0
@@ -129,7 +129,9 @@ def audit_reach(scene: Scene, rho: float = 0.0) -> float:
         return 0.0
     c = np.sqrt(scene.confidence)
     c_m = c + (rho / scene.s_min if rho else 0.0)
-    return float((c_m * scene.scales.max(axis=1)).max())
+    # per column: a reduction along axis 1 of an (n, 3) array is ten times slower
+    s = scene.scales
+    return float((c_m * np.maximum(np.maximum(s[:, 0], s[:, 1]), s[:, 2])).max())
 
 
 # (point, splat) pairs per audit pass, at about 170 B each: a pass holds all

@@ -123,6 +123,18 @@ def test_run_artifacts_and_determinism(tmp_path):
         "t,px,py,pz,vx,vy,vz,ux,uy,uz,min_h,solve_time"
 
 
+def test_v_max_has_one_default(tmp_path):
+    """SimConfig's speed bound is the one every caller flies at: a `run`
+    without --v-max echoes it, and --v-max <= 0 still means no bound."""
+    assert SimConfig().v_max == 2.5
+    args = ["run", "--scene", "synth:single,count=1,scale_lo=0.5,scale_hi=0.5",
+            "--filter", "off", "--start=-8,3,0", "--goal=-7,3,0", "--timeout", "1"]
+    for k, (extra, want) in enumerate((([], 2.5), (["--v-max", "0"], None), (["--v-max=-1"], None))):
+        out = tmp_path / str(k)
+        assert main(args + extra + ["--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["v_max"] == want
+
+
 def test_run_blocking_splat_filter_off_collides(tmp_path):
     out = tmp_path / "off"
     rc = main(["run", "--scene", "synth:single,count=1,scale_lo=0.5,scale_hi=0.5",

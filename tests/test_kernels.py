@@ -100,8 +100,9 @@ def test_baseline_rows_match_direct_formula(batch):
 # a 1e-15 change to the rows moves its length by hundreds of steps, and has
 # turned an acceptance pair into a timeout. A speed-up of the row pipeline
 # must therefore leave every bit of every row unchanged. The references below
-# are the plain formulas (stacked `inv_cov @ v`, fancy-index gathers) and are
-# compared with np.array_equal, not a tolerance.
+# are the plain formulas (stacked `inv_cov @ v`, fancy-index gathers, the
+# baseline and the margin over e = p - mu) and are compared byte for byte,
+# signed zeros included, not with a tolerance.
 # ---------------------------------------------------------------------------
 
 def _ref_cone_rows(p, v, means, inv_cov, c2eff, p_k):
@@ -159,10 +160,20 @@ def _ref_baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
     return 2.0 * Ae, -curv - (a1 + a2) * hdot - (a1 * a2) * h, h
 
 
+def _ref_min_margin(points, owner, means, inv_cov, c2eff):
+    e = points[owner] - means
+    Ae = np.einsum("mij,mj->mi", inv_cov, e)
+    out = np.full(points.shape[0], np.inf)
+    np.minimum.at(out, owner, np.einsum("mi,mi->m", e, Ae) - c2eff)
+    return out
+
+
 def _assert_bits_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +256,9 @@ def test_baseline_rows_bit_identical(batch, active_2000):
         p, v, scene.means[idx], scene.inv_cov[idx], c2eff, 8.0, 8.0)
     got = filter_mod._baseline_rows(scene, idx, p, v, cfg)
     _assert_bits_equal(got, (normals, offsets, h, h <= 0.0, 0))
+    # one inside rule: the baseline's barrier is the conservative cone's eta
+    eta = kernels.cone_rows(p, v, scene.means[idx], scene.inv_cov[idx], c2eff, 8.0)[3]
+    _assert_bits_equal((h,), (eta,))
 
 
 @pytest.mark.parametrize("scene_name", ["clutter_scene", "ring_scene"])
@@ -286,3 +300,45 @@ def test_scene_queries_match_a_balanced_tree(request, scene_name):
         for o, i in zip(owner.tolist(), idx.tolist()):
             got[o].add(i)
         assert got == want
+
+
+def test_baseline_rows_bit_identical_at_exact_zeros():
+    """Where a term is exactly zero (v = 0 at the start from rest, an
+    axis-aligned splat level with the robot, a robot on the boundary) the
+    baseline rows still carry the reference's bits, the sign of every zero
+    normal entry and offset included."""
+    means = np.array([[1.0, 2.0, 3.0], [1.0, -4.0, 0.5], [0.0, 2.0, 3.0], [2.0, 2.0, 0.0]])
+    inv_cov = np.stack([np.diag([2.0, 3.0, 4.0]), np.diag([1.0, 0.5, 0.25]), np.eye(3), np.eye(3)])
+    c2eff = np.array([1.5, 1.5, 1.5, 1.0])  # the last splat's boundary passes through p
+    p = np.array([1.0, 2.0, 0.0])
+    for v in (np.zeros(3), np.array([0.0, 1.0, 0.0]), np.array([0.3, -0.2, 0.0])):
+        got = kernels.baseline_rows(p, v, means, inv_cov, c2eff, 1.0, 1.5)
+        assert (got[0] == 0.0).any()
+        _assert_bits_equal(got, _ref_baseline_rows(p, v, means, inv_cov, c2eff, 1.0, 1.5))
+
+
+@pytest.mark.parametrize("scene_name", ["clutter_scene", "ring_scene"])
+@pytest.mark.parametrize("rho", [0.0, 0.2])
+def test_min_margin_bit_identical(request, scene_name, rho):
+    """min_margin over the audit's (point, splat) pairs equals the pass over
+    e = p - mu byte for byte: r^T A r with r = -e is the same sum."""
+    scene = request.getfixturevalue(scene_name)
+    lo, hi = scene.bounds
+    points = np.random.default_rng(3).uniform(lo, hi, size=(40, 3))
+    owner, idx = scene.nearby_pairs(points, simulator.audit_reach(scene, rho) + 1e-9)
+    assert idx.size > 0
+    args = (points, owner, scene.means[idx], scene.inv_cov[idx],
+            filter_mod.effective_c2(scene, rho, idx))
+    _assert_bits_equal((kernels.min_margin(*args),), (_ref_min_margin(*args),))
+
+
+@pytest.mark.parametrize("scene_name", ["clutter_scene", "ring_scene"])
+@pytest.mark.parametrize("rho", [0.0, 0.2])
+def test_audit_reach_matches_row_max(request, scene_name, rho):
+    """audit_reach's per-column maximum of the scales is the row-wise
+    `scales.max(axis=1)` formula, bit for bit: the reach sets which pairs
+    the audit finds."""
+    scene = request.getfixturevalue(scene_name)
+    c_m = np.sqrt(scene.confidence) + (rho / scene.s_min if rho else 0.0)
+    want = float((c_m * scene.scales.max(axis=1)).max())
+    assert np.float64(simulator.audit_reach(scene, rho)).tobytes() == np.float64(want).tobytes()

@@ -225,6 +225,29 @@ def test_ply_round_trip_float32(tmp_path):
     np.testing.assert_allclose(back.opacities, scene.opacities, atol=1e-5)
 
 
+def test_synth_wall_slab_deterministic_and_ply_round_trip(tmp_path):
+    spec = SyntheticSpec(pattern="wall", count=300, extent=4.0, height=3.0)
+    scene = make_synthetic_scene(spec, seed=4)
+    again = make_synthetic_scene(spec, seed=4)
+    for name in ("means", "quats", "scales", "opacities", "inv_cov"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(scene, name))
+    assert not np.array_equal(make_synthetic_scene(spec, seed=5).means, scene.means)
+    # the slab: x jittered about 0 (sd 0.1), y within the half-width, z within the height
+    x, y, z = scene.means.T
+    assert len(scene) == 300
+    assert np.abs(x).max() < 0.6 and abs(x.mean()) < 0.05
+    assert (np.abs(y) <= spec.extent).all() and (0.0 <= z).all() and (z <= spec.height).all()
+    path = tmp_path / "wall.ply"
+    save_ply(path, scene)
+    back = load_ply(path, PreprocessOptions(opacity_min=0.0, scale_min=scene.options.scale_min,
+                                            scale_max=scene.options.scale_max))
+    assert len(back) == len(scene)
+    np.testing.assert_allclose(back.means, scene.means, rtol=1e-6, atol=1e-5)
+    np.testing.assert_allclose(back.scales, scene.scales, rtol=1e-5)
+    np.testing.assert_allclose(np.abs(np.einsum("ni,ni->n", back.quats, scene.quats)), 1.0, atol=1e-7)
+    np.testing.assert_allclose(back.opacities, scene.opacities, atol=1e-5)
+
+
 def test_scene_dump_round_trip(tmp_path):
     scene = make_synthetic_scene(SyntheticSpec(pattern="ring", count=150), seed=2)
     path = tmp_path / "scene.npz"

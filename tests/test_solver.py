@@ -134,6 +134,21 @@ def test_bad_weight_or_bound_rejected(kw, message):
         FilterProblem(reference=np.zeros(3), **{"a_max": 1.0, **kw})
 
 
+def test_splat_ids_filled_only_when_none_given():
+    # rows without ids are labelled -1; ids that do not match the rows are
+    # an error, not silently replaced
+    rows = dict(normals=np.eye(3)[:2], offsets=np.zeros(2))
+    prob = FilterProblem(reference=np.zeros(3), a_max=1.0, **rows)
+    assert prob.splat_ids.tolist() == [-1, -1]
+    prob = FilterProblem(reference=np.zeros(3), a_max=1.0, splat_ids=np.array([4, 9]), **rows)
+    assert prob.splat_ids.tolist() == [4, 9]
+    for ids in ([7], [1, 2, 3]):
+        with pytest.raises(ValueError, match="splat_ids"):
+            FilterProblem(reference=np.zeros(3), a_max=1.0, splat_ids=np.array(ids), **rows)
+    with pytest.raises(ValueError, match="splat_ids"):
+        FilterProblem(reference=np.zeros(3), a_max=1.0, splat_ids=np.array([5]))
+
+
 @pytest.mark.parametrize("pair", [3, 8])
 def test_slack_converges_at_large_weights(pair):
     # replayed cone steps from rest: every row through the apex carries a
@@ -341,6 +356,30 @@ def test_two_balls_closed_form():
     sol = _solve(np.zeros(3), [[1.0, 0.0, 0.0]], [-1.0], a_max=a_max, v_current=v,
                  v_max=v_max, dt=dt)
     assert sol.status == "infeasible" and sol.u is None
+
+
+def test_project_balls_on_axis_with_both_spheres_binding():
+    """A point on the line through both centres whose two single-ball
+    projections each miss the other ball: the balls touch at one point (the
+    sum R1 + R2 rounds up, so they are not disjoint), and the circle branch
+    runs with no direction off the axis."""
+    R1, R2 = 1.25e-4, 1e4
+    D = R1 + R2
+    assert D - R2 > R1  # rounded up by about 5e-13
+    Q, R = np.array([[0.0, 0.0, 0.0], [-D, 0.0, 0.0]]), np.array([R1, R2])
+    point = np.array([1.0, 0.0, 0.0])
+    # each single-ball projection lies outside the other ball beyond the
+    # membership tolerance, so neither is the answer
+    for k in range(2):
+        d = point - Q[k]
+        u_k = Q[k] + d * (R[k] / np.linalg.norm(d))
+        assert np.linalg.norm(u_k - Q[1 - k]) > R[1 - k] * (1 + 1e-9)
+    u, nus = project_balls(point, Q, R)
+    for q, r in zip(Q, R):
+        assert abs(np.linalg.norm(u - q) - r) <= 4 * np.finfo(float).eps * D
+    assert (nus >= 0.0).all()
+    G = np.stack([u - Q[0], u - Q[1]], axis=1)
+    assert np.linalg.norm((u - point) + G @ nus) < 1e-12
 
 
 def test_ball_budget_raises_solver_error():
