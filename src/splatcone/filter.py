@@ -143,6 +143,7 @@ def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: Fi
         "build_time": time.perf_counter() - t0,
         "n_active": int(idx.size),
         "inflation_fallbacks": fallbacks,
+        "norm_balls": None,
     }
 
     slack_weight = cfg.slack_weight
@@ -156,7 +157,7 @@ def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: Fi
 
     n_rows = offsets.size
     problem = FilterProblem(
-        reference=np.asarray(u_ref, dtype=np.float64),
+        reference=u_ref,
         a_max=cfg.a_max,
         normals=normals,
         offsets=offsets,
@@ -166,6 +167,7 @@ def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: Fi
         dt=cfg.dt,
         slack_weight=slack_weight,
     )
+    diagnostics["norm_balls"] = problem.balls
     # looked up as this module's global at call time, so a wrapper set on
     # `filter.solve_filter` sees every filter's programs
     return solve_filter(problem), diagnostics
@@ -176,7 +178,9 @@ def filter_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
 
     Diagnostics (the same keys for every filter): min_h (+inf sentinel when
     no splat is active), per-splat h, active splat indices, inside-splat ids,
-    build time (query and rows), n_active and inflation fallbacks.
+    build time (query and rows), n_active, inflation fallbacks and the
+    program's norm balls (Q, R) (None when no program was built: a step
+    inside a splat under the hard policy).
     """
     return _filter_pipeline(_cone_rows, scene, state, u_ref, cfg)
 

@@ -26,7 +26,7 @@ from .filter import (
     filter_step,
     passthrough_step,
 )
-from .qp import norm_balls, project_balls
+from .qp import project_balls
 # Unused here since every filter solves through `filter.solve_filter`, but
 # perfbench/tracing.py patches `simulator.solve_filter` by name.
 from .qp import solve_filter  # noqa: F401
@@ -110,7 +110,11 @@ def pd_reference(state: RobotState, goal: np.ndarray, gains: tuple[float, float]
     kp, kd = gains
     if kp <= 0 or kd <= 0:
         raise SimulationError("PD gains must be positive")
-    return kp * (np.asarray(goal, dtype=np.float64) - state.p) - kd * state.v
+    # per component in Python floats: the same operations as the array
+    # formula, without its four temporaries
+    return np.array([kp * (g - p) - kd * v for g, p, v in
+                     zip(np.asarray(goal, dtype=np.float64).tolist(), state.p.tolist(),
+                         state.v.tolist())])
 
 
 def step(state: RobotState, u: np.ndarray, dt: float) -> RobotState:
@@ -118,9 +122,11 @@ def step(state: RobotState, u: np.ndarray, dt: float) -> RobotState:
     if dt <= 0:
         raise SimulationError("dt must be positive")
     u = np.asarray(u, dtype=np.float64)
-    p_next = state.p + state.v * dt + 0.5 * u * dt * dt
-    v_next = state.v + u * dt
-    return RobotState(p=p_next, v=v_next, t=state.t + dt)
+    # per component in Python floats, in the order of the array formulas
+    # p + v dt + 0.5 u dt dt and v + u dt
+    pva = list(zip(state.p.tolist(), state.v.tolist(), u.tolist()))
+    return RobotState(p=np.array([p + v * dt + 0.5 * a * dt * dt for p, v, a in pva]),
+                      v=np.array([v + a * dt for _, v, a in pva]), t=state.t + dt)
 
 
 def audit_reach(scene: Scene, rho: float = 0.0) -> float:
@@ -183,10 +189,11 @@ _FILTER_STEPS = {
 }
 
 
-def _clip_reference(u_ref: np.ndarray, v: np.ndarray, fcfg: FilterConfig) -> np.ndarray | None:
+def _clip_reference(u_ref: np.ndarray, balls) -> np.ndarray | None:
     """Reference projected onto the norm bounds only (no barrier rows), in
-    closed form; None when the bounds exclude each other."""
-    clipped = project_balls(u_ref, *norm_balls(fcfg.a_max, v, fcfg.v_max, fcfg.dt))
+    closed form; None when the bounds exclude each other. `balls` is the
+    step's (Q, R) from `qp.norm_balls`, as the filter step built them."""
+    clipped = project_balls(u_ref, *balls)
     return None if clipped is None else clipped[0]
 
 
@@ -229,7 +236,7 @@ def run_trajectory(scene: Scene, start: np.ndarray, goal: np.ndarray,
         u = sol.u
         # interventions measured against the bound-clipped reference: the
         # norm balls are actuation limits, not safety actions
-        u_clip = _clip_reference(u_ref, state.v, cfg)
+        u_clip = _clip_reference(u_ref, diag["norm_balls"])
         ivs.append(bool(_norm(u - u_clip) > 1e-9 * max(1.0, _norm(u_clip))))
         ts.append(state.t)
         ps.append(state.p)

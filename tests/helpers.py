@@ -261,3 +261,29 @@ def _nnls_residual(target, u, cols, balls, tight_rtol):
     if not cols:
         return float(np.linalg.norm(target))
     return float(nnls(np.array(cols).T, target)[1])
+
+
+def lens_instance(rng, n_rows, dt, a_max, v_max=2.5):
+    """Speed near v_max, so the velocity ball cuts through the acceleration
+    ball. The optimum u* is placed on the circle where both spheres meet,
+    `n_rows` rows pass through it (plus two slack rows), and the reference
+    is u* moved along the outward ball normals and inward row normals with
+    positive multipliers: u* is then the projection by the KKT conditions."""
+    vhat = rng.normal(size=3)
+    vhat /= np.linalg.norm(vhat)
+    v = vhat * v_max * rng.uniform(0.995, 1.0)
+    q_v = -v / dt
+    D = np.linalg.norm(q_v)
+    e = q_v / D
+    a = (D * D + a_max**2 - (v_max / dt) ** 2) / (2.0 * D)
+    w = rng.normal(size=3)
+    w -= (w @ e) * e
+    u_star = a * e + np.sqrt(a_max**2 - a * a) * w / np.linalg.norm(w)
+    normals = rng.normal(size=(n_rows + 2, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = normals @ u_star
+    offsets[n_rows:] -= rng.uniform(0.5, 2.0, size=2)
+    ubar = (u_star + rng.uniform(0.05, 1.0) * u_star + rng.uniform(0.001, 0.02) * (u_star - q_v)
+            - rng.uniform(0.5, 5.0, size=n_rows) @ normals[:n_rows])
+    balls = [(np.zeros(3), a_max), (q_v, v_max / dt)]
+    return ubar, normals, offsets, v, u_star, balls

@@ -45,3 +45,31 @@ def test_sides_fold_into_quartiles_and_pairs(tmp_path):
     assert pairs["steps_per_s"]["base_iqr"] == pytest.approx(10.0)
     # lower is better for the tail; a tie counts for neither side
     assert (pairs["step_p99_ms"]["better"], pairs["step_p99_ms"]["worse"]) == (1, 1)
+
+
+def test_resolved_needs_nine_tenths_of_pairs_and_a_gain_beyond_the_iqr(tmp_path):
+    # ten pairs; the parent's steps_per_s quartiles are 102.25 and 106.75
+    base = [100.0 + s for s in range(10)]
+
+    def record(change):
+        files = []
+        for seed, (b, c) in enumerate(zip(base, change)):
+            files.append(_result(tmp_path, f"p{seed}", seed, b, 1.0))
+            files.append(_result(tmp_path, f"c{seed}", seed, c, 1.0))
+        out = tmp_path / "BENCH_r.json"
+        bench_record.main(["--label", "r", "--out", str(out),
+                           "--side", "parent", *files[0::2], "--side", "change", *files[1::2]])
+        return json.loads(out.read_text())["pairs"]["clutter170k_step"]["end_to_end"]
+
+    # better in 10 of 10 pairs by 10, beyond the IQR of 4.5
+    pairs = record([b + 10.0 for b in base])
+    assert pairs["steps_per_s"]["base_iqr"] == pytest.approx(4.5)
+    assert pairs["steps_per_s"]["resolved"] is True
+    # a tie counts for neither side: 9 of 10 still resolves
+    assert record([base[0]] + [b + 10.0 for b in base[1:]])["steps_per_s"]["resolved"] is True
+    # 8 of 10 does not, however large the gain
+    assert record(base[:2] + [b + 50.0 for b in base[2:]])["steps_per_s"]["resolved"] is False
+    # 10 of 10 by less than the IQR does not
+    assert record([b + 4.0 for b in base])["steps_per_s"]["resolved"] is False
+    # nor does a metric that got worse
+    assert record(base)["step_p99_ms"]["resolved"] is False

@@ -4,14 +4,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splatcone.qp import FilterProblem, SolverError, _ball_multipliers, project_balls, solve_filter
-from splatcone.filter import FilterConfig
+from splatcone.qp import (FilterProblem, SolverError, _ball_multipliers, norm_balls, project_balls,
+                          solve_filter)
 from splatcone.simulator import _clip_reference
 from helpers import (
     dykstra_projection,
     enumeration_projection,
     grid_refine_projection,
     kkt_residual,
+    lens_instance,
     ring_problems,
 )
 import reference_step
@@ -122,16 +123,39 @@ def test_slack_with_hundreds_of_violated_rows():
     assert np.abs(sol.u - want.u).max() <= 1e-8
 
 
+_V = np.array([1.0, 0.0, 0.0])
+_ROWS = dict(normals=np.eye(3)[:2], offsets=np.zeros(2))
+
+
 @pytest.mark.parametrize("kw, message", [
     (dict(slack_weight=float("nan")), "slack_weight"), (dict(slack_weight=-1.0), "slack_weight"),
     (dict(slack_weight=0.0), "slack_weight"), (dict(slack_weight=float("inf")), "slack_weight"),
-    (dict(a_max=float("nan")), "a_max"), (dict(a_max=0.0), "a_max")], ids=str)
+    (dict(a_max=float("nan")), "a_max"), (dict(a_max=0.0), "a_max"),
+    # a NaN bound or velocity made LAPACK fail to converge in an SVD
+    pytest.param(dict(v_current=_V, v_max=float("nan"), dt=0.02), "v_max", id="nan-v_max"),
+    pytest.param(dict(v_current=_V, v_max=2.5, dt=float("nan")), "dt", id="nan-dt"),
+    pytest.param(dict(v_current=np.array([np.nan, 0.0, 0.0]), v_max=2.5, dt=0.02), "v_current",
+                 id="nan-v_current"),
+    # a negative bound solved as infeasible, a negative step as optimal
+    pytest.param(dict(v_current=_V, v_max=-1.0, dt=0.02), "v_max", id="negative-v_max"),
+    pytest.param(dict(v_current=_V, v_max=2.5, dt=-0.02), "dt", id="negative-dt"),
+    pytest.param(dict(v_current=np.zeros(2), v_max=2.5, dt=0.02), "v_current", id="short-v_current"),
+    # a bad reference failed to unpack without rows and broadcast with them
+    pytest.param(dict(reference=np.array([0.0, np.inf, 0.0])), "reference", id="inf-reference"),
+    pytest.param(dict(reference=np.array([np.nan, 0.0, 0.0]), **_ROWS), "reference",
+                 id="nan-reference-rows"),
+    pytest.param(dict(reference=np.zeros(2)), "reference", id="short-reference"),
+    pytest.param(dict(reference=np.zeros((3, 1)), **_ROWS), "reference", id="column-reference-rows"),
+    # two normals with one offset broadcast and solved as optimal
+    pytest.param(dict(normals=np.eye(3)[:2], offsets=np.zeros(1)), "offsets", id="offsets-for-rows"),
+    pytest.param(dict(normals=np.zeros(3), offsets=np.zeros(1)), "normals", id="flat-normals"),
+], ids=str)
 def test_bad_weight_or_bound_rejected(kw, message):
     # a NaN weight would solve to u = NaN marked optimal, a negative one
     # makes the penalty non-convex, and a NaN a_max must fail here, not deep
-    # inside the solve
+    # inside the solve; so must every other malformed field
     with pytest.raises(ValueError, match=message):
-        FilterProblem(reference=np.zeros(3), **{"a_max": 1.0, **kw})
+        FilterProblem(**{"reference": np.zeros(3), "a_max": 1.0, **kw})
 
 
 def test_splat_ids_filled_only_when_none_given():
@@ -279,32 +303,6 @@ def test_both_balls_active():
         assert np.linalg.norm(v + dt * sol.u) <= v_max * (1 + 1e-9)
 
 
-def _lens_instance(rng, n_rows, dt, a_max, v_max=2.5):
-    """Speed near v_max, so the velocity ball cuts through the acceleration
-    ball. The optimum u* is placed on the circle where both spheres meet,
-    `n_rows` rows pass through it (plus two slack rows), and the reference
-    is u* moved along the outward ball normals and inward row normals with
-    positive multipliers: u* is then the projection by the KKT conditions."""
-    vhat = rng.normal(size=3)
-    vhat /= np.linalg.norm(vhat)
-    v = vhat * v_max * rng.uniform(0.995, 1.0)
-    q_v = -v / dt
-    D = np.linalg.norm(q_v)
-    e = q_v / D
-    a = (D * D + a_max**2 - (v_max / dt) ** 2) / (2.0 * D)
-    w = rng.normal(size=3)
-    w -= (w @ e) * e
-    u_star = a * e + np.sqrt(a_max**2 - a * a) * w / np.linalg.norm(w)
-    normals = rng.normal(size=(n_rows + 2, 3))
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    offsets = normals @ u_star
-    offsets[n_rows:] -= rng.uniform(0.5, 2.0, size=2)
-    ubar = (u_star + rng.uniform(0.05, 1.0) * u_star + rng.uniform(0.001, 0.02) * (u_star - q_v)
-            - rng.uniform(0.5, 5.0, size=n_rows) @ normals[:n_rows])
-    balls = [(np.zeros(3), a_max), (q_v, v_max / dt)]
-    return ubar, normals, offsets, v, u_star, balls
-
-
 @pytest.mark.parametrize("n_rows", [1, 2, 3])
 def test_rows_and_both_balls_active(n_rows):
     # the solve's tail in closed loop: cruising at v_max with the
@@ -312,7 +310,7 @@ def test_rows_and_both_balls_active(n_rows):
     rng = np.random.default_rng(40 + n_rows)
     for dt, a_max, oracle in ((0.1, 4.0, True), (0.02, 10.0, False)):
         for _ in range(8):
-            ubar, normals, offsets, v, u_star, balls = _lens_instance(rng, n_rows, dt, a_max)
+            ubar, normals, offsets, v, u_star, balls = lens_instance(rng, n_rows, dt, a_max)
             sol = _solve(ubar, normals, offsets, a_max=a_max, v_current=v, v_max=2.5, dt=dt)
             assert sol.status == "optimal"
             np.testing.assert_allclose(sol.u, u_star, atol=1e-9)
@@ -327,12 +325,15 @@ def test_rows_and_both_balls_active(n_rows):
 
 def test_two_balls_closed_form():
     a_max, dt, v_max = 10.0, 0.02, 2.5
-    fcfg = FilterConfig(a_max=a_max, v_max=v_max, dt=dt)
+
+    def clip(u_ref, v):
+        return _clip_reference(u_ref, norm_balls(a_max, v, v_max, dt))
+
     # start from rest: concentric balls, the smaller one is the projection
     u_ref = np.array([30.0, -40.0, 0.0])
     sol = _solve(u_ref, np.zeros((0, 3)), [], a_max=a_max, v_current=np.zeros(3), v_max=v_max, dt=dt)
     np.testing.assert_allclose(sol.u, u_ref / 5.0, atol=1e-12)
-    np.testing.assert_allclose(_clip_reference(u_ref, np.zeros(3), fcfg), u_ref / 5.0, atol=1e-12)
+    np.testing.assert_allclose(clip(u_ref, np.zeros(3)), u_ref / 5.0, atol=1e-12)
     # at v_max, pushing along v: the optimum is on the intersection circle
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -347,12 +348,12 @@ def test_two_balls_closed_form():
         assert kkt_residual(u_ref, u, [], balls) < 1e-9
         ref = dykstra_projection(u_ref, [], balls, iters=200000, tol=1e-15)
         np.testing.assert_allclose(u, ref, atol=1e-6)
-        np.testing.assert_allclose(_clip_reference(u_ref, v, fcfg), u, atol=0.0)
+        np.testing.assert_allclose(clip(u_ref, v), u, atol=0.0)
     # above v_max with dt * a_max too small to recover: the balls are disjoint
     v = np.array([3.0, 0.0, 0.0])
     assert project_balls(np.zeros(3), np.array([np.zeros(3), -v / dt]),
                          np.array([a_max, v_max / dt])) is None
-    assert _clip_reference(np.zeros(3), v, fcfg) is None
+    assert clip(np.zeros(3), v) is None
     sol = _solve(np.zeros(3), [[1.0, 0.0, 0.0]], [-1.0], a_max=a_max, v_current=v,
                  v_max=v_max, dt=dt)
     assert sol.status == "infeasible" and sol.u is None

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import reference_step as ref
-from helpers import lifted_kkt_residual, ring_problems, ring_scene
+from helpers import lens_instance, lifted_kkt_residual, ring_problems, ring_scene
 from splatcone import qp
 from splatcone.filter import FilterConfig
 from splatcone.scene import Scene
@@ -91,23 +91,48 @@ def replayed():
             for name, pairs in REPLAY.items() for pair in pairs}
 
 
+def _lens_problems():
+    """Programs whose optimum lies where both balls and one to three rows
+    meet (`helpers.lens_instance`): no a_max cut of the ring replay binds
+    both balls and a row at once."""
+    rng = np.random.default_rng(71)
+    problems = []
+    for n_rows in (1, 2, 3):
+        for _ in range(4):
+            ubar, normals, offsets, v, _, _ = lens_instance(rng, n_rows, 0.02, 10.0)
+            problems.append(qp.FilterProblem(reference=ubar, a_max=10.0, normals=normals,
+                                             offsets=offsets, v_current=v, v_max=2.5, dt=0.02))
+    return problems
+
+
 def test_replayed_solves_bit_identical(replayed, monkeypatch):
-    projections = []
-    project = qp._project_polyhedron
+    projections, balls_bound = [], []
+    project, multipliers = qp._project_polyhedron, qp._ball_multipliers
 
     def counted(*args, **kwargs):
         projections[-1] += 1
         return project(*args, **kwargs)
 
+    def bound(*args, **kwargs):
+        res = multipliers(*args, **kwargs)
+        if res is not None:
+            balls_bound[-1] = int((res[1] > 0.0).sum())
+        return res
+
     monkeypatch.setattr(qp, "_project_polyhedron", counted)
-    kinds = {"no rows": 0, "rows only": 0, "ball binds": 0, "tight rows": 0, "infeasible": 0,
-             "solver error": 0}
+    monkeypatch.setattr(qp, "_ball_multipliers", bound)
+    kinds = {"no rows": 0, "rows only": 0, "rows only, tight rows": 0,
+             "one ball": 0, "one ball, tight rows": 0, "two balls": 0, "two balls, tight rows": 0,
+             "infeasible": 0, "solver error": 0}
     # the ring batch's own solves, plus every 7th with a_max cut to 0.05,
-    # where the rows often leave the ball and the dual bound proves it
+    # where the rows often leave the ball and the dual bound proves it, and
+    # constructed programs where both balls and rows bind
     replay = [p for ps in replayed.values() for p in ps]
     replay += [dataclasses.replace(p, a_max=0.05) for p in replay[::7]]
+    replay += _lens_problems()
     for problem in replay:
         projections.append(0)
+        balls_bound.append(0)
         got = assert_same_solve(problem)
         if got is None:
             kinds["solver error"] += 1
@@ -116,8 +141,11 @@ def test_replayed_solves_bit_identical(replayed, monkeypatch):
         elif problem.normals.shape[0] == 0:
             kinds["no rows"] += 1
         else:
-            kinds["ball binds" if projections[-1] > 1 else "rows only"] += 1
-            kinds["tight rows"] += bool(got.active_ids.size)
+            # a ball step runs a second projection; the search ends with
+            # one or both ball multipliers positive
+            assert (projections[-1] > 1) == (balls_bound[-1] > 0)
+            kind = ("rows only", "one ball", "two balls")[balls_bound[-1]]
+            kinds[kind + (", tight rows" if got.active_ids.size else "")] += 1
     # the replay covers every branch of the solve tail
     assert min(kinds.values()) > 0, kinds
 
@@ -172,7 +200,7 @@ def test_clip_bit_identical_on_replayed_steps(replayed):
     for problems in replayed.values():
         for problem in problems:
             for u_ref in (problem.reference, 40.0 * problem.reference):
-                got = _clip_reference(u_ref, problem.v_current, fcfg)
+                got = _clip_reference(u_ref, problem.balls)
                 assert np.array_equal(got, ref._clip_reference(u_ref, problem.v_current, fcfg))
 
 

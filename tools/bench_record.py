@@ -14,7 +14,10 @@ of every run with its median and quartiles. Untraced runs (`--trace 0`) give
 the end-to-end metrics, traced runs the per-layer metrics. With two sides,
 `pairs` compares the second against the first on the seeds both ran: per
 metric, the number of pairs in which the second side is better, in the
-direction BENCHMARK.json declares, and the ratio of the medians.
+direction BENCHMARK.json declares, and the ratio of the medians. A metric
+is `resolved` as better when the second side wins at least nine tenths of
+the pairs (ties count for neither) and its median beats the first side's by
+more than the first side's interquartile range (`base_iqr`).
 """
 from __future__ import annotations
 
@@ -79,12 +82,16 @@ def compare(base: dict, other: dict, better: dict) -> dict:
                 bv = dict(zip(b["seeds"], bm["values"]))
                 ov = dict(zip(o["seeds"], om["values"]))
                 sign = 1.0 if better[name] == "higher" else -1.0
+                wins = sum(sign * (ov[s] - bv[s]) > 0 for s in common)
+                base_iqr = bm["q3"] - bm["q1"]
                 table[name] = {
                     "pairs": len(common),
-                    "better": sum(sign * (ov[s] - bv[s]) > 0 for s in common),
+                    "better": wins,
                     "worse": sum(sign * (ov[s] - bv[s]) < 0 for s in common),
                     "median_ratio": (om["median"] / bm["median"] if bm["median"] else None),
-                    "base_iqr": bm["q3"] - bm["q1"],
+                    "base_iqr": base_iqr,
+                    "resolved": bool(10 * wins >= 9 * len(common)
+                                     and sign * (om["median"] - bm["median"]) > base_iqr),
                 }
             out.setdefault(workload, {})[kind] = table
     return out
