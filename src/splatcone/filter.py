@@ -76,22 +76,18 @@ class FilterConfig:
             raise FilterConfigError("rho must be non-negative")
 
 
-def effective_c2(scene: Scene, rho: float, idx: np.ndarray) -> np.ndarray:
-    """Per-splat c_M^2 = (c + rho / s_min)^2: conservative inflation by radius rho."""
+def effective_c2(scene: Scene, rho: float, idx: np.ndarray):
+    """Per-splat c_M^2 = (c + rho / s_min)^2: conservative inflation by
+    radius rho. When rho = 0 it is c^2 for every splat: the scalar itself."""
     c2 = scene.confidence
     if rho == 0.0:
-        return np.full(idx.size, c2)
+        return c2
     c = np.sqrt(c2)
     return (c + rho / np.take(scene.s_min, idx)) ** 2
 
 
-def _gather(scene: Scene, idx: np.ndarray):
-    # np.take copies the same rows as fancy indexing at a fraction of its cost
-    return np.take(scene.means, idx, axis=0), np.take(scene.inv_cov, idx, axis=0)
-
-
 def _cone_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
-    means, A = _gather(scene, idx)
+    means, A = scene.gather(idx)
     if cfg.rho > 0.0 and cfg.inflation_mode == "exact":
         c = float(np.sqrt(scene.confidence))
         normals, offsets, h, eta, fb = kernels.cone_rows_inflated(
@@ -105,7 +101,7 @@ def _cone_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
 def _baseline_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     a1 = cfg.baseline_alpha1 if cfg.baseline_alpha1 is not None else cfg.p_k
     a2 = cfg.baseline_alpha2 if cfg.baseline_alpha2 is not None else cfg.p_k
-    means, A = _gather(scene, idx)
+    means, A = scene.gather(idx)
     normals, offsets, h = kernels.baseline_rows(
         p, v, means, A, effective_c2(scene, cfg.rho, idx), a1, a2)
     return normals, offsets, h, h <= 0.0, 0
@@ -113,7 +109,7 @@ def _baseline_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
 
 def _no_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     # conservative cone values for the record only; nothing is constrained
-    means, A = _gather(scene, idx)
+    means, A = scene.gather(idx)
     _, _, h, _ = kernels.cone_rows(p, v, means, A, effective_c2(scene, cfg.rho, idx), cfg.p_k)
     return np.zeros((0, 3)), np.zeros(0), h, np.zeros(h.size, dtype=bool), 0
 

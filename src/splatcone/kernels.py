@@ -25,8 +25,8 @@ def active_backend() -> str:
 def cone_rows(p, v, means, inv_cov, c2eff, p_k):
     """Half-space rows of the cone barrier constraint, one per splat.
 
-    c2eff is the per-splat effective squared confidence radius (already
-    inflated for conservative robot-radius handling).
+    c2eff is the effective squared confidence radius (already inflated for
+    conservative robot-radius handling), per splat or one for all.
     """
     _, Ar, Av, rar, delta, beta = _terms(p, v, means, inv_cov)
     eta = rar - c2eff
@@ -87,8 +87,9 @@ def baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
 
 def min_margin(points, owner, means, inv_cov, c2eff):
     """Per-point min of (p - mu)^T A (p - mu) - c2eff over its pairs; pair j
-    joins point owner[j] to row j of means, inv_cov and c2eff. Negative means
-    inside some (inflated) ellipsoid; a point with no pair gets +inf."""
+    joins point owner[j] to row j of means, inv_cov and c2eff (a scalar
+    c2eff serves every pair). Negative means inside some (inflated)
+    ellipsoid; a point with no pair gets +inf."""
     _, _, rar = _position_terms(np.take(points, owner, axis=0), means, inv_cov)
     out = np.full(points.shape[0], np.inf)
     np.minimum.at(out, owner, rar - c2eff)

@@ -16,6 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -118,10 +119,10 @@ _SKIN = 0.1
 _SHELL = 1e-12
 
 
-def _within(p: tuple, radius: float, sup: np.ndarray, xyz: np.ndarray) -> np.ndarray | None:
-    """The entries of `sup` whose means (columns of `xyz`) lie within
-    `radius` of `p`, in `sup`'s order; None when a mean lies within
-    _SHELL relative of the sphere, where the tree might round otherwise.
+def _within(p: tuple, radius: float, xyz: np.ndarray) -> np.ndarray | None:
+    """Mask of the neighbour list's means (columns of `xyz`) that lie within
+    `radius` of `p`; None when a mean lies within _SHELL relative of the
+    sphere, where the tree might round otherwise.
 
     d2 is summed as the tree's leaf test sums it, but the tree admits whole
     subtrees that lie inside the sphere without that test, so only a mean
@@ -139,7 +140,35 @@ def _within(p: tuple, radius: float, sup: np.ndarray, xyz: np.ndarray) -> np.nda
     inner = d2 <= r2 * (1.0 - _SHELL)
     if np.count_nonzero(inner) != np.count_nonzero(d2 <= r2 * (1.0 + _SHELL)):
         return None
-    return sup[inner]
+    return inner
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class _NeighbourList(NamedTuple):
+    """One kd-tree query of `query_nearby` at radius (1 + _SKIN) around
+    `anchor`, with the rows of the splats it found."""
+
+    radius: float
+    anchor: tuple
+    slack: float
+    sup: np.ndarray    # (k,) sorted splat indices
+    xyz: np.ndarray    # (3, k) their means, column by column
+    means: np.ndarray  # (k, 3) their means, row by row
+    inv_cov: np.ndarray  # (k, 3, 3)
+
+
+class _Answer(NamedTuple):
+    """The last answer `query_nearby` filtered from a neighbour list."""
+
+    source: _NeighbourList
+    key: bytes         # the list's mask, as bytes
+    idx: np.ndarray    # the answer, read-only
+    pos: np.ndarray    # positions of idx in source.sup
+    rows: tuple | None  # `Scene.gather(idx)` once taken, read-only
 
 
 @dataclass
@@ -150,14 +179,19 @@ class Scene:
     squared confidence radius c^2.
 
     `query_nearby` keeps a neighbour list with a skin: the sorted result of
-    its last kd-tree query, made at radius (1 + _SKIN), with those means.
+    its last kd-tree query, made at radius (1 + _SKIN), with those splats'
+    means and inverse covariances gathered into one compact block.
     A later query of the same radius centred within the skin filters that
     list instead of searching the tree. It returns the same indices, bit
     for bit, as a fresh tree query; a mean too close to the sphere to be
-    decided the tree's way sends the query to the tree. The list is one
-    tuple, replaced by a single attribute store, so concurrent readers
-    always see a consistent entry and the scene stays safe to share; two
-    threads that replace it at once cost each other only a rebuild.
+    decided the tree's way sends the query to the tree. `gather` copies the
+    rows of the last answer out of the block, by position, and keeps them
+    with that answer; an answer equal to the one before is the same
+    read-only `idx`, with the same rows. The list and the last answer are
+    one tuple each, replaced by a single attribute store and read once per
+    call, so concurrent readers always see a consistent entry and the
+    scene stays safe to share; two threads that replace them at once cost
+    each other only a rebuild or a gather.
     """
 
     means: np.ndarray       # (n, 3)
@@ -170,8 +204,8 @@ class Scene:
     bounds: np.ndarray      # (2, 3) AABB of means padded by max splat extent
     options: PreprocessOptions = field(default_factory=PreprocessOptions)
     _tree: cKDTree | None = field(default=None, repr=False, compare=False)
-    # (radius, anchor, slack, sup, xyz) of query_nearby's neighbour list
-    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: _NeighbourList | None = field(default=None, init=False, repr=False, compare=False)
+    _answer: _Answer | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.means, self.quats, self.scales, self.opacities,
@@ -184,21 +218,48 @@ class Scene:
         return self.means.shape[0]
 
     def query_nearby(self, p: np.ndarray, radius: float) -> np.ndarray:
-        """Indices i with ||mean_i - p|| <= radius, ascending: the kd-tree's
-        result, from the neighbour list when it covers `p`."""
+        """Indices i with ||mean_i - p|| <= radius, ascending and read-only:
+        the kd-tree's result, from the neighbour list when it covers `p`."""
         if not radius > 0:
             raise SceneError(f"radius must be positive, got {radius!r}")
         p = np.asarray(p, dtype=np.float64)
         pt = tuple(p.tolist())
         memo = self._memo
-        if not (memo is not None and memo[0] == radius
-                and math.dist(pt, memo[1]) <= memo[2] * (1.0 - 1e-9)):
+        if not (memo is not None and memo.radius == radius
+                and math.dist(pt, memo.anchor) <= memo.slack * (1.0 - 1e-9)):
             slack = _SKIN * radius
             sup = self._ball(p, radius + slack)
-            memo = (radius, pt, slack, sup, np.take(self.means, sup, axis=0).T.copy())
+            means = np.take(self.means, sup, axis=0)
+            memo = _NeighbourList(radius, pt, slack, sup, means.T.copy(), means,
+                                  np.take(self.inv_cov, sup, axis=0))
             self._memo = memo
-        found = _within(pt, radius, memo[3], memo[4])
-        return self._ball(p, radius) if found is None else found
+        inner = _within(pt, radius, memo.xyz)
+        if inner is None:
+            return _frozen(self._ball(p, radius))
+        key = inner.tobytes()
+        last = self._answer
+        if last is not None and last.source is memo and last.key == key:
+            return last.idx
+        pos = inner.nonzero()[0]
+        idx = _frozen(np.take(memo.sup, pos))
+        self._answer = _Answer(memo, key, idx, pos, None)
+        return idx
+
+    def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (means, inv_cov) rows of the splats `idx`: from the
+        neighbour list when `idx` is `query_nearby`'s last answer from it,
+        else taken from the scene's arrays."""
+        last = self._answer
+        if last is None or last.idx is not idx:
+            return (_frozen(np.take(self.means, idx, axis=0)),
+                    _frozen(np.take(self.inv_cov, idx, axis=0)))
+        if last.rows is None:
+            src = last.source
+            last = _Answer(src, last.key, idx, last.pos,
+                           (_frozen(np.take(src.means, last.pos, axis=0)),
+                            _frozen(np.take(src.inv_cov, last.pos, axis=0))))
+            self._answer = last
+        return last.rows
 
     def _ball(self, p: np.ndarray, radius: float) -> np.ndarray:
         idx = self._tree.query_ball_point(p, radius)
@@ -226,6 +287,8 @@ class Scene:
         scales: np.ndarray,
         opacities: np.ndarray,
         opts: PreprocessOptions | None = None,
+        *,
+        copy: bool = True,
     ) -> "Scene":
         """Build a scene from raw (already linearized) splat parameters.
 
@@ -233,7 +296,9 @@ class Scene:
         quaternion rejection, opacity filtering, scale clamping with the
         anisotropy cap, then precomputes inverse covariances (chunk by chunk,
         so no whole-scene temporary is held) and builds the spatial index.
-        The caller's arrays are left writable and are not aliased.
+        The caller's arrays are left writable and are not aliased. With
+        `copy=False` the caller hands its arrays over instead: the scene may
+        keep float64 `means` and `opacities` as they are, and freezes them.
         """
         opts = opts or PreprocessOptions()
         given_means, given_opacities = means, opacities
@@ -276,16 +341,16 @@ class Scene:
         unit = np.empty((np.count_nonzero(keep), 4))
         inv_cov = np.empty((len(unit), 3, 3))
         s_min = np.empty(len(unit))
-        if keep.all():
+        if not keep.all():
+            means, quats, qnorm = means[keep], quats[keep], qnorm[keep]
+            scales, opacities = scales[keep], opacities[keep]
+        elif copy:
             # The scene stores means and opacities as they are, so they must
             # not alias the caller's arrays (which the scene would freeze).
             if np.may_share_memory(means, given_means):
                 means = means.copy()
             if np.may_share_memory(opacities, given_opacities):
                 opacities = opacities.copy()
-        else:
-            means, quats, qnorm = means[keep], quats[keep], qnorm[keep]
-            scales, opacities = scales[keep], opacities[keep]
 
         lo = np.array([col.min() for col in means.T])
         hi = np.array([col.max() for col in means.T])

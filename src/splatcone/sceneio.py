@@ -126,7 +126,8 @@ def load_ply(path: str | Path, opts: PreprocessOptions | None = None) -> Scene:
     np.exp(scales, out=scales)
     opacities = _sigmoid(raw["opacity"].astype(np.float64))
     del raw
-    return Scene.from_arrays(means, quats, scales, opacities, opts)
+    # the arrays are this function's own: the scene keeps them without a copy
+    return Scene.from_arrays(means, quats, scales, opacities, opts, copy=False)
 
 
 def save_ply(path: str | Path, scene: Scene) -> None:

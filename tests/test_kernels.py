@@ -261,6 +261,23 @@ def test_baseline_rows_bit_identical(batch, active_2000):
     _assert_bits_equal((h,), (eta,))
 
 
+def test_scalar_c2eff_gives_the_bits_of_the_array(batch, active_2000):
+    """At rho = 0 effective_c2 is the scene's c^2 itself, a scalar, and the
+    cone and baseline kernels give the same bits from it as from the
+    per-splat array of that value."""
+    scene, idx, p, v = active_2000
+    c2 = filter_mod.effective_c2(scene, 0.0, idx)
+    assert c2 == scene.confidence and np.ndim(c2) == 0
+    bp, bv, bmeans, binv_cov = batch[:4]
+    for p, v, means, inv_cov in ((p, v, scene.means[idx], scene.inv_cov[idx]),
+                                 (bp, bv, bmeans, binv_cov), (bp, 0.0 * bv, bmeans, binv_cov)):
+        full = np.full(means.shape[0], c2)
+        _assert_bits_equal(kernels.cone_rows(p, v, means, inv_cov, c2, 8.0),
+                           kernels.cone_rows(p, v, means, inv_cov, full, 8.0))
+        _assert_bits_equal(kernels.baseline_rows(p, v, means, inv_cov, c2, 8.0, 8.0),
+                           kernels.baseline_rows(p, v, means, inv_cov, full, 8.0, 8.0))
+
+
 @pytest.mark.parametrize("scene_name", ["clutter_scene", "ring_scene"])
 def test_query_nearby_matches_tree(request, scene_name):
     """query_nearby returns the kd-tree's indices, sorted, as intp: the

@@ -386,6 +386,15 @@ def _tree_ball(scene, p, radius):
     return np.sort(np.asarray(idx, dtype=np.intp))
 
 
+def _rows_match(scene, idx):
+    """Whether `scene.gather(idx)` holds the scene's means and inverse
+    covariances of `idx`, bit for bit, in read-only arrays."""
+    rows = scene.gather(idx)
+    want = [np.take(a, idx, axis=0) for a in (scene.means, scene.inv_cov)]
+    return all(not got.flags.writeable and got.dtype == w.dtype and np.array_equal(got, w)
+               for got, w in zip(rows, want))
+
+
 @functools.cache
 def _walk_scene():
     return make_synthetic_scene(SyntheticSpec(pattern="clutter", count=2000), seed=3)
@@ -396,7 +405,7 @@ _direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
 _step = st.tuples(st.just("step"), _direction, st.floats(0.0, 2.5 * 0.02))  # |v| dt
 _jump = st.tuples(st.just("jump"), st.tuples(*[st.floats(-12.0, 12.0)] * 3).map(np.array))
 _walk_move = st.one_of(_step, _step, _step, _jump, st.just(("audit",)), st.just(("empty",)),
-                       st.just(("shell",)))
+                       st.just(("shell",)), st.just(("own",)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,10 +415,14 @@ def test_query_nearby_walk_matches_tree(start, moves):
     """On a walk of control-step moves, jumps past the skin, audit-sized
     radii between activation queries, empty neighbourhoods and centres that
     put a mean exactly on the sphere, every query returns a fresh tree
-    query's indices, bit for bit."""
+    query's indices, bit for bit, read-only, and the rows `gather` serves
+    for them are the scene's rows of those indices; so are the rows of a
+    caller's own indices. An answer equal to the one before from the same
+    neighbour list is the same array."""
     scene = dataclasses.replace(_walk_scene())  # a fresh neighbour list
     radius, audit_radius = 5.0, 1.37
     p = start
+    last = None  # the last answer filtered from a neighbour list
     for move in moves:
         kind, args = move[0], move[1:]
         r = radius
@@ -428,16 +441,25 @@ def test_query_nearby_walk_matches_tree(start, moves):
             j = int(np.argmin(np.abs(d - radius)))
             if d[j] > 0:
                 p = scene.means[j] + (p - scene.means[j]) * (radius / d[j])
+        elif kind == "own":
+            own = _tree_ball(scene, p, r)[::2].copy()
+            assert _rows_match(scene, own)
         got = scene.query_nearby(p, r)
-        assert got.dtype == np.intp
+        assert got.dtype == np.intp and not got.flags.writeable
         assert np.array_equal(got, _tree_ball(scene, p, r))
+        assert _rows_match(scene, got)
+        answer = scene._answer
+        if (last is not None and answer is not None and answer.idx is got
+                and answer.source is last.source and np.array_equal(got, last.idx)):
+            assert got is last.idx and scene.gather(got) is last.rows
+        last = answer
 
 
 def test_query_nearby_threads_share_the_neighbour_list():
     """Threads walking one scene from one start, at two radii, replace
     each other's neighbour list all the time; every result still equals a
-    fresh tree query. (A query that read the list twice, a check-then-act
-    race, fails here about every other run.)"""
+    fresh tree query, and its rows the scene's rows. (A query that read the
+    list twice, a check-then-act race, fails here about every other run.)"""
     scene = dataclasses.replace(_walk_scene())
     errors = []
 
@@ -446,7 +468,9 @@ def test_query_nearby_threads_share_the_neighbour_list():
         p = np.array([1.0, -2.0, 0.5])
         for _ in range(1000):
             p = p + rng.normal(size=3) * 0.02
-            if not np.array_equal(scene.query_nearby(p, radius), _tree_ball(scene, p, radius)):
+            idx = scene.query_nearby(p, radius)
+            if not (np.array_equal(idx, _tree_ball(scene, p, radius))
+                    and _rows_match(scene, idx)):
                 errors.append((k, p.copy(), radius))
 
     threads = [threading.Thread(target=walk, args=(k, r))
@@ -502,6 +526,35 @@ def test_query_nearby_serves_steps_from_the_neighbour_list():
         assert np.array_equal(got, np.sort(np.asarray(tree.query_ball_point(p, radius),
                                                       dtype=np.intp)))
     assert 0 in scene.query_nearby(np.zeros(3), 5.0)
+
+
+def test_query_nearby_reuses_a_repeated_answer():
+    """A step whose answer equals the one before, from the same neighbour
+    list, gets the same read-only idx and rows; another answer from that
+    list, or a caller's copy of an answer, gets rows of its own."""
+    scene = dataclasses.replace(_walk_scene())
+    p = np.array([0.5, -1.0, 0.2])
+    first = scene.query_nearby(p, 5.0)
+    rows = scene.gather(first)
+    again = scene.query_nearby(p + 1e-4, 5.0)
+    assert again is first and scene.gather(again) is rows
+    assert all(not a.flags.writeable for a in (first, *rows))
+    with pytest.raises(ValueError):
+        rows[1][0, 0, 0] = 0.0
+    # a step that brings the nearest outside mean into the sphere: a new
+    # answer from the same list
+    memo = scene._memo
+    d = np.linalg.norm(memo.means - p, axis=1)
+    j = int(np.argmin(np.where(d > 5.0, d, np.inf)))
+    step = (memo.means[j] - p) * (1.0 - 5.0 / d[j] + 1e-6)
+    assert np.linalg.norm(step) < 0.5
+    moved = scene.query_nearby(p + step, 5.0)
+    assert scene._memo is memo and moved is not first
+    assert memo.sup[j] in moved and memo.sup[j] not in first
+    assert _rows_match(scene, moved)
+    # a copy of an answer is a caller's own indices
+    own = first.copy()
+    assert scene.gather(own) is not rows and _rows_match(scene, own)
 
 
 def test_chi2_confidence_against_integration_oracle():

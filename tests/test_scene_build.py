@@ -93,6 +93,43 @@ def test_from_arrays_leaves_inputs_writable_and_unaliased(dtype, opacity_min):
             assert not np.shares_memory(arr, getattr(scene, name)), name
 
 
+@pytest.mark.parametrize("opacity_min", [0.0, 0.5])
+def test_from_arrays_keeps_handed_over_arrays(opacity_min):
+    """With copy=False the scene keeps float64 means and opacities as they
+    are (none dropped) and freezes them; every array keeps its bits."""
+    raw = raw_splats(300, seed=10)
+    opts = PreprocessOptions(opacity_min=opacity_min)
+    want = Scene.from_arrays(*raw, opts)
+    handed = [a.copy() for a in raw]
+    got = Scene.from_arrays(*handed, opts, copy=False)
+    assert_same_scene(got, want)
+    kept = len(got) == len(raw[0])
+    assert kept == (opacity_min == 0.0)
+    for arr, name in ((handed[0], "means"), (handed[3], "opacities")):
+        assert np.shares_memory(arr, getattr(got, name)) == kept
+        assert arr.flags.writeable != kept
+
+
+def test_load_ply_hands_its_arrays_over(tmp_path, monkeypatch):
+    """load_ply's float64 means and opacities become the scene's own, with
+    no second copy, and the scene keeps the reference's bits."""
+    path = tmp_path / "scene.ply"
+    save_ply(path, make_synthetic_scene(CLUTTER, seed=14))
+    handed = {}
+    build = Scene.from_arrays.__func__
+
+    def capture(cls, *args, **kwargs):
+        handed["args"] = args
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Scene, "from_arrays", classmethod(capture))
+    opts = PreprocessOptions(opacity_min=0.0)
+    got = load_ply(path, opts)
+    assert got.means is handed["args"][0] and got.opacities is handed["args"][3]
+    monkeypatch.undo()
+    assert_same_scene(got, ref.load_ply(path, opts))
+
+
 @pytest.mark.parametrize("make", [ring_scene, lambda: make_synthetic_scene(CLUTTER, seed=11)],
                          ids=["ring", "clutter"])
 def test_synthetic_scenes_bit_identical(make, monkeypatch):
