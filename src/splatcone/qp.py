@@ -318,14 +318,6 @@ def _null_projector(Na: np.ndarray) -> np.ndarray:
     return np.eye(3) - vt[:rank].T @ vt[:rank]
 
 
-def _nu_sum(nu: np.ndarray) -> float:
-    """sum nu for the one or two ball multipliers, in Python floats: numpy
-    sums two elements as nu_0 + (0 + nu_1), which differs from nu_0 + nu_1
-    only in the sign of a zero sum."""
-    nl = nu.tolist()
-    return nl[0] + nl[1] if len(nl) == 2 else nl[0]
-
-
 def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = _BALL_BUDGET,
                       start=None):
     """Multipliers nu >= 0 of the norm balls ||u - Q[k]|| <= R[k];
@@ -394,7 +386,7 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = 
             raise SolverError("ball multipliers did not converge within budget",
                               {"ball_residual": max(abs(r[k]) for k in W), "working_set": list(W),
                                "nu": nu.tolist(), "evaluations": evals})
-        sigma = 1.0 + _nu_sum(nu)
+        sigma = 1.0 + sum(nu.tolist())
         M = jac()
         if M is None:  # P = sigma (I / sigma), a projector to rounding
             P, affine = _EYE3 * (sigma * (1.0 / sigma)), True
@@ -509,7 +501,7 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
     penalised optimum can exceed it.
     """
     def evaluate(nu):
-        sigma = 1.0 + _nu_sum(nu)
+        sigma = 1.0 + sum(nu.tolist())
         target = ubar if sigma == 1.0 else (ubar + nu @ Q) / sigma
         u, lam, feasible, s = _project_polyhedron(target, N, b, b_scale,
                                                   eps=0.0 if sw is None else sigma / sw)
@@ -601,7 +593,7 @@ def _stationarity(u, ubar, nus, Q, N=None, lam=None) -> float:
     the sign of a zero entry, never the norm."""
     g = u - ubar
     if any(nus.tolist()):
-        g = g + _nu_sum(nus) * u - nus @ Q
+        g = g + sum(nus.tolist()) * u - nus @ Q
     if lam is not None and lam.any():
         g = g - N.T @ lam
     return math.sqrt(g.dot(g))

@@ -150,25 +150,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 class _NeighbourList(NamedTuple):
     """One kd-tree query of `query_nearby` at radius (1 + _SKIN) around
-    `anchor`, with the rows of the splats it found."""
+    `anchor`, with the rows of the splats it found and the last answer
+    filtered from it."""
 
     radius: float
     anchor: tuple
-    slack: float
     sup: np.ndarray    # (k,) sorted splat indices
     xyz: np.ndarray    # (3, k) their means, column by column
     means: np.ndarray  # (k, 3) their means, row by row
     inv_cov: np.ndarray  # (k, 3, 3)
-
-
-class _Answer(NamedTuple):
-    """The last answer `query_nearby` filtered from a neighbour list."""
-
-    source: _NeighbourList
-    key: bytes         # the list's mask, as bytes
-    idx: np.ndarray    # the answer, read-only
-    pos: np.ndarray    # positions of idx in source.sup
-    rows: tuple | None  # `Scene.gather(idx)` once taken, read-only
+    key: bytes | None = None          # the last answer's mask, as bytes
+    idx: np.ndarray | None = None     # the last answer, read-only
+    rows: tuple | None = None         # its (means, inv_cov), read-only
 
 
 @dataclass
@@ -184,14 +177,15 @@ class Scene:
     A later query of the same radius centred within the skin filters that
     list instead of searching the tree. It returns the same indices, bit
     for bit, as a fresh tree query; a mean too close to the sphere to be
-    decided the tree's way sends the query to the tree. `gather` copies the
-    rows of the last answer out of the block, by position, and keeps them
-    with that answer; an answer equal to the one before is the same
-    read-only `idx`, with the same rows. The list and the last answer are
-    one tuple each, replaced by a single attribute store and read once per
-    call, so concurrent readers always see a consistent entry and the
-    scene stays safe to share; two threads that replace them at once cost
-    each other only a rebuild or a gather.
+    decided the tree's way sends the query to the tree. The list carries
+    its last answer with that answer's rows, copied out of the block by
+    position when the answer is made; `gather` serves them for that
+    answer, and an answer equal to the one before, from the same list, is
+    the same read-only `idx` with the same rows. The list is one tuple,
+    replaced by a single attribute store on a refill or a new answer and
+    read once per call, so concurrent readers always see a consistent entry
+    and the scene stays safe to share; two threads that replace it at once
+    cost each other only a rebuild or a copy of rows.
     """
 
     means: np.ndarray       # (n, 3)
@@ -205,7 +199,6 @@ class Scene:
     options: PreprocessOptions = field(default_factory=PreprocessOptions)
     _tree: cKDTree | None = field(default=None, repr=False, compare=False)
     _memo: _NeighbourList | None = field(default=None, init=False, repr=False, compare=False)
-    _answer: _Answer | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.means, self.quats, self.scales, self.opacities,
@@ -226,40 +219,34 @@ class Scene:
         pt = tuple(p.tolist())
         memo = self._memo
         if not (memo is not None and memo.radius == radius
-                and math.dist(pt, memo.anchor) <= memo.slack * (1.0 - 1e-9)):
-            slack = _SKIN * radius
-            sup = self._ball(p, radius + slack)
+                and math.dist(pt, memo.anchor) <= _SKIN * radius * (1.0 - 1e-9)):
+            sup = self._ball(p, radius + _SKIN * radius)
             means = np.take(self.means, sup, axis=0)
-            memo = _NeighbourList(radius, pt, slack, sup, means.T.copy(), means,
+            memo = _NeighbourList(radius, pt, sup, means.T.copy(), means,
                                   np.take(self.inv_cov, sup, axis=0))
             self._memo = memo
         inner = _within(pt, radius, memo.xyz)
         if inner is None:
             return _frozen(self._ball(p, radius))
         key = inner.tobytes()
-        last = self._answer
-        if last is not None and last.source is memo and last.key == key:
-            return last.idx
+        if key == memo.key:
+            return memo.idx
         pos = inner.nonzero()[0]
-        idx = _frozen(np.take(memo.sup, pos))
-        self._answer = _Answer(memo, key, idx, pos, None)
+        idx = _frozen(memo.sup[pos])
+        self._memo = memo._replace(key=key, idx=idx, rows=(
+            _frozen(np.take(memo.means, pos, axis=0)),
+            _frozen(np.take(memo.inv_cov, pos, axis=0))))
         return idx
 
     def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (means, inv_cov) rows of the splats `idx`: from the
-        neighbour list when `idx` is `query_nearby`'s last answer from it,
+        """Read-only (means, inv_cov) rows of the splats `idx`: the
+        neighbour list's when `idx` is `query_nearby`'s last answer from it,
         else taken from the scene's arrays."""
-        last = self._answer
-        if last is None or last.idx is not idx:
-            return (_frozen(np.take(self.means, idx, axis=0)),
-                    _frozen(np.take(self.inv_cov, idx, axis=0)))
-        if last.rows is None:
-            src = last.source
-            last = _Answer(src, last.key, idx, last.pos,
-                           (_frozen(np.take(src.means, last.pos, axis=0)),
-                            _frozen(np.take(src.inv_cov, last.pos, axis=0))))
-            self._answer = last
-        return last.rows
+        memo = self._memo
+        if memo is not None and memo.idx is idx:
+            return memo.rows
+        return (_frozen(np.take(self.means, idx, axis=0)),
+                _frozen(np.take(self.inv_cov, idx, axis=0)))
 
     def _ball(self, p: np.ndarray, radius: float) -> np.ndarray:
         idx = self._tree.query_ball_point(p, radius)
@@ -307,7 +294,8 @@ class Scene:
         scales = np.ascontiguousarray(scales, dtype=np.float64)
         opacities = np.ascontiguousarray(opacities, dtype=np.float64)
         n = means.shape[0]
-        if not (quats.shape == (n, 4) and scales.shape == (n, 3) and opacities.shape == (n,)):
+        if not (means.shape == (n, 3) and quats.shape == (n, 4) and scales.shape == (n, 3)
+                and opacities.shape == (n,)):
             raise SceneError("field arrays have inconsistent shapes")
 
         for name, arr in (("mean", means), ("rot", quats), ("scale", scales), ("opacity", opacities)):

@@ -28,6 +28,8 @@ import numpy as np
 from .scene import PreprocessOptions, Scene, SceneError
 
 DUMP_VERSION = "splatcone-scene-v1"
+_DUMP_KEYS = ("means", "quats", "scales", "opacities", "confidence",
+              "opacity_min", "scale_min", "scale_max", "anisotropy_cap")
 
 _PLY_TYPES = {
     "float": "<f4", "float32": "<f4",
@@ -74,14 +76,21 @@ def _parse_header(fh) -> tuple[int, list[tuple[str, str]]]:
         if toks[0] == "end_header":
             break
         if toks[0] == "element":
+            if len(toks) != 3:
+                raise SceneError(f"malformed header: element line {' '.join(toks)!r}")
             if toks[1] == "vertex":
                 in_vertex = True
+                if not toks[2].isdigit():
+                    raise SceneError(f"malformed header: vertex count {toks[2]!r} is not "
+                                     "a non-negative integer")
                 count = int(toks[2])
             else:
                 if count is None:
                     raise SceneError(f"malformed header: element '{toks[1]}' precedes vertex data")
                 in_vertex = False
         elif toks[0] == "property" and in_vertex:
+            if len(toks) < 3:
+                raise SceneError(f"malformed header: property line {' '.join(toks)!r}")
             if toks[1] == "list":
                 raise SceneError("malformed header: list property in vertex element")
             if toks[1] not in _PLY_TYPES:
@@ -106,7 +115,9 @@ def load_ply(path: str | Path, opts: PreprocessOptions | None = None) -> Scene:
             if req not in names:
                 raise SceneError(f"missing required property '{req}'")
         dtype = np.dtype(props)
-        raw = np.fromfile(fh, dtype=dtype, count=count)
+        # no more records than the file holds, whatever count the header claims
+        room = (os.fstat(fh.fileno()).st_size - fh.tell()) // dtype.itemsize
+        raw = np.fromfile(fh, dtype=dtype, count=min(count, room))
     if raw.shape[0] != count:
         raise SceneError(f"truncated body: expected {count} vertices, got {raw.shape[0]}")
 
@@ -182,6 +193,9 @@ def load_scene_dump(path: str | Path, confidence: float | None = None) -> Scene:
     with np.load(path, allow_pickle=False) as z:
         if "version" not in z or str(z["version"]) != DUMP_VERSION:
             raise SceneError(f"unrecognized scene dump version in {path}")
+        missing = [k for k in _DUMP_KEYS if k not in z]
+        if missing:
+            raise SceneError(f"scene dump {path} lacks {', '.join(missing)}")
         opts = PreprocessOptions(
             opacity_min=float(z["opacity_min"]),
             scale_min=float(z["scale_min"]),

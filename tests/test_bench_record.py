@@ -47,19 +47,26 @@ def test_sides_fold_into_quartiles_and_pairs(tmp_path):
     assert (pairs["step_p99_ms"]["better"], pairs["step_p99_ms"]["worse"]) == (1, 1)
 
 
+def _pairs(tmp_path, base, change, trace=0):
+    """The record's pairs for parent runs `base` and change runs `change`,
+    each a list of (steps_per_s, step_p99_ms), one seed per entry."""
+    files = []
+    for seed, (b, c) in enumerate(zip(base, change)):
+        files.append(_result(tmp_path, f"p{seed}", seed, *b, trace=trace))
+        files.append(_result(tmp_path, f"c{seed}", seed, *c, trace=trace))
+    out = tmp_path / "BENCH_r.json"
+    bench_record.main(["--label", "r", "--out", str(out),
+                       "--side", "parent", *files[0::2], "--side", "change", *files[1::2]])
+    kind = "per_layer" if trace else "end_to_end"
+    return json.loads(out.read_text())["pairs"]["clutter170k_step"][kind]
+
+
 def test_resolved_needs_nine_tenths_of_pairs_and_a_gain_beyond_the_iqr(tmp_path):
     # ten pairs; the parent's steps_per_s quartiles are 102.25 and 106.75
     base = [100.0 + s for s in range(10)]
 
     def record(change):
-        files = []
-        for seed, (b, c) in enumerate(zip(base, change)):
-            files.append(_result(tmp_path, f"p{seed}", seed, b, 1.0))
-            files.append(_result(tmp_path, f"c{seed}", seed, c, 1.0))
-        out = tmp_path / "BENCH_r.json"
-        bench_record.main(["--label", "r", "--out", str(out),
-                           "--side", "parent", *files[0::2], "--side", "change", *files[1::2]])
-        return json.loads(out.read_text())["pairs"]["clutter170k_step"]["end_to_end"]
+        return _pairs(tmp_path, [(b, 1.0) for b in base], [(c, 1.0) for c in change])
 
     # better in 10 of 10 pairs by 10, beyond the IQR of 4.5
     pairs = record([b + 10.0 for b in base])
@@ -73,3 +80,27 @@ def test_resolved_needs_nine_tenths_of_pairs_and_a_gain_beyond_the_iqr(tmp_path)
     assert record([b + 4.0 for b in base])["steps_per_s"]["resolved"] is False
     # nor does a metric that got worse
     assert record(base)["step_p99_ms"]["resolved"] is False
+
+
+def test_regression_reads_the_bound_of_benchmark_json(tmp_path):
+    # steps_per_s (higher is better) and step_p99_ms (lower) both have the
+    # bound 0.25; the parent's steps_per_s median is 104.5, its IQR 4.5
+    base = [(100.0 + s, 1.0) for s in range(10)]
+
+    def reading(change, parent=base):
+        pairs = _pairs(tmp_path, parent, change)
+        return pairs["steps_per_s"]["regression"], pairs["step_p99_ms"]["regression"]
+
+    assert reading(base) == ("no", "no")
+    # worse by 20 of 104.5 and by 0.2 of 1.0: within the bound
+    assert reading([(v - 20.0, p99 + 0.2) for v, p99 in base]) == ("no", "no")
+    # worse by 30 and by 0.3: beyond it
+    assert reading([(v - 30.0, p99 + 0.3) for v, p99 in base]) == ("yes", "yes")
+    # a parent spread wider than the bound (IQR 54 of a median 94) tells
+    # nothing, unless every change run beats every parent run
+    wide = [(40.0 + 12.0 * s, 1.0) for s in range(10)]
+    assert reading(wide, wide)[0] == "unresolved"
+    assert reading([(v + 200.0, p99) for v, p99 in wide], wide)[0] == "no"
+    assert reading([(v + 100.0, p99) for v, p99 in wide], wide)[0] == "unresolved"
+    # the per-layer (traced) metrics carry no reading
+    assert "regression" not in _pairs(tmp_path, base, base, trace=1)["steps_per_s"]

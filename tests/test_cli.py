@@ -90,6 +90,14 @@ def test_convert_missing_file_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_convert_malformed_header_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ply"
+    bad.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex\nend_header\n")
+    rc = main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.npz")])
+    assert rc == 2
+    assert "element line" in capsys.readouterr().err
+
+
 def test_bad_flag_exit_1(capsys):
     rc = main(["run", "--filter", "warp-drive"])
     assert rc == 1

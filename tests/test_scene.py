@@ -157,6 +157,27 @@ def test_load_ply_error_reporting(tmp_path):
     with pytest.raises(SceneError, match="zero splats"):
         load_ply(allfiltered, PreprocessOptions(opacity_min=0.9))
 
+    # malformed element and property lines, and counts that are no
+    # vertex count, fail as bad input, not as an IndexError or ValueError
+    header = tmp_path / "header.ply"
+    for lines, match in ((["element vertex"], "element line"),
+                         (["element"], "element line"),
+                         (["element vertex three"], "vertex count 'three'"),
+                         (["element vertex 2.5"], "vertex count '2.5'"),
+                         (["element vertex -3"], "vertex count '-3'"),
+                         (["element vertex 1", "property float"], "property line")):
+        header.write_bytes("\n".join(["ply", "format binary_little_endian 1.0", *lines,
+                                        "end_header", ""]).encode("ascii"))
+        with pytest.raises(SceneError, match=match):
+            load_ply(header)
+    # a count far beyond the body reads only the records there are
+    huge = tmp_path / "huge.ply"
+    _write_ply(huge, [_fixture_rows()[0]])
+    huge.write_bytes(huge.read_bytes().replace(b"element vertex 1\n",
+                                               b"element vertex 1000000000000000000\n"))
+    with pytest.raises(SceneError, match="expected 1000000000000000000 vertices, got 1"):
+        load_ply(huge)
+
 
 def test_extra_properties_ignored(tmp_path):
     props = ["x", "y", "z", "nx", "ny", "nz", "f_dc_0", "scale_0", "scale_1",
@@ -178,6 +199,19 @@ def test_degenerate_quaternion_rejected_with_warning():
     with pytest.warns(RuntimeWarning, match="quaternion"):
         scene = Scene.from_arrays(means, quats, scales, opac)
     assert len(scene) == 1
+
+
+@pytest.mark.parametrize("means, quats, scales, opacities", [
+    ((4, 2), (4, 4), (4, 3), (4,)),   # a 2-D scene fails here, not at its first query
+    ((4, 3), (4, 3), (4, 3), (4,)),
+    ((4, 3), (4, 4), (3, 3), (4,)),
+    ((4, 3), (4, 4), (4, 3), (4, 1)),
+])
+def test_from_arrays_rejects_inconsistent_shapes(means, quats, scales, opacities):
+    arrays = [np.ones(shape) for shape in (means, quats, scales, opacities)]
+    arrays[0] = np.arange(np.prod(means), dtype=float).reshape(means)
+    with pytest.raises(SceneError, match="inconsistent shapes"):
+        Scene.from_arrays(*arrays)
 
 
 def test_whitening_and_covariance_identity_synthetic():
@@ -369,13 +403,18 @@ def test_preprocess_options_range_ends():
 
 @pytest.mark.parametrize("field, value", [("anisotropy_cap", 0.0), ("anisotropy_cap", _NAN),
                                           ("opacity_min", _NAN), ("scale_min", -1.0),
-                                          ("scale_max", _INF)])
+                                          ("scale_max", _INF), ("opacity_min", None),
+                                          ("means", None)])
 def test_tampered_scene_dump_rejected(tmp_path, field, value):
+    # value None: the array is missing from the dump
     path = tmp_path / "scene.npz"
     save_scene_dump(path, make_synthetic_scene(SyntheticSpec(pattern="ring", count=150), seed=2))
     with np.load(path) as z:
         arrays = dict(z)
-    arrays[field] = np.float64(value)
+    if value is None:
+        del arrays[field]
+    else:
+        arrays[field] = np.float64(value)
     np.savez(path, **arrays)
     with pytest.raises(SceneError, match=field):
         load_scene_dump(path)
@@ -422,7 +461,7 @@ def test_query_nearby_walk_matches_tree(start, moves):
     scene = dataclasses.replace(_walk_scene())  # a fresh neighbour list
     radius, audit_radius = 5.0, 1.37
     p = start
-    last = None  # the last answer filtered from a neighbour list
+    last = None  # the neighbour list after the last query, with its last answer
     for move in moves:
         kind, args = move[0], move[1:]
         r = radius
@@ -448,11 +487,11 @@ def test_query_nearby_walk_matches_tree(start, moves):
         assert got.dtype == np.intp and not got.flags.writeable
         assert np.array_equal(got, _tree_ball(scene, p, r))
         assert _rows_match(scene, got)
-        answer = scene._answer
-        if (last is not None and answer is not None and answer.idx is got
-                and answer.source is last.source and np.array_equal(got, last.idx)):
+        memo = scene._memo
+        if (last is not None and memo.idx is got and memo.sup is last.sup
+                and np.array_equal(got, last.idx)):
             assert got is last.idx and scene.gather(got) is last.rows
-        last = answer
+        last = memo
 
 
 def test_query_nearby_threads_share_the_neighbour_list():
@@ -549,12 +588,33 @@ def test_query_nearby_reuses_a_repeated_answer():
     step = (memo.means[j] - p) * (1.0 - 5.0 / d[j] + 1e-6)
     assert np.linalg.norm(step) < 0.5
     moved = scene.query_nearby(p + step, 5.0)
-    assert scene._memo is memo and moved is not first
+    assert scene._memo.sup is memo.sup and moved is not first
     assert memo.sup[j] in moved and memo.sup[j] not in first
     assert _rows_match(scene, moved)
     # a copy of an answer is a caller's own indices
     own = first.copy()
     assert scene.gather(own) is not rows and _rows_match(scene, own)
+
+
+def test_query_nearby_answers_a_refilled_list_afresh():
+    """After a refill, an answer whose mask over the new list has the bytes
+    of the previous list's last answer is still the new list's: a fresh
+    idx, with that list's rows."""
+    # one pattern twice, far apart: each list (radius 1.1) holds a splat
+    # inside the radius and one in the skin, so both masks read [1, 0]
+    pattern = np.array([[0.5, 0.0, 0.0], [1.05, 0.0, 0.0]])
+    a, b = np.zeros(3), np.array([20.0, 0.0, 0.0])
+    scene = Scene.from_arrays(np.vstack([a + pattern, b + pattern]),
+                              np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)),
+                              np.full((4, 3), 0.1), np.full(4, 0.9))
+    assert _tree_ball(scene, a, 1.1).tolist() == [0, 1]
+    assert _tree_ball(scene, b, 1.1).tolist() == [2, 3]
+    first = scene.query_nearby(a, 1.0)
+    rows = scene.gather(first)
+    second = scene.query_nearby(b, 1.0)
+    assert first.tolist() == [0] and second.tolist() == [2]
+    assert scene.gather(second) is not rows and _rows_match(scene, second)
+    assert _rows_match(scene, first)
 
 
 def test_chi2_confidence_against_integration_oracle():

@@ -258,12 +258,12 @@ def test_scene_margins_leave_the_neighbour_list_alone():
     scene = ring_scene()
     idx = scene.query_nearby(np.array([-10.0, 0.3, 2.0]), 5.0)
     rows = scene.gather(idx)
-    memo, answer = scene._memo, scene._answer
+    memo = scene._memo  # the list, with its last answer and rows
     before = [a.copy() for a in (memo.means, memo.inv_cov, *rows)]
     points = np.random.default_rng(4).uniform(-9, 9, (200, 3))
     for rho in (0.0, 0.2):
         assert np.isfinite(scene_margins(scene, points, rho)).any()
-        assert scene._memo is memo and scene._answer is answer
+        assert scene._memo is memo
         assert scene.gather(idx) is rows
         assert all(np.array_equal(a, b) for a, b in zip((memo.means, memo.inv_cov, *rows), before))
 

@@ -17,7 +17,13 @@ metric, the number of pairs in which the second side is better, in the
 direction BENCHMARK.json declares, and the ratio of the medians. A metric
 is `resolved` as better when the second side wins at least nine tenths of
 the pairs (ties count for neither) and its median beats the first side's by
-more than the first side's interquartile range (`base_iqr`).
+more than the first side's interquartile range (`base_iqr`). Each
+end-to-end metric also gets the no-regression reading against the bound
+BENCHMARK.json fixes for it, relative to the first side's median:
+`regression` is "no" when the second side's median is worse by no more than
+the bound, "yes" when it is worse by more, and "unresolved" when the first
+side's interquartile range is wider than the bound, unless every run of the
+second side beats every run of the first.
 """
 from __future__ import annotations
 
@@ -63,8 +69,20 @@ def fold(paths: list[str]) -> dict:
     return out
 
 
-def compare(base: dict, other: dict, better: dict) -> dict:
-    """Per workload and metric: pairs on common seeds where `other` is better."""
+def regression(base: dict, other: dict, sign: float, bound: float) -> str:
+    """The no-regression reading of one metric, `sign` 1 when higher is
+    better: "no", "yes" or "unresolved" (see the module docstring)."""
+    allowed = bound * abs(base["median"])
+    if base["q3"] - base["q1"] > allowed:
+        bv, ov = base["values"], other["values"]
+        if not (min(ov) > max(bv) if sign > 0 else max(ov) < min(bv)):
+            return "unresolved"
+    return "yes" if sign * (base["median"] - other["median"]) > allowed else "no"
+
+
+def compare(base: dict, other: dict, better: dict, bounds: dict) -> dict:
+    """Per workload and metric: pairs on common seeds where `other` is
+    better, and for a metric with a bound its no-regression reading."""
     out: dict[str, dict] = {}
     for workload, kinds in other.items():
         for kind, o in kinds.items():
@@ -93,6 +111,8 @@ def compare(base: dict, other: dict, better: dict) -> dict:
                     "resolved": bool(10 * wins >= 9 * len(common)
                                      and sign * (om["median"] - bm["median"]) > base_iqr),
                 }
+                if kind == "end_to_end" and name in bounds:
+                    table[name]["regression"] = regression(bm, om, sign, bounds[name])
             out.setdefault(workload, {})[kind] = table
     return out
 
@@ -110,11 +130,12 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     sides = {side[0]: fold(side[1:]) for side in args.side}
     record = {"label": args.label, "note": args.note, "sides": sides}
     if len(sides) == 2:
         base, other = sides.values()
-        record["pairs"] = compare(base, other, better)
+        record["pairs"] = compare(base, other, better, bounds)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
