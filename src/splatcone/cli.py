@@ -9,8 +9,8 @@ Exit codes: 0 = ran to a defined outcome (infeasible/collided are outcomes,
 not failures), 1 = config error, 2 = I/O or parse error, 3 = solver failure.
 
 Config files are flat INI ([scene]/[run]/[batch] sections, key = value);
-command-line flags override file values. Scene sources are a .ply path, a
-.npz scene dump, or a synthetic spec like
+command-line flags, one per config key, override file values. Scene sources
+are a .ply path, a .npz scene dump, or a synthetic spec like
     synth:ring,count=2400,pillar_count=10,scale_lo=0.08,scale_hi=0.2
 """
 from __future__ import annotations
@@ -25,12 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .filter import INFLATION_MODES
 from .qp import SolverError
 from .scene import PreprocessOptions, Scene, SceneError
 from .sceneio import load_ply, load_scene_dump, save_scene_dump
 from .simulator import (
-    FILTERS,
     SimConfig,
     SimulationError,
     batch_start_goal,
@@ -54,12 +52,22 @@ class ConfigError(ValueError):
     pass
 
 
-_SYNTH_KEYS = {
-    "count": int, "pillar_count": int,
-    "extent": float, "ring_radius": float, "pillar_radius": float, "height": float,
-    "scale_lo": float, "scale_hi": float, "anis_lo": float, "anis_hi": float,
-    "opacity_lo": float, "opacity_hi": float,
-}
+def _synth_keys() -> dict:
+    """key -> (SyntheticSpec field, end of its range or None, cast) for each
+    field but the pattern, the spec's first item. A `<short>_range` field is
+    read as `<short>_lo` and `<short>_hi` (`anis` for `anisotropy`)."""
+    keys = {}
+    for f in dataclasses.fields(SyntheticSpec):
+        if f.name.endswith("_range"):
+            short = f.name[:-len("_range")].replace("anisotropy", "anis")
+            for i, end in enumerate(("lo", "hi")):
+                keys[f"{short}_{end}"] = (f.name, i, type(f.default[i]))
+        elif f.name != "pattern":
+            keys[f.name] = (f.name, None, type(f.default))
+    return keys
+
+
+_SYNTH_KEYS = _synth_keys()
 
 
 def parse_synth_spec(text: str) -> SyntheticSpec:
@@ -67,34 +75,27 @@ def parse_synth_spec(text: str) -> SyntheticSpec:
     parts = [p for p in body.split(",") if p]
     if not parts:
         raise ConfigError("synthetic spec needs a pattern, e.g. synth:ring")
-    pattern = parts[0]
-    kwargs: dict = {"pattern": pattern}
-    pairs: dict[str, float] = {}
+    kwargs: dict = {"pattern": parts[0]}
     for item in parts[1:]:
         if "=" not in item:
             raise ConfigError(f"bad synthetic spec item {item!r} (expected key=value)")
         key, val = item.split("=", 1)
         if key not in _SYNTH_KEYS:
             raise ConfigError(f"unknown synthetic spec key {key!r}")
+        name, end, cast = _SYNTH_KEYS[key]
         try:
-            pairs[key] = _SYNTH_KEYS[key](val)
+            value = cast(val)
         except ValueError:
             raise ConfigError(f"bad value for synthetic spec key {key}: {val!r}") from None
-    for name in ("count", "pillar_count", "extent", "ring_radius", "pillar_radius", "height"):
-        if name in pairs:
-            kwargs[name] = pairs[name]
-    for field, lo, hi in (("scale_range", "scale_lo", "scale_hi"),
-                          ("anisotropy_range", "anis_lo", "anis_hi"),
-                          ("opacity_range", "opacity_lo", "opacity_hi")):
-        default = getattr(SyntheticSpec, field)
-        if lo in pairs or hi in pairs:
-            kwargs[field] = (pairs.get(lo, default[0]), pairs.get(hi, default[1]))
-    spec = SyntheticSpec(**kwargs)
+        if end is not None:
+            pair = list(kwargs.get(name, getattr(SyntheticSpec, name)))
+            pair[end] = value
+            value = tuple(pair)
+        kwargs[name] = value
     try:
-        spec.validate()
+        return SyntheticSpec(**kwargs)
     except SceneError as e:  # out of range, like any other setting
         raise ConfigError(f"synthetic spec: {e}") from None
-    return spec
 
 
 def _preprocess_options(**kwargs) -> PreprocessOptions:
@@ -118,9 +119,9 @@ def load_scene_source(source: str, seed: int, opts: PreprocessOptions) -> Scene:
 
 # The simulation settings a config file or flag may set: each SimConfig field
 # under its own name, except p_k, read as `pk` (a dash in a config key reads
-# as an underscore); text fields are read as text, all others as numbers. A
-# key set neither way takes SimConfig's default. A config key the command
-# does not read is an error.
+# as an underscore, and the flag is `--` + the key with dashes); text fields
+# are read as text, all others as numbers. A key set neither way takes
+# SimConfig's default. A config key the command does not read is an error.
 _SIM_KEYS = {("pk" if f.name == "p_k" else f.name):
              (f.name, str if isinstance(f.default, str) else float)
              for f in dataclasses.fields(SimConfig)}
@@ -203,11 +204,8 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
 
 
 def cmd_convert(args) -> int:
-    opts = _preprocess_options(
-        opacity_min=args.opacity_min if args.opacity_min is not None else 0.1,
-        scale_min=args.scale_clamp[0] if args.scale_clamp else None,
-        scale_max=args.scale_clamp[1] if args.scale_clamp else None,
-    )
+    lo, hi = args.scale_clamp
+    opts = _preprocess_options(opacity_min=args.opacity_min, scale_min=lo, scale_max=hi)
     scene = load_ply(args.in_path, opts)
     save_scene_dump(args.out, scene)
     max_eig = float((1.0 / scene.s_min**2).max())
@@ -322,23 +320,14 @@ def _axes(text: str) -> tuple[int, int]:
 def _add_common_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI config file; flags override its values")
     p.add_argument("--scene", help="scene source: .ply, .npz, or synth:<pattern>,k=v,...")
-    p.add_argument("--filter", choices=FILTERS)
-    p.add_argument("--pk", type=float, dest="pk", help="barrier decay gain p_k")
-    p.add_argument("--rho", type=float, help="robot sphere radius")
-    p.add_argument("--dt", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--a-max", type=float, dest="a_max")
-    p.add_argument("--v-max", type=float, dest="v_max", help="<= 0 disables the bound")
-    p.add_argument("--kp", type=float)
-    p.add_argument("--kd", type=float)
-    p.add_argument("--activation-radius", type=float, dest="activation_radius")
     p.add_argument("--confidence", type=float, help="scene c^2, set when the scene loads")
-    p.add_argument("--inflation-mode", choices=INFLATION_MODES, dest="inflation_mode")
-    p.add_argument("--slack-weight", type=float, dest="slack_weight")
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--start-radius", type=float, dest="start_radius")
-    p.add_argument("--start-height", type=float, dest="start_height")
+    # one flag per config key; SimConfig checks the values and names the options
+    helps = {"pk": "barrier decay gain p_k", "rho": "robot sphere radius",
+             "v_max": "<= 0 disables the bound"}
+    for key, (_, cast) in _SIM_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, help=helps.get(key))
 
 
 def build_parser() -> _Parser:
@@ -349,8 +338,8 @@ def build_parser() -> _Parser:
     pc = sub.add_parser("convert", help="PLY -> scene dump")
     pc.add_argument("--in", dest="in_path", required=True)
     pc.add_argument("--out", required=True)
-    pc.add_argument("--opacity-min", type=float, dest="opacity_min")
-    pc.add_argument("--scale-clamp", dest="scale_clamp", type=_scale_clamp,
+    pc.add_argument("--opacity-min", type=float, default=PreprocessOptions.opacity_min)
+    pc.add_argument("--scale-clamp", type=_scale_clamp, default=(None, None),
                     help="min,max scale clamp")
     pc.set_defaults(func=cmd_convert)
 

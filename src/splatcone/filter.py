@@ -72,6 +72,8 @@ class FilterConfig:
         # as FilterProblem requires: an infinite penalty is no slack at all
         if self.slack_weight is not None and not self.slack_weight < float("inf"):
             raise FilterConfigError("slack_weight must be finite when set")
+        if not self.dt < float("inf"):  # an infinite step never steps
+            raise FilterConfigError("dt must be finite")
         if not self.rho >= 0:
             raise FilterConfigError("rho must be non-negative")
 

@@ -5,19 +5,20 @@ little-endian `vertex` element with properties x, y, z, scale_0..2 (stored in
 log-space), rot_0..3 (scalar-first quaternion), and opacity (stored as a
 logit). Extra properties (colors, normals, SH coefficients) are ignored.
 
-The scene dump is an .npz with a format-version tag holding the
-post-preprocessing arrays plus the resolved preprocessing options, so a dump
-reloads without re-deriving clamp defaults (exact up to unit-quaternion
-renormalization rounding):
-
-    version    "splatcone-scene-v1"
-    means      (n, 3) float64     quats      (n, 4) float64
-    scales     (n, 3) float64     opacities  (n,)   float64
-    confidence ()     float64     opacity_min / scale_min / scale_max /
-                                  anisotropy_cap  () float64
+The scene dump is an .npz holding the post-preprocessing arrays and the
+resolved preprocessing options, so a dump reloads without re-deriving clamp
+defaults (exact up to unit-quaternion renormalization rounding). The
+dataclasses name its entries: `version` ("splatcone-scene-v1"); the `Scene`
+fields that `Scene.from_arrays` takes (means, quats, scales, opacities) and
+c^2 `confidence`; then the other `PreprocessOptions` fields, each a 0-d
+float64 (an unset scale clamp is written as the scene's own scale extreme).
+A missing or non-numeric entry, or an option that is not 0-d, fails to load
+with a `SceneError` naming it.
 """
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import io
 import os
 import tempfile
@@ -28,8 +29,12 @@ import numpy as np
 from .scene import PreprocessOptions, Scene, SceneError
 
 DUMP_VERSION = "splatcone-scene-v1"
-_DUMP_KEYS = ("means", "quats", "scales", "opacities", "confidence",
-              "opacity_min", "scale_min", "scale_max", "anisotropy_cap")
+# The dump's entries, in the order they are written: the Scene fields that
+# `Scene.from_arrays` takes or that are an option (c^2), then the other options.
+_OPTIONS = tuple(f.name for f in dataclasses.fields(PreprocessOptions))
+_FROM_SCENE = tuple(f.name for f in dataclasses.fields(Scene)
+                    if f.name in (*inspect.signature(Scene.from_arrays).parameters, *_OPTIONS))
+_ENTRIES = tuple(dict.fromkeys(_FROM_SCENE + _OPTIONS))
 
 _PLY_TYPES = {
     "float": "<f4", "float32": "<f4",
@@ -169,22 +174,13 @@ def save_ply(path: str | Path, scene: Scene) -> None:
 def save_scene_dump(path: str | Path, scene: Scene) -> None:
     """Write the versioned .npz scene dump (atomic)."""
     opts = scene.options
+    # an unset scale clamp is written as the scene's own scale extreme
     lo = opts.scale_min if opts.scale_min is not None else float(scene.scales.min())
     hi = opts.scale_max if opts.scale_max is not None else float(scene.scales.max())
+    opts = dataclasses.replace(opts, scale_min=lo, scale_max=hi)
+    entries = {name: getattr(scene if name in _FROM_SCENE else opts, name) for name in _ENTRIES}
     buf = io.BytesIO()
-    np.savez(
-        buf,
-        version=DUMP_VERSION,
-        means=scene.means,
-        quats=scene.quats,
-        scales=scene.scales,
-        opacities=scene.opacities,
-        confidence=scene.confidence,
-        opacity_min=opts.opacity_min,
-        scale_min=lo,
-        scale_max=hi,
-        anisotropy_cap=opts.anisotropy_cap,
-    )
+    np.savez(buf, version=DUMP_VERSION, **entries)
     _atomic_write_bytes(path, buf.getbuffer())
 
 
@@ -193,17 +189,24 @@ def load_scene_dump(path: str | Path, confidence: float | None = None) -> Scene:
     with np.load(path, allow_pickle=False) as z:
         if "version" not in z or str(z["version"]) != DUMP_VERSION:
             raise SceneError(f"unrecognized scene dump version in {path}")
-        missing = [k for k in _DUMP_KEYS if k not in z]
+        missing = [k for k in _ENTRIES if k not in z]
         if missing:
             raise SceneError(f"scene dump {path} lacks {', '.join(missing)}")
-        opts = PreprocessOptions(
-            opacity_min=float(z["opacity_min"]),
-            scale_min=float(z["scale_min"]),
-            scale_max=float(z["scale_max"]),
-            anisotropy_cap=float(z["anisotropy_cap"]),
-            confidence=confidence if confidence is not None else float(z["confidence"]),
-        )
-        return Scene.from_arrays(z["means"], z["quats"], z["scales"], z["opacities"], opts)
+        entries = {}
+        for name in _ENTRIES:
+            try:
+                entries[name] = value = z[name]
+                numeric = value.dtype.kind in "iuf"
+            except ValueError:  # an object array, which does not load without pickle
+                numeric = False
+            if not numeric:
+                raise SceneError(f"scene dump {path}: {name} is not numeric")
+            if name in _OPTIONS and value.ndim != 0:
+                raise SceneError(f"scene dump {path}: option {name} is not a single number")
+    options = {name: float(entries.pop(name)) for name in _OPTIONS}
+    if confidence is not None:
+        options["confidence"] = confidence
+    return Scene.from_arrays(**entries, opts=PreprocessOptions(**options))
 
 
 def _atomic_write_bytes(path: str | Path, *chunks) -> None:

@@ -71,6 +71,9 @@ class SimConfig(FilterConfig):
         for name in ("kp", "kd", "timeout", "goal_tol_p", "goal_tol_v"):
             if not getattr(self, name) > 0:
                 raise SimulationError(f"{name} must be positive")
+        for name in ("kp", "kd", "timeout"):  # a non-finite reference or step count
+            if not getattr(self, name) < math.inf:
+                raise SimulationError(f"{name} must be finite")
 
 
 @dataclass

@@ -12,12 +12,17 @@ import numpy as np
 from .scene import Scene, rotation_from_quat
 from .sceneio import _atomic_write_text
 
+_N_SIGMA = 2.0                       # splat ellipses drawn at 2 sigma
+_METRICS = ("nj", "rms_j", "isj")    # one panel each in the batch plot
+_BOX_WIDTH = 860
+_PANEL_H = 180
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".3f")
 
 
-def _ellipse_params(scene: Scene, i: int, axes: tuple[int, int], n_sigma: float):
+def _ellipse_params(scene: Scene, i: int, axes: tuple[int, int]):
     """Projected (marginal) covariance ellipse of splat i on the axis pair."""
     R = rotation_from_quat(scene.quats[i])
     s = scene.scales[i]
@@ -26,7 +31,7 @@ def _ellipse_params(scene: Scene, i: int, axes: tuple[int, int], n_sigma: float)
     vals, vecs = np.linalg.eigh(sub)
     vals = np.clip(vals, 0.0, None)
     angle = float(np.degrees(np.arctan2(vecs[1, 1], vecs[0, 1])))
-    rx, ry = n_sigma * np.sqrt(vals[1]), n_sigma * np.sqrt(vals[0])
+    rx, ry = _N_SIGMA * np.sqrt(vals[1]), _N_SIGMA * np.sqrt(vals[0])
     cx, cy = scene.means[i][axes[0]], scene.means[i][axes[1]]
     return cx, cy, rx, ry, angle
 
@@ -63,8 +68,7 @@ class _Canvas:
         )
 
 
-def render_trajectory_svg(scene: Scene, record, axes: tuple[int, int] = (0, 1),
-                          n_sigma: float = 2.0) -> str:
+def render_trajectory_svg(scene: Scene, record, axes: tuple[int, int] = (0, 1)) -> str:
     """Top-down plot: splat ellipse shadows, path polyline, start/goal marks."""
     ax, ay = axes
     pts = record.p[:, [ax, ay]] if len(record) else np.zeros((0, 2))
@@ -76,7 +80,7 @@ def render_trajectory_svg(scene: Scene, record, axes: tuple[int, int] = (0, 1),
     cv = _Canvas((lo[0] - margin, hi[0] + margin), (lo[1] - margin, hi[1] + margin))
 
     for i in range(len(scene)):
-        cx, cy, rx, ry, angle = _ellipse_params(scene, i, axes, n_sigma)
+        cx, cy, rx, ry, angle = _ellipse_params(scene, i, axes)
         cv.add(
             f'<ellipse cx="{_fmt(cv.tx(cx))}" cy="{_fmt(cv.ty(cy))}" '
             f'rx="{_fmt(rx * cv.scale)}" ry="{_fmt(ry * cv.scale)}" '
@@ -97,16 +101,14 @@ def render_trajectory_svg(scene: Scene, record, axes: tuple[int, int] = (0, 1),
     return cv.render()
 
 
-def write_trajectory_svg(path, scene: Scene, record, axes=(0, 1), n_sigma=2.0) -> None:
-    _atomic_write_text(path, render_trajectory_svg(scene, record, axes, n_sigma))
+def write_trajectory_svg(path, scene: Scene, record, axes=(0, 1)) -> None:
+    _atomic_write_text(path, render_trajectory_svg(scene, record, axes))
 
 
-def render_metric_boxes_svg(per_filter: dict[str, dict[str, dict]],
-                            metrics: tuple[str, ...] = ("nj", "rms_j", "isj"),
-                            width: int = 860, panel_h: int = 180) -> str:
+def render_metric_boxes_svg(per_filter: dict[str, dict[str, dict]]) -> str:
     """One panel per metric; per filter a whisker glyph of min/median/mean/p90/max."""
     filters = sorted(per_filter.keys())
-    height = panel_h * len(metrics) + 40
+    width, height = _BOX_WIDTH, _PANEL_H * len(_METRICS) + 40
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
@@ -114,8 +116,8 @@ def render_metric_boxes_svg(per_filter: dict[str, dict[str, dict]],
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     colors = {"cone": "#c23b22", "distance_baseline": "#2b6cb0", "off": "#718096"}
-    for mi, metric in enumerate(metrics):
-        top = 20 + mi * panel_h
+    for mi, metric in enumerate(_METRICS):
+        top = 20 + mi * _PANEL_H
         vals = []
         for f in filters:
             st = per_filter[f]["metrics"][metric]
@@ -152,5 +154,5 @@ def render_metric_boxes_svg(per_filter: dict[str, dict[str, dict]],
     return "\n".join(parts) + "\n"
 
 
-def write_metric_boxes_svg(path, per_filter, metrics=("nj", "rms_j", "isj")) -> None:
-    _atomic_write_text(path, render_metric_boxes_svg(per_filter, metrics))
+def write_metric_boxes_svg(path, per_filter) -> None:
+    _atomic_write_text(path, render_metric_boxes_svg(per_filter))

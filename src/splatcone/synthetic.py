@@ -31,13 +31,11 @@ class SyntheticSpec:
     pillar_radius: float = 0.45
     height: float = 4.0           # ring pillar / wall height
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.count < 1:
             raise SceneError(f"count must be positive, got {self.count}")
-        for name, rng in (("scale_range", self.scale_range),
-                          ("anisotropy_range", self.anisotropy_range),
-                          ("opacity_range", self.opacity_range)):
-            lo, hi = rng
+        for name in ("scale_range", "anisotropy_range", "opacity_range"):
+            lo, hi = rng = getattr(self, name)
             if not (0 < lo <= hi):
                 raise SceneError(f"inverted or non-positive {name}: {rng}")
         if self.opacity_range[1] > 1:
@@ -70,39 +68,28 @@ def make_synthetic_scene(
     opts: PreprocessOptions | None = None,
 ) -> Scene:
     """Generate a scene per `spec`, deterministic in `seed`."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     n = spec.count
 
     if spec.pattern == "single":
-        means = np.zeros((1, 3))
-        quats = np.array([[1.0, 0.0, 0.0, 0.0]])
-        scales = np.full((1, 3), spec.scale_range[0])
-        opacities = np.array([sum(spec.opacity_range) / 2.0])
-    elif spec.pattern == "ring":
+        return Scene.from_arrays(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]),
+                                 np.full((1, 3), spec.scale_range[0]),
+                                 np.array([sum(spec.opacity_range) / 2.0]), opts)
+    if spec.pattern == "ring":
         pillar = np.arange(n) % spec.pillar_count
         theta = 2.0 * np.pi * pillar / spec.pillar_count
         centers = spec.ring_radius * np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
-        jitter = rng.normal(scale=spec.pillar_radius * 0.5, size=(n, 3))
-        jitter[:, 2] = 0.0
-        z = rng.uniform(0.0, spec.height, size=n)
-        means = centers + jitter
-        means[:, 2] = z
-        quats = _random_quats(rng, n)
-        scales = _random_scales(rng, spec, n)
-        opacities = rng.uniform(*spec.opacity_range, size=n)
+        means = centers + rng.normal(scale=spec.pillar_radius * 0.5, size=(n, 3))
+        means[:, 2] = rng.uniform(0.0, spec.height, size=n)
     elif spec.pattern == "clutter":
         means = rng.uniform(-spec.extent, spec.extent, size=(n, 3))
-        quats = _random_quats(rng, n)
-        scales = _random_scales(rng, spec, n)
-        opacities = rng.uniform(*spec.opacity_range, size=n)
     else:  # wall
         means = np.empty((n, 3))
         means[:, 0] = rng.normal(scale=0.1, size=n)
         means[:, 1] = rng.uniform(-spec.extent, spec.extent, size=n)
         means[:, 2] = rng.uniform(0.0, spec.height, size=n)
-        quats = _random_quats(rng, n)
-        scales = _random_scales(rng, spec, n)
-        opacities = rng.uniform(*spec.opacity_range, size=n)
-
+    # drawn after the means, in this order
+    quats = _random_quats(rng, n)
+    scales = _random_scales(rng, spec, n)
+    opacities = rng.uniform(*spec.opacity_range, size=n)
     return Scene.from_arrays(means, quats, scales, opacities, opts)

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import splatcone
-from splatcone.cli import main, parse_synth_spec
+from splatcone.cli import build_parser, main, parse_synth_spec
 from splatcone.cli import ConfigError
-from splatcone.sceneio import load_scene_dump
+from splatcone.sceneio import load_scene_dump, save_scene_dump
 from splatcone.simulator import SimConfig
+from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 
 
 def _write_fixture_ply(path, rows):
@@ -52,6 +53,21 @@ def test_parse_synth_spec():
     assert spec.scale_range == (0.1, 0.3)
     with pytest.raises(ConfigError):
         parse_synth_spec("synth:ring,bogus=1")
+    # the twelve documented keys, read from SyntheticSpec's fields
+    spec = parse_synth_spec(
+        "synth:wall,count=7,pillar_count=3,extent=2.5,ring_radius=4.5,pillar_radius=0.3,"
+        "height=1.5,scale_lo=0.1,scale_hi=0.2,anis_lo=1.5,anis_hi=2.5,opacity_lo=0.3,"
+        "opacity_hi=0.9")
+    assert spec == SyntheticSpec(pattern="wall", count=7, pillar_count=3, extent=2.5,
+                                 ring_radius=4.5, pillar_radius=0.3, height=1.5,
+                                 scale_range=(0.1, 0.2), anisotropy_range=(1.5, 2.5),
+                                 opacity_range=(0.3, 0.9))
+    assert type(spec.count) is int and type(spec.pillar_count) is int
+    assert type(spec.extent) is float and type(spec.scale_range) is tuple
+    # one end of a range keeps the other's default
+    assert parse_synth_spec("synth:ring,anis_hi=5").anisotropy_range == (1.0, 5.0)
+    with pytest.raises(ConfigError, match="unknown synthetic spec key 'pattern'"):
+        parse_synth_spec("synth:ring,pattern=wall")
     with pytest.raises(ConfigError, match="opacity_range above 1"):
         parse_synth_spec("synth:clutter,count=50,opacity_lo=0.5,opacity_hi=3")
 
@@ -290,6 +306,12 @@ _SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
     (f"run {_SINGLE} --axes 0,3 --out {{out}}", None),
     (f"run {_SINGLE} --axes 1,1 --out {{out}}", None),
     (f"run {_SINGLE} --seed -1 --out {{out}}", None),
+    # non-finite settings: an overflowing step count, a non-finite
+    # reference, or no step at all
+    (f"run {_SINGLE} --timeout inf --out {{out}}", None),
+    (f"run {_SINGLE} --kp inf --out {{out}}", None),
+    (f"run {_SINGLE} --kd inf --out {{out}}", None),
+    (f"run {_SINGLE} --dt inf --out {{out}}", None),
     ("run --scene synth:single,count=x --out {out}", None),
     # out-of-range synthetic specs: exit 2 or a sampler traceback before
     ("run --scene synth:single,count=0 --out {out}", None),
@@ -337,8 +359,28 @@ def test_config_keys_are_simconfig_fields(tmp_path, capsys):
     cfg.write_text("[run]\nbogus = 1\n")
     sim_keys = {"pk" if f.name == "p_k" else f.name for f in dataclasses.fields(SimConfig)}
     run_keys = sim_keys | {"scene", "seed", "confidence", "out"}
+    parser = build_parser()
     for command, expected in (("run", run_keys), ("batch", run_keys | {"n", "filters"})):
         assert main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.strip()
         assert "unknown config key(s) bogus" in err
         assert set(err.split("known keys: ")[1].split(", ")) == expected
+        # and each is a flag: `--` + the key with dashes, setting that key
+        for key in expected:
+            args = parser.parse_args([command, "--" + key.replace("_", "-"), "1"])
+            assert getattr(args, key) in (1, "1"), key
+
+
+def test_tampered_scene_dump_exits_2(tmp_path, capsys):
+    # a two-element option used to end in a TypeError traceback
+    path = tmp_path / "scene.npz"
+    save_scene_dump(path, make_synthetic_scene(SyntheticSpec(pattern="single"), seed=0))
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["opacity_min"] = np.array([0.1, 0.2])
+    np.savez(path, **arrays)
+    out = tmp_path / "out"
+    assert main(["run", "--scene", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O or parse error:") and "opacity_min" in err
+    assert not out.exists()

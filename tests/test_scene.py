@@ -336,8 +336,8 @@ def test_synthetic_bad_spec():
     # opacities above 1 would be clipped by save_ply, so a PLY round trip
     # would change the scene
     with pytest.raises(SceneError, match="opacity_range above 1"):
-        SyntheticSpec(pattern="clutter", count=50, opacity_range=(0.5, 3.0)).validate()
-    SyntheticSpec(opacity_range=(0.5, 1.0)).validate()
+        SyntheticSpec(pattern="clutter", count=50, opacity_range=(0.5, 3.0))
+    SyntheticSpec(opacity_range=(0.5, 1.0))
 
 
 def test_query_nearby_trivial():
@@ -404,9 +404,11 @@ def test_preprocess_options_range_ends():
 @pytest.mark.parametrize("field, value", [("anisotropy_cap", 0.0), ("anisotropy_cap", _NAN),
                                           ("opacity_min", _NAN), ("scale_min", -1.0),
                                           ("scale_max", _INF), ("opacity_min", None),
-                                          ("means", None)])
+                                          ("means", None), ("opacity_min", [0.1, 0.2]),
+                                          ("means", "x"), ("confidence", "x")])
 def test_tampered_scene_dump_rejected(tmp_path, field, value):
-    # value None: the array is missing from the dump
+    # value None: the array is missing from the dump; a two-element option or
+    # a string entry is no number
     path = tmp_path / "scene.npz"
     save_scene_dump(path, make_synthetic_scene(SyntheticSpec(pattern="ring", count=150), seed=2))
     with np.load(path) as z:
@@ -414,7 +416,7 @@ def test_tampered_scene_dump_rejected(tmp_path, field, value):
     if value is None:
         del arrays[field]
     else:
-        arrays[field] = np.float64(value)
+        arrays[field] = np.asarray(value)
     np.savez(path, **arrays)
     with pytest.raises(SceneError, match=field):
         load_scene_dump(path)
