@@ -19,11 +19,13 @@ phi_k(nu) = 1/R_k - 1/||u(nu) - q_k|| (More & Sorensen 1983), whose
 Jacobian comes from the null-space projector of the active rows. With no
 row active, phi_k is linear in nu_k and one step lands on the root; with
 rows active the step is taken on the part of u - q_k in their null space,
-which keeps it exact while those rows stay active. A dual value above an
-upper bound on the optimum certifies infeasibility; the search stops after
-`_BALL_BUDGET` evaluations of u(nu) with a SolverError carrying its
-residuals. Without rows the program is a projection onto two balls, solved
-in closed form (`project_balls`).
+which keeps it exact while those rows stay active, and two balls are met
+there in closed form (`project_balls`, the circle from the smaller ball). A
+dual value above an upper bound on the optimum certifies infeasibility; the
+search stops after `_BALL_BUDGET` evaluations of u(nu), a row projection
+after `_ROW_ITER` iterations, each with a SolverError carrying residuals.
+Without rows the program is a projection onto two balls, solved in closed
+form; `_in_balls` is the one ball-membership test.
 
 With a slack weight sw the rows relax to a_i^T u + xi_i >= b_i at a cost
 sw ||xi||^2 (the elastic mode of SQP codes, Gill, Murray & Saunders 2005).
@@ -39,8 +41,9 @@ not arithmetic, so the code keeps numpy calls few: the ball search's
 per-ball scalars are Python floats, a one-row working set is solved by the
 division LAPACK performs, row norms are summed in einsum's order without
 einsum, and a search with no row active skips the null-space projector.
-Every result keeps its bits: sums are taken in numpy's own order, and the
-products BLAS rounds with FMA (dots, matrix products) stay numpy calls.
+Each speed-up kept every result's bits: sums are taken in numpy's own
+order, and the products BLAS rounds with FMA (dots, matrix products) stay
+numpy calls.
 On 3,600 replayed ring cone solves a ball step's median fell from 141 to
 100 us and a one-projection solve's from 110 to 89 us (min of 7 timings
 per solve, 2-core VM), so a ball step now costs about 1.1x a
@@ -69,6 +72,7 @@ _ZERO_NORMAL = 1e-30
 _FEAS_TOL = 1e-9
 _BALL_TOL = 1e-10    # |1 - R_k / ||u - q_k||| at which a working-set ball counts as met
 _BALL_BUDGET = 60    # evaluations of u(nu) per solve before SolverError
+_ROW_ITER = 200      # active-set iterations of a row projection, plus two per penalised row
 _EYE3 = np.eye(3)
 
 
@@ -136,8 +140,7 @@ class FilterSolution:
     kkt_residual: float
 
 
-def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: float,
-                        max_iter: int | None = None, eps: float = 0.0):
+def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: float, eps=0.0):
     """min ||u - c||^2 / 2 s.t. N u >= b, rows of N unit-norm; with eps > 0,
     min ||u - c||^2 / 2 + ||xi||^2 / (2 eps) s.t. N u + xi >= b.
 
@@ -145,8 +148,8 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
     `b_scale` is 1 + max|b|, computed once per solve by the caller. With eps
     the rows are the lifted [n_i, sqrt(eps) e_i] and xi = eps lam; a row
     outside the working set carries no slack. A row joins the working set in
-    one iteration, and with eps every penalised row joins, so `max_iter`
-    defaults to 200, plus two per row with eps. Returns (u, lam, feasible, s):
+    one iteration, and with eps every penalised row joins, so the cap is
+    `_ROW_ITER`, plus two per row with eps. Returns (u, lam, feasible, s):
     lam is None when infeasible, and s is the last residual N u - b with the
     working-set rows zeroed.
     """
@@ -160,9 +163,7 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
     ftol = 1e-12 * scale
     step_cap = 1e9 * scale  # longer steps mean numerically unreachable constraints
 
-    if max_iter is None:
-        max_iter = 200 + (2 * m if eps else 0)
-    for _ in range(max_iter):
+    for _ in range(_ROW_ITER + (2 * m if eps else 0)):
         s = N @ u - b
         if W:
             s[W] = 0.0
@@ -256,6 +257,20 @@ def _balls_disjoint(Q: np.ndarray, R: np.ndarray) -> bool:
     return d.dot(d) > (r0 + r1) ** 2
 
 
+def _in_balls(x, Ql, Rl) -> bool:
+    """Whether the point x (three Python floats) lies in every ball
+    ||x - Ql[k]|| <= Rl[k], each widened by _FEAS_TOL: the squares as x * x
+    (not x ** 2, which rounds differently), each row summed left to right
+    (einsum's (x0 + x2) + x1 decides otherwise within an ulp of the reach)."""
+    x0, x1, x2 = x
+    for (q0, q1, q2), r in zip(Ql, Rl):
+        e0, e1, e2 = x0 - q0, x1 - q1, x2 - q2
+        reach = r * (1.0 + _FEAS_TOL)
+        if not e0 * e0 + e1 * e1 + e2 * e2 <= reach * reach:
+            return False
+    return True
+
+
 def project_balls(point: np.ndarray, Q: np.ndarray,
                   R: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Closed-form projection of `point` onto the intersection of one or two
@@ -267,21 +282,12 @@ def project_balls(point: np.ndarray, Q: np.ndarray,
     active and it is the nearest point of their intersection circle.
     """
     point = np.asarray(point, dtype=np.float64)
-    # the membership test runs in Python floats, in numpy's own order: the
-    # squares as x * x (not x ** 2, which rounds differently) and each row
-    # summed left to right, as numpy sums three elements
-    balls = list(zip(Q.tolist(), R.tolist()))
-    for k, (_, rk) in enumerate(balls):
+    Ql, Rl = Q.tolist(), R.tolist()
+    for k, rk in enumerate(Rl):
         d = point - Q[k]
         nd = math.sqrt(d.dot(d))
         u = point if nd <= rk else Q[k] + d * (rk / nd)
-        x0, x1, x2 = u.tolist()
-        for (q0, q1, q2), r in balls:
-            e0, e1, e2 = x0 - q0, x1 - q1, x2 - q2
-            reach = r * (1.0 + _FEAS_TOL)
-            if not e0 * e0 + e1 * e1 + e2 * e2 <= reach * reach:
-                break
-        else:
+        if _in_balls(u.tolist(), Ql, Rl):
             nus = np.zeros(R.size)
             nus[k] = max(nd / rk - 1.0, 0.0)
             return u, nus
@@ -318,8 +324,7 @@ def _null_projector(Na: np.ndarray) -> np.ndarray:
     return np.eye(3) - vt[:rank].T @ vt[:rank]
 
 
-def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = _BALL_BUDGET,
-                      start=None):
+def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, start=None):
     """Multipliers nu >= 0 of the norm balls ||u - Q[k]|| <= R[k];
     `evaluate` handles the rest of the program.
 
@@ -331,7 +336,7 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = 
     nu_k (||u - q_k||^2 - R_k^2) / 2), and caller data handed back with the
     optimum. Returns (u, nu, aux), or None once the dual value exceeds
     `dual_bound`, an upper bound on the optimal value: then no point meets
-    every constraint. Raises SolverError after `budget` evaluations. `start`
+    every constraint. Raises SolverError after `_BALL_BUDGET` evaluations. `start`
     is `evaluate` at nu = 0 when the caller has it already.
 
     A working set W over the balls: the most violated ball joins once every
@@ -382,7 +387,7 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = 
                 return u, nu, aux
             W.append(max(out, key=lambda k: nd[k] - Rl[k]))
             lo, hi = 0.0, np.inf
-        if evals >= budget:
+        if evals >= _BALL_BUDGET:
             raise SolverError("ball multipliers did not converge within budget",
                               {"ball_residual": max(abs(r[k]) for k in W), "working_set": list(W),
                                "nu": nu.tolist(), "evaluations": evals})
@@ -441,9 +446,11 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = 
             piece = None
             if affine and (rho2 > 0.0).all():
                 # centers and reference projected onto the rows' affine set
-                # (by stationarity the reference lands on u + sum nu_k P d_k)
-                piece = project_balls(u + P @ (nu @ D), u - D[w] @ P, np.sqrt(rho2))
-            step = piece[1] - nu[w] if piece is not None else np.linalg.solve(J, -r[w])
+                # (by stationarity the reference lands on u + sum nu_k P d_k),
+                # smaller first: a large ball's circle radius would cancel
+                o = [1, 0] if rho2[1] < rho2[0] else [0, 1]
+                piece = project_balls(u + P @ (nu @ D), (u - D[w] @ P)[o], np.sqrt(rho2[o]))
+            step = piece[1][o] - nu[w] if piece is not None else np.linalg.solve(J, -r[w])
             if g @ step <= 0.0:
                 step = np.linalg.solve(G, g) * sigma
         ratios = np.where(step < 0.0, nu[w] / np.maximum(-step, 1e-300), np.inf)
@@ -464,26 +471,13 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, budget: int = 
             if (rise >= 1e-4 * t * float(g @ step)
                     or (not blocked and float(r_new @ r_new) <= 0.25 * merit
                         and rise >= -1e-9 * (1.0 + abs(dual)))
-                    or evals >= budget):
+                    or evals >= _BALL_BUDGET):
                 break
             t *= 0.5
         cur = nxt
         if blocked:
             W.remove(int(w[block]))
             lo, hi = 0.0, np.inf
-
-
-def _in_balls(x, Ql, Rl) -> bool:
-    """Whether the point x lies in every ball, each widened by _FEAS_TOL;
-    Python floats summed as einsum sums a row of three, (x0 + x2) + x1, and
-    the reach squared as x * x, as numpy squares an array."""
-    x0, x1, x2 = x
-    for (q0, q1, q2), r in zip(Ql, Rl):
-        e0, e1, e2 = x0 - q0, x1 - q1, x2 - q2
-        reach = r * (1.0 + _FEAS_TOL)
-        if not e0 * e0 + e2 * e2 + e1 * e1 <= reach * reach:
-            return False
-    return True
 
 
 def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):

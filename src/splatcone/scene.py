@@ -288,11 +288,11 @@ class Scene:
         keep float64 `means` and `opacities` as they are, and freezes them.
         """
         opts = opts or PreprocessOptions()
-        given_means, given_opacities = means, opacities
-        means = np.ascontiguousarray(means, dtype=np.float64)
+        # stored as they are, so copied unless handed over; a 0-d input gets one axis
+        means, opacities = (np.array(x, dtype=np.float64, order="C", ndmin=1) if copy
+                            else np.ascontiguousarray(x, dtype=np.float64) for x in (means, opacities))
         quats = np.ascontiguousarray(quats, dtype=np.float64)
         scales = np.ascontiguousarray(scales, dtype=np.float64)
-        opacities = np.ascontiguousarray(opacities, dtype=np.float64)
         n = means.shape[0]
         if not (means.shape == (n, 3) and quats.shape == (n, 4) and scales.shape == (n, 3)
                 and opacities.shape == (n,)):
@@ -322,23 +322,16 @@ class Scene:
         if not keep.any():
             raise SceneError("zero splats after opacity/quaternion filtering")
 
-        # The outputs come before the copies below: allocated after them,
-        # they sometimes missed the heap space a freed scene had left, and
-        # the 170k-splat benchmark's peak RSS rose by 8 MB on 3 to 6 runs
-        # in 10.
+        # The outputs come before the kept splats' copies below: allocated
+        # after them, they sometimes missed the heap space a freed scene had
+        # left, and the 170k-splat benchmark's peak RSS rose by 8 MB on 3 to
+        # 6 runs in 10.
         unit = np.empty((np.count_nonzero(keep), 4))
         inv_cov = np.empty((len(unit), 3, 3))
         s_min = np.empty(len(unit))
         if not keep.all():
             means, quats, qnorm = means[keep], quats[keep], qnorm[keep]
             scales, opacities = scales[keep], opacities[keep]
-        elif copy:
-            # The scene stores means and opacities as they are, so they must
-            # not alias the caller's arrays (which the scene would freeze).
-            if np.may_share_memory(means, given_means):
-                means = means.copy()
-            if np.may_share_memory(opacities, given_opacities):
-                opacities = opacities.copy()
 
         lo = np.array([col.min() for col in means.T])
         hi = np.array([col.max() for col in means.T])

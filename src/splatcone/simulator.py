@@ -33,7 +33,7 @@ from .qp import solve_filter  # noqa: F401
 from .scene import Scene
 from .sceneio import _atomic_write_text
 
-FILTERS = ("cone", "distance_baseline", "off")
+_NJ_CONVENTION = "integrated squared jerk per meter of traveled path"
 
 
 class SimulationError(ValueError):
@@ -190,6 +190,7 @@ _FILTER_STEPS = {
     "distance_baseline": baseline_distance_filter_step,
     "off": passthrough_step,
 }
+FILTERS = tuple(_FILTER_STEPS)
 
 
 def _clip_reference(u_ref: np.ndarray, balls) -> np.ndarray | None:
@@ -383,7 +384,7 @@ def run_batch(scene: Scene, n_trajectories: int, cfg: SimConfig, seed: int) -> B
             "path_length": _stats([m.path_length for m in mets]),
             "duration": _stats([m.duration for m in mets]),
         },
-        "nj_convention": "integrated squared jerk per meter of traveled path",
+        "nj_convention": _NJ_CONVENTION,
         "timing": _timing(solve_times, build_times),
     }
     return BatchResult(runs=runs, aggregate=aggregate)
@@ -423,7 +424,7 @@ def summary_dict(record: TrajectoryRecord, metrics: SmoothnessMetrics | None,
         "interventions": record.interventions,
         "min_h_overall": float(record.min_h.min()) if len(record) else None,
         "audit_min_margin": record.audit_min_margin,
-        "nj_convention": "integrated squared jerk per meter of traveled path",
+        "nj_convention": _NJ_CONVENTION,
         "metrics": None,
         "timing": _timing(record.solve_time, record.build_time),
     }

@@ -36,6 +36,18 @@ def _ellipse_params(scene: Scene, i: int, axes: tuple[int, int]):
     return cx, cy, rx, ry, angle
 
 
+def _document(width, height, parts) -> str:
+    """An SVG document of the given size: a white background, then `parts`."""
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *parts,
+        "</svg>\n",
+    ])
+
+
 class _Canvas:
     def __init__(self, xlim, ylim, size=720, pad=30):
         self.x0, self.x1 = xlim
@@ -57,15 +69,7 @@ class _Canvas:
         self.parts.append(s)
 
     def render(self) -> str:
-        body = "\n".join(self.parts)
-        return (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.size}" height="{self.size}" '
-            f'viewBox="0 0 {self.size} {self.size}">\n'
-            f'<rect width="{self.size}" height="{self.size}" fill="white"/>\n'
-            f"{body}\n</svg>\n"
-        )
+        return _document(self.size, self.size, self.parts)
 
 
 def render_trajectory_svg(scene: Scene, record, axes: tuple[int, int] = (0, 1)) -> str:
@@ -109,12 +113,7 @@ def render_metric_boxes_svg(per_filter: dict[str, dict[str, dict]]) -> str:
     """One panel per metric; per filter a whisker glyph of min/median/mean/p90/max."""
     filters = sorted(per_filter.keys())
     width, height = _BOX_WIDTH, _PANEL_H * len(_METRICS) + 40
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     colors = {"cone": "#c23b22", "distance_baseline": "#2b6cb0", "off": "#718096"}
     for mi, metric in enumerate(_METRICS):
         top = 20 + mi * _PANEL_H
@@ -150,8 +149,7 @@ def render_metric_boxes_svg(per_filter: dict[str, dict[str, dict]]) -> str:
                          f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{width - 170}" y="{top + 14}" font-family="monospace" '
                      f'font-size="10">| median  o mean  I p90</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(width, height, parts)
 
 
 def write_metric_boxes_svg(path, per_filter) -> None:

@@ -56,6 +56,66 @@ def ring_problems(filter_name, pair, steps):
     return problems
 
 
+def solve_against_reference(problem):
+    """The library's and the reference's (`reference_step.py`) solve of
+    `problem`, each a FilterSolution or the SolverError it raised, and
+    whether the library's solve took a two-ball step of the ball search. In
+    a program with rows only that step calls `qp.project_balls`, which is
+    wrapped for the duration of the library's solve."""
+    import reference_step
+    from splatcone import qp
+
+    def solve(fn):
+        try:
+            return fn(problem)
+        except qp.SolverError as exc:
+            return exc
+
+    project, calls = qp.project_balls, []
+
+    def counted(*args):
+        calls.append(None)
+        return project(*args)
+
+    qp.project_balls = counted
+    try:
+        got = solve(qp.solve_filter)
+    finally:
+        qp.project_balls = project
+    two_ball = bool(calls) and problem.normals.shape[0] > 0
+    return got, solve(reference_step.solve_filter), two_ball
+
+
+def is_reference_ball_floor(exc):
+    """Whether the reference's SolverError `exc` is the floor of its two-ball
+    step: the velocity ball first in the working set, the residual stuck just
+    above `_BALL_TOL` (see test_solver.py::
+    test_two_ball_solve_with_large_velocity_ball_converges)."""
+    res = exc.residuals
+    return res["working_set"] == [1, 0] and res["ball_residual"] < 1e-9
+
+
+def assert_close_to_reference(got, want):
+    """The library's solve of a program that takes a two-ball step against
+    the reference's. The library takes the intersection circle from the
+    smaller ball and the reference from the first in the working set, so
+    their u differ at rounding level: the same status and active rows, u
+    within 1e-12 relative. Where the reference stops at the floor of its
+    two-ball step (the velocity ball first in the working set, the residual
+    just above `_BALL_TOL`), the library reaches the optimum."""
+    from splatcone.qp import SolverError
+
+    assert not isinstance(got, SolverError), got.residuals
+    if isinstance(want, SolverError):
+        assert is_reference_ball_floor(want), want.residuals
+        assert got.status == "optimal" and got.kkt_residual < 1e-9
+        return
+    assert got.status == want.status and np.array_equal(got.active_ids, want.active_ids)
+    assert (got.u is None) == (want.u is None)
+    if want.u is not None:
+        assert np.linalg.norm(got.u - want.u) <= 1e-12 * np.linalg.norm(want.u)
+
+
 def dykstra_projection(point, halfspaces, balls, iters=20000, tol=1e-13):
     """Projection of `point` onto the intersection of half-spaces
     {a.u >= b} (a unit-norm) and balls {||u - q|| <= R} by Dykstra's

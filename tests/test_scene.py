@@ -158,16 +158,29 @@ def test_load_ply_error_reporting(tmp_path):
         load_ply(allfiltered, PreprocessOptions(opacity_min=0.9))
 
     # malformed element and property lines, and counts that are no
-    # vertex count, fail as bad input, not as an IndexError or ValueError
+    # vertex count, fail as bad input, not as an IndexError or ValueError;
+    # so do headers that end early, name no vertex element or a vertex
+    # property numpy cannot read. Blank and comment lines are skipped, and
+    # the properties of another element are not the vertex's.
     header = tmp_path / "header.ply"
-    for lines, match in ((["element vertex"], "element line"),
-                         (["element"], "element line"),
-                         (["element vertex three"], "vertex count 'three'"),
-                         (["element vertex 2.5"], "vertex count '2.5'"),
-                         (["element vertex -3"], "vertex count '-3'"),
-                         (["element vertex 1", "property float"], "property line")):
+    end = "end_header"
+    for lines, match in ((["element vertex", end], "element line"),
+                         (["element", end], "element line"),
+                         (["element vertex three", end], "vertex count 'three'"),
+                         (["element vertex 2.5", end], "vertex count '2.5'"),
+                         (["element vertex -3", end], "vertex count '-3'"),
+                         (["element vertex 1", "property float", end], "property line"),
+                         (["element vertex 1", "property float x"], "truncated before end_header"),
+                         (["comment by hand", "", "element vertex 1", "property float", end],
+                          "property line"),
+                         (["element face 1", "element vertex 1", end], "'face' precedes vertex"),
+                         (["element vertex 1", "property float x", "element face 1",
+                           "property float y", end], "missing required property 'y'"),
+                         (["element vertex 1", "property list uchar int idx", end], "list property"),
+                         (["element vertex 1", "property half x", end], "property type 'half'"),
+                         ([end], "no vertex element")):
         header.write_bytes("\n".join(["ply", "format binary_little_endian 1.0", *lines,
-                                        "end_header", ""]).encode("ascii"))
+                                        ""]).encode("ascii"))
         with pytest.raises(SceneError, match=match):
             load_ply(header)
     # a count far beyond the body reads only the records there are
@@ -206,6 +219,7 @@ def test_degenerate_quaternion_rejected_with_warning():
     ((4, 3), (4, 3), (4, 3), (4,)),
     ((4, 3), (4, 4), (3, 3), (4,)),
     ((4, 3), (4, 4), (4, 3), (4, 1)),
+    ((), (1, 4), (1, 3), (1,)),       # 0-d means: a SceneError, not an IndexError
 ])
 def test_from_arrays_rejects_inconsistent_shapes(means, quats, scales, opacities):
     arrays = [np.ones(shape) for shape in (means, quats, scales, opacities)]
@@ -293,6 +307,8 @@ def test_scene_dump_round_trip(tmp_path):
     np.testing.assert_allclose(back.quats, scene.quats, rtol=0, atol=5e-16)
     np.testing.assert_array_equal(back.opacities, scene.opacities)
     assert back.confidence == scene.confidence
+    # the caller's c^2 replaces the dumped one
+    assert load_scene_dump(path, confidence=9.0).confidence == 9.0
 
 
 def test_synthetic_single_unit_sphere():
@@ -405,7 +421,8 @@ def test_preprocess_options_range_ends():
                                           ("opacity_min", _NAN), ("scale_min", -1.0),
                                           ("scale_max", _INF), ("opacity_min", None),
                                           ("means", None), ("opacity_min", [0.1, 0.2]),
-                                          ("means", "x"), ("confidence", "x")])
+                                          ("means", "x"), ("confidence", "x"),
+                                          ("version", "splatcone-scene-v0")])
 def test_tampered_scene_dump_rejected(tmp_path, field, value):
     # value None: the array is missing from the dump; a two-element option or
     # a string entry is no number

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from splatcone import qp
 from splatcone.qp import (FilterProblem, SolverError, _ball_multipliers, norm_balls, project_balls,
                           solve_filter)
 from splatcone.simulator import _clip_reference
@@ -276,12 +277,10 @@ def test_kkt_stationarity_with_active_ball_and_halfspaces():
         assert sol.kkt_residual < 1e-6
 
 
-def test_iteration_cap_raises_solver_error():
-    from splatcone.qp import _project_polyhedron
-
+def test_iteration_cap_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(qp, "_ROW_ITER", 0)
     with pytest.raises(SolverError) as exc:
-        _project_polyhedron(np.zeros(3), np.array([[1.0, 0, 0]]), np.array([1.0]), 2.0,
-                            max_iter=0)
+        qp._project_polyhedron(np.zeros(3), np.array([[1.0, 0, 0]]), np.array([1.0]), 2.0)
     assert "min_violation" in exc.value.residuals
 
 
@@ -383,14 +382,15 @@ def test_project_balls_on_axis_with_both_spheres_binding():
     assert np.linalg.norm((u - point) + G @ nus) < 1e-12
 
 
-def test_ball_budget_raises_solver_error():
+def test_ball_budget_raises_solver_error(monkeypatch):
     # a minimiser that never moves toward the ball: the working set cannot
     # be met, and the budget stops the search
     def stuck(nu):
         return np.array([2.0, 0.0, 0.0]), lambda: np.zeros((3, 3)), 0.0, None
 
+    monkeypatch.setattr(qp, "_BALL_BUDGET", 7)
     with pytest.raises(SolverError) as exc:
-        _ball_multipliers(stuck, np.zeros((1, 3)), np.array([1.0]), budget=7)
+        _ball_multipliers(stuck, np.zeros((1, 3)), np.array([1.0]))
     assert {"ball_residual", "working_set", "nu", "evaluations"} <= exc.value.residuals.keys()
     assert exc.value.residuals["evaluations"] == 7
     assert exc.value.residuals["ball_residual"] > 0.0
@@ -426,12 +426,11 @@ def test_nearly_antiparallel_rows_are_feasible():
 
 # Both programs below have a redundant row (the balls lie inside its
 # half-space), so their optimum is the closed-form projection onto the balls.
-@pytest.mark.xfail(strict=True, raises=SolverError,
-                   reason="known defect: _ball_multipliers passes the two balls in working-set "
-                   "order; with the velocity ball (R = v_max / dt = 125) first, the intersection "
-                   "circle's radius sqrt(R1^2 - a^2) at R1 ~ a ~ 125 loses ~1e-9 relative, and "
-                   "the residual floors at 6.35e-10, above _BALL_TOL")
 def test_two_ball_solve_with_large_velocity_ball_converges():
+    # the velocity ball (R = v_max / dt = 125) joins the working set first;
+    # the two-ball step takes the intersection circle from the acceleration
+    # ball, where sqrt(R1^2 - a^2) at R1 ~ a ~ 125 would lose ~1e-9 relative
+    # and floor the residual at 6.35e-10, above _BALL_TOL
     v = np.array([2.1695328761021178, -0.21181178013997382, -1.2240354853132365])
     ref = np.array([25.621379452576274, -2.3571109340257754, -14.306413165842558])
     kw = dict(a_max=0.05, v_current=v, v_max=2.5, dt=0.02)

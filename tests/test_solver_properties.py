@@ -8,7 +8,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from splatcone.qp import FilterProblem, solve_filter  # noqa: E402
-from helpers import kkt_residual, lifted_kkt_residual  # noqa: E402
+from helpers import (assert_close_to_reference, kkt_residual, lifted_kkt_residual,  # noqa: E402
+                     solve_against_reference)
 import reference_step  # noqa: E402
 
 coord = st.floats(-1.0, 1.0, allow_nan=False)
@@ -59,14 +60,18 @@ def test_solution_is_feasible_and_stationary(ubar, ubar_scale, v_dir, speed, a_m
     ref = ubar * ubar_scale
     problem = FilterProblem(reference=ref, a_max=a_max, normals=N, offsets=b,
                             v_current=v, v_max=v_max, dt=dt, slack_weight=slack_weight)
-    sol = solve_filter(problem)
+    if slack_weight is None:
+        sol, want, two_ball = solve_against_reference(problem)
+    else:
+        sol = solve_filter(problem)
+        # above 1e4 the reference stops unconverged after 100 Newton steps
+        want = reference_step.solve_filter(problem) if slack_weight <= 1e4 else None
     u = sol.u
     assert u is not None  # the balls meet, and the rows are feasible or soft
     assert np.linalg.norm(u) <= a_max * (1 + 1e-9)
     assert np.linalg.norm(v + dt * u) <= v_max * (1 + 1e-9)
     balls = [(np.zeros(3), a_max), (-v / dt, v_max / dt)]
     scale = max(1.0, np.linalg.norm(ref))
-    want = reference_step.solve_filter(problem) if (slack_weight or 0.0) <= 1e4 else None
     if slack_weight is not None:
         norms = np.linalg.norm(N, axis=1)
         xi = np.maximum(b / norms - N @ u / norms, 0.0)
@@ -77,15 +82,17 @@ def test_solution_is_feasible_and_stationary(ubar, ubar_scale, v_dir, speed, a_m
                                                       + np.linalg.norm(u))
         assert sol.kkt_residual < tol
         assert lifted_kkt_residual(ref, u, list(zip(N, b)), balls, slack_weight) < tol
-        # above 1e4 the reference stops unconverged after 100 Newton steps
         if want is not None:
             assert want.status == sol.status
             assert np.abs(want.u - u).max() <= 1e-8 * max(1.0, np.linalg.norm(want.u))
         return
     assert sol.status == "optimal"
-    # bit for bit the solve before its numpy calls were trimmed
-    assert want.status == sol.status and want.kkt_residual == sol.kkt_residual
-    assert np.array_equal(want.u, sol.u) and np.array_equal(want.active_ids, sol.active_ids)
+    if two_ball:
+        assert_close_to_reference(sol, want)
+    else:
+        # bit for bit the solve before its numpy calls were trimmed
+        assert want.status == sol.status and want.kkt_residual == sol.kkt_residual
+        assert np.array_equal(want.u, sol.u) and np.array_equal(want.active_ids, sol.active_ids)
     if N.shape[0]:
         assert ((N @ u - b) / np.linalg.norm(N, axis=1)).min() >= -1e-9 * (1.0 + np.linalg.norm(u))
     assert sol.kkt_residual < 1e-6
