@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import row_dot
+from .kernels import dot3
 
 
 class SolverError(RuntimeError):
@@ -543,14 +543,15 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
                               kkt_residual=np.nan)
 
     N, b, ids = problem.normals, problem.offsets, problem.splat_ids
-    norms = np.sqrt(row_dot(N, N))
+    norms = np.sqrt(dot3(N.T, N.T))
     if norms.size and not norms.min() > _ZERO_NORMAL:  # NaN norms land here too
         zero = norms <= _ZERO_NORMAL
         if np.any(problem.offsets[zero] > 1e-12):
             # vacuous row demanding 0 >= positive: nothing to optimize
             return infeasible()
         N, b, ids, norms = N[~zero], b[~zero], ids[~zero], norms[~zero]
-    N = N / norms[:, None]
+    # C order whatever the caller's layout: BLAS rounds N @ u otherwise for F
+    N = np.divide(N, norms[:, None], order="C")
     b = b / norms
     Q, R = problem.balls
     if _balls_disjoint(Q, R):

@@ -150,18 +150,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 class _NeighbourList(NamedTuple):
     """One kd-tree query of `query_nearby` at radius (1 + _SKIN) around
-    `anchor`, with the rows of the splats it found and the last answer
-    filtered from it."""
+    `anchor`, with the means (as columns) and inverse covariances of the
+    splats it found, and the last answer filtered from it."""
 
     radius: float
     anchor: tuple
     sup: np.ndarray    # (k,) sorted splat indices
     xyz: np.ndarray    # (3, k) their means, column by column
-    means: np.ndarray  # (k, 3) their means, row by row
     inv_cov: np.ndarray  # (k, 3, 3)
     key: bytes | None = None          # the last answer's mask, as bytes
     idx: np.ndarray | None = None     # the last answer, read-only
-    rows: tuple | None = None         # its (means, inv_cov), read-only
+    rows: tuple | None = None         # its (means, inv_cov), read-only; means
+                                      # is the .T view of a C-contiguous (3, k') block
+
+    @property
+    def means(self) -> np.ndarray:
+        """The means row by row: the (k, 3) view of `xyz`, not a copy."""
+        return self.xyz.T
 
 
 @dataclass
@@ -173,15 +178,17 @@ class Scene:
 
     `query_nearby` keeps a neighbour list with a skin: the sorted result of
     its last kd-tree query, made at radius (1 + _SKIN), with those splats'
-    means and inverse covariances gathered into one compact block.
+    means, as a (3, k) block of columns, and inverse covariances gathered.
     A later query of the same radius centred within the skin filters that
     list instead of searching the tree. It returns the same indices, bit
     for bit, as a fresh tree query; a mean too close to the sphere to be
     decided the tree's way sends the query to the tree. The list carries
-    its last answer with that answer's rows, copied out of the block by
-    position when the answer is made; `gather` serves them for that
-    answer, and an answer equal to the one before, from the same list, is
-    the same read-only `idx` with the same rows. The list is one tuple,
+    its last answer with that answer's rows, copied out of the blocks by
+    position when the answer is made: the means as a C-contiguous (3, k)
+    block of columns, the layout the row kernels read, handed out as its
+    (k, 3) `.T` view. `gather` serves them for that answer, and an answer
+    equal to the one before, from the same list, is the same read-only
+    `idx` with the same rows. The list is one tuple,
     replaced by a single attribute store on a refill or a new answer and
     read once per call, so concurrent readers always see a consistent entry
     and the scene stays safe to share; two threads that replace it at once
@@ -221,8 +228,9 @@ class Scene:
         if not (memo is not None and memo.radius == radius
                 and math.dist(pt, memo.anchor) <= _SKIN * radius * (1.0 - 1e-9)):
             sup = self._ball(p, radius + _SKIN * radius)
-            means = np.take(self.means, sup, axis=0)
-            memo = _NeighbourList(radius, pt, sup, means.T.copy(), means,
+            # rows, then columns: np.take from the (3, n) view self.means.T
+            # would first copy all n means into a contiguous array
+            memo = _NeighbourList(radius, pt, sup, np.take(self.means, sup, axis=0).T.copy(),
                                   np.take(self.inv_cov, sup, axis=0))
             self._memo = memo
         inner = _within(pt, radius, memo.xyz)
@@ -234,14 +242,15 @@ class Scene:
         pos = inner.nonzero()[0]
         idx = _frozen(memo.sup[pos])
         self._memo = memo._replace(key=key, idx=idx, rows=(
-            _frozen(np.take(memo.means, pos, axis=0)),
+            _frozen(np.take(memo.xyz, pos, axis=1)).T,
             _frozen(np.take(memo.inv_cov, pos, axis=0))))
         return idx
 
     def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (means, inv_cov) rows of the splats `idx`: the
-        neighbour list's when `idx` is `query_nearby`'s last answer from it,
-        else taken from the scene's arrays."""
+        neighbour list's when `idx` is `query_nearby`'s last answer from it
+        (means the (k, 3) view of a C-contiguous block of columns), else
+        taken from the scene's arrays (C-ordered rows)."""
         memo = self._memo
         if memo is not None and memo.idx is idx:
             return memo.rows

@@ -1,5 +1,7 @@
 """Batch kernels: consistency with the scalar constraint builders and with
 direct per-splat evaluation of the barrier formulas."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -359,3 +361,101 @@ def test_audit_reach_matches_row_max(request, scene_name, rho):
     c_m = np.sqrt(scene.confidence) + (rho / scene.s_min if rho else 0.0)
     want = float((c_m * scene.scales.max(axis=1)).max())
     assert np.float64(simulator.audit_reach(scene, rho)).tobytes() == np.float64(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# memory layout
+#
+# The neighbour list hands the kernels its means as the .T view of a
+# C-contiguous (3, m) block; the scene's arrays and the callers' own arrays
+# are C-ordered (m, 3) rows, and a caller may pass F-ordered ones. Every
+# kernel must give the reference's bytes for each, the reference taken on
+# C-ordered rows (einsum itself sums otherwise over an F-ordered operand).
+# ---------------------------------------------------------------------------
+
+_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "columns": lambda rows: np.ascontiguousarray(rows.T).T,
+}
+
+
+def _splat_sets(batch, active_2000):
+    """(p, v, means, inv_cov, s_min, c2eff) of the fixture batch and of the
+    ~2000 active splats, with a velocity aimed at one splat so that one
+    inflated row falls back to 1/s_min."""
+    scene, idx, p, v = active_2000
+    means = np.take(scene.means, idx, axis=0)
+    s_min = np.take(scene.s_min, idx)
+    c2eff = (np.sqrt(scene.confidence) + 0.2 / s_min) ** 2
+    return [batch, (p, v, means, np.take(scene.inv_cov, idx, axis=0), s_min, c2eff),
+            (p, 0.5 * (means[7] - p), means, np.take(scene.inv_cov, idx, axis=0), s_min, c2eff)]
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_row_kernels_give_the_reference_bytes_for_every_layout(batch, active_2000, layout):
+    """cone_rows, cone_rows_inflated and baseline_rows give the bytes of the
+    einsum formulas whatever the memory layout of `means`, and their
+    normals are C-contiguous rows."""
+    for p, v, means, inv_cov, s_min, c2eff in _splat_sets(batch, active_2000):
+        given = _LAYOUTS[layout](means)
+        assert np.array_equal(given, means)
+        for kernel, ref, args in (
+                (kernels.cone_rows, _ref_cone_rows, (c2eff, 8.0)),
+                (kernels.cone_rows_inflated, _ref_cone_rows_inflated, (s_min, 2.0, 0.2, 8.0)),
+                (kernels.baseline_rows, _ref_baseline_rows, (c2eff, 8.0, 8.0))):
+            got = kernel(p, v, given, inv_cov, *args)
+            _assert_bits_equal(got, ref(p, v, means, inv_cov, *args))
+            assert got[0].flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_min_margin_gives_the_reference_bytes_for_every_layout(ring_scene, layout):
+    lo, hi = ring_scene.bounds
+    points = np.random.default_rng(8).uniform(lo, hi, size=(40, 3))
+    owner, idx = ring_scene.nearby_pairs(points, simulator.audit_reach(ring_scene, 0.2) + 1e-9)
+    means = np.take(ring_scene.means, idx, axis=0)
+    rest = (np.take(ring_scene.inv_cov, idx, axis=0),
+            filter_mod.effective_c2(ring_scene, 0.2, idx))
+    _assert_bits_equal((kernels.min_margin(points, owner, _LAYOUTS[layout](means), *rest),),
+                       (_ref_min_margin(points, owner, means, *rest),))
+
+
+def test_neighbour_list_hands_out_contiguous_mean_columns(clutter_scene):
+    """An answer's means are the .T view of a C-contiguous, read-only (3, k)
+    block: the layout the kernels read column by column."""
+    scene = dataclasses.replace(clutter_scene)  # a fresh neighbour list
+    for p in (np.array([0.31, -0.22, 0.17]), np.array([0.35, -0.2, 0.2])):
+        idx = scene.query_nearby(p, 5.0)
+        means, inv_cov = scene.gather(idx)
+        assert scene._memo.idx is idx  # served from the list
+        assert means.T.flags.c_contiguous and inv_cov.flags.c_contiguous
+        assert not means.flags.writeable and not means.T.base.flags.writeable
+        assert np.array_equal(means, np.take(scene.means, idx, axis=0))
+
+
+def test_einsum_sums_a_row_of_three_as_the_kernels_do():
+    """Assumption test. The kernels sum each row of three as
+    (x0 + x2) + x1, the order this numpy build's einsum takes for
+    "mij,mj->mi" and "mi,mi->m", so that their rows keep the bits of the
+    einsum formulas the pins compare against. A build that sums otherwise
+    fails here, in one place, rather than across the bit pins."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(20000, 3)) * np.exp(rng.uniform(-8.0, 8.0, size=(20000, 3)))
+    y = rng.normal(size=(20000, 3))
+    mats = rng.normal(size=(20000, 3, 3))
+    xy = x * y
+    order = (xy[:, 0] + xy[:, 2]) + xy[:, 1]
+    # the data tells the kernels' order from the other two
+    assert (order != (xy[:, 0] + xy[:, 1]) + xy[:, 2]).any()
+    assert (order != xy[:, 0] + (xy[:, 1] + xy[:, 2])).any()
+    why = ("this numpy's einsum sums a row of three otherwise than (x0 + x2) + x1; "
+           "the kernels' sums and the bit pins in this file assume that order "
+           "(see ROADMAP item 11 on retiring the bit-mimicry)")
+    assert np.einsum("mi,mi->m", x, y).tobytes() == order.tobytes(), why
+    prod = mats * x[:, None, :]
+    rows = (prod[..., 0] + prod[..., 2]) + prod[..., 1]
+    assert np.einsum("mij,mj->mi", mats, x).tobytes() == rows.tobytes(), why
+    # the kernels' own sums take that order
+    assert kernels.dot3(x.T, y.T).tobytes() == order.tobytes()
+    assert np.ascontiguousarray(kernels._cov_dot(mats, x.T).T).tobytes() == rows.tobytes()

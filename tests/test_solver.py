@@ -452,3 +452,20 @@ def test_row_tangent_to_velocity_ball_is_feasible():
     sol = _solve(ref, [[0.0, -1.0, -1.0]], [0.0], **kw)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.u, balls_only.u, atol=1e-9)
+
+
+def test_normals_layout_does_not_change_the_solve():
+    """solve_filter gives the same bytes for C- and F-ordered normals: it
+    normalises the rows into a C-contiguous array whatever the caller's
+    layout, since BLAS rounds N @ u otherwise for an F-ordered N. (Without
+    that rule, 340 of 5,100 replayed ring programs moved in `u`, pair 3's
+    apex steps among them.)"""
+    problems = [p for p in ring_problems("cone", 3, 30) if p.normals.shape[0]]
+    assert len(problems) >= 20
+    for problem in problems:
+        want = solve_filter(problem)
+        got = solve_filter(dataclasses.replace(problem, normals=np.asfortranarray(problem.normals)))
+        assert got.status == want.status
+        for name in ("u", "active_ids", "slack_used", "kkt_residual"):
+            assert np.asarray(getattr(got, name)).tobytes() == \
+                np.asarray(getattr(want, name)).tobytes(), name
