@@ -119,14 +119,18 @@ _SKIN = 0.1
 _SHELL = 1e-12
 
 
-def _within(p: tuple, radius: float, xyz: np.ndarray) -> np.ndarray | None:
-    """Mask of the neighbour list's means (columns of `xyz`) that lie within
-    `radius` of `p`; None when a mean lies within _SHELL relative of the
-    sphere, where the tree might round otherwise.
+def _within(p: tuple, radius: float, xyz: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(mask, gap): the mask of the neighbour list's means (columns of
+    `xyz`) that lie within `radius` of `p`, and the smallest |d2 - r2| over
+    the list (inf for an empty list). None when gap <= 2 _SHELL r2, that
+    is when a mean may lie within _SHELL relative of the sphere, where the
+    tree might round otherwise.
 
     d2 is summed as the tree's leaf test sums it, but the tree admits whole
     subtrees that lie inside the sphere without that test, so only a mean
-    clear of the shell is decided here.
+    clear of the shell is decided here. The shell test is widened twofold
+    so that rounding in r2 (1 +- _SHELL) and in |d2 - r2| cannot let a mean
+    inside the narrower shell through.
     """
     e = xyz[0] - p[0]
     d2 = e * e
@@ -138,9 +142,47 @@ def _within(p: tuple, radius: float, xyz: np.ndarray) -> np.ndarray | None:
     d2 += e
     r2 = radius * radius
     inner = d2 <= r2 * (1.0 - _SHELL)
-    if np.count_nonzero(inner) != np.count_nonzero(d2 <= r2 * (1.0 + _SHELL)):
+    d2 -= r2
+    gap = float(np.abs(d2, out=d2).min(initial=math.inf))
+    if not gap > 2.0 * _SHELL * r2:  # NaN lands here too
         return None
-    return inner
+    return inner, gap
+
+
+def _reach(gap: float, radius: float) -> float:
+    """How far from the point a that `_within` filtered, with that `gap`,
+    a query of the same radius may lie and still get a's answer: a lower
+    bound on the distance delta, rounding included, within which every
+    mean of the list keeps its side of the sphere, clear of the shell.
+
+    Take D(x), the exact distance from a point x to a mean of the list, and
+    the query point p at |p - a| <= delta. Then |D(p) - D(a)| <= delta, and
+
+        |D(p)^2 - D(a)^2| <= delta (2 D(a) + delta) <= delta (2 D_max + delta),
+
+    with D_max <= R (1 + 2 _SKIN): the list holds means within R (1 + _SKIN)
+    of its anchor, and a and p both pass the skin test, so lie within
+    _SKIN R of it (the test's 1e-9 relative slack covers the tree's
+    rounding and its own). `_within` sums d2 with five roundings, so
+    |d2 - D^2| <= 6u D_max^2 at a and at p (u = 2^-53); the shell's edges
+    r2 (1 +- _SHELL) lie within r2 (_SHELL + 2.1u) of r2; and the rounded
+    gap understates |d2(a) - r2| by at most u of itself, so
+    g_a = min(gap, r2) by at most u r2. So a mean's d2(p) lies on d2(a)'s
+    side of the sphere and outside the shell when
+
+        delta (2 D_max + delta) <= g_a - r2 (_SHELL + 21u),
+
+    and g = min(gap, r2) - 2 _SHELL r2 is smaller than that right side by
+    r2 (_SHELL - 21u), which absorbs the rounding of g itself. The root
+    delta = g / (D_max + sqrt(D_max^2 + g)) is taken less 1e-9 relative,
+    which covers its own rounding and that of the caller's `math.dist`.
+    The answer at such a p is then a's mask, so a's answer, as `_within`
+    and the tree would give it.
+    """
+    r2 = radius * radius
+    g = min(gap, r2) - 2.0 * _SHELL * r2
+    d_max = radius * (1.0 + 2.0 * _SKIN)
+    return g / (d_max + math.sqrt(d_max * d_max + g)) * (1.0 - 1e-9)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -151,7 +193,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class _NeighbourList(NamedTuple):
     """One kd-tree query of `query_nearby` at radius (1 + _SKIN) around
     `anchor`, with the means (as columns) and inverse covariances of the
-    splats it found, and the last answer filtered from it."""
+    splats it found, and the last answer filtered from it, with the point
+    where that answer was last certified and the reach `_reach` proves for
+    it around that point."""
 
     radius: float
     anchor: tuple
@@ -162,6 +206,9 @@ class _NeighbourList(NamedTuple):
     idx: np.ndarray | None = None     # the last answer, read-only
     rows: tuple | None = None         # its (means, inv_cov), read-only; means
                                       # is the .T view of a C-contiguous (3, k') block
+    point: tuple = (0.0, 0.0, 0.0)    # where `_within` last gave that answer
+    reach: float = -1.0               # a query within it of `point` gets `idx`;
+                                      # negative while there is no answer
 
     @property
     def means(self) -> np.ndarray:
@@ -188,11 +235,16 @@ class Scene:
     block of columns, the layout the row kernels read, handed out as its
     (k, 3) `.T` view. `gather` serves them for that answer, and an answer
     equal to the one before, from the same list, is the same read-only
-    `idx` with the same rows. The list is one tuple,
-    replaced by a single attribute store on a refill or a new answer and
-    read once per call, so concurrent readers always see a consistent entry
-    and the scene stays safe to share; two threads that replace it at once
-    cost each other only a rebuild or a copy of rows.
+    `idx` with the same rows. Each filtering also certifies how far its
+    answer holds: from the smallest |d^2 - r^2| over the list it proves a
+    reach around the query point (`_reach`), and a later query within
+    that reach of that point returns the last answer without filtering;
+    this is the displacement test of a Verlet list's skin, applied to the
+    answer. The list is one tuple, replaced by a single attribute store on
+    a refill, a new answer or a new certificate and read once per call, so
+    concurrent readers always see a consistent entry and the scene stays
+    safe to share; two threads that replace it at once cost each other
+    only a rebuild, a filtering or a copy of rows.
     """
 
     means: np.ndarray       # (n, 3)
@@ -233,17 +285,21 @@ class Scene:
             memo = _NeighbourList(radius, pt, sup, np.take(self.means, sup, axis=0).T.copy(),
                                   np.take(self.inv_cov, sup, axis=0))
             self._memo = memo
-        inner = _within(pt, radius, memo.xyz)
-        if inner is None:
+        elif math.dist(pt, memo.point) <= memo.reach:
+            return memo.idx
+        found = _within(pt, radius, memo.xyz)
+        if found is None:
             return _frozen(self._ball(p, radius))
+        inner, gap = found
         key = inner.tobytes()
         if key == memo.key:
+            self._memo = memo._replace(point=pt, reach=_reach(gap, radius))
             return memo.idx
         pos = inner.nonzero()[0]
         idx = _frozen(memo.sup[pos])
         self._memo = memo._replace(key=key, idx=idx, rows=(
             _frozen(np.take(memo.xyz, pos, axis=1)).T,
-            _frozen(np.take(memo.inv_cov, pos, axis=0))))
+            _frozen(np.take(memo.inv_cov, pos, axis=0))), point=pt, reach=_reach(gap, radius))
         return idx
 
     def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

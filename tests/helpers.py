@@ -11,16 +11,16 @@ RING_SCENE_SEED = 7
 RING_PAIRS = 50
 RING_KW = dict(a_max=10.0, v_max=2.5, activation_radius=5.0, timeout=60.0,
                p_k=8.0, start_radius=10.0, start_height=2.0)
+RING_SPEC_KW = dict(pattern="ring", count=2400, ring_radius=6.5, pillar_count=10,
+                    pillar_radius=0.45, height=4.0, scale_range=(0.08, 0.2),
+                    anisotropy_range=(1.0, 4.0))
 
 
 @functools.lru_cache(maxsize=1)
 def ring_scene():
     from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 
-    spec = SyntheticSpec(pattern="ring", count=2400, ring_radius=6.5, pillar_count=10,
-                         pillar_radius=0.45, height=4.0, scale_range=(0.08, 0.2),
-                         anisotropy_range=(1.0, 4.0))
-    return make_synthetic_scene(spec, seed=RING_SCENE_SEED)
+    return make_synthetic_scene(SyntheticSpec(**RING_SPEC_KW), seed=RING_SCENE_SEED)
 
 
 class _Captured(Exception):

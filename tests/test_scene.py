@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.spatial.transform import Rotation
 
+from splatcone import scene as scene_mod
 from splatcone.scene import (
     PreprocessOptions,
     Scene,
@@ -634,6 +635,107 @@ def test_query_nearby_answers_a_refilled_list_afresh():
     assert first.tolist() == [0] and second.tolist() == [2]
     assert scene.gather(second) is not rows and _rows_match(scene, second)
     assert _rows_match(scene, first)
+
+
+def _count_within(monkeypatch) -> list:
+    """Record every call of `scene._within` into the returned list."""
+    calls = []
+    within = scene_mod._within
+
+    def counted(*args):
+        calls.append(args[0])
+        return within(*args)
+
+    monkeypatch.setattr(scene_mod, "_within", counted)
+    return calls
+
+
+def _nearest_to_sphere(memo, p, radius):
+    """Index into the list of the mean nearest the sphere around p, and
+    the signed distance to go toward it to put it on the sphere."""
+    d = np.linalg.norm(memo.means - p, axis=1)
+    j = int(np.argmin(np.abs(d - radius)))
+    return j, d[j] - radius
+
+
+def test_query_nearby_serves_a_walk_inside_the_reach_without_filtering(monkeypatch):
+    """Queries within the reach certified at the last filtered point get
+    that answer, the same array, without filtering the list; the reach is
+    no longer than the way to the nearest sphere crossing."""
+    scene = dataclasses.replace(_walk_scene())
+    p = np.array([0.5, -1.0, 0.2])
+    first = scene.query_nearby(p, 5.0)
+    memo = scene._memo
+    assert memo.point == tuple(p.tolist()) and memo.idx is first
+    j, to_sphere = _nearest_to_sphere(memo, p, 5.0)
+    assert 0.0 < memo.reach < abs(to_sphere)
+    calls = _count_within(monkeypatch)
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        d = rng.normal(size=3)
+        q = p + d / np.linalg.norm(d) * memo.reach * rng.uniform(0.0, 0.999)
+        got = scene.query_nearby(q, 5.0)
+        assert got is first and np.array_equal(got, _tree_ball(scene, q, 5.0))
+    # to the reach's edge, toward the mean nearest the sphere
+    edge = p + (memo.means[j] - p) / np.linalg.norm(memo.means[j] - p) * memo.reach * (1.0 - 1e-12)
+    assert scene.query_nearby(edge, 5.0) is first
+    assert calls == [] and scene._memo is memo
+
+
+def test_query_nearby_filters_a_step_past_the_reach(monkeypatch):
+    """A step just past the reach is filtered and gets the tree's answer,
+    and the step that brings the nearest outside mean into the sphere gets
+    a new answer with that mean."""
+    scene = dataclasses.replace(_walk_scene())
+    p = np.array([0.5, -1.0, 0.2])
+    first = scene.query_nearby(p, 5.0)
+    memo = scene._memo
+    d = np.linalg.norm(memo.means - p, axis=1)
+    j = int(np.argmin(np.where(d > 5.0, d, np.inf)))
+    toward = (memo.means[j] - p) / d[j]
+    calls = _count_within(monkeypatch)
+    past = p + toward * memo.reach * (1.0 + 1e-6)
+    got = scene.query_nearby(past, 5.0)
+    assert len(calls) == 1 and np.array_equal(got, _tree_ball(scene, past, 5.0))
+    assert scene._memo.point == tuple(past.tolist())  # certified anew there
+    inside = p + toward * (d[j] - 5.0) * (1.0 + 1e-6)
+    moved = scene.query_nearby(inside, 5.0)
+    assert len(calls) == 2 and moved is not first
+    assert memo.sup[j] in moved and memo.sup[j] not in first
+    assert np.array_equal(moved, _tree_ball(scene, inside, 5.0)) and _rows_match(scene, moved)
+
+
+_reach_move = st.one_of(
+    st.tuples(st.just("step"), _direction, st.floats(0.0, 1.0)),
+    st.tuples(st.just("edge"), st.floats(0.999, 1.001)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=st.tuples(*[st.floats(-8.0, 8.0)] * 3).map(np.array),
+       radius=st.sampled_from([0.7, 1.37, 5.0]),
+       scale=st.sampled_from([1e-5, 1e-3, 1e-2]),
+       moves=st.lists(_reach_move, min_size=1, max_size=40))
+def test_query_nearby_reach_walk_matches_tree(start, radius, scale, moves):
+    """On walks of steps small against the radius, and of moves to about the
+    reach's edge toward the mean nearest the sphere (the direction in which
+    the answer changes first), every query returns a fresh tree query's
+    indices, with the scene's rows."""
+    scene = dataclasses.replace(_walk_scene())
+    p = start
+    for move in moves:
+        memo = scene._memo
+        if move[0] == "step":
+            _, direction, length = move
+            p = p + direction / np.linalg.norm(direction) * length * scale * radius
+        elif memo is not None and memo.reach > 0.0 and memo.sup.size:
+            a = np.array(memo.point)
+            j, to_sphere = _nearest_to_sphere(memo, a, radius)
+            towards = np.sign(to_sphere) * (memo.means[j] - a)
+            if towards.any():
+                p = a + towards / np.linalg.norm(towards) * memo.reach * move[1]
+        got = scene.query_nearby(p, radius)
+        assert np.array_equal(got, _tree_ball(scene, p, radius))
+        assert _rows_match(scene, got)
 
 
 def test_chi2_confidence_against_integration_oracle():

@@ -469,3 +469,70 @@ def test_normals_layout_does_not_change_the_solve():
         for name in ("u", "active_ids", "slack_used", "kkt_residual"):
             assert np.asarray(getattr(got, name)).tobytes() == \
                 np.asarray(getattr(want, name)).tobytes(), name
+
+
+def test_lapack_calls_give_numpy_linalg_bits():
+    """Assumption test. The solve calls LAPACK's dgesv and dgesdd through
+    scipy.linalg.lapack (`qp._solve`, `qp._svd`), the routines
+    np.linalg.solve and np.linalg.svd call, without numpy's wrappers. numpy
+    and scipy may link different LAPACK builds, so on random Gram systems
+    of 2 and 3 unit rows, on 2x2 systems of the two-ball step's kind and
+    on blocks of 2 to 4 unit rows, the results and the products the solve
+    takes of them must have numpy.linalg's bytes. A build where they
+    differ fails here, in one place, rather than across the bit pins."""
+    rng = np.random.default_rng(23)
+    why = ("scipy.linalg.lapack's dgesv/dgesdd give other bytes than numpy.linalg here; "
+           "qp's solve and the bit pins assume the same "
+           "(see ROADMAP item 11 on retiring the bit-mimicry)")
+
+    def unit_rows(k):
+        rows = rng.normal(size=(k, 3))
+        return rows / np.sqrt((rows * rows).sum(axis=1))[:, None]
+
+    solves = svds = 0
+    for _ in range(20000):
+        rows = unit_rows(int(rng.integers(2, 4)))
+        M, rhs = rows @ rows.T, rows @ unit_rows(1)[0]
+        J, r = rng.normal(size=(2, 2)), rng.normal(size=2)
+        solves += qp._solve(M, rhs).tobytes() != np.linalg.solve(M, rhs).tobytes()
+        solves += qp._solve(J, r).tobytes() != np.linalg.solve(J, r).tobytes()
+        block = unit_rows(int(rng.integers(2, 5)))
+        _, s, vt = np.linalg.svd(block)
+        rank = int(rng.integers(1, 3))
+        want = np.eye(3) - vt[:rank].T @ vt[:rank]
+        _, s2, vt2 = qp._svd(block)
+        svds += (s2.tobytes() != s.tobytes() or np.ascontiguousarray(vt2).tobytes() != vt.tobytes()
+                 or (np.eye(3) - vt2[:rank].T @ vt2[:rank]).tobytes() != want.tobytes())
+        got = [np.ascontiguousarray(x) for x in qp._svd(block, full_matrices=False)]
+        svds += any(a.tobytes() != b.tobytes()
+                    for a, b in zip(got, np.linalg.svd(block, full_matrices=False)))
+    assert solves == 0, why
+    assert svds == 0, why
+    with pytest.raises(np.linalg.LinAlgError):
+        qp._solve(np.ones((2, 2)), np.ones(2))
+
+
+def test_lapack_calls_keep_replayed_solves_bytes(monkeypatch):
+    """Replayed ring programs, with hard and with slack rows, solve to the
+    same bytes when numpy.linalg's solve and svd stand in for the direct
+    LAPACK calls: the lifted slack step takes the SVD's factors in numpy's
+    layout, since BLAS rounds a product with Fortran-ordered factors
+    otherwise (`test_step_pins.py` pins the hard solves against the
+    reference solver; the slack solver there is another algorithm)."""
+    hard = [p for name in ("cone", "distance_baseline") for pair in (2, 3)
+            for p in ring_problems(name, pair, 200)[::4] if p.normals.shape[0]]
+    problems = hard + [dataclasses.replace(p, slack_weight=1e4) for p in hard]
+
+    def outputs():
+        out = []
+        for problem in problems:
+            sol = solve_filter(problem)
+            out.append((None if sol.u is None else sol.u.tobytes(), sol.status,
+                        sol.active_ids.tobytes(), sol.slack_used, repr(sol.kkt_residual)))
+        return out
+
+    direct = outputs()
+    monkeypatch.setattr(qp, "_solve", np.linalg.solve)
+    monkeypatch.setattr(qp, "_svd", lambda a, full_matrices=True:
+                        np.linalg.svd(a, full_matrices=full_matrices))
+    assert outputs() == direct

@@ -1,0 +1,49 @@
+"""tools/step_ab.py steps recorded ring states through two source trees."""
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("step_ab", ROOT / "tools" / "step_ab.py")
+step_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(step_ab)
+
+_NOISE = '''
+
+_exact_cone_rows = cone_rows
+
+
+def cone_rows(*args, **kwargs):
+    """The cone rows with relative noise of about an ulp, as the rounding
+    gauge draws it."""
+    normals, offsets, *rest = _exact_cone_rows(*args, **kwargs)
+    rng = np.random.default_rng(offsets.size)
+    normals = normals * (1.0 + 2e-16 * rng.standard_normal(normals.shape))
+    offsets = offsets * (1.0 + 2e-16 * rng.standard_normal(offsets.shape))
+    return (normals, offsets, *rest)
+'''
+
+
+def test_identical_trees_read_no_change(tmp_path):
+    # rows bind from the first steps of pairs 2 and 3 (not of pairs 0 and 1)
+    out = tmp_path / "ab.json"
+    assert step_ab.main([str(ROOT), str(ROOT), "--pairs", "2,3", "--steps", "40",
+                         "--passes", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for name in ("cone", "distance_baseline"):
+        assert report["filters"][name] == {"steps": 80, "changed": 0, "max_rel_change": 0.0}
+        for side in ("parent", "change"):
+            assert report["timing"][name][side]["sum_ms"] > 0.0
+    assert set(report["timing"]["baseline_over_cone"]) == {"parent", "change"}
+
+
+def test_a_tree_with_noisy_rows_reads_its_changes(tmp_path):
+    shutil.copytree(ROOT / "src" / "splatcone", tmp_path / "src" / "splatcone")
+    kernels = tmp_path / "src" / "splatcone" / "kernels.py"
+    kernels.write_text(kernels.read_text() + _NOISE)
+    report = step_ab.compare({"parent": ROOT, "change": tmp_path}, ["cone"], [2, 3],
+                             passes=1, steps=40)
+    cone = report["filters"]["cone"]
+    assert cone["steps"] == 80 and cone["changed"] > 0
+    assert 0.0 < cone["max_rel_change"] < 1e-6
