@@ -49,12 +49,6 @@ Each speed-up kept every result's bits: sums are taken in numpy's own
 order, the LAPACK routines are the ones numpy calls, and the products BLAS
 rounds with FMA (dots, matrix products) stay numpy calls on numpy's
 layouts.
-On 3,600 replayed ring cone solves a ball step's median fell from 141 to
-100 us and a one-projection solve's from 110 to 89 us (min of 7 timings
-per solve, 2-core VM), so a ball step now costs about 1.1x a
-one-projection solve. Calling LAPACK directly cut by 15% the median of the
-10,257 replayed ring cone solves that reach it (147 to 125 us; faster in
-98% of them, bytes unchanged).
 """
 from __future__ import annotations
 
@@ -203,7 +197,7 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
                 z = Vt.T @ (eps * h)
                 zz = float(npv @ z) + eps  # the rate of row p's lifted residual: its lifted |z|^2
             elif W:
-                Nw = N[W[0]:W[0] + 1] if len(W) == 1 else N.take(W, axis=0)
+                Nw = N.take(W, axis=0)
                 M = Nw @ Nw.T
                 rhs = Nw @ npv
                 if len(W) == 1:
@@ -566,7 +560,8 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
 def solve_filter(problem: FilterProblem) -> FilterSolution:
     """Solve the per-step program. Hard constraints by default; with
     `slack_weight` set, rows relax to a_i^T u >= b_i - xi_i with quadratic
-    slack penalties and status 'degraded' whenever slack is actually used."""
+    slack penalties and status 'degraded' whenever slack is actually used.
+    Raises ValueError when `normals` or `offsets` hold a non-finite value."""
     t0 = time.perf_counter()
     ubar = np.asarray(problem.reference, dtype=np.float64)
 
@@ -577,7 +572,12 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
 
     N, b, ids = problem.normals, problem.offsets, problem.splat_ids
     norms = np.sqrt(dot3(N.T, N.T))
-    if norms.size and not norms.min() > _ZERO_NORMAL:  # NaN norms land here too
+    # a non-finite normal or offset makes norms @ b non-finite; a finite row
+    # only by overflow, and it passes the check
+    if norms.size and not (norms.min() > _ZERO_NORMAL and math.isfinite(norms @ b)):
+        for name in ("normals", "offsets"):
+            if not np.isfinite(getattr(problem, name)).all():
+                raise ValueError(f"{name} must be finite")
         zero = norms <= _ZERO_NORMAL
         if np.any(problem.offsets[zero] > 1e-12):
             # vacuous row demanding 0 >= positive: nothing to optimize

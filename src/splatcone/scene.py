@@ -194,19 +194,18 @@ class _NeighbourList(NamedTuple):
     """One kd-tree query of `query_nearby` at radius (1 + _SKIN) around
     `anchor`, with the means (as columns) and inverse covariances of the
     splats it found, and the last answer filtered from it, with the point
-    where that answer was last certified and the reach `_reach` proves for
-    it around that point."""
+    where that answer was made and the reach `_reach` proves for it around
+    that point."""
 
     radius: float
     anchor: tuple
     sup: np.ndarray    # (k,) sorted splat indices
     xyz: np.ndarray    # (3, k) their means, column by column
     inv_cov: np.ndarray  # (k, 3, 3)
-    key: bytes | None = None          # the last answer's mask, as bytes
     idx: np.ndarray | None = None     # the last answer, read-only
     rows: tuple | None = None         # its (means, inv_cov), read-only; means
                                       # is the .T view of a C-contiguous (3, k') block
-    point: tuple = (0.0, 0.0, 0.0)    # where `_within` last gave that answer
+    point: tuple = (0.0, 0.0, 0.0)    # where `_within` made that answer
     reach: float = -1.0               # a query within it of `point` gets `idx`;
                                       # negative while there is no answer
 
@@ -229,22 +228,20 @@ class Scene:
     A later query of the same radius centred within the skin filters that
     list instead of searching the tree. It returns the same indices, bit
     for bit, as a fresh tree query; a mean too close to the sphere to be
-    decided the tree's way sends the query to the tree. The list carries
-    its last answer with that answer's rows, copied out of the blocks by
-    position when the answer is made: the means as a C-contiguous (3, k)
-    block of columns, the layout the row kernels read, handed out as its
-    (k, 3) `.T` view. `gather` serves them for that answer, and an answer
-    equal to the one before, from the same list, is the same read-only
-    `idx` with the same rows. Each filtering also certifies how far its
-    answer holds: from the smallest |d^2 - r^2| over the list it proves a
-    reach around the query point (`_reach`), and a later query within
-    that reach of that point returns the last answer without filtering;
-    this is the displacement test of a Verlet list's skin, applied to the
-    answer. The list is one tuple, replaced by a single attribute store on
-    a refill, a new answer or a new certificate and read once per call, so
+    decided the tree's way sends the query to the tree. Each filtering
+    makes a new read-only answer and copies its rows out of the blocks by
+    position: the means as a C-contiguous (3, k) block of columns, the
+    layout the row kernels read, handed out as its (k, 3) `.T` view.
+    `gather` serves them for that answer. Each filtering also certifies how
+    far its answer holds: from the smallest |d^2 - r^2| over the list it
+    proves a reach around the query point (`_reach`), and a later query
+    within that reach of that point returns the last answer without
+    filtering; this is the displacement test of a Verlet list's skin,
+    applied to the answer. The list is one tuple, replaced by a single
+    attribute store on a refill or a new answer and read once per call, so
     concurrent readers always see a consistent entry and the scene stays
     safe to share; two threads that replace it at once cost each other
-    only a rebuild, a filtering or a copy of rows.
+    only a rebuild or a filtering.
     """
 
     means: np.ndarray       # (n, 3)
@@ -291,13 +288,9 @@ class Scene:
         if found is None:
             return _frozen(self._ball(p, radius))
         inner, gap = found
-        key = inner.tobytes()
-        if key == memo.key:
-            self._memo = memo._replace(point=pt, reach=_reach(gap, radius))
-            return memo.idx
         pos = inner.nonzero()[0]
         idx = _frozen(memo.sup[pos])
-        self._memo = memo._replace(key=key, idx=idx, rows=(
+        self._memo = memo._replace(idx=idx, rows=(
             _frozen(np.take(memo.xyz, pos, axis=1)).T,
             _frozen(np.take(memo.inv_cov, pos, axis=0))), point=pt, reach=_reach(gap, radius))
         return idx

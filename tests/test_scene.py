@@ -2,6 +2,7 @@
 and the chi-squared confidence quantile."""
 import dataclasses
 import functools
+import math
 import struct
 import sys
 import threading
@@ -476,8 +477,9 @@ def test_query_nearby_walk_matches_tree(start, moves):
     put a mean exactly on the sphere, every query returns a fresh tree
     query's indices, bit for bit, read-only, and the rows `gather` serves
     for them are the scene's rows of those indices; so are the rows of a
-    caller's own indices. An answer equal to the one before from the same
-    neighbour list is the same array."""
+    caller's own indices. A query within the reach certified for the last
+    answer gets that answer, the same array with the same rows; any other
+    query gets a new array."""
     scene = dataclasses.replace(_walk_scene())  # a fresh neighbour list
     radius, audit_radius = 5.0, 1.37
     p = start
@@ -508,9 +510,14 @@ def test_query_nearby_walk_matches_tree(start, moves):
         assert np.array_equal(got, _tree_ball(scene, p, r))
         assert _rows_match(scene, got)
         memo = scene._memo
-        if (last is not None and memo.idx is got and memo.sup is last.sup
-                and np.array_equal(got, last.idx)):
-            assert got is last.idx and scene.gather(got) is last.rows
+        if last is not None:
+            # a query that neither refills the list nor makes a new answer
+            # was served by the reach, or sent to the tree from the shell
+            served = memo is last and math.dist(p.tolist(), last.point) <= last.reach
+            if served:
+                assert got is last.idx and scene.gather(got) is last.rows
+            else:
+                assert got is not last.idx
         last = memo
 
 
@@ -588,14 +595,15 @@ def test_query_nearby_serves_steps_from_the_neighbour_list():
 
 
 def test_query_nearby_reuses_a_repeated_answer():
-    """A step whose answer equals the one before, from the same neighbour
-    list, gets the same read-only idx and rows; another answer from that
-    list, or a caller's copy of an answer, gets rows of its own."""
+    """A step within the reach of the last answer gets the same read-only
+    idx and rows; another answer from the same neighbour list, or a
+    caller's copy of an answer, gets rows of its own."""
     scene = dataclasses.replace(_walk_scene())
     p = np.array([0.5, -1.0, 0.2])
     first = scene.query_nearby(p, 5.0)
     rows = scene.gather(first)
-    again = scene.query_nearby(p + 1e-4, 5.0)
+    step = np.full(3, 0.5 * scene._memo.reach / math.sqrt(3.0))
+    again = scene.query_nearby(p + step, 5.0)
     assert again is first and scene.gather(again) is rows
     assert all(not a.flags.writeable for a in (first, *rows))
     with pytest.raises(ValueError):
@@ -703,6 +711,30 @@ def test_query_nearby_filters_a_step_past_the_reach(monkeypatch):
     assert len(calls) == 2 and moved is not first
     assert memo.sup[j] in moved and memo.sup[j] not in first
     assert np.array_equal(moved, _tree_ball(scene, inside, 5.0)) and _rows_match(scene, moved)
+
+
+def test_query_nearby_answers_a_filtered_repeat_afresh(monkeypatch):
+    """A step just past the reach that brings no mean across the sphere is
+    filtered: its answer equals the last one but is a new read-only array,
+    with the scene's rows, certified at its own point."""
+    scene = dataclasses.replace(_walk_scene())
+    p = np.array([0.5, -1.0, 0.2])
+    first = scene.query_nearby(p, 5.0)
+    rows = scene.gather(first)
+    memo = scene._memo
+    j, to_sphere = _nearest_to_sphere(memo, p, 5.0)
+    # past the reach, short of the nearest sphere crossing
+    length = 0.5 * (memo.reach + abs(to_sphere))
+    assert memo.reach < length < abs(to_sphere)
+    past = p + (memo.means[j] - p) / np.linalg.norm(memo.means[j] - p) * length
+    assert np.array_equal(_tree_ball(scene, past, 5.0), first)
+    calls = _count_within(monkeypatch)
+    got = scene.query_nearby(past, 5.0)
+    assert len(calls) == 1 and scene._memo.sup is memo.sup
+    assert got is not first and np.array_equal(got, first) and not got.flags.writeable
+    assert scene._memo.idx is got and scene._memo.point == tuple(past.tolist())
+    assert scene.gather(got) is scene._memo.rows and scene.gather(got) is not rows
+    assert _rows_match(scene, got)
 
 
 _reach_move = st.one_of(

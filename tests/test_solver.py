@@ -174,6 +174,28 @@ def test_splat_ids_filled_only_when_none_given():
         FilterProblem(reference=np.zeros(3), a_max=1.0, splat_ids=np.array([5]))
 
 
+@pytest.mark.parametrize("rows, message", [
+    # an infinite offset made the violation tolerance infinite: every row
+    # passed, and the reference came back as optimal
+    pytest.param(dict(offsets=[100.0, -np.inf]), "offsets", id="inf-offset"),
+    pytest.param(dict(offsets=[100.0, np.nan]), "offsets", id="nan-offset"),
+    # NaN rows came back infeasible
+    pytest.param(dict(normals=[(0, 0, 1), (np.inf, 0, 0)]), "normals", id="inf-normal"),
+    pytest.param(dict(normals=[(0, 0, 1), (np.nan, 0, 0)]), "normals", id="nan-normal"),
+    # a zero row is dropped, its offset with it
+    pytest.param(dict(normals=[(0, 0, 0), (1, 0, 0)], offsets=[np.nan, 1.0]), "offsets",
+                 id="nan-offset-zero-normal"),
+], ids=str)
+def test_non_finite_rows_rejected(rows, message):
+    kw = {"normals": [(0, 0, 1), (1, 0, 0)], "offsets": [100.0, 1.0], **rows}
+    for sw in (None, 10.0):
+        with pytest.raises(ValueError, match=message):
+            _solve((1.0, 2.0, 3.0), kw["normals"], kw["offsets"], 1000.0, slack_weight=sw)
+    # the finite program solves: u_z is raised to 100
+    sol = _solve((1.0, 2.0, 3.0), [(0, 0, 1), (1, 0, 0)], [100.0, 1.0], 1000.0)
+    assert sol.status == "optimal" and sol.u.tolist() == [1.0, 2.0, 100.0]
+
+
 @pytest.mark.parametrize("pair", [3, 8])
 def test_slack_converges_at_large_weights(pair):
     # replayed cone steps from rest: every row through the apex carries a

@@ -35,6 +35,12 @@ def test_identical_trees_read_no_change(tmp_path):
         assert report["filters"][name] == {"steps": 80, "changed": 0, "max_rel_change": 0.0}
         for side in ("parent", "change"):
             assert report["timing"][name][side]["sum_ms"] > 0.0
+        # every step falls in one row-count band
+        bands = report["bands"][name]
+        assert list(bands) == [label for label, _, _ in step_ab.BANDS]
+        assert sum(band["steps"] for band in bands.values()) == 80
+        for band in bands.values():
+            assert ("parent" in band) == (band["steps"] > 0)
     assert set(report["timing"]["baseline_over_cone"]) == {"parent", "change"}
 
 

@@ -25,6 +25,9 @@ relative change of `u`; these are deterministic. Each step's time is the
 minimum over the passes; the `timing` block holds their sum, p50 and p99
 per tree, CHANGE against PARENT in percent, and each tree's
 distance_baseline over cone reading (criterion 7 compares the medians).
+The `bands` block splits each filter's steps by the number of splats the
+step's query returned (`n_active`, from PARENT's first pass) into BANDS,
+with each band's step count and, per tree, its timing summary.
 """
 from __future__ import annotations
 
@@ -47,6 +50,8 @@ from helpers import RING_KW, RING_PAIRS, RING_SCENE_SEED, RING_SPEC_KW  # noqa: 
 
 SIDES = ("parent", "change")
 FILTERS = ("cone", "distance_baseline")
+# (label, lowest n_active, highest) of the row-count bands
+BANDS = (("0", 0, 0), ("1-199", 1, 199), ("200-499", 200, 499), ("500+", 500, np.inf))
 
 
 class _Done(Exception):
@@ -103,8 +108,8 @@ def record_states(mods: dict, scene, filter_name: str, pairs: list[int], steps: 
 
 
 def _step_all(mods: dict, scene, filter_name: str, states: list):
-    """Each state's (seconds, status, u bytes) through one tree's filter step,
-    on a fresh neighbour list."""
+    """Each state's (seconds, status, u bytes, n_active) through one tree's
+    filter step, on a fresh neighbour list."""
     sim = mods["simulator"]
     cfg = sim.SimConfig(filter=filter_name, **RING_KW)
     step = sim._FILTER_STEPS[filter_name]
@@ -114,9 +119,10 @@ def _step_all(mods: dict, scene, filter_name: str, states: list):
     clock = time.perf_counter
     for state, u_ref in robot:
         t0 = clock()
-        sol, _ = step(scene, state, u_ref, cfg)
+        sol, diag = step(scene, state, u_ref, cfg)
         t1 = clock()
-        out.append((t1 - t0, sol.status, None if sol.u is None else sol.u.tobytes()))
+        out.append((t1 - t0, sol.status, None if sol.u is None else sol.u.tobytes(),
+                    diag["n_active"]))
     return out
 
 
@@ -124,6 +130,15 @@ def _summary(seconds: np.ndarray) -> dict:
     return {"sum_ms": 1e3 * float(seconds.sum()),
             "p50_us": 1e6 * float(np.percentile(seconds, 50)),
             "p99_us": 1e6 * float(np.percentile(seconds, 99))}
+
+
+def _timing(seconds: dict) -> dict:
+    """Per tree the summary of its per-step seconds, and CHANGE against
+    PARENT in percent."""
+    timing = {side: _summary(seconds[side]) for side in SIDES}
+    timing["change_pct"] = {key: 100.0 * (timing[SIDES[1]][key] / timing[SIDES[0]][key] - 1.0)
+                            for key in timing[SIDES[0]]}
+    return timing
 
 
 def _rel_change(a: bytes | None, b: bytes | None) -> float:
@@ -144,7 +159,7 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
     units = [(name, i) for i in range(len(pairs)) for name in filters]
     best = {(side, name, i): np.full(len(recorded[name][i]), np.inf)
             for side in SIDES for name, i in units}
-    first = {}
+    first, n_active = {}, {}
     gc.disable()
     try:
         for n in range(passes):
@@ -154,11 +169,13 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
                     np.minimum(best[side, name, i], [r[0] for r in result],
                                out=best[side, name, i])
                     if n == 0:
-                        first[side, name, i] = [r[1:] for r in result]
+                        first[side, name, i] = [r[1:3] for r in result]
+                        if side == SIDES[0]:
+                            n_active[name, i] = [r[3] for r in result]
     finally:
         gc.enable()
     report = {"trees": {side: str(tree) for side, tree in trees.items()}, "pairs": pairs,
-              "passes": passes, "steps": steps, "filters": {}, "timing": {}}
+              "passes": passes, "steps": steps, "filters": {}, "timing": {}, "bands": {}}
     for name in filters:
         got = {side: [x for i in range(len(pairs)) for x in first[side, name, i]]
                for side in SIDES}
@@ -168,11 +185,17 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
             "changed": len(changed),
             "max_rel_change": max((_rel_change(a[1], b[1]) for a, b in changed), default=0.0),
         }
-        timing = {side: _summary(np.concatenate([best[side, name, i] for i in range(len(pairs))]))
-                  for side in SIDES}
-        timing["change_pct"] = {key: 100.0 * (timing[SIDES[1]][key] / timing[SIDES[0]][key] - 1.0)
-                                for key in timing[SIDES[0]]}
-        report["timing"][name] = timing
+        seconds = {side: np.concatenate([best[side, name, i] for i in range(len(pairs))])
+                   for side in SIDES}
+        report["timing"][name] = _timing(seconds)
+        active = np.concatenate([n_active[name, i] for i in range(len(pairs))])
+        report["bands"][name] = {}
+        for label, lo, hi in BANDS:
+            inside = (active >= lo) & (active <= hi)
+            band = {"steps": int(inside.sum())}
+            if inside.any():
+                band.update(_timing({side: t[inside] for side, t in seconds.items()}))
+            report["bands"][name][label] = band
     if "cone" in filters and "distance_baseline" in filters:
         t = report["timing"]
         report["timing"]["baseline_over_cone"] = {
@@ -208,6 +231,11 @@ def main(argv=None) -> int:
         print(f"{name}: {f['steps']} steps, {f['changed']} changed (max rel {f['max_rel_change']:.3g}); "
               + "; ".join(f"{key} {t['parent'][key]:.1f} -> {t['change'][key]:.1f} "
                           f"({t['change_pct'][key]:+.1f}%)" for key in t["parent"]))
+        for label, band in report["bands"][name].items():
+            print(f"  n_active {label}: {band['steps']} steps"
+                  + "".join(f"; {key} {band['parent'][key]:.1f} -> {band['change'][key]:.1f} "
+                            f"({band['change_pct'][key]:+.1f}%)"
+                            for key in ("sum_ms", "p50_us") if band["steps"]))
     if "baseline_over_cone" in report["timing"]:
         for side, r in report["timing"]["baseline_over_cone"].items():
             print(f"baseline/cone {side}: sum {r['sum_ms']:.3f}, p50 {r['p50_us']:.3f}")
