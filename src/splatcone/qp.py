@@ -578,6 +578,16 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
         for name in ("normals", "offsets"):
             if not np.isfinite(getattr(problem, name)).all():
                 raise ValueError(f"{name} must be finite")
+        huge = np.isinf(norms)
+        if huge.any():
+            # a finite row whose squared norm overflows would normalise to a
+            # vacuous 0 >= 0: divide it and its offset by its largest entry
+            # first, which keeps its half-space
+            top = np.abs(N[huge]).max(axis=1)
+            N, b = N.copy(), b.copy()
+            N[huge] /= top[:, None]
+            b[huge] /= top
+            norms[huge] = np.sqrt(dot3(N[huge].T, N[huge].T))
         zero = norms <= _ZERO_NORMAL
         if np.any(problem.offsets[zero] > 1e-12):
             # vacuous row demanding 0 >= positive: nothing to optimize

@@ -110,13 +110,34 @@ class PreprocessOptions:
 _BUILD_CHUNK = 2048
 
 # Skin of `Scene.query_nearby`'s neighbour list, relative to the radius: one
-# tree query at radius (1 + _SKIN) serves every later query of that radius
+# refill at radius (1 + _SKIN) serves every later query of that radius
 # whose centre lies within _SKIN * radius of the first one's (less 1e-9
 # relative, so that no mean the later query needs sits on the list's edge).
 _SKIN = 0.1
 # Relative width of the shell around the radius inside which a filtered
 # result is not trusted to round as the tree does (see `_within`).
 _SHELL = 1e-12
+# Scenes of at most this many splats refill the neighbour list with one
+# numpy scan of every mean (`_d2`) instead of a kd-tree ball query; larger
+# scenes keep the tree. At radius 5.5 a scan of 20,000 means cost less than
+# the tree's walk and list conversion on ring and clutter scenes, and one
+# of 40,000 more on clutter (README).
+_SCAN_MAX = 20000
+
+
+def _d2(p: tuple, xyz: np.ndarray) -> np.ndarray:
+    """Squared distances from `p` to the means given as the columns of
+    `xyz` (3, k), summed as the kd-tree's leaf test sums them:
+    (dx^2 + dy^2) + dz^2. `xyz` may be a strided view."""
+    e = xyz[0] - p[0]
+    d2 = e * e
+    e = xyz[1] - p[1]
+    e *= e
+    d2 += e
+    e = xyz[2] - p[2]
+    e *= e
+    d2 += e
+    return d2
 
 
 def _within(p: tuple, radius: float, xyz: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -132,14 +153,7 @@ def _within(p: tuple, radius: float, xyz: np.ndarray) -> tuple[np.ndarray, float
     so that rounding in r2 (1 +- _SHELL) and in |d2 - r2| cannot let a mean
     inside the narrower shell through.
     """
-    e = xyz[0] - p[0]
-    d2 = e * e
-    e = xyz[1] - p[1]
-    e *= e
-    d2 += e
-    e = xyz[2] - p[2]
-    e *= e
-    d2 += e
+    d2 = _d2(p, xyz)
     r2 = radius * radius
     inner = d2 <= r2 * (1.0 - _SHELL)
     d2 -= r2
@@ -162,7 +176,7 @@ def _reach(gap: float, radius: float) -> float:
 
     with D_max <= R (1 + 2 _SKIN): the list holds means within R (1 + _SKIN)
     of its anchor, and a and p both pass the skin test, so lie within
-    _SKIN R of it (the test's 1e-9 relative slack covers the tree's
+    _SKIN R of it (the test's 1e-9 relative slack covers the refill's
     rounding and its own). `_within` sums d2 with five roundings, so
     |d2 - D^2| <= 6u D_max^2 at a and at p (u = 2^-53); the shell's edges
     r2 (1 +- _SHELL) lie within r2 (_SHELL + 2.1u) of r2; and the rounded
@@ -191,9 +205,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class _NeighbourList(NamedTuple):
-    """One kd-tree query of `query_nearby` at radius (1 + _SKIN) around
-    `anchor`, with the means (as columns) and inverse covariances of the
-    splats it found, and the last answer filtered from it, with the point
+    """One refill of `query_nearby` at radius (1 + _SKIN) around `anchor`,
+    with the means (as columns) and inverse covariances of the splats it
+    found, and the last answer filtered from it, with the point
     where that answer was made and the reach `_reach` proves for it around
     that point."""
 
@@ -222,9 +236,11 @@ class Scene:
     Arrays are read-only after construction. `confidence` is the shared
     squared confidence radius c^2.
 
-    `query_nearby` keeps a neighbour list with a skin: the sorted result of
-    its last kd-tree query, made at radius (1 + _SKIN), with those splats'
-    means, as a (3, k) block of columns, and inverse covariances gathered.
+    `query_nearby` keeps a neighbour list with a skin: the sorted indices of
+    the means within radius (1 + _SKIN) of its last refill's centre, with
+    those splats' means, as a (3, k) block of columns, and inverse
+    covariances gathered. A scene of at most _SCAN_MAX splats is refilled
+    by one scan of all its means, a larger one by a kd-tree ball query.
     A later query of the same radius centred within the skin filters that
     list instead of searching the tree. It returns the same indices, bit
     for bit, as a fresh tree query; a mean too close to the sphere to be
@@ -261,14 +277,16 @@ class Scene:
                     self.inv_cov, self.s_min, self.bounds):
             arr.setflags(write=False)
         if self._tree is None:
-            object.__setattr__(self, "_tree", cKDTree(self.means, balanced_tree=False))
+            object.__setattr__(self, "_tree", cKDTree(self.means, balanced_tree=False,
+                                                         compact_nodes=False))
 
     def __len__(self) -> int:
         return self.means.shape[0]
 
     def query_nearby(self, p: np.ndarray, radius: float) -> np.ndarray:
         """Indices i with ||mean_i - p|| <= radius, ascending and read-only:
-        the kd-tree's result, from the neighbour list when it covers `p`."""
+        the kd-tree's result, from the neighbour list when it covers `p`.
+        Raises SceneError for a non-positive radius or a non-finite `p`."""
         if not radius > 0:
             raise SceneError(f"radius must be positive, got {radius!r}")
         p = np.asarray(p, dtype=np.float64)
@@ -276,7 +294,15 @@ class Scene:
         memo = self._memo
         if not (memo is not None and memo.radius == radius
                 and math.dist(pt, memo.anchor) <= _SKIN * radius * (1.0 - 1e-9)):
-            sup = self._ball(p, radius + _SKIN * radius)
+            # a NaN or infinite coordinate fails the skin test above, so it
+            # is caught here; the scan would read it as "no splats near"
+            if not all(map(math.isfinite, pt)):
+                raise SceneError(f"query point must be finite, got {pt!r}")
+            skin = radius + _SKIN * radius
+            if len(self) <= _SCAN_MAX:
+                sup = (_d2(pt, self.means.T) <= skin * skin).nonzero()[0]
+            else:
+                sup = self._ball(p, skin)
             # rows, then columns: np.take from the (3, n) view self.means.T
             # would first copy all n means into a contiguous array
             memo = _NeighbourList(radius, pt, sup, np.take(self.means, sup, axis=0).T.copy(),
@@ -290,9 +316,9 @@ class Scene:
         inner, gap = found
         pos = inner.nonzero()[0]
         idx = _frozen(memo.sup[pos])
-        self._memo = memo._replace(idx=idx, rows=(
+        self._memo = _NeighbourList(*memo[:5], idx, (
             _frozen(np.take(memo.xyz, pos, axis=1)).T,
-            _frozen(np.take(memo.inv_cov, pos, axis=0))), point=pt, reach=_reach(gap, radius))
+            _frozen(np.take(memo.inv_cov, pos, axis=0))), pt, _reach(gap, radius))
         return idx
 
     def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -569,29 +569,150 @@ class _CountingTree:
         return getattr(self.tree, name)
 
 
-def test_query_nearby_serves_steps_from_the_neighbour_list():
+def _steps_scene():
     rng = np.random.default_rng(2)
     means = np.vstack([[5.0, 0.0, 0.0], rng.uniform(-8.0, 8.0, size=(300, 3))])
     scene = Scene.from_arrays(means, np.tile([1.0, 0.0, 0.0, 0.0], (301, 1)),
                               np.full((301, 3), 0.2), np.full(301, 0.9))
     tree = scene._tree
     scene._tree = _CountingTree(tree)
-    calls = [
-        ((0.0, 0.2, 0.0), 5.0, [5.5]),   # a miss queries the tree at the skin's radius
-        ((0.0, 0.1, 0.0), 5.0, []),      # a control step inside the skin: no tree query
-        ((0.0, 0.0, 0.0), 5.0, [5.0]),   # mean 0 exactly on the sphere: the guard asks the tree
-        ((0.0, 0.05, 0.0), 5.0, []),
-        ((0.0, 0.05, 0.0), 1.0, [1.1]),  # another radius
-        ((0.0, 0.05, 0.0), 5.0, [5.5]),
-        ((0.0, 0.6, 0.0), 5.0, [5.5]),   # beyond the skin of the last miss
-    ]
-    for p, radius, radii in calls:
+    return scene, tree
+
+
+def _serve_steps(scene, tree, calls):
+    """Run `calls` of (p, radius, the tree query radii it should make,
+    whether it refills the list) and check each answer against the tree."""
+    for p, radius, radii, refill in calls:
         scene._tree.radii.clear()
+        memo = scene._memo
         got = scene.query_nearby(np.array(p), radius)
         assert scene._tree.radii == pytest.approx(radii)
+        assert (scene._memo.sup is not getattr(memo, "sup", None)) == refill
+        if refill:
+            assert scene._memo.anchor == p and scene._memo.radius == radius
         assert np.array_equal(got, np.sort(np.asarray(tree.query_ball_point(p, radius),
                                                       dtype=np.intp)))
     assert 0 in scene.query_nearby(np.zeros(3), 5.0)
+
+
+def test_query_nearby_serves_steps_from_the_neighbour_list(monkeypatch):
+    monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)  # the kd-tree refills the list
+    scene, tree = _steps_scene()
+    _serve_steps(scene, tree, [
+        ((0.0, 0.2, 0.0), 5.0, [5.5], True),   # a miss queries the tree at the skin's radius
+        ((0.0, 0.1, 0.0), 5.0, [], False),     # a control step inside the skin: no tree query
+        ((0.0, 0.0, 0.0), 5.0, [5.0], False),  # mean 0 exactly on the sphere: the guard asks the tree
+        ((0.0, 0.05, 0.0), 5.0, [], False),
+        ((0.0, 0.05, 0.0), 1.0, [1.1], True),  # another radius
+        ((0.0, 0.05, 0.0), 5.0, [5.5], True),
+        ((0.0, 0.6, 0.0), 5.0, [5.5], True),   # beyond the skin of the last miss
+    ])
+
+
+def test_query_nearby_scans_a_small_scene_to_refill_the_list():
+    """The twin of the test above on a scene small enough to scan: the
+    same refills read every mean instead of querying the tree, and only
+    the guard on the sphere asks the tree."""
+    scene, tree = _steps_scene()
+    assert len(scene) <= scene_mod._SCAN_MAX
+    _serve_steps(scene, tree, [
+        ((0.0, 0.2, 0.0), 5.0, [], True),
+        ((0.0, 0.1, 0.0), 5.0, [], False),
+        ((0.0, 0.0, 0.0), 5.0, [5.0], False),
+        ((0.0, 0.05, 0.0), 5.0, [], False),
+        ((0.0, 0.05, 0.0), 1.0, [], True),
+        ((0.0, 0.05, 0.0), 5.0, [], True),
+        ((0.0, 0.6, 0.0), 5.0, [], True),
+    ])
+
+
+def test_query_nearby_scan_builds_the_trees_list(monkeypatch):
+    """At seeded anchors on a scene small enough to scan, the scan's
+    neighbour list (indices, mean columns, inverse covariances) is the
+    tree's, byte for byte. Anchors that put a mean within rounding of the
+    list's sphere, where the two may differ, are redrawn."""
+    base = _walk_scene()
+    rng = np.random.default_rng(11)
+    lists = []
+    for _ in range(40):
+        radius = float(rng.choice([0.7, 1.37, 5.0]))
+        skin = radius + scene_mod._SKIN * radius
+        while True:
+            p = rng.uniform(-12.0, 12.0, size=3)
+            d = np.linalg.norm(base.means - p, axis=1)
+            if np.abs(d - skin).min() > 1e-9 * skin:
+                break
+        lists.append((p, radius))
+    assert len(base) <= scene_mod._SCAN_MAX
+    scanned = []
+    for p, radius in lists:
+        scene = dataclasses.replace(base)
+        scene.query_nearby(p, radius)
+        scanned.append(scene._memo)
+    monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
+    sizes = []
+    for (p, radius), scan in zip(lists, scanned):
+        scene = dataclasses.replace(base)
+        scene.query_nearby(p, radius)
+        tree = scene._memo
+        assert scan.anchor == tree.anchor and scan.radius == tree.radius
+        for name in ("sup", "xyz", "inv_cov"):
+            a, b = getattr(scan, name), getattr(tree, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+        sizes.append(tree.sup.size)
+    assert min(sizes) == 0 and max(sizes) > 100  # empty and crowded lists both drawn
+
+
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
+def test_query_nearby_random_walk_matches_tree_on_both_paths(monkeypatch, scan):
+    """A seeded walk of control steps, jumps past the skin, audit-sized
+    radii and centres that put a mean on the sphere gets the tree's answer,
+    with the scene's rows, at every step, whichever way the list refills."""
+    if not scan:
+        monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
+    scene = dataclasses.replace(_walk_scene())
+    rng = np.random.default_rng(21)
+    p = np.array([1.0, -2.0, 0.5])
+    refills = 0
+    for k in range(600):
+        radius = 5.0
+        move = rng.uniform()
+        if move < 0.03:
+            p = rng.uniform(-12.0, 12.0, size=3)
+        elif move < 0.06:
+            radius = 1.37
+        elif move < 0.09:
+            d = np.linalg.norm(scene.means - p, axis=1)
+            j = int(np.argmin(np.abs(d - radius)))
+            p = scene.means[j] + (p - scene.means[j]) * (radius / d[j])
+        else:
+            p = p + rng.normal(size=3) * 0.03
+        memo = scene._memo
+        got = scene.query_nearby(p, radius)
+        refills += scene._memo is not memo and scene._memo.sup is not getattr(memo, "sup", None)
+        assert np.array_equal(got, _tree_ball(scene, p, radius)) and not got.flags.writeable
+        assert _rows_match(scene, got)
+    assert refills > 50
+
+
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_query_nearby_rejects_a_non_finite_point(monkeypatch, scan, bad):
+    """A non-finite query point is an error on both refill paths, with or
+    without a neighbour list: the scan would read it as "no splats near"
+    and the filter would pass the reference through."""
+    if not scan:
+        monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
+    scene = dataclasses.replace(_walk_scene())
+    for axis in range(3):
+        p = np.array([0.5, -1.0, 0.2])
+        p[axis] = bad
+        with pytest.raises(SceneError, match="query point must be finite"):
+            scene.query_nearby(p, 5.0)
+        scene.query_nearby(np.array([0.5, -1.0, 0.2]), 5.0)  # a list to fall back on
+        with pytest.raises(SceneError, match="query point must be finite"):
+            scene.query_nearby(p, 5.0)
 
 
 def test_query_nearby_reuses_a_repeated_answer():

@@ -196,6 +196,18 @@ def test_non_finite_rows_rejected(rows, message):
     assert sol.status == "optimal" and sol.u.tolist() == [1.0, 2.0, 100.0]
 
 
+def test_row_whose_squared_norm_overflows_is_kept():
+    # (1e200)^2 overflows: the row normalised to 0 >= 0 and was dropped, so
+    # the reference came back as optimal although the row demands u_z >= 10
+    with np.errstate(over="ignore"):
+        alone = _solve((1.0, 2.0, 3.0), [(0, 0, 1e200)], [1e201], 1000.0)
+        mixed = _solve((1.0, 2.0, 3.0), [(0, 0, 1e200), (1, 0, 0)], [1e201, 1.5], 1000.0)
+    assert alone.status == "optimal" and alone.u.tolist() == [1.0, 2.0, 10.0]
+    # the same bits as the row at unit scale
+    unit = _solve((1.0, 2.0, 3.0), [(0, 0, 1), (1, 0, 0)], [10.0, 1.5], 1000.0)
+    assert mixed.status == "optimal" and mixed.u.tolist() == unit.u.tolist() == [1.5, 2.0, 10.0]
+
+
 @pytest.mark.parametrize("pair", [3, 8])
 def test_slack_converges_at_large_weights(pair):
     # replayed cone steps from rest: every row through the apex carries a

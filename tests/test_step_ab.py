@@ -41,6 +41,11 @@ def test_identical_trees_read_no_change(tmp_path):
         assert sum(band["steps"] for band in bands.values()) == 80
         for band in bands.values():
             assert ("parent" in band) == (band["steps"] > 0)
+        # the first step fills the list, later steps refill it now and then
+        refills = report["refills"][name]
+        assert 0 < refills["steps"] <= 80
+        for side in ("parent", "change"):
+            assert refills[side]["sum_ms"] > 0.0
     assert set(report["timing"]["baseline_over_cone"]) == {"parent", "change"}
 
 

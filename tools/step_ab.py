@@ -27,7 +27,9 @@ per tree, CHANGE against PARENT in percent, and each tree's
 distance_baseline over cone reading (criterion 7 compares the medians).
 The `bands` block splits each filter's steps by the number of splats the
 step's query returned (`n_active`, from PARENT's first pass) into BANDS,
-with each band's step count and, per tree, its timing summary.
+with each band's step count and, per tree, its timing summary. The
+`refills` block gives the same for the steps whose query rebuilt the
+neighbour list (a new `Scene._memo.sup`) in PARENT's first pass.
 """
 from __future__ import annotations
 
@@ -108,8 +110,9 @@ def record_states(mods: dict, scene, filter_name: str, pairs: list[int], steps: 
 
 
 def _step_all(mods: dict, scene, filter_name: str, states: list):
-    """Each state's (seconds, status, u bytes, n_active) through one tree's
-    filter step, on a fresh neighbour list."""
+    """Each state's (seconds, status, u bytes, n_active, refill) through one
+    tree's filter step, on a fresh neighbour list; refill tells whether the
+    step's query rebuilt the list."""
     sim = mods["simulator"]
     cfg = sim.SimConfig(filter=filter_name, **RING_KW)
     step = sim._FILTER_STEPS[filter_name]
@@ -117,12 +120,15 @@ def _step_all(mods: dict, scene, filter_name: str, states: list):
     robot = [(sim.RobotState(p=p, v=v, t=0.0), u_ref) for p, v, u_ref in states]
     out = []
     clock = time.perf_counter
+    sup = None
     for state, u_ref in robot:
         t0 = clock()
         sol, diag = step(scene, state, u_ref, cfg)
         t1 = clock()
+        listed = getattr(scene._memo, "sup", None)
         out.append((t1 - t0, sol.status, None if sol.u is None else sol.u.tobytes(),
-                    diag["n_active"]))
+                    diag["n_active"], listed is not sup))
+        sup = listed
     return out
 
 
@@ -159,7 +165,7 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
     units = [(name, i) for i in range(len(pairs)) for name in filters]
     best = {(side, name, i): np.full(len(recorded[name][i]), np.inf)
             for side in SIDES for name, i in units}
-    first, n_active = {}, {}
+    first, n_active, refill = {}, {}, {}
     gc.disable()
     try:
         for n in range(passes):
@@ -172,10 +178,12 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
                         first[side, name, i] = [r[1:3] for r in result]
                         if side == SIDES[0]:
                             n_active[name, i] = [r[3] for r in result]
+                            refill[name, i] = [r[4] for r in result]
     finally:
         gc.enable()
     report = {"trees": {side: str(tree) for side, tree in trees.items()}, "pairs": pairs,
-              "passes": passes, "steps": steps, "filters": {}, "timing": {}, "bands": {}}
+              "passes": passes, "steps": steps, "filters": {}, "timing": {}, "bands": {},
+              "refills": {}}
     for name in filters:
         got = {side: [x for i in range(len(pairs)) for x in first[side, name, i]]
                for side in SIDES}
@@ -196,6 +204,10 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
             if inside.any():
                 band.update(_timing({side: t[inside] for side, t in seconds.items()}))
             report["bands"][name][label] = band
+        rebuilt = np.concatenate([refill[name, i] for i in range(len(pairs))])
+        report["refills"][name] = {"steps": int(rebuilt.sum())}
+        if rebuilt.any():
+            report["refills"][name].update(_timing({side: t[rebuilt] for side, t in seconds.items()}))
     if "cone" in filters and "distance_baseline" in filters:
         t = report["timing"]
         report["timing"]["baseline_over_cone"] = {
@@ -236,6 +248,11 @@ def main(argv=None) -> int:
                   + "".join(f"; {key} {band['parent'][key]:.1f} -> {band['change'][key]:.1f} "
                             f"({band['change_pct'][key]:+.1f}%)"
                             for key in ("sum_ms", "p50_us") if band["steps"]))
+        refills = report["refills"][name]
+        print(f"  refills: {refills['steps']} steps"
+              + "".join(f"; {key} {refills['parent'][key]:.1f} -> {refills['change'][key]:.1f} "
+                        f"({refills['change_pct'][key]:+.1f}%)"
+                        for key in ("sum_ms", "p50_us", "p99_us") if refills["steps"]))
     if "baseline_over_cone" in report["timing"]:
         for side, r in report["timing"]["baseline_over_cone"].items():
             print(f"baseline/cone {side}: sum {r['sum_ms']:.3f}, p50 {r['p50_us']:.3f}")
