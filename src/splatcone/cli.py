@@ -133,13 +133,16 @@ def _read_config_file(path: str | None, known: tuple[str, ...]) -> dict:
     if not path:
         return {}
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    flat: dict[str, str] = {}
+    try:
+        read = cp.read(path, encoding="utf-8")
+        for section in cp.sections():
+            for key, val in cp.items(section):
+                flat[key.replace("-", "_")] = val
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"malformed config file {path}: {e}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    flat: dict[str, str] = {}
-    for section in cp.sections():
-        for key, val in cp.items(section):
-            flat[key.replace("-", "_")] = val
     unknown = sorted(set(flat) - set(known))
     if unknown:
         raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in {path}; "

@@ -114,9 +114,6 @@ _BUILD_CHUNK = 2048
 # whose centre lies within _SKIN * radius of the first one's (less 1e-9
 # relative, so that no mean the later query needs sits on the list's edge).
 _SKIN = 0.1
-# Relative width of the shell around the radius inside which a filtered
-# result is not trusted to round as the tree does (see `_within`).
-_SHELL = 1e-12
 # Scenes of at most this many splats refill the neighbour list with one
 # numpy scan of every mean (`_d2`) instead of a kd-tree ball query; larger
 # scenes keep the tree. At radius 5.5 a scan of 20,000 means cost less than
@@ -140,34 +137,23 @@ def _d2(p: tuple, xyz: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _within(p: tuple, radius: float, xyz: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _within(p: tuple, radius: float, xyz: np.ndarray) -> tuple[np.ndarray, float]:
     """(mask, gap): the mask of the neighbour list's means (columns of
-    `xyz`) that lie within `radius` of `p`, and the smallest |d2 - r2| over
-    the list (inf for an empty list). None when gap <= 2 _SHELL r2, that
-    is when a mean may lie within _SHELL relative of the sphere, where the
-    tree might round otherwise.
-
-    d2 is summed as the tree's leaf test sums it, but the tree admits whole
-    subtrees that lie inside the sphere without that test, so only a mean
-    clear of the shell is decided here. The shell test is widened twofold
-    so that rounding in r2 (1 +- _SHELL) and in |d2 - r2| cannot let a mean
-    inside the narrower shell through.
-    """
+    `xyz`) whose squared distance to `p`, as `_d2` sums it, is at most
+    r2 = radius * radius, and the smallest |d2 - r2| over the list (inf
+    for an empty list)."""
     d2 = _d2(p, xyz)
     r2 = radius * radius
-    inner = d2 <= r2 * (1.0 - _SHELL)
+    inner = d2 <= r2
     d2 -= r2
-    gap = float(np.abs(d2, out=d2).min(initial=math.inf))
-    if not gap > 2.0 * _SHELL * r2:  # NaN lands here too
-        return None
-    return inner, gap
+    return inner, float(np.abs(d2, out=d2).min(initial=math.inf))
 
 
 def _reach(gap: float, radius: float) -> float:
     """How far from the point a that `_within` filtered, with that `gap`,
     a query of the same radius may lie and still get a's answer: a lower
     bound on the distance delta, rounding included, within which every
-    mean of the list keeps its side of the sphere, clear of the shell.
+    mean of the list keeps its side of the sphere d2 = r2.
 
     Take D(x), the exact distance from a point x to a mean of the list, and
     the query point p at |p - a| <= delta. Then |D(p) - D(a)| <= delta, and
@@ -177,24 +163,24 @@ def _reach(gap: float, radius: float) -> float:
     with D_max <= R (1 + 2 _SKIN): the list holds means within R (1 + _SKIN)
     of its anchor, and a and p both pass the skin test, so lie within
     _SKIN R of it (the test's 1e-9 relative slack covers the refill's
-    rounding and its own). `_within` sums d2 with five roundings, so
-    |d2 - D^2| <= 6u D_max^2 at a and at p (u = 2^-53); the shell's edges
-    r2 (1 +- _SHELL) lie within r2 (_SHELL + 2.1u) of r2; and the rounded
-    gap understates |d2(a) - r2| by at most u of itself, so
-    g_a = min(gap, r2) by at most u r2. So a mean's d2(p) lies on d2(a)'s
-    side of the sphere and outside the shell when
+    rounding and its own). `_d2` sums d2 with five roundings, so
+    |d2 - D^2| <= 6u D_max^2 < 8.7u r2 at a and at p (u = 2^-53), and the
+    rounded gap understates |d2(a) - r2| by at most u of itself, so
+    g_a = min(gap, r2) by at most u r2. So a mean's d2(p) lies strictly on
+    d2(a)'s side of r2 when
 
-        delta (2 D_max + delta) <= g_a - r2 (_SHELL + 21u),
+        delta (2 D_max + delta) < g_a - 18.4u r2,
 
-    and g = min(gap, r2) - 2 _SHELL r2 is smaller than that right side by
-    r2 (_SHELL - 21u), which absorbs the rounding of g itself. The root
+    and g = min(gap, r2) - 32u r2 is smaller than that right side by more
+    than 13u r2, which absorbs the rounding of g itself. The root
     delta = g / (D_max + sqrt(D_max^2 + g)) is taken less 1e-9 relative,
     which covers its own rounding and that of the caller's `math.dist`.
-    The answer at such a p is then a's mask, so a's answer, as `_within`
-    and the tree would give it.
+    The answer at such a p is then a's mask, so a's answer. A gap of at
+    most 32u r2, a mean on the sphere included, gives a negative reach,
+    which serves no query; so does the NaN of an r2 that overflows.
     """
     r2 = radius * radius
-    g = min(gap, r2) - 2.0 * _SHELL * r2
+    g = min(gap, r2) - 32.0 * 2.0**-53 * r2
     d_max = radius * (1.0 + 2.0 * _SKIN)
     return g / (d_max + math.sqrt(d_max * d_max + g)) * (1.0 - 1e-9)
 
@@ -216,12 +202,11 @@ class _NeighbourList(NamedTuple):
     sup: np.ndarray    # (k,) sorted splat indices
     xyz: np.ndarray    # (3, k) their means, column by column
     inv_cov: np.ndarray  # (k, 3, 3)
-    idx: np.ndarray | None = None     # the last answer, read-only
-    rows: tuple | None = None         # its (means, inv_cov), read-only; means
-                                      # is the .T view of a C-contiguous (3, k') block
-    point: tuple = (0.0, 0.0, 0.0)    # where `_within` made that answer
-    reach: float = -1.0               # a query within it of `point` gets `idx`;
-                                      # negative while there is no answer
+    idx: np.ndarray    # the last answer, read-only
+    rows: tuple        # its (means, inv_cov), read-only; means is the
+                       # .T view of a C-contiguous (3, k') block
+    point: tuple       # where `_within` made that answer
+    reach: float       # a query within it of `point` gets `idx`
 
     @property
     def means(self) -> np.ndarray:
@@ -242,22 +227,24 @@ class Scene:
     covariances gathered. A scene of at most _SCAN_MAX splats is refilled
     by one scan of all its means, a larger one by a kd-tree ball query.
     A later query of the same radius centred within the skin filters that
-    list instead of searching the tree. It returns the same indices, bit
-    for bit, as a fresh tree query; a mean too close to the sphere to be
-    decided the tree's way sends the query to the tree. Each filtering
-    makes a new read-only answer and copies its rows out of the blocks by
-    position: the means as a C-contiguous (3, k) block of columns, the
-    layout the row kernels read, handed out as its (k, 3) `.T` view.
-    `gather` serves them for that answer. Each filtering also certifies how
-    far its answer holds: from the smallest |d^2 - r^2| over the list it
-    proves a reach around the query point (`_reach`), and a later query
-    within that reach of that point returns the last answer without
-    filtering; this is the displacement test of a Verlet list's skin,
-    applied to the answer. The list is one tuple, replaced by a single
-    attribute store on a refill or a new answer and read once per call, so
-    concurrent readers always see a consistent entry and the scene stays
-    safe to share; two threads that replace it at once cost each other
-    only a rebuild or a filtering.
+    list instead of searching again. The answer is the rule `_within`
+    applies: the listed means whose squared distance to the query point,
+    summed as (dx^2 + dy^2) + dz^2 (`_d2`), is at most r^2, with r^2 the
+    rounded radius * radius. That is a fresh kd-tree query's answer except
+    for a mean within rounding of the sphere, which the tree may decide
+    otherwise. Each filtering makes a new read-only answer and copies its
+    rows out of the blocks by position: the means as a C-contiguous (3, k)
+    block of columns, the layout the row kernels read, handed out as its
+    (k, 3) `.T` view. `gather` serves them for that answer. Each filtering
+    also certifies how far its answer holds: from the smallest |d^2 - r^2|
+    over the list it proves a reach around the query point (`_reach`), and
+    a later query within that reach of that point returns the last answer
+    without filtering; this is the displacement test of a Verlet list's
+    skin, applied to the answer. The list is one tuple, replaced by a
+    single attribute store with each new answer (a refill makes one too)
+    and read once per call, so concurrent readers always see a consistent
+    entry and the scene stays safe to share; two threads that replace it at
+    once cost each other only a rebuild or a filtering.
     """
 
     means: np.ndarray       # (n, 3)
@@ -284,8 +271,8 @@ class Scene:
         return self.means.shape[0]
 
     def query_nearby(self, p: np.ndarray, radius: float) -> np.ndarray:
-        """Indices i with ||mean_i - p|| <= radius, ascending and read-only:
-        the kd-tree's result, from the neighbour list when it covers `p`.
+        """Indices i with ||mean_i - p|| <= radius, ascending and read-only,
+        by the neighbour list's rule (see the class docstring).
         Raises SceneError for a non-positive radius or a non-finite `p`."""
         if not radius > 0:
             raise SceneError(f"radius must be positive, got {radius!r}")
@@ -302,39 +289,36 @@ class Scene:
             if len(self) <= _SCAN_MAX:
                 sup = (_d2(pt, self.means.T) <= skin * skin).nonzero()[0]
             else:
-                sup = self._ball(p, skin)
+                found = self._tree.query_ball_point(p, skin)
+                sup = np.sort(np.fromiter(found, dtype=np.intp, count=len(found)))
             # rows, then columns: np.take from the (3, n) view self.means.T
             # would first copy all n means into a contiguous array
-            memo = _NeighbourList(radius, pt, sup, np.take(self.means, sup, axis=0).T.copy(),
-                                  np.take(self.inv_cov, sup, axis=0))
-            self._memo = memo
+            head = (radius, pt, sup, np.take(self.means, sup, axis=0).T.copy(),
+                    np.take(self.inv_cov, sup, axis=0))
         elif math.dist(pt, memo.point) <= memo.reach:
             return memo.idx
-        found = _within(pt, radius, memo.xyz)
-        if found is None:
-            return _frozen(self._ball(p, radius))
-        inner, gap = found
+        else:
+            head = memo[:5]
+        _, _, sup, xyz, inv_cov = head
+        inner, gap = _within(pt, radius, xyz)
         pos = inner.nonzero()[0]
-        idx = _frozen(memo.sup[pos])
-        self._memo = _NeighbourList(*memo[:5], idx, (
-            _frozen(np.take(memo.xyz, pos, axis=1)).T,
-            _frozen(np.take(memo.inv_cov, pos, axis=0))), pt, _reach(gap, radius))
+        idx = _frozen(sup[pos])
+        self._memo = _NeighbourList(*head, idx, (
+            _frozen(np.take(xyz, pos, axis=1)).T,
+            _frozen(np.take(inv_cov, pos, axis=0))), pt, _reach(gap, radius))
         return idx
 
     def gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (means, inv_cov) rows of the splats `idx`: the
         neighbour list's when `idx` is `query_nearby`'s last answer from it
         (means the (k, 3) view of a C-contiguous block of columns), else
-        taken from the scene's arrays (C-ordered rows)."""
+        taken from the scene's arrays (C-ordered rows): for a caller's own
+        indices, or an answer whose list another thread has since replaced."""
         memo = self._memo
         if memo is not None and memo.idx is idx:
             return memo.rows
         return (_frozen(np.take(self.means, idx, axis=0)),
                 _frozen(np.take(self.inv_cov, idx, axis=0)))
-
-    def _ball(self, p: np.ndarray, radius: float) -> np.ndarray:
-        idx = self._tree.query_ball_point(p, radius)
-        return np.sort(np.fromiter(idx, dtype=np.intp, count=len(idx)))
 
     def count_nearby(self, points: np.ndarray, radius: float) -> np.ndarray:
         """Per row of `points` (k, 3), the number of splats whose mean lies
@@ -343,8 +327,8 @@ class Scene:
 
     def nearby_pairs(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(owner, idx) of every pair of a row of `points` (k, 3) and a splat
-        whose mean lies within `radius`: the tree's own ball search, as in
-        `query_nearby`, batched; the neighbour list is left alone."""
+        whose mean lies within `radius`: the tree's own ball search,
+        batched; the neighbour list is left alone."""
         found = self._tree.query_ball_point(points, radius)
         counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
         idx = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp)

@@ -84,6 +84,8 @@ def _parse_header(fh) -> tuple[int, list[tuple[str, str]]]:
             if len(toks) != 3:
                 raise SceneError(f"malformed header: element line {' '.join(toks)!r}")
             if toks[1] == "vertex":
+                if count is not None:
+                    raise SceneError("malformed header: element 'vertex' given twice")
                 in_vertex = True
                 if not toks[2].isdigit():
                     raise SceneError(f"malformed header: vertex count {toks[2]!r} is not "
@@ -100,6 +102,8 @@ def _parse_header(fh) -> tuple[int, list[tuple[str, str]]]:
                 raise SceneError("malformed header: list property in vertex element")
             if toks[1] not in _PLY_TYPES:
                 raise SceneError(f"malformed header: unknown property type '{toks[1]}'")
+            if toks[2] in (name for name, _ in props):
+                raise SceneError(f"malformed header: vertex property '{toks[2]}' named twice")
             props.append((toks[2], _PLY_TYPES[toks[1]]))
     if count is None:
         raise SceneError("malformed header: no vertex element")

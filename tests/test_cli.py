@@ -114,6 +114,20 @@ def test_convert_malformed_header_exit_2(tmp_path, capsys):
     assert "element line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (b"property float x\n", "vertex property 'x' named twice"),
+    (b"element vertex 3\nproperty float x\n", "element 'vertex' given twice"),
+])
+def test_convert_repeated_vertex_header_exit_2(tmp_path, fixture_ply, capsys, extra, message):
+    # numpy's record type refuses a field named twice with a bare ValueError
+    bad = tmp_path / "bad.ply"
+    bad.write_bytes(fixture_ply.read_bytes().replace(b"end_header\n", extra + b"end_header\n"))
+    out = tmp_path / "o.npz"
+    assert main(["convert", "--in", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_flag_exit_1(capsys):
     rc = main(["run", "--filter", "warp-drive"])
     assert rc == 1
@@ -256,6 +270,23 @@ def test_config_file_reads_baseline_gains_and_rejects_unknown_keys(tmp_path, cap
             assert f"unknown config key(s) {key}" in err
             assert "pk" in err and "a_max" in err and "baseline_alpha1" in err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"scene = synth:single\n", "no section headers"),
+    (b"[run]\npk = 2\npk = 3\n", "option 'pk' in section 'run' already exists"),
+    (b"[run]\n\xff\n", "can't decode byte 0xff"),
+])
+def test_malformed_config_file_exit_1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    for command in ("run", "batch"):
+        assert main([command, "--config", str(cfg), "--scene", "synth:single",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"malformed config file {cfg}" in err and message in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, message", [("--rho=-3", "rho must be non-negative"),

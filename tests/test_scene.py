@@ -446,6 +446,22 @@ def _tree_ball(scene, p, radius):
     return np.sort(np.asarray(idx, dtype=np.intp))
 
 
+def _rule(scene, p, radius):
+    """`query_nearby`'s answer by its rule, written out over every mean of
+    the scene: the indices whose squared distance to p, summed
+    (dx^2 + dy^2) + dz^2, is at most radius * radius."""
+    e = scene.means - np.asarray(p, dtype=np.float64)
+    d2 = (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]) + e[:, 2] * e[:, 2]
+    return np.nonzero(d2 <= radius * radius)[0]
+
+
+def _off_sphere(scene, p, radius):
+    """Whether no mean lies within 1e-9 relative of the sphere, where the
+    tree may decide a mean otherwise than the rule."""
+    d = np.linalg.norm(scene.means - p, axis=1)
+    return np.abs(d - radius).min() > 1e-9 * radius
+
+
 def _rows_match(scene, idx):
     """Whether `scene.gather(idx)` holds the scene's means and inverse
     covariances of `idx`, bit for bit, in read-only arrays."""
@@ -474,12 +490,12 @@ _walk_move = st.one_of(_step, _step, _step, _jump, st.just(("audit",)), st.just(
 def test_query_nearby_walk_matches_tree(start, moves):
     """On a walk of control-step moves, jumps past the skin, audit-sized
     radii between activation queries, empty neighbourhoods and centres that
-    put a mean exactly on the sphere, every query returns a fresh tree
-    query's indices, bit for bit, read-only, and the rows `gather` serves
-    for them are the scene's rows of those indices; so are the rows of a
-    caller's own indices. A query within the reach certified for the last
-    answer gets that answer, the same array with the same rows; any other
-    query gets a new array."""
+    put a mean on the sphere, every query returns the indices the rule
+    gives over all means, read-only, and the rows `gather` serves for them
+    are the scene's rows of those indices; so are the rows of a caller's
+    own indices. Off the sphere that is a fresh tree query's answer. A
+    query within the reach certified for the last answer gets that answer,
+    the same array with the same rows; any other query gets a new array."""
     scene = dataclasses.replace(_walk_scene())  # a fresh neighbour list
     radius, audit_radius = 5.0, 1.37
     p = start
@@ -507,14 +523,16 @@ def test_query_nearby_walk_matches_tree(start, moves):
             assert _rows_match(scene, own)
         got = scene.query_nearby(p, r)
         assert got.dtype == np.intp and not got.flags.writeable
-        assert np.array_equal(got, _tree_ball(scene, p, r))
+        assert np.array_equal(got, _rule(scene, p, r))
+        if _off_sphere(scene, p, r):
+            assert np.array_equal(got, _tree_ball(scene, p, r))
         assert _rows_match(scene, got)
         memo = scene._memo
         if last is not None:
             # a query that neither refills the list nor makes a new answer
-            # was served by the reach, or sent to the tree from the shell
-            served = memo is last and math.dist(p.tolist(), last.point) <= last.reach
-            if served:
+            # was served by the reach
+            if memo is last:
+                assert math.dist(p.tolist(), last.point) <= last.reach
                 assert got is last.idx and scene.gather(got) is last.rows
             else:
                 assert got is not last.idx
@@ -601,7 +619,7 @@ def test_query_nearby_serves_steps_from_the_neighbour_list(monkeypatch):
     _serve_steps(scene, tree, [
         ((0.0, 0.2, 0.0), 5.0, [5.5], True),   # a miss queries the tree at the skin's radius
         ((0.0, 0.1, 0.0), 5.0, [], False),     # a control step inside the skin: no tree query
-        ((0.0, 0.0, 0.0), 5.0, [5.0], False),  # mean 0 exactly on the sphere: the guard asks the tree
+        ((0.0, 0.0, 0.0), 5.0, [], False),     # mean 0 exactly on the sphere: no tree query either
         ((0.0, 0.05, 0.0), 5.0, [], False),
         ((0.0, 0.05, 0.0), 1.0, [1.1], True),  # another radius
         ((0.0, 0.05, 0.0), 5.0, [5.5], True),
@@ -611,14 +629,14 @@ def test_query_nearby_serves_steps_from_the_neighbour_list(monkeypatch):
 
 def test_query_nearby_scans_a_small_scene_to_refill_the_list():
     """The twin of the test above on a scene small enough to scan: the
-    same refills read every mean instead of querying the tree, and only
-    the guard on the sphere asks the tree."""
+    same refills read every mean instead of querying the tree, and no call
+    queries it."""
     scene, tree = _steps_scene()
     assert len(scene) <= scene_mod._SCAN_MAX
     _serve_steps(scene, tree, [
         ((0.0, 0.2, 0.0), 5.0, [], True),
         ((0.0, 0.1, 0.0), 5.0, [], False),
-        ((0.0, 0.0, 0.0), 5.0, [5.0], False),
+        ((0.0, 0.0, 0.0), 5.0, [], False),
         ((0.0, 0.05, 0.0), 5.0, [], False),
         ((0.0, 0.05, 0.0), 1.0, [], True),
         ((0.0, 0.05, 0.0), 5.0, [], True),
@@ -667,8 +685,9 @@ def test_query_nearby_scan_builds_the_trees_list(monkeypatch):
 @pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
 def test_query_nearby_random_walk_matches_tree_on_both_paths(monkeypatch, scan):
     """A seeded walk of control steps, jumps past the skin, audit-sized
-    radii and centres that put a mean on the sphere gets the tree's answer,
-    with the scene's rows, at every step, whichever way the list refills."""
+    radii and centres that put a mean on the sphere gets the rule's answer
+    over all means, with the scene's rows, at every step, whichever way the
+    list refills; off the sphere that is the tree's answer."""
     if not scan:
         monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
     scene = dataclasses.replace(_walk_scene())
@@ -691,7 +710,9 @@ def test_query_nearby_random_walk_matches_tree_on_both_paths(monkeypatch, scan):
         memo = scene._memo
         got = scene.query_nearby(p, radius)
         refills += scene._memo is not memo and scene._memo.sup is not getattr(memo, "sup", None)
-        assert np.array_equal(got, _tree_ball(scene, p, radius)) and not got.flags.writeable
+        assert np.array_equal(got, _rule(scene, p, radius)) and not got.flags.writeable
+        if _off_sphere(scene, p, radius):
+            assert np.array_equal(got, _tree_ball(scene, p, radius))
         assert _rows_match(scene, got)
     assert refills > 50
 
@@ -713,6 +734,46 @@ def test_query_nearby_rejects_a_non_finite_point(monkeypatch, scan, bad):
         scene.query_nearby(np.array([0.5, -1.0, 0.2]), 5.0)  # a list to fall back on
         with pytest.raises(SceneError, match="query point must be finite"):
             scene.query_nearby(p, 5.0)
+
+
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
+def test_query_nearby_keeps_a_mean_on_the_sphere_and_filters_again(monkeypatch, scan):
+    """A mean whose squared distance is r^2 exactly is in the answer, one a
+    rounding step beyond it is not; the zero gap gives a reach that serves
+    no query, so a repeat of the same query filters the list again."""
+    if not scan:
+        monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
+    p = np.array([1.0, 2.0, -0.5])
+    # (3, 4, 0) sums to 25 exactly; 4.000000000000001^2 rounds above 16
+    means = p + np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.000000000000001],
+                          [1.0, 1.0, 1.0], [6.0, 0.0, 0.0]])
+    scene = Scene.from_arrays(means, np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)),
+                              np.full((4, 3), 0.1), np.full(4, 0.9))
+    first = scene.query_nearby(p, 5.0)
+    assert first.tolist() == [0, 2] and np.array_equal(first, _rule(scene, p, 5.0))
+    assert scene._memo.reach <= 0.0 and _rows_match(scene, first)
+    calls = _count_within(monkeypatch)
+    again = scene.query_nearby(p, 5.0)
+    assert len(calls) == 1 and again is not first and np.array_equal(again, first)
+    assert scene._memo.idx is again and _rows_match(scene, again)
+
+
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
+def test_query_nearby_radius_whose_square_overflows(monkeypatch, scan):
+    """At a radius whose square overflows, every splat is in the answer and
+    the reach is NaN, so it serves no later query: each one filters."""
+    if not scan:
+        monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
+    scene = dataclasses.replace(_walk_scene())
+    p = np.array([0.5, -1.0, 0.2])
+    first = scene.query_nearby(p, 1e200)
+    assert np.array_equal(first, np.arange(len(scene))) and _rows_match(scene, first)
+    assert math.isnan(scene._memo.reach)
+    calls = _count_within(monkeypatch)
+    for q in (p, p + 1e-9):
+        got = scene.query_nearby(q, 1e200)
+        assert np.array_equal(got, first) and got is not scene.query_nearby(q, 1e200)
+    assert len(calls) == 4
 
 
 def test_query_nearby_reuses_a_repeated_answer():

@@ -24,6 +24,16 @@ def cone_rows(*args, **kwargs):
     return (normals, offsets, *rest)
 '''
 
+_NARROW = '''
+
+_exact_within = _within
+
+
+def _within(p, radius, xyz):
+    """The rule at 0.9 times the radius: answers without the farthest splats."""
+    return _exact_within(p, 0.9 * radius, xyz)
+'''
+
 
 def test_identical_trees_read_no_change(tmp_path):
     # rows bind from the first steps of pairs 2 and 3 (not of pairs 0 and 1)
@@ -32,7 +42,8 @@ def test_identical_trees_read_no_change(tmp_path):
                          "--passes", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     for name in ("cone", "distance_baseline"):
-        assert report["filters"][name] == {"steps": 80, "changed": 0, "max_rel_change": 0.0}
+        assert report["filters"][name] == {"steps": 80, "changed": 0, "active_changed": 0,
+                                           "max_rel_change": 0.0}
         for side in ("parent", "change"):
             assert report["timing"][name][side]["sum_ms"] > 0.0
         # every step falls in one row-count band
@@ -58,3 +69,14 @@ def test_a_tree_with_noisy_rows_reads_its_changes(tmp_path):
     cone = report["filters"]["cone"]
     assert cone["steps"] == 80 and cone["changed"] > 0
     assert 0.0 < cone["max_rel_change"] < 1e-6
+
+
+def test_a_tree_with_other_answers_reads_its_active_changes(tmp_path):
+    shutil.copytree(ROOT / "src" / "splatcone", tmp_path / "src" / "splatcone")
+    scene = tmp_path / "src" / "splatcone" / "scene.py"
+    scene.write_text(scene.read_text() + _NARROW)
+    report = step_ab.compare({"parent": ROOT, "change": tmp_path}, ["cone"], [2, 3],
+                             passes=1, steps=40)
+    cone = report["filters"]["cone"]
+    # the splats left out bind in none of these steps: only the active sets show
+    assert cone["steps"] == 80 and cone["changed"] == 0 < cone["active_changed"]

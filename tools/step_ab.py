@@ -20,11 +20,14 @@ Paired measurement in one process removes the drift between batches
 (Kalibera & Jones 2013, "Rigorous benchmarking in reasonable time").
 
 Per filter the report gives the step count, the steps whose status or `u`
-bytes differ between the trees (the first pass's), and the largest
-relative change of `u`; these are deterministic. Each step's time is the
-minimum over the passes; the `timing` block holds their sum, p50 and p99
-per tree, CHANGE against PARENT in percent, and each tree's
-distance_baseline over cone reading (criterion 7 compares the medians).
+bytes differ between the trees (the first pass's), the steps whose active
+splats (`diag["active_splats"]`, the neighbour query's answer) differ as
+bytes (`active_changed`: an answer that changes without moving `u` shows
+there), and the largest relative change of `u`; these are deterministic.
+Each step's time is the minimum over the passes; the `timing` block holds
+their sum, p50 and p99 per tree, CHANGE against PARENT in percent, and
+each tree's distance_baseline over cone reading (criterion 7 compares the
+medians).
 The `bands` block splits each filter's steps by the number of splats the
 step's query returned (`n_active`, from PARENT's first pass) into BANDS,
 with each band's step count and, per tree, its timing summary. The
@@ -110,9 +113,9 @@ def record_states(mods: dict, scene, filter_name: str, pairs: list[int], steps: 
 
 
 def _step_all(mods: dict, scene, filter_name: str, states: list):
-    """Each state's (seconds, status, u bytes, n_active, refill) through one
-    tree's filter step, on a fresh neighbour list; refill tells whether the
-    step's query rebuilt the list."""
+    """Each state's (seconds, status, u bytes, active-splat bytes,
+    n_active, refill) through one tree's filter step, on a fresh neighbour
+    list; refill tells whether the step's query rebuilt the list."""
     sim = mods["simulator"]
     cfg = sim.SimConfig(filter=filter_name, **RING_KW)
     step = sim._FILTER_STEPS[filter_name]
@@ -127,7 +130,7 @@ def _step_all(mods: dict, scene, filter_name: str, states: list):
         t1 = clock()
         listed = getattr(scene._memo, "sup", None)
         out.append((t1 - t0, sol.status, None if sol.u is None else sol.u.tobytes(),
-                    diag["n_active"], listed is not sup))
+                    diag["active_splats"].tobytes(), diag["n_active"], listed is not sup))
         sup = listed
     return out
 
@@ -175,10 +178,10 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
                     np.minimum(best[side, name, i], [r[0] for r in result],
                                out=best[side, name, i])
                     if n == 0:
-                        first[side, name, i] = [r[1:3] for r in result]
+                        first[side, name, i] = [r[1:4] for r in result]
                         if side == SIDES[0]:
-                            n_active[name, i] = [r[3] for r in result]
-                            refill[name, i] = [r[4] for r in result]
+                            n_active[name, i] = [r[4] for r in result]
+                            refill[name, i] = [r[5] for r in result]
     finally:
         gc.enable()
     report = {"trees": {side: str(tree) for side, tree in trees.items()}, "pairs": pairs,
@@ -187,10 +190,12 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
     for name in filters:
         got = {side: [x for i in range(len(pairs)) for x in first[side, name, i]]
                for side in SIDES}
-        changed = [(a, b) for a, b in zip(*got.values()) if a != b]
+        both = list(zip(*got.values()))
+        changed = [(a, b) for a, b in both if a[:2] != b[:2]]
         report["filters"][name] = {
-            "steps": len(got[SIDES[0]]),
+            "steps": len(both),
             "changed": len(changed),
+            "active_changed": sum(a[2] != b[2] for a, b in both),
             "max_rel_change": max((_rel_change(a[1], b[1]) for a, b in changed), default=0.0),
         }
         seconds = {side: np.concatenate([best[side, name, i] for i in range(len(pairs))])
@@ -240,7 +245,8 @@ def main(argv=None) -> int:
                      args.pairs, args.passes, args.steps)
     for name, f in report["filters"].items():
         t = report["timing"][name]
-        print(f"{name}: {f['steps']} steps, {f['changed']} changed (max rel {f['max_rel_change']:.3g}); "
+        print(f"{name}: {f['steps']} steps, {f['changed']} changed (max rel {f['max_rel_change']:.3g}), "
+              f"{f['active_changed']} active sets changed; "
               + "; ".join(f"{key} {t['parent'][key]:.1f} -> {t['change'][key]:.1f} "
                           f"({t['change_pct'][key]:+.1f}%)" for key in t["parent"]))
         for label, band in report["bands"][name].items():
