@@ -76,12 +76,16 @@ def parse_synth_spec(text: str) -> SyntheticSpec:
     if not parts:
         raise ConfigError("synthetic spec needs a pattern, e.g. synth:ring")
     kwargs: dict = {"pattern": parts[0]}
+    given: dict[str, str] = {}
     for item in parts[1:]:
         if "=" not in item:
             raise ConfigError(f"bad synthetic spec item {item!r} (expected key=value)")
         key, val = item.split("=", 1)
         if key not in _SYNTH_KEYS:
             raise ConfigError(f"unknown synthetic spec key {key!r}")
+        if key in given:
+            raise ConfigError(f"synthetic spec key {key} given twice: {given[key]} and {item}")
+        given[key] = item
         name, end, cast = _SYNTH_KEYS[key]
         try:
             value = cast(val)
@@ -132,13 +136,20 @@ _BATCH_KEYS = (*_RUN_KEYS, "n", "filters")
 def _read_config_file(path: str | None, known: tuple[str, ...]) -> dict:
     if not path:
         return {}
-    cp = configparser.ConfigParser()
+    # No default section ("" names none a file can open): [DEFAULT] is read
+    # as one more section, so each section yields only the keys it sets.
+    cp = configparser.ConfigParser(default_section="")
     flat: dict[str, str] = {}
+    where: dict[str, str] = {}
     try:
         read = cp.read(path, encoding="utf-8")
         for section in cp.sections():
             for key, val in cp.items(section):
-                flat[key.replace("-", "_")] = val
+                name, place = key.replace("-", "_"), f"[{section}] {key}"
+                if name in where:
+                    raise ConfigError(f"config key {name} given twice in {path}: "
+                                      f"{where[name]} and {place}")
+                flat[name], where[name] = val, place
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config file {path}: {e}") from None
     if not read:

@@ -289,6 +289,45 @@ def test_malformed_config_file_exit_1(tmp_path, capsys, text, message):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text, places", [
+    # one key in two sections, whichever command runs
+    ("[run]\nseed = 2\n[batch]\nseed = 3\n", ("seed", "[run] seed", "[batch] seed")),
+    # two spellings of one key, in two sections or in one
+    ("[scene]\nv_max = 2\n[run]\nv-max = 3\n", ("v_max", "[scene] v_max", "[run] v-max")),
+    ("[run]\nv_max = 2\nv-max = 3\n", ("v_max", "[run] v_max", "[run] v-max")),
+    # [DEFAULT] is one more section, not a value every section inherits
+    ("[DEFAULT]\npk = 2\n[run]\npk = 3\n", ("pk", "[DEFAULT] pk", "[run] pk")),
+])
+def test_config_key_given_twice_exit_1(tmp_path, capsys, text, places):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    for command in ("run", "batch"):
+        assert main([command, "--config", str(cfg), "--scene", "synth:single",
+                     "--out", str(out)]) == 1
+        key, first, second = places
+        assert (f"config key {key} given twice in {cfg}: {first} and {second}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def test_default_section_keys_are_read_once(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[DEFAULT]\npk = 3\n[run]\nseed = 2\n[scene]\nscene = synth:single\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--timeout", "0.1", "--out", str(out)]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert (config["p_k"], config["seed"]) == (3.0, 2)
+
+
+def test_synthetic_spec_key_given_twice_exit_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scene", "synth:ring,count=10,count=20", "--out", str(out)]) == 1
+    assert ("synthetic spec key count given twice: count=10 and count=20"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, message", [("--rho=-3", "rho must be non-negative"),
                                            ("--slack-weight=-1", "slack_weight must be positive"),
                                            ("--slack-weight=0", "slack_weight must be positive"),

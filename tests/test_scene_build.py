@@ -6,17 +6,24 @@ writer copy no whole record, but every per-splat operation is the reference's,
 in its order. So every scene array must equal the reference's
 (np.array_equal) and every PLY file must be the same bytes.
 """
+import dataclasses
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import reference_scene as ref
 from helpers import ring_scene
-from splatcone import sceneio, synthetic
-from splatcone.scene import _BUILD_CHUNK, PreprocessOptions, Scene
+from splatcone import scene as scene_mod, sceneio, synthetic
+from splatcone.scene import _BUILD_CHUNK, _SCAN_MAX, PreprocessOptions, Scene, SceneError
 from splatcone.sceneio import load_ply, load_scene_dump, save_ply, save_scene_dump
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 
@@ -202,3 +209,129 @@ def test_ply_io_peak_memory(tmp_path):
     back, peak = traced_peak(load_ply, path, PreprocessOptions(opacity_min=0.0))
     assert len(back) == MEMORY_SPLATS
     assert peak <= 2.0 * scene_bytes(back)
+
+
+# The kd-tree is built on `scene._index_later`'s worker thread while the
+# covariances are computed; it must be the tree a serial build gives.
+
+def _serial_tree(scene):
+    return cKDTree(scene.means, balanced_tree=False, compact_nodes=False)
+
+
+def assert_same_tree(got, want, points, radius):
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+    assert (got.query_ball_point(points, radius).tolist()
+            == want.query_ball_point(points, radius).tolist())
+
+
+@pytest.mark.parametrize("make, radius, min_len", [
+    (ring_scene.__wrapped__, 5.0, 1),  # built here, not the cached scene
+    # a scene the neighbour list refills from the tree
+    (lambda: make_synthetic_scene(dataclasses.replace(CLUTTER, count=_SCAN_MAX + 5000),
+                                  seed=15), 5.5, _SCAN_MAX + 1),
+])
+def test_worker_tree_equals_a_serial_build(make, radius, min_len, monkeypatch):
+    built_on, real = [], scene_mod._index
+
+    def index(means):
+        built_on.append(threading.current_thread())
+        return real(means)
+
+    monkeypatch.setattr(scene_mod, "_index", index)
+    scene = make()
+    assert len(scene) >= min_len
+    assert len(built_on) == 1 and built_on[0] is not threading.current_thread()
+    points = np.concatenate([scene.means[::97],
+                             np.random.default_rng(3).uniform(*scene.bounds, (50, 3))])
+    assert_same_tree(scene._tree, _serial_tree(scene), points, radius)
+
+
+def test_an_error_after_the_submit_leaves_the_next_build_working(monkeypatch):
+    submitted = []
+
+    def submit(means):
+        submitted.append(index_later(means))
+        return submitted[-1]
+
+    index_later = scene_mod._index_later
+    monkeypatch.setattr(scene_mod, "_index_later", submit)
+    # the scale clamp is checked after the means are final
+    with pytest.raises(SceneError, match="invalid scale clamp range"):
+        Scene.from_arrays(*raw_splats(3000, seed=16),
+                          PreprocessOptions(scale_min=2.0, scale_max=1.0))
+    assert len(submitted) == 1
+    raw = raw_splats(3000, seed=17)
+    scene = Scene.from_arrays(*raw)
+    assert len(submitted) == 2 and submitted[1].result() is scene._tree
+    assert_same_scene(scene, ref.from_arrays(*raw))
+    assert_same_tree(scene._tree, _serial_tree(scene), scene.means[::50], 2.0)
+
+
+def test_concurrent_builds_share_one_worker(monkeypatch):
+    """Threads that build scenes at once, from a state with no worker yet,
+    make one worker between them, and each gets its own scene's tree."""
+    built_on, real = set(), scene_mod._index
+
+    def index(means):
+        built_on.add(threading.current_thread())
+        return real(means)
+
+    monkeypatch.setattr(scene_mod, "_index", index)
+    monkeypatch.setattr(scene_mod, "_indexer", None)
+    raws = [raw_splats(500 + 50 * k, seed=100 + k) for k in range(6)]
+    failures = []
+
+    def build(k):
+        for raw in raws[k % 2::2]:
+            scene = Scene.from_arrays(*raw)
+            if not np.array_equal(scene._tree.indices, _serial_tree(scene).indices):
+                failures.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == [] and len(built_on) == 1
+
+
+_FORKED_BUILD = """
+import os, signal, sys
+import numpy as np
+from splatcone.scene import Scene
+
+def build(seed):
+    rng = np.random.default_rng(seed)
+    return Scene.from_arrays(rng.uniform(-5, 5, (3000, 3)), rng.normal(size=(3000, 4)),
+                             rng.uniform(0.05, 0.2, (3000, 3)), np.ones(3000))
+
+build(0)  # the worker thread exists in this process before the fork
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a build that hangs ends the child
+    os._exit(0 if len(build(1)) == 3000 else 3)
+code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+assert len(build(2)) == 3000  # and the parent's worker still builds
+print(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_a_scene():
+    """A child forked after the parent built a scene inherits the worker's
+    executor but not its thread; it must build on a worker of its own.
+    Run in a subprocess whose timeout kills it, so a hang fails the test."""
+    src = str(Path(scene_mod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _FORKED_BUILD], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"  # the child's exit code; -14 is SIGALRM

@@ -64,8 +64,9 @@ class _Done(Exception):
 
 
 def load_tree(tree: Path, name: str) -> dict:
-    """The `simulator` and `synthetic` modules of the splatcone package under
-    `tree` (or `tree/src`), imported as package `name`."""
+    """The `simulator`, `synthetic`, `scene` and `sceneio` modules of the
+    splatcone package under `tree` (or `tree/src`), imported as package
+    `name`."""
     pkg = tree / "src" / "splatcone" if (tree / "src" / "splatcone").is_dir() else tree / "splatcone"
     for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
         del sys.modules[loaded]  # a tree loaded under this name before
@@ -75,7 +76,7 @@ def load_tree(tree: Path, name: str) -> dict:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("simulator", "synthetic")}
+            for sub in ("simulator", "synthetic", "scene", "sceneio")}
 
 
 def ring_scene(mods: dict):
