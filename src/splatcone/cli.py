@@ -125,7 +125,8 @@ def load_scene_source(source: str, seed: int, opts: PreprocessOptions) -> Scene:
 # under its own name, except p_k, read as `pk` (a dash in a config key reads
 # as an underscore, and the flag is `--` + the key with dashes); text fields
 # are read as text, all others as numbers. A key set neither way takes
-# SimConfig's default. A config key the command does not read is an error.
+# SimConfig's default. A config key the command does not take is an error in
+# a section it reads: `batch` reads every section, `run` all but [batch].
 _SIM_KEYS = {("pk" if f.name == "p_k" else f.name):
              (f.name, str if isinstance(f.default, str) else float)
              for f in dataclasses.fields(SimConfig)}
@@ -133,7 +134,10 @@ _RUN_KEYS = (*_SIM_KEYS, "scene", "seed", "confidence", "out")
 _BATCH_KEYS = (*_RUN_KEYS, "n", "filters")
 
 
-def _read_config_file(path: str | None, known: tuple[str, ...]) -> dict:
+def _read_config_file(path: str | None, known: tuple[str, ...], skip: str | None = None) -> dict:
+    """The settings of config file `path`, from every section but `skip`.
+    A key is given once in the whole file, `skip` included, so every command
+    that reads it reads one value."""
     if not path:
         return {}
     # No default section ("" names none a file can open): [DEFAULT] is read
@@ -149,7 +153,9 @@ def _read_config_file(path: str | None, known: tuple[str, ...]) -> dict:
                 if name in where:
                     raise ConfigError(f"config key {name} given twice in {path}: "
                                       f"{where[name]} and {place}")
-                flat[name], where[name] = val, place
+                where[name] = place
+                if section != skip:
+                    flat[name] = val
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config file {path}: {e}") from None
     if not read:
@@ -168,7 +174,9 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
     Returns the run's configs (one, or one per batch filter), the scene, the
     output directory and the resolved config that the artifacts echo.
     """
-    file_cfg = _read_config_file(args.config, known_keys)
+    # [batch] holds batch's own keys, so that one file serves both commands
+    file_cfg = _read_config_file(args.config, known_keys,
+                                 "batch" if args.command == "run" else None)
 
     def get(key, cast, default):
         """The flag's value, else the file's cast, else `default`."""

@@ -12,7 +12,10 @@ Each active splat i contributes one half-space `normals[i] @ u >= offsets[i]`
 in acceleration space, plus its barrier value for diagnostics. Inputs are
 float64 arrays; `means` is (m, 3) in any memory layout (the neighbour list
 hands out the transpose of a C-contiguous (3, m) block of mean columns), and
-the outputs are the same bytes for every layout, with normals C-contiguous.
+the outputs are the same bytes for every layout. The normals come out as
+columns too: the (m, 3) .T view of a C-contiguous (3, m) array, from which
+`qp.solve_filter` takes the row norms and writes the unit rows it solves
+with in C order.
 
 The pass works on columns: r, A r and the normals are (3, m) arrays, one
 contiguous row per coordinate, because a broadcast or a reduction over an
@@ -140,10 +143,9 @@ def _cov_dot(inv_cov, x):
 
 
 def _rows_of(a, b):
-    """The C-contiguous (m, 3) rows of the (3, m) columns a - b."""
-    out = np.empty(np.shape(b)[::-1])
-    np.subtract(a, b, out=out.T)
-    return out
+    """The (m, 3) rows of the (3, m) columns a - b: the .T view of their
+    C-contiguous difference, so the rows are written once, by the solve."""
+    return np.subtract(a, b).T
 
 
 def _matvec(mats, x):

@@ -132,14 +132,51 @@ def _vector3(x, name: str) -> np.ndarray:
     return x
 
 
+class _Later:
+    """A field value left to be computed: fn(*args), on its first read."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+
+class _OnFirstRead:
+    """A `FilterSolution` field that holds its value or a `_Later`, which the
+    first read computes and replaces with the value. (A dataclass field whose
+    default is a descriptor is set and read through it; failing the class
+    read leaves the field without a default.)"""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if type(value) is _Later:
+            value = obj.__dict__[self.name] = value.fn(*value.args)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class FilterSolution:
+    """One step's solve. `active_ids` (the splat ids of the rows the optimum
+    holds with equality) and `kkt_residual` (its stationarity residual) are
+    diagnostics the control loop does not read: `solve_filter` leaves them
+    to their first read, which computes them from arrays the solve made
+    itself (and the program's norm balls) and keeps the value. A solution
+    built with values holds them."""
+
     u: np.ndarray | None
     status: str                      # optimal | infeasible | degraded
-    active_ids: np.ndarray
+    active_ids: np.ndarray = _OnFirstRead()
     slack_used: float
     solve_time: float
-    kkt_residual: float
+    kkt_residual: float = _OnFirstRead()
 
 
 def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: float, eps=0.0):
@@ -521,11 +558,14 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
     the primal optimum because every feasible point lies in each ball; a
     penalised optimum can exceed it.
     """
-    def evaluate(nu):
+    def project(nu):
         sigma = 1.0 + sum(nu.tolist())
         target = ubar if sigma == 1.0 else (ubar + nu @ Q) / sigma
-        u, lam, feasible, s = _project_polyhedron(target, N, b, b_scale,
-                                                  eps=0.0 if sw is None else sigma / sw)
+        return sigma, _project_polyhedron(target, N, b, b_scale,
+                                          eps=0.0 if sw is None else sigma / sw)
+
+    def evaluate(nu, projected=None):
+        sigma, (u, lam, feasible, s) = project(nu) if projected is None else projected
         if not feasible:
             return u, None, np.inf, None
 
@@ -543,14 +583,16 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
             f += 0.5 * float(rows[0] @ rows[0]) / sw  # sw ||xi||^2 / 2 with xi = lam / sw
         return u, jac, f, rows
 
-    start = evaluate(np.zeros(R.size))
-    u, _, f, rows = start
+    nu = np.zeros(R.size)
+    start = project(nu)
+    _, (u, lam, feasible, s) = start
     Ql, Rl = Q.tolist(), R.tolist()
-    if f < np.inf and _in_balls(u.tolist(), Ql, Rl):
-        return u, *rows, np.zeros(R.size)  # no ball binds: the rows-only projection
+    if feasible and _in_balls(u.tolist(), Ql, Rl):
+        return u, lam, s, nu  # no ball binds: the rows-only projection
+    # the objective at the start only now, when the ball search reads it
     bound = (np.inf if sw is not None
              else 0.5 * min(math.dist(ubar, q) + r for q, r in zip(Ql, Rl)) ** 2)
-    res = _ball_multipliers(evaluate, Q, R, bound, start=start)
+    res = _ball_multipliers(evaluate, Q, R, bound, start=evaluate(nu, start))
     if res is None:
         return None
     u, nus, rows = res
@@ -561,9 +603,15 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
     """Solve the per-step program. Hard constraints by default; with
     `slack_weight` set, rows relax to a_i^T u >= b_i - xi_i with quadratic
     slack penalties and status 'degraded' whenever slack is actually used.
-    Raises ValueError when `normals` or `offsets` hold a non-finite value."""
+    Raises ValueError when `normals` or `offsets` hold a non-finite value.
+
+    The normals may come in any layout; the row kernels hand them over as
+    columns (the .T view of a C-contiguous (3, m) array), from which the row
+    norms are taken contiguously. The hard mode's `active_ids` and every
+    mode's `kkt_residual` are computed on first read (see `FilterSolution`)."""
     t0 = time.perf_counter()
-    ubar = np.asarray(problem.reference, dtype=np.float64)
+    # a copy: a deferred residual reads it, and the caller may reuse its array
+    ubar = np.array(problem.reference, dtype=np.float64)
 
     def infeasible():
         return FilterSolution(u=None, status="infeasible", active_ids=np.zeros(0, dtype=np.intp),
@@ -593,8 +641,11 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
             # vacuous row demanding 0 >= positive: nothing to optimize
             return infeasible()
         N, b, ids, norms = N[~zero], b[~zero], ids[~zero], norms[~zero]
-    # C order whatever the caller's layout: BLAS rounds N @ u otherwise for F
-    N = np.divide(N, norms[:, None], order="C")
+    # the unit rows in C order whatever the caller's layout (BLAS rounds
+    # N @ u otherwise for F), written once from the columns N.T
+    unit = np.empty(N.shape)
+    np.divide(N.T, norms, out=unit.T)
+    N = unit
     b = b / norms
     Q, R = problem.balls
     if _balls_disjoint(Q, R):
@@ -604,7 +655,7 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
         u, nus = project_balls(ubar, Q, R)
         return FilterSolution(u=u, status="optimal", active_ids=np.zeros(0, dtype=np.intp),
                               slack_used=0.0, solve_time=time.perf_counter() - t0,
-                              kkt_residual=_stationarity(u, ubar, nus, Q))
+                              kkt_residual=_Later(_stationarity, u, ubar, nus, Q))
 
     sw = problem.slack_weight
     abs_b = np.abs(b)
@@ -612,17 +663,23 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
     if res is None:
         return infeasible()
     u, lam, s, nus = res
-    kkt = _stationarity(u, ubar, nus, Q, N, lam)
     if sw is None:
-        # a row with lam > 0 is in the final working set, where s is zeroed, so
-        # the residual test alone finds every tight row
-        active, slack_used, status = ids[np.abs(s) <= 1e-7 * (1.0 + abs_b)], 0.0, "optimal"
+        # the ids copied: the caller may reuse its array before the first read
+        active, slack_used, status = _Later(_tight_ids, ids.copy(), s, abs_b), 0.0, "optimal"
     else:
         xi = np.maximum(0.0, b - N @ u)
         slack_used = float(xi.max())
         active, status = ids[xi > 1e-8], "degraded" if slack_used > 1e-8 else "optimal"
-    return FilterSolution(u=u, status=status, active_ids=np.asarray(active), slack_used=slack_used,
-                          solve_time=time.perf_counter() - t0, kkt_residual=kkt)
+    return FilterSolution(u=u, status=status, active_ids=active, slack_used=slack_used,
+                          solve_time=time.perf_counter() - t0,
+                          kkt_residual=_Later(_stationarity, u, ubar, nus, Q, N, lam))
+
+
+def _tight_ids(ids, s, abs_b):
+    """The ids of the rows a hard-mode optimum holds with equality. A row
+    with lam > 0 is in the final working set, where the residual s is
+    zeroed, so the residual test alone finds every tight row."""
+    return ids[np.abs(s) <= 1e-7 * (1.0 + abs_b)]
 
 
 def _stationarity(u, ubar, nus, Q, N=None, lam=None) -> float:

@@ -61,11 +61,16 @@ def solve_against_reference(problem):
     `problem`, each a FilterSolution or the SolverError it raised, and
     whether the library's solve took a two-ball step of the ball search. In
     a program with rows only that step calls `qp.project_balls`, which is
-    wrapped for the duration of the library's solve."""
+    wrapped for the duration of the library's solve. The reference gets the
+    normals as C-ordered rows, as the row kernels wrote them when it was
+    kept: its einsum norm and its division round otherwise over the columns
+    the kernels hand over now."""
+    import dataclasses
+
     import reference_step
     from splatcone import qp
 
-    def solve(fn):
+    def solve(fn, problem=problem):
         try:
             return fn(problem)
         except qp.SolverError as exc:
@@ -83,7 +88,8 @@ def solve_against_reference(problem):
     finally:
         qp.project_balls = project
     two_ball = bool(calls) and problem.normals.shape[0] > 0
-    return got, solve(reference_step.solve_filter), two_ball
+    rows = dataclasses.replace(problem, normals=np.ascontiguousarray(problem.normals))
+    return got, solve(reference_step.solve_filter, rows), two_ball
 
 
 def is_reference_ball_floor(exc):

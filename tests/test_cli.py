@@ -320,6 +320,37 @@ def test_default_section_keys_are_read_once(tmp_path):
     assert (config["p_k"], config["seed"]) == (3.0, 2)
 
 
+def test_run_and_batch_share_one_config_file(tmp_path, capsys):
+    """`run` skips [batch], whose keys are batch's own, so one file serves
+    both commands; a key the command does not take is still an error in a
+    section it reads."""
+    head = ("[scene]\nscene = synth:single,count=1,scale_lo=0.5,scale_hi=0.5\n"
+            "[run]\npk = 2\ntimeout = 0.1\n")
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(head + "[batch]\nn = 1\nfilters = cone\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["p_k"] == 2.0
+    out = tmp_path / "batch"
+    assert main(["batch", "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads((out / "comparison.json").read_text())["config"]
+    assert (config["p_k"], config["n"], config["filters"]) == (2.0, 1, ["cone"])
+    capsys.readouterr()
+    # an unknown key in [run] stops both commands, one in [batch] stops batch
+    for where, commands in (("[run]", ("run", "batch")), ("[batch]", ("batch",))):
+        text = head + "[batch]\nn = 1\n"
+        cfg.write_text(text.replace(where + "\n", where + "\nbogus = 1\n"))
+        for command in ("run", "batch"):
+            out = tmp_path / f"{command}_bogus"
+            rc = main([command, "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            if command in commands:
+                assert rc == 1 and "unknown config key(s) bogus" in err
+                assert not out.exists()
+            else:
+                assert rc == 0
+
+
 def test_synthetic_spec_key_given_twice_exit_1(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--scene", "synth:ring,count=10,count=20", "--out", str(out)]) == 1

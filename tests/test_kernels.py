@@ -396,7 +396,7 @@ def _splat_sets(batch, active_2000):
 def test_row_kernels_give_the_reference_bytes_for_every_layout(batch, active_2000, layout):
     """cone_rows, cone_rows_inflated and baseline_rows give the bytes of the
     einsum formulas whatever the memory layout of `means`, and their
-    normals are C-contiguous rows."""
+    normals are handed over as columns: normals.T is C-contiguous."""
     for p, v, means, inv_cov, s_min, c2eff in _splat_sets(batch, active_2000):
         given = _LAYOUTS[layout](means)
         assert np.array_equal(given, means)
@@ -406,7 +406,7 @@ def test_row_kernels_give_the_reference_bytes_for_every_layout(batch, active_200
                 (kernels.baseline_rows, _ref_baseline_rows, (c2eff, 8.0, 8.0))):
             got = kernel(p, v, given, inv_cov, *args)
             _assert_bits_equal(got, ref(p, v, means, inv_cov, *args))
-            assert got[0].flags.c_contiguous
+            assert got[0].T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("layout", list(_LAYOUTS))

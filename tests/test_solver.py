@@ -493,11 +493,13 @@ def test_normals_layout_does_not_change_the_solve():
     normalises the rows into a C-contiguous array whatever the caller's
     layout, since BLAS rounds N @ u otherwise for an F-ordered N. (Without
     that rule, 340 of 5,100 replayed ring programs moved in `u`, pair 3's
-    apex steps among them.)"""
+    apex steps among them.) The kernels hand over F-ordered normals, so the
+    C-ordered ones are made here."""
     problems = [p for p in ring_problems("cone", 3, 30) if p.normals.shape[0]]
     assert len(problems) >= 20
     for problem in problems:
-        want = solve_filter(problem)
+        want = solve_filter(dataclasses.replace(problem,
+                                                normals=np.ascontiguousarray(problem.normals)))
         got = solve_filter(dataclasses.replace(problem, normals=np.asfortranarray(problem.normals)))
         assert got.status == want.status
         for name in ("u", "active_ids", "slack_used", "kkt_residual"):
@@ -570,3 +572,81 @@ def test_lapack_calls_keep_replayed_solves_bytes(monkeypatch):
     monkeypatch.setattr(qp, "_svd", lambda a, full_matrices=True:
                         np.linalg.svd(a, full_matrices=full_matrices))
     assert outputs() == direct
+
+
+# ---------------------------------------------------------------------------
+# diagnostics on first read
+#
+# The control loop reads `u`, `status` and `solve_time` of a solution; the
+# solve leaves `active_ids` (hard mode) and `kkt_residual` to their first read.
+# ---------------------------------------------------------------------------
+
+_FIELDS = ("u", "status", "active_ids", "slack_used", "solve_time", "kkt_residual")
+
+
+def test_closed_loop_computes_no_diagnostics(monkeypatch):
+    """A ring pair flown by `run_trajectory` under either filter computes
+    neither deferred value; reading them afterwards does."""
+    from helpers import RING_KW, RING_PAIRS, ring_scene
+    from splatcone.simulator import SimConfig, batch_start_goal, run_trajectory
+
+    calls = {"_stationarity": 0, "_tight_ids": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(qp, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(qp, name, counted)
+    scene = ring_scene()
+    for filter_name in ("cone", "distance_baseline"):
+        cfg = SimConfig(filter=filter_name, **RING_KW)
+        start, goal = batch_start_goal(scene, 3, RING_PAIRS, cfg, cfg.rho)
+        record = run_trajectory(scene, start, goal, cfg)
+        assert len(record) > 100
+    assert calls == {"_stationarity": 0, "_tight_ids": 0}
+    problem = next(p for p in ring_problems("cone", 3, 40) if np.abs(p.normals).max() > 0)
+    sol = solve_filter(problem)
+    first, again = [(sol.active_ids, sol.kkt_residual) for _ in range(2)]
+    assert calls == {"_stationarity": 1, "_tight_ids": 1}  # computed once, then kept
+    assert again[0] is first[0] and again[1] == first[1]
+
+
+def test_diagnostics_read_late_give_the_eager_bytes(monkeypatch):
+    """`active_ids` and `kkt_residual` read after the solve are the bytes
+    computed at its end, for the normals as the row kernels hand them over
+    (columns) and as C-ordered rows, with hard and slack rows and with none,
+    even after the caller has changed its reference and splat ids."""
+    hard = [p for name in ("cone", "distance_baseline") for pair in (2, 3)
+            for p in ring_problems(name, pair, 120)[::3]]
+    problems = hard + [dataclasses.replace(p, slack_weight=1e4) for p in hard[::4]]
+    problems += [dataclasses.replace(p, normals=np.zeros((0, 3)), offsets=np.zeros(0),
+                                     splat_ids=np.zeros(0, dtype=np.intp)) for p in hard[::8]]
+    with monkeypatch.context() as m:
+        m.setattr(qp, "_Later", lambda fn, *args: fn(*args))  # computed in the solve
+        eager = [solve_filter(p) for p in problems]
+    tight = 0
+    for problem, want in zip(problems, eager):
+        for normals in (problem.normals, np.ascontiguousarray(problem.normals)):
+            reference, ids = problem.reference.copy(), problem.splat_ids.copy()
+            sol = solve_filter(dataclasses.replace(problem, reference=reference, normals=normals,
+                                                   splat_ids=ids))
+            reference[:], ids[:] = 1e3, -7
+            for name in ("u", "status", "active_ids", "slack_used", "kkt_residual"):
+                assert np.asarray(getattr(sol, name)).tobytes() == \
+                    np.asarray(getattr(want, name)).tobytes(), name
+        tight += want.active_ids.size > 0
+    assert tight > 0
+
+
+def test_a_solution_built_with_values_compares_and_prints_as_before():
+    values = dict(u=np.array([1.0, 0.0, -2.0]), status="optimal", active_ids=np.array([4, 9]),
+                  slack_used=0.0, solve_time=0.5, kkt_residual=1e-15)
+    sol = qp.FilterSolution(**values)
+    assert [f.name for f in dataclasses.fields(sol)] == list(_FIELDS)
+    assert repr(sol) == ("FilterSolution(u=array([ 1.,  0., -2.]), status='optimal', "
+                         "active_ids=array([4, 9]), slack_used=0.0, solve_time=0.5, "
+                         "kkt_residual=1e-15)")
+    assert sol == qp.FilterSolution(*values.values())
+    assert sol != dataclasses.replace(sol, kkt_residual=2e-15)
+    with pytest.raises(TypeError, match="active_ids"):
+        qp.FilterSolution(u=None, status="infeasible", slack_used=0.0, solve_time=0.0,
+                          kkt_residual=np.nan)

@@ -34,6 +34,16 @@ def _within(p, radius, xyz):
     return _exact_within(p, 0.9 * radius, xyz)
 '''
 
+_DOUBLED = '''
+
+_exact_stationarity = _stationarity
+
+
+def _stationarity(*args, **kwargs):
+    """The stationarity residual doubled: a diagnostic that moves alone."""
+    return 2.0 * _exact_stationarity(*args, **kwargs)
+'''
+
 
 def test_identical_trees_read_no_change(tmp_path):
     # rows bind from the first steps of pairs 2 and 3 (not of pairs 0 and 1)
@@ -43,7 +53,7 @@ def test_identical_trees_read_no_change(tmp_path):
     report = json.loads(out.read_text())
     for name in ("cone", "distance_baseline"):
         assert report["filters"][name] == {"steps": 80, "changed": 0, "active_changed": 0,
-                                           "max_rel_change": 0.0}
+                                           "diagnostics_changed": 0, "max_rel_change": 0.0}
         for side in ("parent", "change"):
             assert report["timing"][name][side]["sum_ms"] > 0.0
         # every step falls in one row-count band
@@ -80,3 +90,15 @@ def test_a_tree_with_other_answers_reads_its_active_changes(tmp_path):
     cone = report["filters"]["cone"]
     # the splats left out bind in none of these steps: only the active sets show
     assert cone["steps"] == 80 and cone["changed"] == 0 < cone["active_changed"]
+
+
+def test_a_tree_with_other_diagnostics_reads_their_changes(tmp_path):
+    shutil.copytree(ROOT / "src" / "splatcone", tmp_path / "src" / "splatcone")
+    qp = tmp_path / "src" / "splatcone" / "qp.py"
+    qp.write_text(qp.read_text() + _DOUBLED)
+    report = step_ab.compare({"parent": ROOT, "change": tmp_path}, ["cone"], [2, 3],
+                             passes=1, steps=40)
+    cone = report["filters"]["cone"]
+    # the residual is read outside the step, so neither u nor the answers move
+    assert cone["steps"] == 80 and cone["changed"] == cone["active_changed"] == 0
+    assert cone["diagnostics_changed"] > 0

@@ -23,7 +23,11 @@ Per filter the report gives the step count, the steps whose status or `u`
 bytes differ between the trees (the first pass's), the steps whose active
 splats (`diag["active_splats"]`, the neighbour query's answer) differ as
 bytes (`active_changed`: an answer that changes without moving `u` shows
-there), and the largest relative change of `u`; these are deterministic.
+there), the steps whose solver diagnostics (`active_ids`, `kkt_residual`)
+differ as bytes (`diagnostics_changed`; they are read after the step's
+clock stops, in the first pass only, since a solve may leave them to their
+first read), and the largest relative change of `u`; these are
+deterministic.
 Each step's time is the minimum over the passes; the `timing` block holds
 their sum, p50 and p99 per tree, CHANGE against PARENT in percent, and
 each tree's distance_baseline over cone reading (criterion 7 compares the
@@ -113,10 +117,13 @@ def record_states(mods: dict, scene, filter_name: str, pairs: list[int], steps: 
     return out
 
 
-def _step_all(mods: dict, scene, filter_name: str, states: list):
+def _step_all(mods: dict, scene, filter_name: str, states: list, diagnose: bool = False):
     """Each state's (seconds, status, u bytes, active-splat bytes,
-    n_active, refill) through one tree's filter step, on a fresh neighbour
-    list; refill tells whether the step's query rebuilt the list."""
+    diagnostics bytes, n_active, refill) through one tree's filter step, on
+    a fresh neighbour list; refill tells whether the step's query rebuilt
+    the list. The diagnostics bytes (the solution's `active_ids` and
+    `kkt_residual`, read outside the timed region) are None unless
+    `diagnose`."""
     sim = mods["simulator"]
     cfg = sim.SimConfig(filter=filter_name, **RING_KW)
     step = sim._FILTER_STEPS[filter_name]
@@ -130,8 +137,11 @@ def _step_all(mods: dict, scene, filter_name: str, states: list):
         sol, diag = step(scene, state, u_ref, cfg)
         t1 = clock()
         listed = getattr(scene._memo, "sup", None)
+        solver = (np.asarray(sol.active_ids).tobytes() + np.float64(sol.kkt_residual).tobytes()
+                  if diagnose else None)
         out.append((t1 - t0, sol.status, None if sol.u is None else sol.u.tobytes(),
-                    diag["active_splats"].tobytes(), diag["n_active"], listed is not sup))
+                    diag["active_splats"].tobytes(), solver, diag["n_active"],
+                    listed is not sup))
         sup = listed
     return out
 
@@ -175,14 +185,15 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
         for n in range(passes):
             for k, (name, i) in enumerate(units):
                 for side in (SIDES if (n + k) % 2 == 0 else SIDES[::-1]):
-                    result = _step_all(mods[side], scenes[side], name, recorded[name][i])
+                    result = _step_all(mods[side], scenes[side], name, recorded[name][i],
+                                       diagnose=n == 0)
                     np.minimum(best[side, name, i], [r[0] for r in result],
                                out=best[side, name, i])
                     if n == 0:
-                        first[side, name, i] = [r[1:4] for r in result]
+                        first[side, name, i] = [r[1:5] for r in result]
                         if side == SIDES[0]:
-                            n_active[name, i] = [r[4] for r in result]
-                            refill[name, i] = [r[5] for r in result]
+                            n_active[name, i] = [r[5] for r in result]
+                            refill[name, i] = [r[6] for r in result]
     finally:
         gc.enable()
     report = {"trees": {side: str(tree) for side, tree in trees.items()}, "pairs": pairs,
@@ -197,6 +208,7 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
             "steps": len(both),
             "changed": len(changed),
             "active_changed": sum(a[2] != b[2] for a, b in both),
+            "diagnostics_changed": sum(a[3] != b[3] for a, b in both),
             "max_rel_change": max((_rel_change(a[1], b[1]) for a, b in changed), default=0.0),
         }
         seconds = {side: np.concatenate([best[side, name, i] for i in range(len(pairs))])
@@ -247,7 +259,8 @@ def main(argv=None) -> int:
     for name, f in report["filters"].items():
         t = report["timing"][name]
         print(f"{name}: {f['steps']} steps, {f['changed']} changed (max rel {f['max_rel_change']:.3g}), "
-              f"{f['active_changed']} active sets changed; "
+              f"{f['active_changed']} active sets changed, "
+              f"{f['diagnostics_changed']} diagnostics changed; "
               + "; ".join(f"{key} {t['parent'][key]:.1f} -> {t['change'][key]:.1f} "
                           f"({t['change_pct'][key]:+.1f}%)" for key in t["parent"]))
         for label, band in report["bands"][name].items():
