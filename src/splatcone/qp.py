@@ -190,7 +190,19 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
     one iteration, and with eps every penalised row joins, so the cap is
     `_ROW_ITER`, plus two per row with eps. Returns (u, lam, feasible, s):
     lam is None when infeasible, and s is the last residual N u - b with the
-    working-set rows zeroed.
+    working-set rows, and the dependent rows held within rounding, zeroed.
+
+    A violated row that depends on the working set, with no working-set
+    multiplier to release, is consistent with those rows when its violation
+    is no more than what it inherits from the rounding of the working-set
+    point: n_p = sum rr_i n_i makes its residual sum rr_i (n_i u - b_i),
+    and each unit-row residual of the point u, which solves at most three
+    equations, carries its own rounding of at most 4u (|u| + |b_i|) (u =
+    2^-53). Then every row that depends on the working set by the same test
+    and is violated by no more than its own such bound is held (zeroed in
+    the residual, multiplier 0) while its violation stays within it: the
+    rows through a single feasible point, the braking apex, end this way.
+    A larger violation of row p means it can never be reached: infeasible.
     """
     m = N.shape[0]
     u = c.copy()
@@ -198,6 +210,7 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
         return u, np.zeros(0), True, np.zeros(0)
     W: list[int] = []
     lamW: list[float] = []
+    held = None  # (rows, the violation each may keep) once rows are held
     scale = b_scale + math.sqrt(c.dot(c))
     ftol = 1e-12 * scale
     step_cap = 1e9 * scale  # longer steps mean numerically unreachable constraints
@@ -206,6 +219,9 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
         s = N @ u - b
         for w in W:
             s[w] = 0.0
+        if held is not None:
+            rows, slack = held
+            s[rows[s[rows] >= -slack]] = 0.0
         p = int(s.argmin())
         sp = float(s[p])
         if sp >= -ftol:
@@ -265,7 +281,13 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
                 u += t * z
                 sp += t * zz
             elif j_block < 0:
-                return u, None, False, s  # new normal dependent on W: p can never be reached
+                # new normal dependent on W: p is consistent with W's rows
+                # within their rounding, or can never be reached
+                if W:
+                    held = _held(N, b, u, s, W)
+                    if p in held[0]:
+                        break
+                return u, None, False, s
             else:
                 t_full, t = np.inf, t_block  # dependent: only the multipliers move
             lamW = [lj - t * rj for lj, rj in zip(lamW, rl)]
@@ -277,6 +299,24 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
             del W[j_block], lamW[j_block]
     raise SolverError("active-set projection hit iteration cap",
                       {"min_violation": float((N @ u - b).min())})
+
+
+def _held(N: np.ndarray, b: np.ndarray, u: np.ndarray, s: np.ndarray,
+          W: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, slack): the rows violated in the residual s at u that depend
+    on the working-set rows W, by the projection's test on their
+    independent part, and are violated by no more than they inherit from
+    the rounding of u (see `_project_polyhedron`), with that bound."""
+    Nw = N.take(W, axis=0)
+    rr = np.linalg.lstsq(Nw @ Nw.T, Nw @ N.T, rcond=None)[0]  # (|W|, m)
+    z = N - rr.T @ Nw
+    unit = 4.0 * 2.0**-53
+    size = math.sqrt(u.dot(u))
+    bw = b.take(W)
+    slack = unit * (size + np.abs(b)) + np.abs(rr).T @ (np.abs(Nw @ u - bw)
+                                                        + unit * (size + np.abs(bw)))
+    rows = ((s < 0.0) & (s >= -slack) & ((z * z).sum(axis=1) <= 1e-12)).nonzero()[0]
+    return rows, slack[rows]
 
 
 def norm_balls(a_max: float, v_current: np.ndarray | None = None, v_max: float | None = None,

@@ -13,6 +13,7 @@ L = S^-1 R^T.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import math
 import os
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import gammaincinv
 
 
@@ -118,27 +118,185 @@ _BUILD_CHUNK = 2048
 # relative, so that no mean the later query needs sits on the list's edge).
 _SKIN = 0.1
 # Scenes of at most this many splats refill the neighbour list with one
-# numpy scan of every mean (`_d2`) instead of a kd-tree ball query; larger
-# scenes keep the tree. At radius 5.5 a scan of 20,000 means cost less than
-# the tree's walk and list conversion on ring and clutter scenes, and one
-# of 40,000 more on clutter (README).
+# numpy scan of every mean (`_d2`); larger scenes read the means of the
+# grid cells the list's sphere meets (`_Grid`). The scan's cost grows with
+# the scene, a search's with the splats it finds: at radius 5.5 a scan of
+# 20,000 means cost less than a kd-tree's walk and list conversion on ring
+# and clutter scenes, and one of 40,000 more on clutter; the scan cut the
+# ring's step_p99_ms by 15.5-19% (README).
 _SCAN_MAX = 20000
 
 
-def _index(means: np.ndarray) -> cKDTree:
-    """The scene's kd-tree over its means: sliding-midpoint splits, no
-    node compaction (README)."""
-    return cKDTree(means, balanced_tree=False, compact_nodes=False)
+class _Grid(NamedTuple):
+    """The scene's spatial index: cubic cells of edge `edge` from the
+    corner `lo` of the means' bounding box, `shape` cells along each axis,
+    and the splats sorted by the key (ix * ny + iy) * nz + iz of the cell
+    their mean lies in (ids ascending within a cell), so that the cells of
+    one (x, y) column are one run of that order, located by `searchsorted`
+    on the sorted keys. Only cells that hold a mean take memory."""
+
+    lo: tuple          # (3,) the corner, Python floats
+    edge: float
+    shape: tuple       # (nx, ny, nz)
+    scale: float       # bounds every |coordinate| of the grid's box
+    keys: np.ndarray   # (n,) sorted cell keys
+    order: np.ndarray  # (n,) splat ids in key order
+    xyz: np.ndarray    # (3, n) their means, column by column
 
 
-# One worker thread that builds `Scene.from_arrays`' kd-tree while the
-# calling thread computes the covariances (scipy's build releases the GIL).
-# It is made on first use, under the lock, and kept: a thread started per
-# call cost the ring's 2,400-splat build more than the overlap saved. A
-# forked child inherits the executor but not its thread, and would queue
-# its next build behind a worker that no longer runs; it may also inherit
-# the lock held by a thread that is gone. So the child drops both and makes
-# its own.
+def _cell_edge(extents: list, n: int) -> float:
+    """The edge at which the bounding box of n means, with these extents,
+    holds n cells, one mean per cell on average; an axis narrower than that
+    edge counts as one cell, so a flat or linear scene is cut along its
+    other axes only. All means at one point give one cell of edge 1. (Two
+    or four means per cell refilled the 170k-splat scene's list as fast,
+    and audited a ring trajectory up to twice as slowly: README.)"""
+    ext = sorted(extents)
+    for d in (3, 2, 1):
+        edge = (math.prod(ext[3 - d:]) / n) ** (1.0 / d)
+        if edge <= ext[3 - d]:
+            break
+    return edge if edge > 0.0 else 1.0
+
+
+def _cells(x: np.ndarray, lo: float, edge: float, low: float, top: float) -> np.ndarray:
+    """Cell indices floor((x - lo) / edge) of the coordinates x along one
+    axis, clamped to [low, top]; fmax and fmin also clamp the NaN of an
+    axis that is one cell of infinite edge."""
+    return np.fmin(np.fmax(np.floor((x - lo) / edge), low), top).astype(np.intp)
+
+
+def _index(means: np.ndarray) -> _Grid:
+    """The scene's `_Grid` over its means."""
+    n = means.shape[0]
+    lo = [float(col.min()) if n else 0.0 for col in means.T]
+    extents = [float(col.max()) - a if n else 0.0 for col, a in zip(means.T, lo)]
+    edge = _cell_edge(extents, max(n, 1))
+    if not all(map(math.isfinite, (edge, *extents))):
+        edge = math.inf  # coordinates that span more than a float: one cell
+    # the top cell of each axis is the cell of its largest coordinate
+    shape = [1 if edge == math.inf else math.floor(e / edge) + 1 for e in extents]
+    key = np.zeros(n, dtype=np.intp)
+    for col, a, size in zip(means.T, lo, shape):
+        key *= size
+        key += _cells(col, a, edge, 0.0, size - 1.0)
+    # sorted by key, then id: one sort of the keys with the ids in the low
+    # bits (a stable argsort took seven times as long)
+    bits = n.bit_length()
+    key <<= bits
+    key |= np.arange(n)
+    key.sort()
+    order = key & ((1 << bits) - 1)
+    key >>= bits
+    xyz = np.empty((3, n))
+    for col, out in zip(means.T, xyz):
+        np.take(col, order, out=out)
+    corner = [abs(a) + e for a, e in zip(lo, extents)]
+    return _Grid(tuple(lo), edge, tuple(shape), max(corner) + (edge if edge < math.inf else 0.0),
+                 key, order, xyz)
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil(edge: float, shape: tuple, w: float, tol: float) -> tuple:
+    """The cells that may hold a mean within w of a point, relative to the
+    point's own cell: (reach, below, above, dx, dy, dz, dz_end, keys).
+    Column (dx[j], dy[j]) of cells, |dx|, |dy| <= reach, is read from cell
+    dz[j] >= -below up to dz_end[j] <= above; keys (2, T) holds the key
+    offsets of each run's first and end cell. A point anywhere in its cell
+    lies at least (|d| - 1) edges from a cell d away along an axis; those
+    gaps gx, gy, less `tol`, leave the ball a half-height sqrt(w^2 - gx^2 -
+    gy^2) over the column, which, plus `tol`, gives its z-cells. Read-only,
+    cached."""
+    _, ny, nz = shape
+    reach = math.floor(w / edge) + 1
+    d = np.arange(-reach, reach + 1)
+    gap = np.fmax((np.abs(d) - 1) * edge - tol, 0.0)
+    gap *= gap
+    h2 = w * w - (gap[:, None] + gap)
+    a, b = (h2 >= 0.0).nonzero()
+    hz = (np.sqrt(h2[a, b]) + tol) / edge
+    dx, dy = a - reach, b - reach
+    dz = np.floor(-hz).astype(np.intp)
+    dz_end = np.floor(hz).astype(np.intp) + 2
+    column = (dx * ny + dy) * nz
+    out = (dx, dy, dz, dz_end, np.stack([column + dz, column + dz_end]))
+    return (reach, -int(dz.min()), int(dz_end.max()), *map(_frozen, out))
+
+
+def _runs(grid: _Grid, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end), each (k, T): per row of `points` (k, 3), runs [start,
+    end) of the grid's order, one per (x, y) column of cells of the
+    stencil (`_stencil`; empty where it leaves the grid), that together
+    hold every mean that passes `_d2`'s test d2 <= radius * radius for that
+    row, and other means of the same cells. When the stencil spans more
+    columns than the grid has, each row's one run is the whole order.
+
+    The test passes only means within radius (1 + 3u) of the point (u =
+    2^-53), and only points within the radius of the grid's box have such
+    means. `tol`, 2^-40 times a bound on every coordinate of both, is more
+    than all the roundings of the cells' and the point's positions, so a
+    mean on a cell face is never missed."""
+    lo, edge, (nx, ny, nz) = grid.lo, grid.edge, grid.shape
+    k = points.shape[0]
+    tol = 2.0**-40 * 2.0 * (grid.scale + radius)
+    w = radius + tol
+    if not w / edge <= max(nx, ny):
+        return np.zeros((k, 1), dtype=np.intp), np.full((k, 1), grid.order.size)
+    reach, below, above, dx, dy, dz, dz_end, offsets = _stencil(edge, grid.shape, w, tol)
+    if k == 1:
+        hx, hy, hz = (math.floor(c) if math.isfinite(c) else -1
+                      for c in ((x - a) / edge for x, a in zip(points[0].tolist(), lo)))
+        if (reach <= hx < nx - reach and reach <= hy < ny - reach
+                and below <= hz <= nz - above):
+            # every cell of the stencil is in the grid: its runs as they are
+            bounds = np.searchsorted(grid.keys, offsets + ((hx * ny + hy) * nz + hz))
+            return bounds[:1], bounds[1:]
+    # the points' own cells, clamped to where the stencil still meets the
+    # grid, each cell once (a trajectory's points share cells); then the
+    # stencil's columns, and its z-cells in each column
+    home = [_cells(c, a, edge, -reach - 1.0, size + reach)
+            for c, a, size in zip(points.T, lo, grid.shape)]
+    span = 2 * reach + 2
+    _, first, inverse = np.unique(((home[0] * (ny + span) + home[1]) * (nz + span) + home[2]),
+                                  return_index=True, return_inverse=True)
+    hx, hy, hz = (np.take(h, first)[:, None] for h in home)
+    cx, cy = hx + dx, hy + dy
+    column = (cx * ny + cy) * nz
+    start = np.searchsorted(grid.keys, column + np.clip(hz + dz, 0, nz))
+    end = np.searchsorted(grid.keys, column + np.clip(hz + dz_end, 0, nz))
+    # unsigned, a negative column index is out of the grid too
+    np.copyto(end, start, where=(cx.view(np.uintp) >= nx) | (cy.view(np.uintp) >= ny))
+    return np.take(start, inverse, axis=0), np.take(end, inverse, axis=0)
+
+
+def _positions(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The positions start[j], ..., end[j] - 1 of every run, run by run
+    (row by row for 2-d runs)."""
+    start = start.ravel()
+    lens = end.ravel() - start
+    ends = np.cumsum(lens)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(start - ends + lens, lens)
+
+
+# Rows of points per `_runs` call of `Scene.candidate_counts`: the runs of
+# 256 points at an audit reach of 7 m on a clutter scene (a 23 x 23-column
+# stencil) take about 1 MB per array.
+_COUNT_ROWS = 256
+
+
+# One worker thread that builds `Scene.from_arrays`' grid while the
+# calling thread computes the covariances (numpy's sort and ufuncs release
+# the GIL). It builds the grids of scenes of more than _WORKER_MIN splats;
+# a smaller scene's build (0.18 ms on the 2,400-splat ring) is a few dozen
+# short numpy calls, which contend with the covariance pass for the GIL,
+# and built on the worker it made perfbench's ring set-up about 25%
+# slower, so the calling thread builds it. The worker is made on first
+# use, under the lock, and kept: a thread started per call would cost more
+# than the overlap saves. A forked child inherits the executor but not its thread, and would
+# queue its next build behind a worker that no longer runs; it may also
+# inherit the lock held by a thread that is gone. So the child drops both
+# and makes its own.
+_WORKER_MIN = 20000
 _indexer: concurrent.futures.ThreadPoolExecutor | None = None
 _indexer_lock = threading.Lock()
 
@@ -163,8 +321,8 @@ def _index_later(means: np.ndarray) -> concurrent.futures.Future:
 
 def _d2(p: tuple, xyz: np.ndarray) -> np.ndarray:
     """Squared distances from `p` to the means given as the columns of
-    `xyz` (3, k), summed as the kd-tree's leaf test sums them:
-    (dx^2 + dy^2) + dz^2. `xyz` may be a strided view."""
+    `xyz` (3, k), summed (dx^2 + dy^2) + dz^2. `xyz` may be a strided
+    view, and p's coordinates arrays of k, one point per mean."""
     e = xyz[0] - p[0]
     d2 = e * e
     e = xyz[1] - p[1]
@@ -255,7 +413,8 @@ class _NeighbourList(NamedTuple):
 
 @dataclass
 class Scene:
-    """Immutable splat collection with a spatial index over the means.
+    """Immutable splat collection with a spatial index over the means: a
+    uniform grid of cells (`_Grid`), built once.
 
     Arrays are read-only after construction. `confidence` is the shared
     squared confidence radius c^2.
@@ -264,14 +423,15 @@ class Scene:
     the means within radius (1 + _SKIN) of its last refill's centre, with
     those splats' means, as a (3, k) block of columns, and inverse
     covariances gathered. A scene of at most _SCAN_MAX splats is refilled
-    by one scan of all its means, a larger one by a kd-tree ball query.
-    A later query of the same radius centred within the skin filters that
-    list instead of searching again. The answer is the rule `_within`
-    applies: the listed means whose squared distance to the query point,
-    summed as (dx^2 + dy^2) + dz^2 (`_d2`), is at most r^2, with r^2 the
-    rounded radius * radius. That is a fresh kd-tree query's answer except
-    for a mean within rounding of the sphere, which the tree may decide
-    otherwise. Each filtering makes a new read-only answer and copies its
+    by one scan of all its means, a larger one from the means of the grid
+    cells near the centre (`_Grid`); both keep the means that pass `_d2`'s
+    test, so both build the same list. A later query of the same radius
+    centred within the skin filters that list instead of searching again.
+    The answer is the rule `_within` applies: the listed means whose
+    squared distance to the query point, summed as (dx^2 + dy^2) + dz^2
+    (`_d2`), is at most r^2, with r^2 the rounded radius * radius. That is
+    a kd-tree query's answer except for a mean within rounding of the
+    sphere, which a tree may decide otherwise. Each filtering makes a new read-only answer and copies its
     rows out of the blocks by position: the means as a C-contiguous (3, k)
     block of columns, the layout the row kernels read, handed out as its
     (k, 3) `.T` view. `gather` serves them for that answer. Each filtering
@@ -295,15 +455,15 @@ class Scene:
     confidence: float       # c^2
     bounds: np.ndarray      # (2, 3) AABB of means padded by max splat extent
     options: PreprocessOptions = field(default_factory=PreprocessOptions)
-    _tree: cKDTree | None = field(default=None, repr=False, compare=False)
+    _grid: _Grid | None = field(default=None, repr=False, compare=False)
     _memo: _NeighbourList | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.means, self.quats, self.scales, self.opacities,
                     self.inv_cov, self.s_min, self.bounds):
             arr.setflags(write=False)
-        if self._tree is None:
-            object.__setattr__(self, "_tree", _index(self.means))
+        if self._grid is None:
+            object.__setattr__(self, "_grid", _index(self.means))
 
     def __len__(self) -> int:
         return self.means.shape[0]
@@ -326,13 +486,23 @@ class Scene:
             skin = radius + _SKIN * radius
             if len(self) <= _SCAN_MAX:
                 sup = (_d2(pt, self.means.T) <= skin * skin).nonzero()[0]
+                # rows, then columns: np.take from the (3, n) view self.means.T
+                # would first copy all n means into a contiguous array
+                xyz = np.take(self.means, sup, axis=0).T.copy()
             else:
-                found = self._tree.query_ball_point(p, skin)
-                sup = np.sort(np.fromiter(found, dtype=np.intp, count=len(found)))
-            # rows, then columns: np.take from the (3, n) view self.means.T
-            # would first copy all n means into a contiguous array
-            head = (radius, pt, sup, np.take(self.means, sup, axis=0).T.copy(),
-                    np.take(self.inv_cov, sup, axis=0))
+                grid = self._grid
+                pos = _positions(*_runs(grid, p[None], skin))
+                near = np.take(grid.xyz, pos, axis=1)
+                keep = (_d2(pt, near) <= skin * skin).nonzero()[0]
+                # sorted by splat id, each with its column of `near` in the
+                # low bits: a sort of one integer array, not an argsort
+                bits = pos.size.bit_length()
+                found = np.take(grid.order, np.take(pos, keep)) << bits
+                found |= keep
+                found.sort()
+                sup = found >> bits
+                xyz = np.take(near, found & ((1 << bits) - 1), axis=1)
+            head = (radius, pt, sup, xyz, np.take(self.inv_cov, sup, axis=0))
         elif math.dist(pt, memo.point) <= memo.reach:
             return memo.idx
         else:
@@ -358,19 +528,32 @@ class Scene:
         return (_frozen(np.take(self.means, idx, axis=0)),
                 _frozen(np.take(self.inv_cov, idx, axis=0)))
 
-    def count_nearby(self, points: np.ndarray, radius: float) -> np.ndarray:
-        """Per row of `points` (k, 3), the number of splats whose mean lies
-        within `radius`: the lengths of `nearby_pairs`' per-point results."""
-        return self._tree.query_ball_point(points, radius, return_length=True)
+    def candidate_counts(self, points: np.ndarray, radius: float) -> np.ndarray:
+        """Per row of `points` (k, 3), the number of splats whose means lie
+        in the grid cells that `nearby_pairs` reads for it: a bound on the
+        pairs it finds for that row and on the candidates it holds, read
+        from the grid's sorted keys alone, with no distance test. Rows are
+        taken _COUNT_ROWS at a time, which bounds the runs held at once."""
+        points = np.asarray(points, dtype=np.float64)
+        counts = np.zeros(len(points), dtype=np.intp)
+        for k in range(0, len(points), _COUNT_ROWS):
+            start, end = _runs(self._grid, points[k:k + _COUNT_ROWS], radius)
+            counts[k:k + _COUNT_ROWS] = (end - start).sum(axis=1)
+        return counts
 
     def nearby_pairs(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(owner, idx) of every pair of a row of `points` (k, 3) and a splat
-        whose mean lies within `radius`: the tree's own ball search,
-        batched; the neighbour list is left alone."""
-        found = self._tree.query_ball_point(points, radius)
-        counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
-        idx = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp)
-        return np.repeat(np.arange(len(found)), counts), idx
+        whose mean lies within `radius`, by `_d2`'s rule: the grid's cells
+        near each row, batched; the neighbour list is left alone. Pairs
+        come point by point."""
+        points = np.asarray(points, dtype=np.float64)
+        grid = self._grid
+        start, end = _runs(grid, points, radius)
+        pos = _positions(start, end)
+        owner = np.repeat(np.arange(len(points)), (end - start).sum(axis=1))
+        keep = (_d2(np.take(points.T, owner, axis=1), np.take(grid.xyz, pos, axis=1))
+                <= radius * radius).nonzero()[0]
+        return np.take(owner, keep), np.take(grid.order, np.take(pos, keep))
 
     @classmethod
     def from_arrays(
@@ -389,15 +572,13 @@ class Scene:
         quaternion rejection, opacity filtering, scale clamping with the
         anisotropy cap, then precomputes inverse covariances (chunk by chunk,
         so no whole-scene temporary is held) and builds the spatial index.
-        The kd-tree is built on a worker thread (`_index_later`; a forked
-        child makes its own) from the kept means while this thread
-        computes the bounds, clamps and covariances, and is the tree a
-        serial build gives. On two cores that hides the tree: the
-        benchmark's 170k-splat `load_ply` set-up fell from 0.058 to
-        0.035 s (ten alternating pairs), and the ring's 2,400-splat build
-        stayed at about 0.7 ms. Pinned to one core, alternating in-process
-        builds (`tools/setup_ab.py`) took 0.99x the serial time at 170k
-        splats and 1.10x on the ring, the hand-off's cost.
+        The grid (`_Grid`, about 9 ms at 170k splats) of a scene of more
+        than _WORKER_MIN splats is built on a worker thread
+        (`_index_later`; a forked child makes its own) from the kept means
+        while this thread computes the bounds, clamps and covariances, and
+        is the grid a serial build gives; built on this thread instead, it
+        would add 6-10 ms to a two-core 170k-splat load (README). A smaller
+        scene's grid is built here, after the covariances.
         The caller's arrays are left writable and are not aliased. With
         `copy=False` the caller hands its arrays over instead: the scene may
         keep float64 `means` and `opacities` as they are, and freezes them.
@@ -447,9 +628,9 @@ class Scene:
         if not keep.all():
             means, quats, qnorm = means[keep], quats[keep], qnorm[keep]
             scales, opacities = scales[keep], opacities[keep]
-        # the means are final: index them on the worker meanwhile; an error
-        # below leaves the build to finish unread
-        tree = _index_later(means)
+        # the means are final: index a large scene's on the worker meanwhile;
+        # an error below leaves the build to finish unread
+        grid = _index_later(means) if len(means) > _WORKER_MIN else None
 
         lo = np.array([col.min() for col in means.T])
         hi = np.array([col.max() for col in means.T])
@@ -504,5 +685,5 @@ class Scene:
             confidence=c2,
             bounds=bounds,
             options=opts,
-            _tree=tree.result(),
+            _grid=None if grid is None else grid.result(),
         )

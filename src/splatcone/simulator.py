@@ -143,16 +143,17 @@ def audit_reach(scene: Scene, rho: float = 0.0) -> float:
     return float((c_m * np.maximum(np.maximum(s[:, 0], s[:, 1]), s[:, 2])).max())
 
 
-# (point, splat) pairs per audit pass, at about 170 B each: a pass holds all
-# its pairs at once, so this bounds the audit's memory (about 0.7 MB, or one
-# point's pairs where a point has more). 64k pairs would cost perfbench's
+# (point, splat) candidates per audit pass, at about 170 B each: a pass
+# holds all its candidates (the means of the grid cells it reads) at once,
+# so this bounds the audit's memory (about 0.7 MB, or one point's
+# candidates where a point has more). 64k pairs would cost perfbench's
 # ring_baseline 12 MB of peak RSS.
 _AUDIT_PAIRS = 1 << 12
 
 
 def _pair_blocks(counts: np.ndarray, budget: int):
-    """(lo, hi) of consecutive runs of points whose pair counts sum to at
-    most `budget`; a point with more pairs than that is a run of its own."""
+    """(lo, hi) of consecutive runs of points whose counts sum to at most
+    `budget`; a point with a larger count than that is a run of its own."""
     ends = np.cumsum(counts)
     lo = 0
     while lo < len(counts):
@@ -166,15 +167,17 @@ def scene_margins(scene: Scene, points: np.ndarray, rho: float = 0.0) -> np.ndar
     """Per-point min over splats of (p - mu)^T A (p - mu) - c_M^2, with the
     conservative c_M = c + rho / s_min from raw geometry only (independent
     of any filter state). The points are split into runs of at most
-    _AUDIT_PAIRS (point, splat) pairs within reach; per run, one tree search
-    finds its pairs and one kernel call takes each point's minimum, so the
-    margins do not depend on the split. A point with no pair gets +inf."""
+    _AUDIT_PAIRS (point, splat) candidates, counted from the scene's grid
+    without a distance test (`Scene.candidate_counts`); per run, one grid
+    search finds its pairs within reach and one kernel call takes each
+    point's minimum, so the margins do not depend on the split. A point
+    with no pair gets +inf."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     out = np.full(points.shape[0], np.inf)
     if len(scene) == 0:
         return out
     reach = audit_reach(scene, rho) + 1e-9
-    for lo, hi in _pair_blocks(scene.count_nearby(points, reach), _AUDIT_PAIRS):
+    for lo, hi in _pair_blocks(scene.candidate_counts(points, reach), _AUDIT_PAIRS):
         block = points[lo:hi]
         owner, idx = scene.nearby_pairs(block, reach)
         out[lo:hi] = kernels.min_margin(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from splatcone import scene as scene_mod
@@ -441,8 +442,25 @@ def test_tampered_scene_dump_rejected(tmp_path, field, value):
         load_scene_dump(path)
 
 
+# kd-trees over scenes' means, built here as the oracle of the neighbour
+# queries, by the id of the means they hold; copies of a scene share its
+# means, and so its tree
+_TREES: dict = {}
+_TREES_LOCK = threading.Lock()
+
+
+def _tree(scene):
+    with _TREES_LOCK:
+        held = _TREES.get(id(scene.means))
+        if held is None:
+            if len(_TREES) > 8:
+                _TREES.clear()
+            held = _TREES[id(scene.means)] = (scene.means, cKDTree(scene.means))
+        return held[1]
+
+
 def _tree_ball(scene, p, radius):
-    idx = scene._tree.query_ball_point(p, radius)
+    idx = _tree(scene).query_ball_point(p, radius)
     return np.sort(np.asarray(idx, dtype=np.intp))
 
 
@@ -572,19 +590,18 @@ def test_query_nearby_threads_share_the_neighbour_list():
     assert errors == []
 
 
-class _CountingTree:
-    """A kd-tree that records the radius of every `query_ball_point` call."""
+def _counting_grid(monkeypatch) -> list:
+    """Record the radius of every search of the scene's grid (`_runs`)
+    into the returned list."""
+    radii = []
+    runs = scene_mod._runs
 
-    def __init__(self, tree):
-        self.tree = tree
-        self.radii = []
+    def counted(grid, points, radius):
+        radii.append(radius)
+        return runs(grid, points, radius)
 
-    def query_ball_point(self, p, r):
-        self.radii.append(r)
-        return self.tree.query_ball_point(p, r)
-
-    def __getattr__(self, name):
-        return getattr(self.tree, name)
+    monkeypatch.setattr(scene_mod, "_runs", counted)
+    return radii
 
 
 def _steps_scene():
@@ -592,19 +609,18 @@ def _steps_scene():
     means = np.vstack([[5.0, 0.0, 0.0], rng.uniform(-8.0, 8.0, size=(300, 3))])
     scene = Scene.from_arrays(means, np.tile([1.0, 0.0, 0.0, 0.0], (301, 1)),
                               np.full((301, 3), 0.2), np.full(301, 0.9))
-    tree = scene._tree
-    scene._tree = _CountingTree(tree)
-    return scene, tree
+    return scene, cKDTree(scene.means)
 
 
-def _serve_steps(scene, tree, calls):
-    """Run `calls` of (p, radius, the tree query radii it should make,
-    whether it refills the list) and check each answer against the tree."""
+def _serve_steps(scene, tree, calls, searched):
+    """Run `calls` of (p, radius, the grid search radii it should make,
+    whether it refills the list) and check each answer against the tree;
+    `searched` records the grid's searches (`_counting_grid`)."""
     for p, radius, radii, refill in calls:
-        scene._tree.radii.clear()
+        searched.clear()
         memo = scene._memo
         got = scene.query_nearby(np.array(p), radius)
-        assert scene._tree.radii == pytest.approx(radii)
+        assert searched == pytest.approx(radii)
         assert (scene._memo.sup is not getattr(memo, "sup", None)) == refill
         if refill:
             assert scene._memo.anchor == p and scene._memo.radius == radius
@@ -614,23 +630,23 @@ def _serve_steps(scene, tree, calls):
 
 
 def test_query_nearby_serves_steps_from_the_neighbour_list(monkeypatch):
-    monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)  # the kd-tree refills the list
+    monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)  # the grid refills the list
     scene, tree = _steps_scene()
     _serve_steps(scene, tree, [
-        ((0.0, 0.2, 0.0), 5.0, [5.5], True),   # a miss queries the tree at the skin's radius
-        ((0.0, 0.1, 0.0), 5.0, [], False),     # a control step inside the skin: no tree query
-        ((0.0, 0.0, 0.0), 5.0, [], False),     # mean 0 exactly on the sphere: no tree query either
+        ((0.0, 0.2, 0.0), 5.0, [5.5], True),   # a miss searches the grid at the skin's radius
+        ((0.0, 0.1, 0.0), 5.0, [], False),     # a control step inside the skin: no search
+        ((0.0, 0.0, 0.0), 5.0, [], False),     # mean 0 exactly on the sphere: no search either
         ((0.0, 0.05, 0.0), 5.0, [], False),
         ((0.0, 0.05, 0.0), 1.0, [1.1], True),  # another radius
         ((0.0, 0.05, 0.0), 5.0, [5.5], True),
         ((0.0, 0.6, 0.0), 5.0, [5.5], True),   # beyond the skin of the last miss
-    ])
+    ], _counting_grid(monkeypatch))
 
 
-def test_query_nearby_scans_a_small_scene_to_refill_the_list():
+def test_query_nearby_scans_a_small_scene_to_refill_the_list(monkeypatch):
     """The twin of the test above on a scene small enough to scan: the
-    same refills read every mean instead of querying the tree, and no call
-    queries it."""
+    same refills read every mean instead of searching the grid, and no call
+    searches it."""
     scene, tree = _steps_scene()
     assert len(scene) <= scene_mod._SCAN_MAX
     _serve_steps(scene, tree, [
@@ -641,14 +657,15 @@ def test_query_nearby_scans_a_small_scene_to_refill_the_list():
         ((0.0, 0.05, 0.0), 1.0, [], True),
         ((0.0, 0.05, 0.0), 5.0, [], True),
         ((0.0, 0.6, 0.0), 5.0, [], True),
-    ])
+    ], _counting_grid(monkeypatch))
 
 
-def test_query_nearby_scan_builds_the_trees_list(monkeypatch):
+def test_query_nearby_scan_builds_the_grids_list(monkeypatch):
     """At seeded anchors on a scene small enough to scan, the scan's
     neighbour list (indices, mean columns, inverse covariances) is the
-    tree's, byte for byte. Anchors that put a mean within rounding of the
-    list's sphere, where the two may differ, are redrawn."""
+    grid's, byte for byte: both keep the means that pass `_d2`'s test.
+    Anchors that put a mean within rounding of the list's sphere are
+    redrawn, as when the other refill was a kd-tree's."""
     base = _walk_scene()
     rng = np.random.default_rng(11)
     lists = []
@@ -682,7 +699,7 @@ def test_query_nearby_scan_builds_the_trees_list(monkeypatch):
     assert min(sizes) == 0 and max(sizes) > 100  # empty and crowded lists both drawn
 
 
-@pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "grid"])
 def test_query_nearby_random_walk_matches_tree_on_both_paths(monkeypatch, scan):
     """A seeded walk of control steps, jumps past the skin, audit-sized
     radii and centres that put a mean on the sphere gets the rule's answer
@@ -717,7 +734,7 @@ def test_query_nearby_random_walk_matches_tree_on_both_paths(monkeypatch, scan):
     assert refills > 50
 
 
-@pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "grid"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_query_nearby_rejects_a_non_finite_point(monkeypatch, scan, bad):
     """A non-finite query point is an error on both refill paths, with or
@@ -736,7 +753,7 @@ def test_query_nearby_rejects_a_non_finite_point(monkeypatch, scan, bad):
             scene.query_nearby(p, 5.0)
 
 
-@pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "grid"])
 def test_query_nearby_keeps_a_mean_on_the_sphere_and_filters_again(monkeypatch, scan):
     """A mean whose squared distance is r^2 exactly is in the answer, one a
     rounding step beyond it is not; the zero gap gives a reach that serves
@@ -758,7 +775,7 @@ def test_query_nearby_keeps_a_mean_on_the_sphere_and_filters_again(monkeypatch, 
     assert scene._memo.idx is again and _rows_match(scene, again)
 
 
-@pytest.mark.parametrize("scan", [True, False], ids=["scan", "tree"])
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "grid"])
 def test_query_nearby_radius_whose_square_overflows(monkeypatch, scan):
     """At a radius whose square overflows, every splat is in the answer and
     the reach is NaN, so it serves no later query: each one filters."""

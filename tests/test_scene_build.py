@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 import reference_scene as ref
 from helpers import ring_scene
@@ -211,27 +210,32 @@ def test_ply_io_peak_memory(tmp_path):
     assert peak <= 2.0 * scene_bytes(back)
 
 
-# The kd-tree is built on `scene._index_later`'s worker thread while the
-# covariances are computed; it must be the tree a serial build gives.
-
-def _serial_tree(scene):
-    return cKDTree(scene.means, balanced_tree=False, compact_nodes=False)
-
-
-def assert_same_tree(got, want, points, radius):
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
-    assert (got.query_ball_point(points, radius).tolist()
-            == want.query_ball_point(points, radius).tolist())
+# The grid of a scene of more than `_WORKER_MIN` splats is built on
+# `scene._index_later`'s worker thread while the covariances are computed;
+# it must be the grid a serial build gives. A smaller scene's grid is built
+# on the calling thread.
+_serial_index = scene_mod._index
 
 
-@pytest.mark.parametrize("make, radius, min_len", [
-    (ring_scene.__wrapped__, 5.0, 1),  # built here, not the cached scene
-    # a scene the neighbour list refills from the tree
+def _serial_grid(scene):
+    return _serial_index(scene.means)
+
+
+def assert_same_grid(got, want, points, radius):
+    assert type(got) is type(want)
+    for name, a, b in zip(want._fields, got, want):
+        assert np.array_equal(a, b), name
+    for a, b in zip(scene_mod._runs(got, points, radius), scene_mod._runs(want, points, radius)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("make, radius, on_worker", [
+    (ring_scene.__wrapped__, 5.0, False),  # built here, not the cached scene
+    # a scene the neighbour list refills from the grid
     (lambda: make_synthetic_scene(dataclasses.replace(CLUTTER, count=_SCAN_MAX + 5000),
-                                  seed=15), 5.5, _SCAN_MAX + 1),
+                                  seed=15), 5.5, True),
 ])
-def test_worker_tree_equals_a_serial_build(make, radius, min_len, monkeypatch):
+def test_worker_grid_equals_a_serial_build(make, radius, on_worker, monkeypatch):
     built_on, real = [], scene_mod._index
 
     def index(means):
@@ -240,11 +244,11 @@ def test_worker_tree_equals_a_serial_build(make, radius, min_len, monkeypatch):
 
     monkeypatch.setattr(scene_mod, "_index", index)
     scene = make()
-    assert len(scene) >= min_len
-    assert len(built_on) == 1 and built_on[0] is not threading.current_thread()
+    assert (len(scene) > scene_mod._WORKER_MIN) == on_worker
+    assert len(built_on) == 1 and (built_on[0] is not threading.current_thread()) == on_worker
     points = np.concatenate([scene.means[::97],
                              np.random.default_rng(3).uniform(*scene.bounds, (50, 3))])
-    assert_same_tree(scene._tree, _serial_tree(scene), points, radius)
+    assert_same_grid(scene._grid, _serial_grid(scene), points, radius)
 
 
 def test_an_error_after_the_submit_leaves_the_next_build_working(monkeypatch):
@@ -258,19 +262,19 @@ def test_an_error_after_the_submit_leaves_the_next_build_working(monkeypatch):
     monkeypatch.setattr(scene_mod, "_index_later", submit)
     # the scale clamp is checked after the means are final
     with pytest.raises(SceneError, match="invalid scale clamp range"):
-        Scene.from_arrays(*raw_splats(3000, seed=16),
+        Scene.from_arrays(*raw_splats(2 * scene_mod._WORKER_MIN, seed=16),
                           PreprocessOptions(scale_min=2.0, scale_max=1.0))
     assert len(submitted) == 1
-    raw = raw_splats(3000, seed=17)
+    raw = raw_splats(2 * scene_mod._WORKER_MIN, seed=17)
     scene = Scene.from_arrays(*raw)
-    assert len(submitted) == 2 and submitted[1].result() is scene._tree
+    assert len(submitted) == 2 and submitted[1].result() is scene._grid
     assert_same_scene(scene, ref.from_arrays(*raw))
-    assert_same_tree(scene._tree, _serial_tree(scene), scene.means[::50], 2.0)
+    assert_same_grid(scene._grid, _serial_grid(scene), scene.means[::50], 2.0)
 
 
 def test_concurrent_builds_share_one_worker(monkeypatch):
     """Threads that build scenes at once, from a state with no worker yet,
-    make one worker between them, and each gets its own scene's tree."""
+    make one worker between them, and each gets its own scene's grid."""
     built_on, real = set(), scene_mod._index
 
     def index(means):
@@ -279,13 +283,13 @@ def test_concurrent_builds_share_one_worker(monkeypatch):
 
     monkeypatch.setattr(scene_mod, "_index", index)
     monkeypatch.setattr(scene_mod, "_indexer", None)
-    raws = [raw_splats(500 + 50 * k, seed=100 + k) for k in range(6)]
+    raws = [raw_splats(2 * scene_mod._WORKER_MIN + 50 * k, seed=100 + k) for k in range(6)]
     failures = []
 
     def build(k):
         for raw in raws[k % 2::2]:
             scene = Scene.from_arrays(*raw)
-            if not np.array_equal(scene._tree.indices, _serial_tree(scene).indices):
+            if not all(np.array_equal(a, b) for a, b in zip(scene._grid, _serial_grid(scene))):
                 failures.append(k)
 
     interval = sys.getswitchinterval()
@@ -307,18 +311,20 @@ import os, signal, sys
 import numpy as np
 from splatcone.scene import Scene
 
+N = 25000  # more than _WORKER_MIN: built on the worker
+
 def build(seed):
     rng = np.random.default_rng(seed)
-    return Scene.from_arrays(rng.uniform(-5, 5, (3000, 3)), rng.normal(size=(3000, 4)),
-                             rng.uniform(0.05, 0.2, (3000, 3)), np.ones(3000))
+    return Scene.from_arrays(rng.uniform(-5, 5, (N, 3)), rng.normal(size=(N, 4)),
+                             rng.uniform(0.05, 0.2, (N, 3)), np.ones(N))
 
 build(0)  # the worker thread exists in this process before the fork
 pid = os.fork()
 if pid == 0:
     signal.alarm(20)  # a build that hangs ends the child
-    os._exit(0 if len(build(1)) == 3000 else 3)
+    os._exit(0 if len(build(1)) == N else 3)
 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-assert len(build(2)) == 3000  # and the parent's worker still builds
+assert len(build(2)) == N  # and the parent's worker still builds
 print(code)
 """
 

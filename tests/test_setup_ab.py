@@ -24,3 +24,22 @@ def test_identical_trees_read_a_ratio_near_one(tmp_path):
         # is won by one side or tied
         assert 0.5 < r["ratio"] < 2.0
         assert r["parent_wins"] + r["change_wins"] <= 8
+
+
+def test_same_bits_compares_the_scenes_grids():
+    import dataclasses
+    import types
+
+    from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
+
+    spec = SyntheticSpec(pattern="clutter", count=500)
+    a, b = (make_synthetic_scene(spec, seed=3) for _ in range(2))
+    assert setup_ab.same_bits(a, b)
+    grid = b._grid
+    for field, value in (("order", grid.order[::-1]), ("keys", grid.keys + 1),
+                         ("xyz", grid.xyz[:, ::-1]), ("edge", 2.0 * grid.edge)):
+        assert not setup_ab.same_bits(a, dataclasses.replace(b, _grid=grid._replace(**{field: value})))
+    assert not setup_ab.same_bits(a, make_synthetic_scene(spec, seed=4))
+    # a scene from a tree that indexed its means with a kd-tree: arrays only
+    tree_scene = types.SimpleNamespace(**{name: getattr(b, name) for name in setup_ab.ARRAYS})
+    assert setup_ab.same_bits(a, tree_scene) and setup_ab.same_bits(tree_scene, a)

@@ -650,3 +650,50 @@ def test_a_solution_built_with_values_compares_and_prints_as_before():
     with pytest.raises(TypeError, match="active_ids"):
         qp.FilterSolution(u=None, status="infeasible", slack_used=0.0, solve_time=0.0,
                           kkt_residual=np.nan)
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_apex_program_of_the_clutter_scene_is_solved():
+    """The program of step 65 of pair 2 of a four-pair placement on
+    criterion 9's scene (seed 11, start height 0, p_k 8): 440 cone rows,
+    all through the braking apex u* = -p_k v / 2, their only feasible
+    point, which lies inside both balls. The solve used to call it
+    infeasible: a row dependent on a working set of three nearly coplanar
+    rows was violated by 5.1e-11, more than the feasibility tolerance and
+    less than it inherits from the rounding of the working-set point."""
+    from splatcone import filter as filter_mod
+    from splatcone.simulator import SimConfig, batch_start_goal, run_trajectory
+    from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
+
+    scene = make_synthetic_scene(SyntheticSpec(pattern="clutter", count=170000, extent=17.7,
+                                               scale_range=(0.05, 0.15),
+                                               anisotropy_range=(1.0, 3.0)), seed=11)
+    cfg = SimConfig(filter="cone", p_k=8.0, a_max=10.0, v_max=2.5, activation_radius=5.0,
+                    start_height=0.0)
+    start, goal = batch_start_goal(scene, 2, 4, cfg, cfg.rho)
+    problems = []
+
+    def capture(problem):
+        problems.append(problem)
+        if len(problems) == 66:
+            raise _Captured
+        return inner(problem)
+
+    inner = filter_mod.solve_filter
+    filter_mod.solve_filter = capture
+    try:
+        with pytest.raises(_Captured):
+            run_trajectory(scene, start, goal, cfg)
+    finally:
+        filter_mod.solve_filter = inner
+    prob = problems[-1]
+    apex = -cfg.p_k * prob.v_current / 2.0
+    assert prob.normals.shape == (440, 3)
+    assert np.linalg.norm(apex) < cfg.a_max
+    assert np.linalg.norm(prob.v_current + prob.dt * apex) < cfg.v_max
+    sol = solve_filter(prob)
+    assert sol.status == "optimal" and sol.kkt_residual < 1e-10
+    np.testing.assert_allclose(sol.u, apex, rtol=1e-9)

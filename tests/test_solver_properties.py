@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from splatcone.qp import FilterProblem, solve_filter  # noqa: E402
 from helpers import (assert_close_to_reference, kkt_residual, lifted_kkt_residual,  # noqa: E402
@@ -97,3 +97,40 @@ def test_solution_is_feasible_and_stationary(ubar, ubar_scale, v_dir, speed, a_m
         assert ((N @ u - b) / np.linalg.norm(N, axis=1)).min() >= -1e-9 * (1.0 + np.linalg.norm(u))
     assert sol.kkt_residual < 1e-6
     assert kkt_residual(ref, u, list(zip(N, b)), balls) < 1e-6 * scale
+
+
+# Programs whose only feasible point is one apex u*: rows through u* whose
+# normals positively span R^3 (a tetrahedron's, with up to 200 more rows),
+# all flattened towards a plane by up to 1e-4 and turned, so that three of
+# them can make an ill-conditioned working set; u* inside both balls. The
+# examples are seeds whose program the solve called infeasible before the
+# dependent rows it meets there were held within their inherited rounding.
+_TETRAHEDRON = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+
+
+def _single_point_program(seed):
+    from splatcone.scene import rotation_from_quat
+
+    rng = np.random.default_rng(seed)
+    flat = 10.0 ** rng.uniform(-4.0, 0.0)
+    a_max = rng.uniform(1.0, 10.0)
+    apex = rng.uniform(-1.0, 1.0, 3) * 0.9 * a_max / np.sqrt(3.0)
+    N = np.vstack([_TETRAHEDRON, rng.normal(size=(rng.integers(0, 200), 3))]) * [1.0, 1.0, flat]
+    N = N @ rotation_from_quat(rng.normal(size=4)).T
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    v = rng.uniform(-1.0, 1.0, 3)  # |v + dt u*| < 1.8 + 0.1 < v_max
+    ref = rng.uniform(-1.0, 1.0, 3) * rng.uniform(0.1, 40.0)
+    return FilterProblem(reference=ref, a_max=a_max, normals=N, offsets=N @ apex,
+                         v_current=v, v_max=2.5, dt=0.02), apex, flat
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=126)
+@example(seed=573)
+@example(seed=783)
+def test_single_point_program_is_solved_at_its_point(seed):
+    prob, apex, flat = _single_point_program(seed)
+    sol = solve_filter(prob)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.u, apex, atol=1e-6 * (1.0 + np.linalg.norm(apex)) / flat)

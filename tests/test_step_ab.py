@@ -102,3 +102,31 @@ def test_a_tree_with_other_diagnostics_reads_their_changes(tmp_path):
     # the residual is read outside the step, so neither u nor the answers move
     assert cone["steps"] == 80 and cone["changed"] == cone["active_changed"] == 0
     assert cone["diagnostics_changed"] > 0
+
+
+def test_clutter_probes_read_no_change_on_identical_trees(tmp_path):
+    out = tmp_path / "ab.json"
+    assert step_ab.main([str(ROOT), str(ROOT), "--clutter", "1951", "--probes", "4",
+                         "--passes", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    clutter = report["clutter"]
+    assert clutter["seed"] == 1951 and clutter["probes"] == 4
+    assert clutter["drawn"] == 4 + clutter["rejected"]
+    assert list(report["filters"]) == ["cone"]
+    assert report["filters"]["cone"] == {"steps": 40, "changed": 0, "active_changed": 0,
+                                         "diagnostics_changed": 0, "max_rel_change": 0.0}
+    # each probe's first step refills its fresh list, as in the benchmark
+    assert report["refills"]["cone"]["steps"] == 4 and report["filtered"]["cone"]["steps"] == 36
+    for part in ("refills", "filtered"):
+        for side in ("parent", "change"):
+            assert report[part]["cone"][side]["sum_ms"] > 0.0
+
+
+def test_clutter_probes_read_a_tree_with_other_answers(tmp_path):
+    shutil.copytree(ROOT / "src" / "splatcone", tmp_path / "src" / "splatcone")
+    scene = tmp_path / "src" / "splatcone" / "scene.py"
+    scene.write_text(scene.read_text() + _NARROW)
+    report = step_ab.compare({"parent": ROOT, "change": tmp_path}, ["cone"], [], passes=1,
+                             steps=0, clutter=1951, probes=3)
+    cone = report["filters"]["cone"]
+    assert cone["steps"] == 30 and cone["active_changed"] == 30

@@ -14,7 +14,8 @@ benchmark times them:
   PARENT's generator hands them to it;
 * `clutter_load_ply`: `sceneio.load_ply` of criterion 9's clutter scene
   (`--clutter-count` splats, 170,000 by default), written once by PARENT's
-  `save_ply` to a temporary directory, with the benchmark's load options.
+  `save_ply` (`step_ab.write_clutter`) to a temporary directory, with the
+  benchmark's load options.
 
 Each tree builds each set-up once untimed; then every round times each
 tree on each set-up, the tree that goes first alternating from round to
@@ -22,8 +23,9 @@ round, so that the machine's drift reaches both trees alike (Kalibera &
 Jones 2013, "Rigorous benchmarking in reasonable time"). A round's time is
 the mean of REPEATS consecutive builds: the ring's build runs warm, as in
 the benchmark's repeated set-up, and not just after a 170k-splat load has
-flushed the caches. No scene is held from one build to the next. Per set-up the report gives whether the two
-trees' first scenes have the same arrays and kd-tree indices (`same_bits`),
+flushed the caches. No scene is held from one build to the next. Per
+set-up the report gives whether the two trees' first scenes have the same
+arrays and, where both have one, the same spatial grid (`same_bits`),
 per tree the median and quartiles of its times in ms, CHANGE's median over
 PARENT's (`ratio`), and the rounds each tree was faster in.
 """
@@ -44,13 +46,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from step_ab import SIDES, load_tree  # noqa: E402
+from step_ab import CLUTTER_SPEC_KW, SIDES, load_tree, write_clutter  # noqa: E402
 from helpers import RING_SCENE_SEED, RING_SPEC_KW  # noqa: E402  (on step_ab's path)
 
-# criterion 9's clutter scene, as the benchmark makes it
-CLUTTER_SPEC_KW = dict(pattern="clutter", count=170000, extent=17.7,
-                       scale_range=(0.05, 0.15), anisotropy_range=(1.0, 3.0))
-CLUTTER_SCENE_SEED = 11
 ARRAYS = ("means", "quats", "scales", "opacities", "inv_cov", "s_min", "bounds")
 # consecutive builds per round and set-up
 REPEATS = {"ring_from_arrays": 5, "clutter_load_ply": 1}
@@ -76,19 +74,13 @@ def ring_raw(mods: dict) -> tuple:
     return captured[0]
 
 
-def write_clutter(mods: dict, count: int, path: Path):
-    """Write the clutter scene to `path`; the load options the benchmark uses."""
-    synthetic, scene_mod = mods["synthetic"], mods["scene"]
-    spec = synthetic.SyntheticSpec(**{**CLUTTER_SPEC_KW, "count": count})
-    scene0 = synthetic.make_synthetic_scene(spec, seed=CLUTTER_SCENE_SEED)
-    mods["sceneio"].save_ply(path, scene0)
-    return scene_mod.PreprocessOptions(opacity_min=0.0, scale_min=scene0.options.scale_min,
-                                       scale_max=scene0.options.scale_max)
-
-
 def same_bits(a, b) -> bool:
+    """Whether scenes a and b have the same arrays and, when both index
+    their means with a grid (a tree from before the grid has a kd-tree),
+    the same grid: every field, arrays as bytes."""
+    grids = [getattr(scene, "_grid", None) for scene in (a, b)]
     return (all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ARRAYS)
-            and np.array_equal(a._tree.indices, b._tree.indices))
+            and (None in grids or all(np.array_equal(x, y) for x, y in zip(*grids))))
 
 
 def _summary(seconds: list[float]) -> dict:

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""In-process A/B of the filter step's cost on recorded ring states.
+"""In-process A/B of the filter step's cost on recorded ring states, or on
+perfbench's clutter probes.
 
     python3 tools/step_ab.py PARENT CHANGE [--pairs 0-49] [--passes 5]
         [--steps 0] [--out step_ab.json]
+    python3 tools/step_ab.py PARENT CHANGE --clutter SEED [--probes 455]
+        [--passes 5] [--out step_ab.json]
 
 PARENT and CHANGE are source trees (a checkout, or a `git archive` copy:
 any directory holding `src/splatcone`). Each tree's package is loaded in
@@ -36,7 +39,18 @@ The `bands` block splits each filter's steps by the number of splats the
 step's query returned (`n_active`, from PARENT's first pass) into BANDS,
 with each band's step count and, per tree, its timing summary. The
 `refills` block gives the same for the steps whose query rebuilt the
-neighbour list (a new `Scene._memo.sup`) in PARENT's first pass.
+neighbour list (a new `Scene._memo.sup`) in PARENT's first pass, and the
+`filtered` block for the other steps.
+
+`--clutter SEED` steps perfbench's `clutter170k_step` probes instead
+(`perfbench/workloads.py`): criterion 9's 170k-splat scene, written by
+PARENT's `save_ply` and loaded by each tree's `load_ply` with the
+benchmark's options, and the first `--probes` probes that perfbench's
+`make_probes` draws for SEED (455, the count of a 10 s run), drawn with
+PARENT's audit. Each probe's PROBE_LEN states go through each tree's
+`filter.filter_step` under the benchmark's cone config, on a fresh
+neighbour list per probe, so that its first step refills the list as in
+the benchmark; the probes stand for the pairs above.
 """
 from __future__ import annotations
 
@@ -47,6 +61,7 @@ import importlib
 import importlib.util
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -59,6 +74,12 @@ from helpers import RING_KW, RING_PAIRS, RING_SCENE_SEED, RING_SPEC_KW  # noqa: 
 
 SIDES = ("parent", "change")
 FILTERS = ("cone", "distance_baseline")
+# probes of perfbench's clutter170k_step in a 10 s run
+PROBES = 455
+# criterion 9's clutter scene, as the benchmark makes it
+CLUTTER_SPEC_KW = dict(pattern="clutter", count=170000, extent=17.7,
+                       scale_range=(0.05, 0.15), anisotropy_range=(1.0, 3.0))
+CLUTTER_SCENE_SEED = 11
 # (label, lowest n_active, highest) of the row-count bands
 BANDS = (("0", 0, 0), ("1-199", 1, 199), ("200-499", 200, 499), ("500+", 500, np.inf))
 
@@ -68,9 +89,9 @@ class _Done(Exception):
 
 
 def load_tree(tree: Path, name: str) -> dict:
-    """The `simulator`, `synthetic`, `scene` and `sceneio` modules of the
-    splatcone package under `tree` (or `tree/src`), imported as package
-    `name`."""
+    """The `simulator`, `synthetic`, `scene`, `sceneio` and `filter`
+    modules of the splatcone package under `tree` (or `tree/src`),
+    imported as package `name`."""
     pkg = tree / "src" / "splatcone" if (tree / "src" / "splatcone").is_dir() else tree / "splatcone"
     for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
         del sys.modules[loaded]  # a tree loaded under this name before
@@ -80,13 +101,57 @@ def load_tree(tree: Path, name: str) -> dict:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("simulator", "synthetic", "scene", "sceneio")}
+            for sub in ("simulator", "synthetic", "scene", "sceneio", "filter")}
 
 
 def ring_scene(mods: dict):
     synthetic = mods["synthetic"]
     return synthetic.make_synthetic_scene(synthetic.SyntheticSpec(**RING_SPEC_KW),
                                           seed=RING_SCENE_SEED)
+
+
+def write_clutter(mods: dict, count: int, path: Path):
+    """Write the clutter scene of `count` splats to `path`; the load
+    options the benchmark uses."""
+    synthetic, scene_mod = mods["synthetic"], mods["scene"]
+    spec = synthetic.SyntheticSpec(**{**CLUTTER_SPEC_KW, "count": count})
+    scene0 = synthetic.make_synthetic_scene(spec, seed=CLUTTER_SCENE_SEED)
+    mods["sceneio"].save_ply(path, scene0)
+    return scene_mod.PreprocessOptions(opacity_min=0.0, scale_min=scene0.options.scale_min,
+                                       scale_max=scene0.options.scale_max)
+
+
+def _perfbench_workloads():
+    for path in (ROOT / "perfbench", ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    return importlib.import_module("workloads")
+
+
+def clutter_probes(mods: dict, seed: int, probes: int) -> tuple:
+    """(scenes, states, cfgs, drawn, rejected): each tree's clutter scene,
+    the first `probes` probes perfbench draws for `seed` as lists of
+    (p, v, u_ref), each tree's cone config, and perfbench's counts of
+    probes drawn and rejected."""
+    workloads = _perfbench_workloads()
+    assert workloads.CLUTTER_SPEC == workloads.SyntheticSpec(**CLUTTER_SPEC_KW)
+    with tempfile.TemporaryDirectory() as tmp:
+        ply = Path(tmp) / "clutter.ply"
+        fields = dataclasses.asdict(write_clutter(mods[SIDES[0]], CLUTTER_SPEC_KW["count"], ply))
+        scenes = {side: m["sceneio"].load_ply(ply, m["scene"].PreprocessOptions(**fields))
+                  for side, m in mods.items()}
+    # the probes' audit is PARENT's, as in a perfbench run of PARENT
+    own = workloads.simulator
+    workloads.simulator = mods[SIDES[0]]["simulator"]
+    try:
+        states, u_ref, drawn, rejected = workloads.make_probes(
+            scenes[SIDES[0]], np.random.default_rng(seed), probes)
+    finally:
+        workloads.simulator = own
+    fcfg = dataclasses.asdict(workloads.CLUTTER_FCFG)
+    cfgs = {side: m["filter"].FilterConfig(**fcfg) for side, m in mods.items()}
+    probe_states = [[(x[0], x[1], u) for x, u in zip(xs, us)] for xs, us in zip(states, u_ref)]
+    return scenes, probe_states, cfgs, drawn, rejected
 
 
 def record_states(mods: dict, scene, filter_name: str, pairs: list[int], steps: int) -> list:
@@ -117,16 +182,21 @@ def record_states(mods: dict, scene, filter_name: str, pairs: list[int], steps: 
     return out
 
 
-def _step_all(mods: dict, scene, filter_name: str, states: list, diagnose: bool = False):
-    """Each state's (seconds, status, u bytes, active-splat bytes,
-    diagnostics bytes, n_active, refill) through one tree's filter step, on
-    a fresh neighbour list; refill tells whether the step's query rebuilt
-    the list. The diagnostics bytes (the solution's `active_ids` and
-    `kkt_residual`, read outside the timed region) are None unless
-    `diagnose`."""
+def _ring_step(mods: dict, filter_name: str) -> tuple:
+    """One tree's (filter step, config) of the ring batch's `filter_name`."""
     sim = mods["simulator"]
-    cfg = sim.SimConfig(filter=filter_name, **RING_KW)
-    step = sim._FILTER_STEPS[filter_name]
+    return sim._FILTER_STEPS[filter_name], sim.SimConfig(filter=filter_name, **RING_KW)
+
+
+def _step_all(mods: dict, scene, stepper: tuple, states: list, diagnose: bool = False):
+    """Each state's (seconds, status, u bytes, active-splat bytes,
+    diagnostics bytes, n_active, refill) through one tree's filter step
+    `stepper`, (step, config), on a fresh neighbour list; refill tells
+    whether the step's query rebuilt the list. The diagnostics bytes (the
+    solution's `active_ids` and `kkt_residual`, read outside the timed
+    region) are None unless `diagnose`."""
+    sim = mods["simulator"]
+    step, cfg = stepper
     scene = dataclasses.replace(scene)
     robot = [(sim.RobotState(p=p, v=v, t=0.0), u_ref) for p, v, u_ref in states]
     out = []
@@ -168,15 +238,32 @@ def _rel_change(a: bytes | None, b: bytes | None) -> float:
     return float(np.linalg.norm(ub - ua) / max(np.linalg.norm(ua), 1e-300))
 
 
-def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, steps: int) -> dict:
-    """The report (see the module docstring) for `trees`, side -> tree path."""
+def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, steps: int,
+            clutter: int | None = None, probes: int = PROBES) -> dict:
+    """The report (see the module docstring) for `trees`, side -> tree
+    path: of the ring batch's `pairs`, or with `clutter` a seed, of that
+    seed's first `probes` clutter probes under `cone`."""
     mods = {side: load_tree(Path(tree), f"splatcone_ab_{side}") for side, tree in trees.items()}
-    scenes = {side: ring_scene(m) for side, m in mods.items()}
-    recorded = {name: record_states(mods[SIDES[0]], scenes[SIDES[0]], name, pairs, steps)
-                for name in filters}
+    report = {"trees": {side: str(tree) for side, tree in trees.items()}, "passes": passes,
+              "filters": {}, "timing": {}, "bands": {}, "refills": {}, "filtered": {}}
+    if clutter is None:
+        report.update(pairs=pairs, steps=steps)
+        scenes = {side: ring_scene(m) for side, m in mods.items()}
+        recorded = {name: record_states(mods[SIDES[0]], scenes[SIDES[0]], name, pairs, steps)
+                    for name in filters}
+        steppers = {(side, name): _ring_step(mods[side], name) for side in SIDES for name in filters}
+    else:
+        filters = ["cone"]
+        scenes, states, cfgs, drawn, rejected = clutter_probes(mods, clutter, probes)
+        report["clutter"] = {"seed": clutter, "probes": probes, "drawn": drawn,
+                             "rejected": rejected}
+        recorded = {"cone": states}
+        steppers = {(side, "cone"): (mods[side]["filter"].filter_step, cfgs[side])
+                    for side in SIDES}
+    count = len(recorded[filters[0]])
     # one unit per pair and filter, the filters interleaved pair by pair, so
     # that the machine's drift reaches both filters and both trees alike
-    units = [(name, i) for i in range(len(pairs)) for name in filters]
+    units = [(name, i) for i in range(count) for name in filters]
     best = {(side, name, i): np.full(len(recorded[name][i]), np.inf)
             for side in SIDES for name, i in units}
     first, n_active, refill = {}, {}, {}
@@ -185,8 +272,8 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
         for n in range(passes):
             for k, (name, i) in enumerate(units):
                 for side in (SIDES if (n + k) % 2 == 0 else SIDES[::-1]):
-                    result = _step_all(mods[side], scenes[side], name, recorded[name][i],
-                                       diagnose=n == 0)
+                    result = _step_all(mods[side], scenes[side], steppers[side, name],
+                                       recorded[name][i], diagnose=n == 0)
                     np.minimum(best[side, name, i], [r[0] for r in result],
                                out=best[side, name, i])
                     if n == 0:
@@ -196,12 +283,8 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
                             refill[name, i] = [r[6] for r in result]
     finally:
         gc.enable()
-    report = {"trees": {side: str(tree) for side, tree in trees.items()}, "pairs": pairs,
-              "passes": passes, "steps": steps, "filters": {}, "timing": {}, "bands": {},
-              "refills": {}}
     for name in filters:
-        got = {side: [x for i in range(len(pairs)) for x in first[side, name, i]]
-               for side in SIDES}
+        got = {side: [x for i in range(count) for x in first[side, name, i]] for side in SIDES}
         both = list(zip(*got.values()))
         changed = [(a, b) for a, b in both if a[:2] != b[:2]]
         report["filters"][name] = {
@@ -211,27 +294,31 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
             "diagnostics_changed": sum(a[3] != b[3] for a, b in both),
             "max_rel_change": max((_rel_change(a[1], b[1]) for a, b in changed), default=0.0),
         }
-        seconds = {side: np.concatenate([best[side, name, i] for i in range(len(pairs))])
+        seconds = {side: np.concatenate([best[side, name, i] for i in range(count)])
                    for side in SIDES}
         report["timing"][name] = _timing(seconds)
-        active = np.concatenate([n_active[name, i] for i in range(len(pairs))])
+        active = np.concatenate([n_active[name, i] for i in range(count)])
         report["bands"][name] = {}
         for label, lo, hi in BANDS:
-            inside = (active >= lo) & (active <= hi)
-            band = {"steps": int(inside.sum())}
-            if inside.any():
-                band.update(_timing({side: t[inside] for side, t in seconds.items()}))
-            report["bands"][name][label] = band
-        rebuilt = np.concatenate([refill[name, i] for i in range(len(pairs))])
-        report["refills"][name] = {"steps": int(rebuilt.sum())}
-        if rebuilt.any():
-            report["refills"][name].update(_timing({side: t[rebuilt] for side, t in seconds.items()}))
+            report["bands"][name][label] = _part(seconds, (active >= lo) & (active <= hi))
+        rebuilt = np.concatenate([refill[name, i] for i in range(count)]).astype(bool)
+        report["refills"][name] = _part(seconds, rebuilt)
+        report["filtered"][name] = _part(seconds, ~rebuilt)
     if "cone" in filters and "distance_baseline" in filters:
         t = report["timing"]
         report["timing"]["baseline_over_cone"] = {
             side: {key: t["distance_baseline"][side][key] / t["cone"][side][key]
                    for key in ("sum_ms", "p50_us")} for side in SIDES}
     return report
+
+
+def _part(seconds: dict, steps: np.ndarray) -> dict:
+    """The step count of the mask `steps` and, when it selects any, per
+    tree the timing of those steps."""
+    part = {"steps": int(steps.sum())}
+    if steps.any():
+        part.update(_timing({side: t[steps] for side, t in seconds.items()}))
+    return part
 
 
 def _pairs(text: str) -> list[int]:
@@ -250,12 +337,22 @@ def main(argv=None) -> int:
                     help="ring batch pairs, e.g. 0-9,20 (default: all)")
     ap.add_argument("--passes", type=int, default=5, help="timed passes; a step's time is their minimum")
     ap.add_argument("--steps", type=int, default=0, help="steps kept per pair (0: all)")
+    ap.add_argument("--clutter", type=int, metavar="SEED",
+                    help="step perfbench's clutter probes of this seed instead of the ring")
+    ap.add_argument("--probes", type=int, default=PROBES,
+                    help=f"clutter probes stepped (default {PROBES})")
     ap.add_argument("--out", type=Path, help="also write the report to this JSON file")
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
+    if args.probes < 1:
+        ap.error("--probes must be at least 1")
     report = compare(dict(zip(SIDES, (args.parent, args.change))), list(FILTERS),
-                     args.pairs, args.passes, args.steps)
+                     args.pairs, args.passes, args.steps, args.clutter, args.probes)
+    if "clutter" in report:
+        c = report["clutter"]
+        print(f"clutter seed {c['seed']}: {c['probes']} probes, {c['drawn']} drawn, "
+              f"{c['rejected']} rejected")
     for name, f in report["filters"].items():
         t = report["timing"][name]
         print(f"{name}: {f['steps']} steps, {f['changed']} changed (max rel {f['max_rel_change']:.3g}), "
@@ -268,11 +365,12 @@ def main(argv=None) -> int:
                   + "".join(f"; {key} {band['parent'][key]:.1f} -> {band['change'][key]:.1f} "
                             f"({band['change_pct'][key]:+.1f}%)"
                             for key in ("sum_ms", "p50_us") if band["steps"]))
-        refills = report["refills"][name]
-        print(f"  refills: {refills['steps']} steps"
-              + "".join(f"; {key} {refills['parent'][key]:.1f} -> {refills['change'][key]:.1f} "
-                        f"({refills['change_pct'][key]:+.1f}%)"
-                        for key in ("sum_ms", "p50_us", "p99_us") if refills["steps"]))
+        for part in ("refills", "filtered"):
+            r = report[part][name]
+            print(f"  {part}: {r['steps']} steps"
+                  + "".join(f"; {key} {r['parent'][key]:.1f} -> {r['change'][key]:.1f} "
+                            f"({r['change_pct'][key]:+.1f}%)"
+                            for key in ("sum_ms", "p50_us", "p99_us") if r["steps"]))
     if "baseline_over_cone" in report["timing"]:
         for side, r in report["timing"]["baseline_over_cone"].items():
             print(f"baseline/cone {side}: sum {r['sum_ms']:.3f}, p50 {r['p50_us']:.3f}")
