@@ -12,11 +12,9 @@ L = S^-1 R^T.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import itertools
 import math
-import os
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -142,6 +140,7 @@ class _Grid(NamedTuple):
     keys: np.ndarray   # (n,) sorted cell keys
     order: np.ndarray  # (n,) splat ids in key order
     xyz: np.ndarray    # (3, n) their means, column by column
+    means: np.ndarray  # (n, 3) the array indexed, the scene's own
 
 
 def _cell_edge(extents: list, n: int) -> float:
@@ -193,7 +192,7 @@ def _index(means: np.ndarray) -> _Grid:
         np.take(col, order, out=out)
     corner = [abs(a) + e for a, e in zip(lo, extents)]
     return _Grid(tuple(lo), edge, tuple(shape), max(corner) + (edge if edge < math.inf else 0.0),
-                 key, order, xyz)
+                 key, order, xyz, means)
 
 
 @functools.lru_cache(maxsize=16)
@@ -278,45 +277,54 @@ def _positions(start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(start - ends + lens, lens)
 
 
-# Rows of points per `_runs` call of `Scene.candidate_counts`: the runs of
+# Rows of points per `_runs` call of `Scene.nearby_pairs`: the runs of
 # 256 points at an audit reach of 7 m on a clutter scene (a 23 x 23-column
 # stencil) take about 1 MB per array.
 _COUNT_ROWS = 256
 
 
-# One worker thread that builds `Scene.from_arrays`' grid while the
-# calling thread computes the covariances (numpy's sort and ufuncs release
-# the GIL). It builds the grids of scenes of more than _WORKER_MIN splats;
-# a smaller scene's build (0.18 ms on the 2,400-splat ring) is a few dozen
-# short numpy calls, which contend with the covariance pass for the GIL,
-# and built on the worker it made perfbench's ring set-up about 25%
-# slower, so the calling thread builds it. The worker is made on first
-# use, under the lock, and kept: a thread started per call would cost more
-# than the overlap saves. A forked child inherits the executor but not its thread, and would
-# queue its next build behind a worker that no longer runs; it may also
-# inherit the lock held by a thread that is gone. So the child drops both
-# and makes its own.
+def _pair_blocks(counts: np.ndarray, budget: int):
+    """(lo, hi) of consecutive runs of points whose counts sum to at most
+    `budget`; a point with a larger count than that is a run of its own."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + budget, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+# Scenes of more than this many splats build their grid on a thread of
+# their own (`_IndexBuild`) while `Scene.from_arrays` computes the
+# covariances on the calling thread: numpy's sort and ufuncs release the
+# GIL. A smaller scene's build (0.18 ms on the 2,400-splat ring) is a few
+# dozen short numpy calls, which contend with the covariance pass for the
+# GIL; on a second thread it made perfbench's ring set-up about 25%
+# slower, so the calling thread builds it.
 _WORKER_MIN = 20000
-_indexer: concurrent.futures.ThreadPoolExecutor | None = None
-_indexer_lock = threading.Lock()
 
 
-def _drop_indexer() -> None:
-    global _indexer, _indexer_lock
-    _indexer, _indexer_lock = None, threading.Lock()
+class _IndexBuild(threading.Thread):
+    """`_index(means)`, built on a thread started at once; `grid()` joins
+    the thread and returns the grid, or raises the build's error."""
 
+    def __init__(self, means: np.ndarray):
+        super().__init__(name="splatcone-index")
+        self._means, self._out = means, None
+        self.start()
 
-os.register_at_fork(after_in_child=_drop_indexer)
+    def run(self):
+        try:
+            self._out = _index(self._means)
+        except Exception as exc:  # raised again in the caller's thread
+            self._out = exc
 
-
-def _index_later(means: np.ndarray) -> concurrent.futures.Future:
-    """`_index(means)`, built on the worker thread."""
-    global _indexer
-    with _indexer_lock:
-        if _indexer is None:
-            _indexer = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="splatcone-index")
-        return _indexer.submit(_index, means)
+    def grid(self) -> _Grid:
+        self.join()
+        if isinstance(self._out, Exception):
+            raise self._out
+        return self._out
 
 
 def _d2(p: tuple, xyz: np.ndarray) -> np.ndarray:
@@ -414,7 +422,8 @@ class _NeighbourList(NamedTuple):
 @dataclass
 class Scene:
     """Immutable splat collection with a spatial index over the means: a
-    uniform grid of cells (`_Grid`), built once.
+    uniform grid of cells (`_Grid`), built once and kept by a
+    `dataclasses.replace` that keeps the means (rebuilt for other means).
 
     Arrays are read-only after construction. `confidence` is the shared
     squared confidence radius c^2.
@@ -462,7 +471,9 @@ class Scene:
         for arr in (self.means, self.quats, self.scales, self.opacities,
                     self.inv_cov, self.s_min, self.bounds):
             arr.setflags(write=False)
-        if self._grid is None:
+        # a grid of other means (`dataclasses.replace(scene, means=...)`)
+        # would search the wrong positions
+        if self._grid is None or self._grid.means is not self.means:
             object.__setattr__(self, "_grid", _index(self.means))
 
     def __len__(self) -> int:
@@ -528,32 +539,27 @@ class Scene:
         return (_frozen(np.take(self.means, idx, axis=0)),
                 _frozen(np.take(self.inv_cov, idx, axis=0)))
 
-    def candidate_counts(self, points: np.ndarray, radius: float) -> np.ndarray:
-        """Per row of `points` (k, 3), the number of splats whose means lie
-        in the grid cells that `nearby_pairs` reads for it: a bound on the
-        pairs it finds for that row and on the candidates it holds, read
-        from the grid's sorted keys alone, with no distance test. Rows are
-        taken _COUNT_ROWS at a time, which bounds the runs held at once."""
-        points = np.asarray(points, dtype=np.float64)
-        counts = np.zeros(len(points), dtype=np.intp)
-        for k in range(0, len(points), _COUNT_ROWS):
-            start, end = _runs(self._grid, points[k:k + _COUNT_ROWS], radius)
-            counts[k:k + _COUNT_ROWS] = (end - start).sum(axis=1)
-        return counts
-
-    def nearby_pairs(self, points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """(owner, idx) of every pair of a row of `points` (k, 3) and a splat
-        whose mean lies within `radius`, by `_d2`'s rule: the grid's cells
-        near each row, batched; the neighbour list is left alone. Pairs
-        come point by point."""
+    def nearby_pairs(self, points: np.ndarray, radius: float, budget: int):
+        """Per block of consecutive rows of `points` (k, 3), (lo, hi, owner,
+        idx): the pairs of row lo + owner[j] and splat idx[j] whose mean lies
+        within `radius` by `_d2`'s rule, row by row. One grid search
+        (`_runs`) serves each _COUNT_ROWS rows; its run lengths count each
+        row's candidates, the means of the cells it reads, and split those
+        rows into blocks of at most `budget` candidates (`_pair_blocks`; a
+        row with more is a block of its own), which bounds what a block
+        holds at once. The neighbour list is left alone."""
         points = np.asarray(points, dtype=np.float64)
         grid = self._grid
-        start, end = _runs(grid, points, radius)
-        pos = _positions(start, end)
-        owner = np.repeat(np.arange(len(points)), (end - start).sum(axis=1))
-        keep = (_d2(np.take(points.T, owner, axis=1), np.take(grid.xyz, pos, axis=1))
-                <= radius * radius).nonzero()[0]
-        return np.take(owner, keep), np.take(grid.order, np.take(pos, keep))
+        for k in range(0, len(points), _COUNT_ROWS):
+            chunk = points[k:k + _COUNT_ROWS]
+            start, end = _runs(grid, chunk, radius)
+            counts = (end - start).sum(axis=1)
+            for lo, hi in _pair_blocks(counts, budget):
+                pos = _positions(start[lo:hi], end[lo:hi])
+                owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
+                keep = (_d2(np.take(chunk[lo:hi].T, owner, axis=1), np.take(grid.xyz, pos, axis=1))
+                        <= radius * radius).nonzero()[0]
+                yield k + lo, k + hi, np.take(owner, keep), np.take(grid.order, np.take(pos, keep))
 
     @classmethod
     def from_arrays(
@@ -573,12 +579,12 @@ class Scene:
         anisotropy cap, then precomputes inverse covariances (chunk by chunk,
         so no whole-scene temporary is held) and builds the spatial index.
         The grid (`_Grid`, about 9 ms at 170k splats) of a scene of more
-        than _WORKER_MIN splats is built on a worker thread
-        (`_index_later`; a forked child makes its own) from the kept means
-        while this thread computes the bounds, clamps and covariances, and
-        is the grid a serial build gives; built on this thread instead, it
-        would add 6-10 ms to a two-core 170k-splat load (README). A smaller
-        scene's grid is built here, after the covariances.
+        than _WORKER_MIN splats is built from the kept means on a thread
+        started for this call (`_IndexBuild`) while this thread computes the
+        bounds, clamps and covariances, and joined before the scene is made;
+        it is the grid a serial build gives, and built on this thread
+        instead it would add 6-10 ms to a two-core 170k-splat load (README).
+        A smaller scene's grid is built here, after the covariances.
         The caller's arrays are left writable and are not aliased. With
         `copy=False` the caller hands its arrays over instead: the scene may
         keep float64 `means` and `opacities` as they are, and freezes them.
@@ -628,9 +634,9 @@ class Scene:
         if not keep.all():
             means, quats, qnorm = means[keep], quats[keep], qnorm[keep]
             scales, opacities = scales[keep], opacities[keep]
-        # the means are final: index a large scene's on the worker meanwhile;
+        # the means are final: index a large scene's on a thread meanwhile;
         # an error below leaves the build to finish unread
-        grid = _index_later(means) if len(means) > _WORKER_MIN else None
+        build = _IndexBuild(means) if len(means) > _WORKER_MIN else None
 
         lo = np.array([col.min() for col in means.T])
         hi = np.array([col.max() for col in means.T])
@@ -685,5 +691,5 @@ class Scene:
             confidence=c2,
             bounds=bounds,
             options=opts,
-            _grid=None if grid is None else grid.result(),
+            _grid=None if build is None else build.grid(),
         )

@@ -23,6 +23,25 @@ def ring_scene():
     return make_synthetic_scene(SyntheticSpec(**RING_SPEC_KW), seed=RING_SCENE_SEED)
 
 
+def all_pairs(scene, points, radius, budget=1 << 12):
+    """(owner, idx) of every block of pairs `Scene.nearby_pairs` hands over,
+    owner counted over all of `points`."""
+    owner, idx = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for lo, _, block_owner, block_idx in scene.nearby_pairs(points, radius, budget):
+        owner.append(lo + block_owner)
+        idx.append(block_idx)
+    return np.concatenate(owner), np.concatenate(idx)
+
+
+def candidate_counts(scene, points, radius):
+    """Per row of `points`, the number of means in the grid cells that the
+    scene's grid search reads for it: a bound on that row's pairs."""
+    from splatcone.scene import _runs
+
+    start, end = _runs(scene._grid, np.asarray(points, dtype=np.float64), radius)
+    return (end - start).sum(axis=1)
+
+
 class _Captured(Exception):
     pass
 

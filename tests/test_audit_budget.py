@@ -10,7 +10,8 @@ import pytest
 import reference_step as ref
 from helpers import ring_scene
 from splatcone import simulator
-from splatcone.simulator import _pair_blocks, scene_margins
+from splatcone.scene import _pair_blocks
+from splatcone.simulator import scene_margins
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 from test_step_pins import dense_min_margin
 

@@ -8,7 +8,8 @@ import functools
 import numpy as np
 import pytest
 
-from splatcone import scene as scene_mod
+from helpers import all_pairs, candidate_counts, ring_scene
+from splatcone import scene as scene_mod, simulator
 from splatcone.scene import _SCAN_MAX, Scene
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 
@@ -69,14 +70,15 @@ def _queries(scene, rng, k):
 
 
 def _check_scene(scene, points, radii, monkeypatch):
-    """query_nearby (refilled from the grid), nearby_pairs and
-    candidate_counts against the rule at every point and radius."""
+    """query_nearby (refilled from the grid), nearby_pairs (in blocks of
+    at most 64 candidates) and the candidate counts of its grid search
+    against the rule at every point and radius."""
     monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
     for radius in radii:
-        owner, idx = scene.nearby_pairs(points, radius)
+        owner, idx = all_pairs(scene, points, radius, 64)
         assert owner.dtype == idx.dtype == np.intp
         assert (np.diff(owner) >= 0).all()  # point by point
-        counts = scene.candidate_counts(points, radius)
+        counts = candidate_counts(scene, points, radius)
         for k, p in enumerate(points):
             want = _rule(scene, p, radius)
             fresh = dataclasses.replace(scene)
@@ -110,7 +112,7 @@ def test_radius_larger_than_the_scene(radius, monkeypatch):
     scene = _faces_scene()[0]
     points = _queries(scene, np.random.default_rng(9), 4)
     _check_scene(scene, points, [radius], monkeypatch)
-    owner, idx = scene.nearby_pairs(points[:1], radius)
+    owner, idx = all_pairs(scene, points[:1], radius)
     assert idx.size == len(scene)
 
 
@@ -130,7 +132,7 @@ def test_clutter_above_the_scan_size():
         assert np.array_equal(memo.sup, _rule(scene, p, 5.5))
         assert memo.xyz.flags.c_contiguous and np.array_equal(memo.xyz, scene.means[memo.sup].T)
         assert np.array_equal(memo.inv_cov, scene.inv_cov[memo.sup])
-    owner, idx = scene.nearby_pairs(points, 1.2)
+    owner, idx = all_pairs(scene, points, 1.2)
     for k, p in enumerate(points):
         assert np.array_equal(np.sort(idx[owner == k]), _rule(scene, p, 1.2))
 
@@ -142,3 +144,52 @@ def test_batched_pairs_of_a_trajectory_match_brute_force(monkeypatch):
     t = np.linspace(0.0, 1.0, 300)[:, None]
     points = np.array([-9.0, -1.0, 0.5]) * (1.0 - t) + np.array([9.0, 2.0, 3.5]) * t
     assert _check_scene(scene, points, [0.67, 2.0], monkeypatch) > 0
+
+
+@pytest.mark.parametrize("budget", [1, 60, 1 << 12])
+def test_pair_blocks_stay_in_one_grid_search(budget, monkeypatch):
+    """nearby_pairs searches the grid once per _COUNT_ROWS rows and splits
+    those rows into blocks that cover them in order: no block crosses a
+    search's rows, and each holds at most `budget` candidates unless it is
+    one row."""
+    monkeypatch.setattr(scene_mod, "_COUNT_ROWS", 16)
+    searches = []
+    runs = scene_mod._runs
+
+    def counted(grid, points, radius):
+        searches.append(len(points))
+        return runs(grid, points, radius)
+
+    monkeypatch.setattr(scene_mod, "_runs", counted)
+    scene = ring_scene()
+    t = np.linspace(0.0, 1.0, 90)[:, None]
+    points = np.vstack([np.array([-9.0, -1.0, 0.5]) * (1.0 - t) + np.array([9.0, 2.0, 3.5]) * t,
+                        scene.means[::300]])
+    counts = candidate_counts(scene, points, 2.0)
+    searches.clear()
+    blocks = list(scene.nearby_pairs(points, 2.0, budget))
+    assert searches == [16] * (len(points) // 16) + [len(points) % 16]
+    assert [lo for lo, *_ in blocks] == [0] + [hi for _, hi, *_ in blocks[:-1]]
+    assert blocks[-1][1] == len(points)
+    for lo, hi, owner, idx in blocks:
+        assert lo // 16 == (hi - 1) // 16
+        assert hi - lo == 1 or counts[lo:hi].sum() <= budget
+        assert ((0 <= owner) & (owner < hi - lo)).all() and owner.size == idx.size
+    # a small budget splits a search's rows, the default keeps them whole
+    assert (len(blocks) > len(searches)) == (budget < 1 << 12)
+
+
+def test_replace_rebuilds_the_grid_of_other_means():
+    """`dataclasses.replace` keeps the grid of the same means, so a fresh
+    neighbour list costs no build, and builds one for other means: a grid
+    carried over would search the old positions, and the audit would find
+    no splat at a splat's own mean."""
+    ring = ring_scene()
+    assert dataclasses.replace(ring)._grid is ring._grid
+    moved = dataclasses.replace(ring, means=ring.means + 100.0)
+    assert moved._grid is not ring._grid
+    for got, want in zip(moved._grid, scene_mod._index(moved.means)):
+        assert np.array_equal(got, want)
+    margin = simulator.scene_margins(moved, moved.means[:1])[0]
+    rebuilt = dataclasses.replace(moved, _grid=None)
+    assert margin < 0.0 and margin == simulator.scene_margins(rebuilt, rebuilt.means[:1])[0]

@@ -11,7 +11,7 @@ from splatcone import kernels, simulator
 from splatcone.cone import RelativeGeometry
 from splatcone.constraints import build_constraint, build_constraint_inflated
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
-from helpers import random_spd
+from helpers import all_pairs, candidate_counts, random_spd
 
 @pytest.fixture
 def batch():
@@ -302,8 +302,8 @@ def test_query_nearby_matches_tree(request, scene_name):
 def test_scene_queries_match_a_balanced_tree(request, scene_name):
     """A balanced kd-tree (median splits) over the scene's means finds the
     splats that query_nearby and nearby_pairs find with the scene's grid,
-    and no more than candidate_counts bounds, at the activation radii, the
-    neighbour list's skin radius and the audit's reach."""
+    and no more than its grid search's candidates, at the activation radii,
+    the neighbour list's skin radius and the audit's reach."""
     scene = request.getfixturevalue(scene_name)
     balanced = cKDTree(scene.means, balanced_tree=True)
     rng = np.random.default_rng(6)
@@ -313,8 +313,8 @@ def test_scene_queries_match_a_balanced_tree(request, scene_name):
         want = [set(found) for found in balanced.query_ball_point(points, radius)]
         assert sum(map(len, want)) > 0
         assert [set(scene.query_nearby(p, radius).tolist()) for p in points] == want
-        assert (scene.candidate_counts(points, radius) >= list(map(len, want))).all()
-        owner, idx = scene.nearby_pairs(points, radius)
+        assert (candidate_counts(scene, points, radius) >= list(map(len, want))).all()
+        owner, idx = all_pairs(scene, points, radius)
         assert len(idx) == sum(map(len, want))
         got = [set() for _ in points]
         for o, i in zip(owner.tolist(), idx.tolist()):
@@ -345,7 +345,7 @@ def test_min_margin_bit_identical(request, scene_name, rho):
     scene = request.getfixturevalue(scene_name)
     lo, hi = scene.bounds
     points = np.random.default_rng(3).uniform(lo, hi, size=(40, 3))
-    owner, idx = scene.nearby_pairs(points, simulator.audit_reach(scene, rho) + 1e-9)
+    owner, idx = all_pairs(scene, points, simulator.audit_reach(scene, rho) + 1e-9)
     assert idx.size > 0
     args = (points, owner, scene.means[idx], scene.inv_cov[idx],
             filter_mod.effective_c2(scene, rho, idx))
@@ -414,7 +414,7 @@ def test_row_kernels_give_the_reference_bytes_for_every_layout(batch, active_200
 def test_min_margin_gives_the_reference_bytes_for_every_layout(ring_scene, layout):
     lo, hi = ring_scene.bounds
     points = np.random.default_rng(8).uniform(lo, hi, size=(40, 3))
-    owner, idx = ring_scene.nearby_pairs(points, simulator.audit_reach(ring_scene, 0.2) + 1e-9)
+    owner, idx = all_pairs(ring_scene, points, simulator.audit_reach(ring_scene, 0.2) + 1e-9)
     means = np.take(ring_scene.means, idx, axis=0)
     rest = (np.take(ring_scene.inv_cov, idx, axis=0),
             filter_mod.effective_c2(ring_scene, 0.2, idx))

@@ -210,10 +210,10 @@ def test_ply_io_peak_memory(tmp_path):
     assert peak <= 2.0 * scene_bytes(back)
 
 
-# The grid of a scene of more than `_WORKER_MIN` splats is built on
-# `scene._index_later`'s worker thread while the covariances are computed;
-# it must be the grid a serial build gives. A smaller scene's grid is built
-# on the calling thread.
+# The grid of a scene of more than `_WORKER_MIN` splats is built on a
+# thread of its own (`scene._IndexBuild`) while the covariances are
+# computed; it must be the grid a serial build gives. A smaller scene's
+# grid is built on the calling thread.
 _serial_index = scene_mod._index
 
 
@@ -254,12 +254,12 @@ def test_worker_grid_equals_a_serial_build(make, radius, on_worker, monkeypatch)
 def test_an_error_after_the_submit_leaves_the_next_build_working(monkeypatch):
     submitted = []
 
-    def submit(means):
-        submitted.append(index_later(means))
-        return submitted[-1]
+    class Recorded(scene_mod._IndexBuild):
+        def __init__(self, means):
+            submitted.append(self)
+            super().__init__(means)
 
-    index_later = scene_mod._index_later
-    monkeypatch.setattr(scene_mod, "_index_later", submit)
+    monkeypatch.setattr(scene_mod, "_IndexBuild", Recorded)
     # the scale clamp is checked after the means are final
     with pytest.raises(SceneError, match="invalid scale clamp range"):
         Scene.from_arrays(*raw_splats(2 * scene_mod._WORKER_MIN, seed=16),
@@ -267,22 +267,21 @@ def test_an_error_after_the_submit_leaves_the_next_build_working(monkeypatch):
     assert len(submitted) == 1
     raw = raw_splats(2 * scene_mod._WORKER_MIN, seed=17)
     scene = Scene.from_arrays(*raw)
-    assert len(submitted) == 2 and submitted[1].result() is scene._grid
+    assert len(submitted) == 2 and submitted[1].grid() is scene._grid
     assert_same_scene(scene, ref.from_arrays(*raw))
     assert_same_grid(scene._grid, _serial_grid(scene), scene.means[::50], 2.0)
 
 
-def test_concurrent_builds_share_one_worker(monkeypatch):
-    """Threads that build scenes at once, from a state with no worker yet,
-    make one worker between them, and each gets its own scene's grid."""
-    built_on, real = set(), scene_mod._index
+def test_concurrent_builds_get_their_own_grids(monkeypatch):
+    """Threads that build scenes at once each get their own scene's grid,
+    built on a thread of the build's own."""
+    built_on, real = [], scene_mod._index
 
     def index(means):
-        built_on.add(threading.current_thread())
+        built_on.append(threading.current_thread())
         return real(means)
 
     monkeypatch.setattr(scene_mod, "_index", index)
-    monkeypatch.setattr(scene_mod, "_indexer", None)
     raws = [raw_splats(2 * scene_mod._WORKER_MIN + 50 * k, seed=100 + k) for k in range(6)]
     failures = []
 
@@ -303,7 +302,17 @@ def test_concurrent_builds_share_one_worker(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert failures == [] and len(built_on) == 1
+    assert failures == [] and len(built_on) == 2 * len(raws)  # two threads build each
+    assert not set(built_on) & set(threads + [threading.current_thread()])
+
+
+def test_builds_leave_no_index_thread_behind():
+    """Each large build joins its grid's thread before it returns: repeated
+    builds leave no `splatcone-index` thread alive."""
+    raw = raw_splats(25000, seed=18)
+    for _ in range(5):
+        assert len(Scene.from_arrays(*raw)) > scene_mod._WORKER_MIN
+        assert not [t for t in threading.enumerate() if t.name == "splatcone-index"]
 
 
 _FORKED_BUILD = """
@@ -311,29 +320,31 @@ import os, signal, sys
 import numpy as np
 from splatcone.scene import Scene
 
-N = 25000  # more than _WORKER_MIN: built on the worker
+N = 25000  # more than _WORKER_MIN: indexed on a thread of its own
 
 def build(seed):
     rng = np.random.default_rng(seed)
     return Scene.from_arrays(rng.uniform(-5, 5, (N, 3)), rng.normal(size=(N, 4)),
                              rng.uniform(0.05, 0.2, (N, 3)), np.ones(N))
 
-build(0)  # the worker thread exists in this process before the fork
+build(0)  # a scene built on an index thread before the fork
 pid = os.fork()
 if pid == 0:
     signal.alarm(20)  # a build that hangs ends the child
     os._exit(0 if len(build(1)) == N else 3)
 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-assert len(build(2)) == N  # and the parent's worker still builds
+assert len(build(2)) == N  # and the parent still builds
 print(code)
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_builds_a_scene():
-    """A child forked after the parent built a scene inherits the worker's
-    executor but not its thread; it must build on a worker of its own.
-    Run in a subprocess whose timeout kills it, so a hang fails the test."""
+    """A child forked after the parent built a scene on an index thread
+    builds its own scenes, on threads of its own: a regression guard for
+    any index state kept across builds, which a child would inherit
+    without the threads that serve it. Run in a subprocess whose timeout
+    kills it, so a hang fails the test."""
     src = str(Path(scene_mod.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

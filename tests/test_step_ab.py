@@ -34,6 +34,16 @@ def _within(p, radius, xyz):
     return _exact_within(p, 0.9 * radius, xyz)
 '''
 
+_SHIFTED = '''
+
+_exact_min_margin = min_margin
+
+
+def min_margin(*args, **kwargs):
+    """The audit margins one ulp up: a change the filter step never sees."""
+    return np.nextafter(_exact_min_margin(*args, **kwargs), np.inf)
+'''
+
 _DOUBLED = '''
 
 _exact_stationarity = _stationarity
@@ -68,6 +78,11 @@ def test_identical_trees_read_no_change(tmp_path):
         for side in ("parent", "change"):
             assert refills[side]["sum_ms"] > 0.0
     assert set(report["timing"]["baseline_over_cone"]) == {"parent", "change"}
+    # both filters' trajectories, every recorded position audited alike
+    audit = report["audit"]
+    assert (audit["trajectories"], audit["points"], audit["audit_changed"]) == (4, 160, 0)
+    for side in ("parent", "change"):
+        assert audit[side]["sum_ms"] > 0.0
 
 
 def test_a_tree_with_noisy_rows_reads_its_changes(tmp_path):
@@ -104,6 +119,21 @@ def test_a_tree_with_other_diagnostics_reads_their_changes(tmp_path):
     assert cone["diagnostics_changed"] > 0
 
 
+def test_a_tree_with_other_audit_margins_reads_their_changes(tmp_path):
+    shutil.copytree(ROOT / "src" / "splatcone", tmp_path / "src" / "splatcone")
+    kernels = tmp_path / "src" / "splatcone" / "kernels.py"
+    kernels.write_text(kernels.read_text() + _SHIFTED)
+    # pair 2 comes within the audit's reach of a splat from step 63 on
+    report = step_ab.compare({"parent": ROOT, "change": tmp_path}, ["cone"], [2],
+                             passes=1, steps=80)
+    cone = report["filters"]["cone"]
+    # the filter step reads no margin: only the audit moves, at the
+    # positions near a splat (the others' +inf stays)
+    assert cone["steps"] == 80 and cone["changed"] == cone["active_changed"] == 0
+    audit = report["audit"]
+    assert audit["points"] == 80 and 0 < audit["audit_changed"] < 80
+
+
 def test_clutter_probes_read_no_change_on_identical_trees(tmp_path):
     out = tmp_path / "ab.json"
     assert step_ab.main([str(ROOT), str(ROOT), "--clutter", "1951", "--probes", "4",
@@ -117,6 +147,8 @@ def test_clutter_probes_read_no_change_on_identical_trees(tmp_path):
                                          "diagnostics_changed": 0, "max_rel_change": 0.0}
     # each probe's first step refills its fresh list, as in the benchmark
     assert report["refills"]["cone"]["steps"] == 4 and report["filtered"]["cone"]["steps"] == 36
+    audit = report["audit"]
+    assert (audit["trajectories"], audit["points"], audit["audit_changed"]) == (4, 40, 0)
     for part in ("refills", "filtered"):
         for side in ("parent", "change"):
             assert report[part]["cone"][side]["sum_ms"] > 0.0

@@ -41,6 +41,12 @@ with each band's step count and, per tree, its timing summary. The
 `refills` block gives the same for the steps whose query rebuilt the
 neighbour list (a new `Scene._memo.sup`) in PARENT's first pass, and the
 `filtered` block for the other steps.
+The `audit` block runs each tree's `simulator.scene_margins` at the
+config's rho over the positions of every recorded trajectory, each on its
+own tree's scene, the two trees taking turns as above: the number of
+trajectories and points, the points whose margins differ as bytes
+(`audit_changed`, the first pass's) and, per tree, the timing of a
+trajectory's audit (the minimum over the passes).
 
 `--clutter SEED` steps perfbench's `clutter170k_step` probes instead
 (`perfbench/workloads.py`): criterion 9's 170k-splat scene, written by
@@ -50,7 +56,8 @@ benchmark's options, and the first `--probes` probes that perfbench's
 PARENT's audit. Each probe's PROBE_LEN states go through each tree's
 `filter.filter_step` under the benchmark's cone config, on a fresh
 neighbour list per probe, so that its first step refills the list as in
-the benchmark; the probes stand for the pairs above.
+the benchmark; the probes stand for the pairs above, and their states for
+the trajectories the audit reads.
 """
 from __future__ import annotations
 
@@ -231,6 +238,28 @@ def _timing(seconds: dict) -> dict:
     return timing
 
 
+def _audit(mods: dict, scenes: dict, trajectories: list, rho: float, passes: int) -> dict:
+    """The `audit` block (see the module docstring) of `trajectories`, a
+    list of (k, 3) position arrays."""
+    clock = time.perf_counter
+    best = {side: np.full(len(trajectories), np.inf) for side in SIDES}
+    margins = {}
+    for n in range(passes):
+        for i, points in enumerate(trajectories):
+            for side in (SIDES if (n + i) % 2 == 0 else SIDES[::-1]):
+                audit = mods[side]["simulator"].scene_margins
+                t0 = clock()
+                got = audit(scenes[side], points, rho)
+                best[side][i] = min(best[side][i], clock() - t0)
+                if n == 0:
+                    margins[side, i] = got
+    changed = sum(int(np.count_nonzero(margins[SIDES[0], i].view(np.uint64)
+                                       != margins[SIDES[1], i].view(np.uint64)))
+                  for i in range(len(trajectories)))
+    return {"trajectories": len(trajectories), "points": sum(map(len, trajectories)),
+            "rho": rho, "audit_changed": changed, **_timing(best)}
+
+
 def _rel_change(a: bytes | None, b: bytes | None) -> float:
     if a is None or b is None:
         return 0.0 if a == b else float("inf")
@@ -304,6 +333,13 @@ def compare(trees: dict, filters: list[str], pairs: list[int], passes: int, step
         rebuilt = np.concatenate([refill[name, i] for i in range(count)]).astype(bool)
         report["refills"][name] = _part(seconds, rebuilt)
         report["filtered"][name] = _part(seconds, ~rebuilt)
+    gc.disable()
+    try:
+        report["audit"] = _audit(mods, scenes, [np.array([p for p, _, _ in recorded[name][i]])
+                                                for name, i in units if recorded[name][i]],
+                                 steppers[SIDES[0], filters[0]][1].rho, passes)
+    finally:
+        gc.enable()
     if "cone" in filters and "distance_baseline" in filters:
         t = report["timing"]
         report["timing"]["baseline_over_cone"] = {
@@ -371,6 +407,11 @@ def main(argv=None) -> int:
                   + "".join(f"; {key} {r['parent'][key]:.1f} -> {r['change'][key]:.1f} "
                             f"({r['change_pct'][key]:+.1f}%)"
                             for key in ("sum_ms", "p50_us", "p99_us") if r["steps"]))
+    a = report["audit"]
+    print(f"audit: {a['trajectories']} trajectories, {a['points']} points at rho {a['rho']}, "
+          f"{a['audit_changed']} margins changed; "
+          + "; ".join(f"{key} {a['parent'][key]:.1f} -> {a['change'][key]:.1f} "
+                      f"({a['change_pct'][key]:+.1f}%)" for key in a["parent"]))
     if "baseline_over_cone" in report["timing"]:
         for side, r in report["timing"]["baseline_over_cone"].items():
             print(f"baseline/cone {side}: sum {r['sum_ms']:.3f}, p50 {r['p50_us']:.3f}")
