@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .qp import SolverError
-from .scene import PreprocessOptions, Scene, SceneError
+from .scene import ConfigError, PreprocessOptions, Scene, SceneError
 from .sceneio import load_ply, load_scene_dump, save_scene_dump
 from .simulator import (
     SimConfig,
@@ -46,10 +46,6 @@ from .synthetic import SyntheticSpec, make_synthetic_scene
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # config errors exit 1, not argparse's 2
         raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _synth_keys() -> dict:
@@ -96,18 +92,7 @@ def parse_synth_spec(text: str) -> SyntheticSpec:
             pair[end] = value
             value = tuple(pair)
         kwargs[name] = value
-    try:
-        return SyntheticSpec(**kwargs)
-    except SceneError as e:  # out of range, like any other setting
-        raise ConfigError(f"synthetic spec: {e}") from None
-
-
-def _preprocess_options(**kwargs) -> PreprocessOptions:
-    """PreprocessOptions from settings; an out-of-range one is a config error."""
-    try:
-        return PreprocessOptions(**kwargs)
-    except SceneError as e:
-        raise ConfigError(str(e)) from None
+    return SyntheticSpec(**kwargs)
 
 
 def load_scene_source(source: str, seed: int, opts: PreprocessOptions) -> Scene:
@@ -201,7 +186,7 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
     if source is None:
         raise ConfigError("a scene source is required (--scene or config file)")
     confidence = get("confidence", float, None)
-    opts = _preprocess_options(confidence=confidence)
+    opts = PreprocessOptions(confidence=confidence)
     echo = {**dataclasses.asdict(cfg), "scene": source, "seed": seed, "confidence": confidence}
     cfgs = (cfg,)
     if args.command == "run":
@@ -227,7 +212,7 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
 
 def cmd_convert(args) -> int:
     lo, hi = args.scale_clamp
-    opts = _preprocess_options(opacity_min=args.opacity_min, scale_min=lo, scale_max=hi)
+    opts = PreprocessOptions(opacity_min=args.opacity_min, scale_min=lo, scale_max=hi)
     scene = load_ply(args.in_path, opts)
     save_scene_dump(args.out, scene)
     max_eig = float((1.0 / scene.s_min**2).max())

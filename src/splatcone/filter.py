@@ -27,15 +27,11 @@ import numpy as np
 
 from . import kernels
 from .qp import FilterProblem, FilterSolution, solve_filter
-from .scene import Scene
+from .scene import ConfigError, Scene
 
 DEFAULT_SLACK_WEIGHT = 1e4
 INSIDE_POLICIES = ("hard", "slack")
 INFLATION_MODES = ("conservative", "exact")
-
-
-class FilterConfigError(ValueError):
-    """A filter setting out of its range or not one of its options."""
 
 
 @dataclass(frozen=True)
@@ -56,26 +52,26 @@ class FilterConfig:
 
     def __post_init__(self):
         if self.inside_policy not in INSIDE_POLICIES:
-            raise FilterConfigError(
+            raise ConfigError(
                 f"unknown inside_policy {self.inside_policy!r}; options: {INSIDE_POLICIES}")
         if self.inflation_mode not in INFLATION_MODES:
-            raise FilterConfigError(
+            raise ConfigError(
                 f"unknown inflation_mode {self.inflation_mode!r}; options: {INFLATION_MODES}")
         # `not x > 0` so that NaN fails too
         for name in ("dt", "a_max", "p_k", "activation_radius"):
             if not getattr(self, name) > 0:
-                raise FilterConfigError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         for name in ("v_max", "slack_weight", "baseline_alpha1", "baseline_alpha2"):
             value = getattr(self, name)
             if value is not None and not value > 0:
-                raise FilterConfigError(f"{name} must be positive when set")
+                raise ConfigError(f"{name} must be positive when set")
         # as FilterProblem requires: an infinite penalty is no slack at all
         if self.slack_weight is not None and not self.slack_weight < float("inf"):
-            raise FilterConfigError("slack_weight must be finite when set")
+            raise ConfigError("slack_weight must be finite when set")
         if not self.dt < float("inf"):  # an infinite step never steps
-            raise FilterConfigError("dt must be finite")
+            raise ConfigError("dt must be finite")
         if not self.rho >= 0:
-            raise FilterConfigError("rho must be non-negative")
+            raise ConfigError("rho must be non-negative")
 
 
 def effective_c2(scene: Scene, rho: float, idx: np.ndarray):

@@ -183,7 +183,8 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
     """min ||u - c||^2 / 2 s.t. N u >= b, rows of N unit-norm; with eps > 0,
     min ||u - c||^2 / 2 + ||xi||^2 / (2 eps) s.t. N u + xi >= b.
 
-    Dual active-set iteration starting from the unconstrained optimum.
+    Dual active-set iteration starting from the unconstrained optimum, on
+    m >= 1 rows (`solve_filter` solves a row-free program in closed form).
     `b_scale` is 1 + max|b|, computed once per solve by the caller. With eps
     the rows are the lifted [n_i, sqrt(eps) e_i] and xi = eps lam; a row
     outside the working set carries no slack. A row joins the working set in
@@ -206,8 +207,6 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
     """
     m = N.shape[0]
     u = c.copy()
-    if m == 0:
-        return u, np.zeros(0), True, np.zeros(0)
     W: list[int] = []
     lamW: list[float] = []
     held = None  # (rows, the violation each may keep) once rows are held

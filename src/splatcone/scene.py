@@ -28,6 +28,10 @@ class SceneError(ValueError):
     """Malformed or degenerate scene input."""
 
 
+class ConfigError(ValueError):
+    """A setting out of its range or not one of its options."""
+
+
 def chi2_confidence(dof: int, quantile: float) -> float:
     """Inverse CDF of the chi-squared distribution with `dof` degrees of freedom.
 
@@ -91,13 +95,13 @@ class PreprocessOptions:
         # The fields also arrive from outside the program (a scene dump, the
         # command line); each comparison below fails on NaN.
         if not 0.0 <= self.opacity_min <= 1.0:
-            raise SceneError(f"opacity_min must lie in [0, 1], got {self.opacity_min!r}")
+            raise ConfigError(f"opacity_min must lie in [0, 1], got {self.opacity_min!r}")
         for name in ("scale_min", "scale_max", "confidence"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
-                raise SceneError(f"{name} must be positive and finite, got {value!r}")
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if not self.anisotropy_cap >= 1.0:
-            raise SceneError(f"anisotropy_cap must be at least 1, got {self.anisotropy_cap!r}")
+            raise ConfigError(f"anisotropy_cap must be at least 1, got {self.anisotropy_cap!r}")
 
     def resolved_confidence(self) -> float:
         if self.confidence is not None:
@@ -117,11 +121,12 @@ _BUILD_CHUNK = 2048
 _SKIN = 0.1
 # Scenes of at most this many splats refill the neighbour list with one
 # numpy scan of every mean (`_d2`); larger scenes read the means of the
-# grid cells the list's sphere meets (`_Grid`). The scan's cost grows with
-# the scene, a search's with the splats it finds: at radius 5.5 a scan of
-# 20,000 means cost less than a kd-tree's walk and list conversion on ring
-# and clutter scenes, and one of 40,000 more on clutter; the scan cut the
-# ring's step_p99_ms by 15.5-19% (README).
+# grid cells the list's sphere meets (`_Grid`); both build the same list.
+# A fresh list at radius 5 cost 176 us by scan and 289 us by grid on
+# 20,000 splats at the 170k-splat clutter scene's density, 374 against 274
+# us on 40,000, and 71 against 62 us on 10,000 in that scene's sparser
+# 17.7 m box. No workload is near the bound (ring 2,400 splats, clutter
+# 170k); the scan cut the ring's step_p99_ms by 15.5-19% (README).
 _SCAN_MAX = 20000
 
 
@@ -439,8 +444,8 @@ class Scene:
     The answer is the rule `_within` applies: the listed means whose
     squared distance to the query point, summed as (dx^2 + dy^2) + dz^2
     (`_d2`), is at most r^2, with r^2 the rounded radius * radius. That is
-    a kd-tree query's answer except for a mean within rounding of the
-    sphere, which a tree may decide otherwise. Each filtering makes a new read-only answer and copies its
+    the exact ball's answer except for a mean within rounding of the
+    sphere. Each filtering makes a new read-only answer and copies its
     rows out of the blocks by position: the means as a C-contiguous (3, k)
     block of columns, the layout the row kernels read, handed out as its
     (k, 3) `.T` view. `gather` serves them for that answer. Each filtering

@@ -12,8 +12,8 @@ dataclasses name its entries: `version` ("splatcone-scene-v1"); the `Scene`
 fields that `Scene.from_arrays` takes (means, quats, scales, opacities) and
 c^2 `confidence`; then the other `PreprocessOptions` fields, each a 0-d
 float64 (an unset scale clamp is written as the scene's own scale extreme).
-A missing or non-numeric entry, or an option that is not 0-d, fails to load
-with a `SceneError` naming it.
+A missing or non-numeric entry, or an option that is not 0-d or is out of
+its range, fails to load with a `SceneError` naming it.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scene import PreprocessOptions, Scene, SceneError
+from .scene import ConfigError, PreprocessOptions, Scene, SceneError
 
 DUMP_VERSION = "splatcone-scene-v1"
 # The dump's entries, in the order they are written: the Scene fields that
@@ -210,7 +210,11 @@ def load_scene_dump(path: str | Path, confidence: float | None = None) -> Scene:
     options = {name: float(entries.pop(name)) for name in _OPTIONS}
     if confidence is not None:
         options["confidence"] = confidence
-    return Scene.from_arrays(**entries, opts=PreprocessOptions(**options))
+    try:
+        opts = PreprocessOptions(**options)
+    except ConfigError as e:  # an option out of range: a malformed dump
+        raise SceneError(str(e)) from None
+    return Scene.from_arrays(**entries, opts=opts)
 
 
 def _atomic_write_bytes(path: str | Path, *chunks) -> None:

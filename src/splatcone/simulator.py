@@ -20,7 +20,6 @@ import numpy as np
 from . import kernels
 from .filter import (
     FilterConfig,
-    FilterConfigError,
     baseline_distance_filter_step,
     effective_c2,
     filter_step,
@@ -30,14 +29,15 @@ from .qp import project_balls
 # Unused here since every filter solves through `filter.solve_filter`, but
 # perfbench/tracing.py patches `simulator.solve_filter` by name.
 from .qp import solve_filter  # noqa: F401
-from .scene import Scene
+from .scene import ConfigError, Scene
 from .sceneio import _atomic_write_text
 
 _NJ_CONVENTION = "integrated squared jerk per meter of traveled path"
 
 
 class SimulationError(ValueError):
-    """Invalid simulation setup (bad start, bad config)."""
+    """A run its arguments rule out (a start inside a splat, too few samples,
+    a bad `step` argument); a bad setting is a `ConfigError`."""
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,21 @@ class SimConfig(FilterConfig):
 
     def __post_init__(self):
         if self.filter not in FILTERS:
-            raise SimulationError(f"unknown filter {self.filter!r}; options: {FILTERS}")
-        try:
-            super().__post_init__()
-        except FilterConfigError as e:
-            raise SimulationError(str(e)) from None
+            raise ConfigError(f"unknown filter {self.filter!r}; options: {FILTERS}")
+        super().__post_init__()
         for name in ("kp", "kd", "timeout", "goal_tol_p", "goal_tol_v"):
             if not getattr(self, name) > 0:
-                raise SimulationError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         for name in ("kp", "kd", "timeout"):  # a non-finite reference or step count
             if not getattr(self, name) < math.inf:
-                raise SimulationError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
+        if not math.isfinite(self.timeout / self.dt):
+            raise ConfigError("timeout / dt must be a finite step count")
+        # a zero radius never leaves a splat: `batch_start_goal` scales it by 1.05
+        if self.start_radius is not None and not 0 < self.start_radius < math.inf:
+            raise ConfigError("start_radius must be positive and finite when set")
+        if self.start_height is not None and not math.isfinite(self.start_height):
+            raise ConfigError("start_height must be finite when set")
 
 
 @dataclass
@@ -325,12 +329,13 @@ def batch_start_goal(scene: Scene, k: int, n: int, cfg: SimConfig,
     pts = []
     for ang in (theta, theta + np.pi):
         r_k = radius
-        pt = np.array([center[0] + r_k * np.cos(ang), center[1] + r_k * np.sin(ang), height])
-        while scene_margins(scene, pt[None, :], rho)[0] <= 0.0:
+        while True:
+            pt = np.array([center[0] + r_k * np.cos(ang), center[1] + r_k * np.sin(ang), height])
+            if not scene_margins(scene, pt[None, :], rho)[0] <= 0.0:
+                break
             r_k *= 1.05
             warnings.warn(f"start/goal at angle {ang:.3f} inside an obstacle; "
                           f"pushed radially to {r_k:.3f}", RuntimeWarning, stacklevel=2)
-            pt = np.array([center[0] + r_k * np.cos(ang), center[1] + r_k * np.sin(ang), height])
         pts.append(pt)
     return pts[0], pts[1]
 
@@ -356,8 +361,8 @@ def run_batch(scene: Scene, n_trajectories: int, cfg: SimConfig, seed: int) -> B
     mets = [m for _, m in runs if m is not None]
     outcomes = {name: sum(1 for r in records if r.outcome == name)
                 for name in ("reached_goal", "infeasible", "collided", "timeout")}
-    solve_times = np.concatenate([r.solve_time for r in records]) if records else np.zeros(0)
-    build_times = np.concatenate([r.build_time for r in records]) if records else np.zeros(0)
+    solve_times = np.concatenate([r.solve_time for r in records])
+    build_times = np.concatenate([r.build_time for r in records])
     aggregate = {
         "filter": cfg.filter,
         "seed": seed,

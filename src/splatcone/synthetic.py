@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import PreprocessOptions, Scene, SceneError
+from .scene import ConfigError, PreprocessOptions, Scene
 
 
 @dataclass(frozen=True)
@@ -33,20 +33,20 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.count < 1:
-            raise SceneError(f"count must be positive, got {self.count}")
+            raise ConfigError(f"count must be positive, got {self.count}")
         for name in ("scale_range", "anisotropy_range", "opacity_range"):
             lo, hi = rng = getattr(self, name)
             if not (0 < lo <= hi):
-                raise SceneError(f"inverted or non-positive {name}: {rng}")
+                raise ConfigError(f"inverted or non-positive {name}: {rng}")
         if self.opacity_range[1] > 1:
-            raise SceneError(f"opacity_range above 1: {self.opacity_range}")
+            raise ConfigError(f"opacity_range above 1: {self.opacity_range}")
         for name in ("extent", "ring_radius", "pillar_radius", "height"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
-                raise SceneError(f"{name} must be finite and non-negative")
+                raise ConfigError(f"{name} must be finite and non-negative")
         if self.pattern == "ring" and self.pillar_count < 1:
-            raise SceneError("pillar_count must be positive")
+            raise ConfigError("pillar_count must be positive")
         if self.pattern not in ("single", "ring", "clutter", "wall"):
-            raise SceneError(f"unknown pattern {self.pattern!r}")
+            raise ConfigError(f"unknown pattern {self.pattern!r}")
 
 
 def _random_scales(rng: np.random.Generator, spec: SyntheticSpec, n: int) -> np.ndarray:

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import splatcone
+from splatcone import scene as scene_mod
 from splatcone.cli import build_parser, main, parse_synth_spec
 from splatcone.cli import ConfigError
+from splatcone.filter import FilterConfig
+from splatcone.scene import PreprocessOptions, SceneError
 from splatcone.sceneio import load_scene_dump, save_scene_dump
 from splatcone.simulator import SimConfig
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
@@ -413,6 +416,11 @@ _SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
     (f"run {_SINGLE} --kp inf --out {{out}}", None),
     (f"run {_SINGLE} --kd inf --out {{out}}", None),
     (f"run {_SINGLE} --dt inf --out {{out}}", None),
+    (f"run {_SINGLE} --dt 1e-300 --timeout 1e10 --out {{out}}", None),
+    # a placement circle of radius 0 never left the splat at its centre
+    ("run --scene synth:single --start-radius 0 --out {out}", None),
+    ("run --scene synth:single --start-radius nan --out {out}", None),
+    ("run --scene synth:single --start-height inf --out {out}", None),
     ("run --scene synth:single,count=x --out {out}", None),
     # out-of-range synthetic specs: exit 2 or a sampler traceback before
     ("run --scene synth:single,count=0 --out {out}", None),
@@ -470,6 +478,43 @@ def test_config_keys_are_simconfig_fields(tmp_path, capsys):
         for key in expected:
             args = parser.parse_args([command, "--" + key.replace("_", "-"), "1"])
             assert getattr(args, key) in (1, "1"), key
+
+
+@pytest.mark.parametrize("settings, kw, message", [
+    (PreprocessOptions, dict(opacity_min=1.5), "opacity_min must lie in [0, 1], got 1.5"),
+    (PreprocessOptions, dict(confidence=0.0), "confidence must be positive and finite, got 0.0"),
+    (SyntheticSpec, dict(count=0), "count must be positive, got 0"),
+    (SyntheticSpec, dict(pattern="spiral"), "unknown pattern 'spiral'"),
+    (FilterConfig, dict(rho=-1.0), "rho must be non-negative"),
+    (FilterConfig, dict(inside_policy="soft"),
+     "unknown inside_policy 'soft'; options: ('hard', 'slack')"),
+    (SimConfig, dict(filter="bogus"),
+     "unknown filter 'bogus'; options: ('cone', 'distance_baseline', 'off')"),
+    (SimConfig, dict(kd=float("inf")), "kd must be finite"),
+], ids=str)
+def test_one_error_for_a_bad_setting(settings, kw, message):
+    # every settings class raises the CLI's own error, which exits 1
+    assert ConfigError is scene_mod.ConfigError
+    with pytest.raises(ConfigError) as exc:
+        settings(**kw)
+    assert type(exc.value) is ConfigError and str(exc.value) == message
+
+
+def test_out_of_range_option_in_dump_exits_2(tmp_path, capsys):
+    # a bad option in a dump is a malformed file, not a bad setting
+    path = tmp_path / "scene.npz"
+    save_scene_dump(path, make_synthetic_scene(SyntheticSpec(pattern="single"), seed=0))
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays["anisotropy_cap"] = np.array(0.5)
+    np.savez(path, **arrays)
+    with pytest.raises(SceneError) as exc:
+        load_scene_dump(path)
+    assert str(exc.value) == "anisotropy_cap must be at least 1, got 0.5"
+    out = tmp_path / "out"
+    assert main(["run", "--scene", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("I/O or parse error: anisotropy_cap")
+    assert not out.exists()
 
 
 def test_tampered_scene_dump_exits_2(tmp_path, capsys):

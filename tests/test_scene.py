@@ -16,6 +16,7 @@ from scipy.spatial.transform import Rotation
 
 from splatcone import scene as scene_mod
 from splatcone.scene import (
+    ConfigError,
     PreprocessOptions,
     Scene,
     SceneError,
@@ -346,15 +347,15 @@ def test_synthetic_invariant_audit_clutter():
 
 
 def test_synthetic_bad_spec():
-    with pytest.raises(SceneError):
+    with pytest.raises(ConfigError):
         make_synthetic_scene(SyntheticSpec(count=0), seed=1)
-    with pytest.raises(SceneError):
+    with pytest.raises(ConfigError):
         make_synthetic_scene(SyntheticSpec(scale_range=(2.0, 1.0)), seed=1)
-    with pytest.raises(SceneError):
+    with pytest.raises(ConfigError):
         make_synthetic_scene(SyntheticSpec(pattern="spiral"), seed=1)
     # opacities above 1 would be clipped by save_ply, so a PLY round trip
     # would change the scene
-    with pytest.raises(SceneError, match="opacity_range above 1"):
+    with pytest.raises(ConfigError, match="opacity_range above 1"):
         SyntheticSpec(pattern="clutter", count=50, opacity_range=(0.5, 3.0))
     SyntheticSpec(opacity_range=(0.5, 1.0))
 
@@ -387,7 +388,7 @@ def test_query_nearby_rejects_nan_radius():
 
 
 def test_confidence_rejects_nan():
-    with pytest.raises(SceneError, match="confidence must be positive"):
+    with pytest.raises(ConfigError, match="confidence must be positive"):
         PreprocessOptions(confidence=float("nan")).resolved_confidence()
 
 
@@ -405,7 +406,7 @@ _NAN, _INF = float("nan"), float("inf")
 def test_preprocess_options_reject_out_of_range(field, value):
     # a cap of 0 built infinite scales and zero inverse covariances, a NaN
     # cap NaN covariances, a cap of 0.5 spheres twice the longest axis
-    with pytest.raises(SceneError, match=field):
+    with pytest.raises(ConfigError, match=field):
         PreprocessOptions(**{field: value})
 
 

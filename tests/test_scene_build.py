@@ -116,6 +116,26 @@ def test_from_arrays_keeps_handed_over_arrays(opacity_min):
         assert arr.flags.writeable != kept
 
 
+@pytest.mark.parametrize("field, column, value, message", [
+    ("means", 1, np.nan, "non-finite value in property 'mean' at splat index 2"),
+    ("quats", 0, np.inf, "non-finite value in property 'rot' at splat index 2"),
+    ("scales", 2, -np.inf, "non-finite value in property 'scale' at splat index 2"),
+    ("opacities", None, np.nan, "non-finite value in property 'opacity' at splat index 2"),
+    ("scales", 1, 0.0, "non-positive scale at splat index 2"),
+    ("scales", 0, -1.0, "non-positive scale at splat index 2"),
+])
+def test_from_arrays_rejects_a_bad_splat_by_its_index(field, column, value, message):
+    # checked before any splat is dropped: splats 0 (a zero quaternion) and
+    # 1 (opacity 0) would be, so the index is the caller's
+    raw = dict(zip(("means", "quats", "scales", "opacities"), raw_splats(4, seed=7)))
+    raw["quats"][0] = 0.0
+    raw["opacities"][1] = 0.0
+    raw[field][(2,) if column is None else (2, column)] = value
+    with pytest.raises(SceneError) as exc:
+        Scene.from_arrays(**raw)
+    assert str(exc.value) == message
+
+
 def test_load_ply_hands_its_arrays_over(tmp_path, monkeypatch):
     """load_ply's float64 means and opacities become the scene's own, with
     no second copy, and the scene keeps the reference's bits."""

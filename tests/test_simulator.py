@@ -3,6 +3,7 @@ metrics oracles, batch determinism, and audit independence."""
 import numpy as np
 import pytest
 
+from splatcone.scene import ConfigError
 from splatcone.simulator import (
     RobotState,
     SimConfig,
@@ -326,14 +327,34 @@ def test_batch_start_perturbed_out_of_obstacle():
                                 dict(baseline_alpha2=-1.0)], ids=str)
 def test_filter_settings_checked_once(kw):
     """FilterConfig rejects a bad filter setting; SimConfig, which extends
-    it, reports the same message as a SimulationError."""
+    it, reports the same message as the same ConfigError."""
     from splatcone.filter import FilterConfig
 
     with pytest.raises(ValueError) as exc:
         FilterConfig(**kw)
-    with pytest.raises(SimulationError) as sim_exc:
+    with pytest.raises(ConfigError) as sim_exc:
         SimConfig(**kw)
     assert str(sim_exc.value) == str(exc.value)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(start_radius=0.0), "start_radius must be positive and finite when set"),
+    (dict(start_radius=-1.0), "start_radius must be positive and finite when set"),
+    (dict(start_radius=float("nan")), "start_radius must be positive and finite when set"),
+    (dict(start_radius=float("inf")), "start_radius must be positive and finite when set"),
+    (dict(start_height=float("nan")), "start_height must be finite when set"),
+    (dict(start_height=float("-inf")), "start_height must be finite when set"),
+    (dict(dt=1e-300, timeout=1e10), "timeout / dt must be a finite step count"),
+], ids=str)
+def test_simconfig_checks_placement_and_step_count(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        SimConfig(**kw)
+
+
+def test_simconfig_placement_range_ends():
+    # any finite height, and a step count that is large but finite
+    SimConfig(start_radius=1e-9, start_height=-5.0)
+    SimConfig(start_height=0.0, dt=1e-300, timeout=1e-10)
 
 
 @pytest.mark.parametrize("name", ["cone", "distance_baseline", "off"])

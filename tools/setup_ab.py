@@ -46,7 +46,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from step_ab import CLUTTER_SPEC_KW, SIDES, load_tree, write_clutter  # noqa: E402
+from step_ab import SIDES, load_tree, perfbench_workloads, write_clutter  # noqa: E402
 from helpers import RING_SCENE_SEED, RING_SPEC_KW  # noqa: E402  (on step_ab's path)
 
 ARRAYS = ("means", "quats", "scales", "opacities", "inv_cov", "s_min", "bounds")
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="the source tree to compare against")
     ap.add_argument("change", type=Path, help="the source tree under test")
     ap.add_argument("--rounds", type=int, default=40, help="timed rounds")
-    ap.add_argument("--clutter-count", type=int, default=CLUTTER_SPEC_KW["count"],
+    ap.add_argument("--clutter-count", type=int, default=perfbench_workloads().CLUTTER_SPEC.count,
                     help="splats in the clutter scene (default: criterion 9's)")
     ap.add_argument("--out", type=Path, help="also write the report to this JSON file")
     args = ap.parse_args(argv)

@@ -83,10 +83,6 @@ SIDES = ("parent", "change")
 FILTERS = ("cone", "distance_baseline")
 # probes of perfbench's clutter170k_step in a 10 s run
 PROBES = 455
-# criterion 9's clutter scene, as the benchmark makes it
-CLUTTER_SPEC_KW = dict(pattern="clutter", count=170000, extent=17.7,
-                       scale_range=(0.05, 0.15), anisotropy_range=(1.0, 3.0))
-CLUTTER_SCENE_SEED = 11
 # (label, lowest n_active, highest) of the row-count bands
 BANDS = (("0", 0, 0), ("1-199", 1, 199), ("200-499", 200, 499), ("500+", 500, np.inf))
 
@@ -118,17 +114,20 @@ def ring_scene(mods: dict):
 
 
 def write_clutter(mods: dict, count: int, path: Path):
-    """Write the clutter scene of `count` splats to `path`; the load
-    options the benchmark uses."""
+    """Write criterion 9's clutter scene, as the benchmark makes it
+    (`CLUTTER_SPEC` and `CLUTTER_SCENE_SEED` of perfbench/workloads.py) but
+    with `count` splats, to `path`; the load options the benchmark uses."""
+    workloads = perfbench_workloads()
     synthetic, scene_mod = mods["synthetic"], mods["scene"]
-    spec = synthetic.SyntheticSpec(**{**CLUTTER_SPEC_KW, "count": count})
-    scene0 = synthetic.make_synthetic_scene(spec, seed=CLUTTER_SCENE_SEED)
+    spec = synthetic.SyntheticSpec(**{**dataclasses.asdict(workloads.CLUTTER_SPEC), "count": count})
+    scene0 = synthetic.make_synthetic_scene(spec, seed=workloads.CLUTTER_SCENE_SEED)
     mods["sceneio"].save_ply(path, scene0)
     return scene_mod.PreprocessOptions(opacity_min=0.0, scale_min=scene0.options.scale_min,
                                        scale_max=scene0.options.scale_max)
 
 
-def _perfbench_workloads():
+def perfbench_workloads():
+    """The benchmark's `workloads` module, on this checkout's splatcone."""
     for path in (ROOT / "perfbench", ROOT / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
@@ -140,11 +139,10 @@ def clutter_probes(mods: dict, seed: int, probes: int) -> tuple:
     the first `probes` probes perfbench draws for `seed` as lists of
     (p, v, u_ref), each tree's cone config, and perfbench's counts of
     probes drawn and rejected."""
-    workloads = _perfbench_workloads()
-    assert workloads.CLUTTER_SPEC == workloads.SyntheticSpec(**CLUTTER_SPEC_KW)
+    workloads = perfbench_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         ply = Path(tmp) / "clutter.ply"
-        fields = dataclasses.asdict(write_clutter(mods[SIDES[0]], CLUTTER_SPEC_KW["count"], ply))
+        fields = dataclasses.asdict(write_clutter(mods[SIDES[0]], workloads.CLUTTER_SPEC.count, ply))
         scenes = {side: m["sceneio"].load_ply(ply, m["scene"].PreprocessOptions(**fields))
                   for side, m in mods.items()}
     # the probes' audit is PARENT's, as in a perfbench run of PARENT
