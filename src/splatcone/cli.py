@@ -310,13 +310,6 @@ def _numbers(cast, count: int):
     return parse
 
 
-def _scale_clamp(text: str) -> tuple[float, float]:
-    lo, hi = _numbers(float, 2)(text)
-    if not 0 < lo <= hi:
-        raise argparse.ArgumentTypeError(f"expected 0 < min <= max, got {text!r}")
-    return lo, hi
-
-
 def _axes(text: str) -> tuple[int, int]:
     axes = _numbers(int, 2)(text)
     if axes[0] == axes[1] or not set(axes) <= {0, 1, 2}:
@@ -346,7 +339,7 @@ def build_parser() -> _Parser:
     pc.add_argument("--in", dest="in_path", required=True)
     pc.add_argument("--out", required=True)
     pc.add_argument("--opacity-min", type=float, default=PreprocessOptions.opacity_min)
-    pc.add_argument("--scale-clamp", type=_scale_clamp, default=(None, None),
+    pc.add_argument("--scale-clamp", type=_numbers(float, 2), default=(None, None),
                     help="min,max scale clamp")
     pc.set_defaults(func=cmd_convert)
 

@@ -65,13 +65,15 @@ class FilterConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive when set")
-        # as FilterProblem requires: an infinite penalty is no slack at all
-        if self.slack_weight is not None and not self.slack_weight < float("inf"):
-            raise ConfigError("slack_weight must be finite when set")
-        if not self.dt < float("inf"):  # an infinite step never steps
-            raise ConfigError("dt must be finite")
         if not self.rho >= 0:
             raise ConfigError("rho must be non-negative")
+        # an infinite step never steps, an infinite penalty is no slack at all
+        # (as FilterProblem requires), and an infinite gain or radius makes
+        # the rows inf or NaN
+        for name in ("dt", "slack_weight", "p_k", "rho", "baseline_alpha1", "baseline_alpha2"):
+            value = getattr(self, name)
+            if value is not None and not value < float("inf"):
+                raise ConfigError(f"{name} must be finite")
 
 
 def effective_c2(scene: Scene, rho: float, idx: np.ndarray):

@@ -334,7 +334,8 @@ def _balls_disjoint(Q: np.ndarray, R: np.ndarray) -> bool:
         return False
     d = Q[1] - Q[0]
     r0, r1 = R.tolist()
-    return d.dot(d) > (r0 + r1) ** 2
+    # a product, not ** 2, which raises OverflowError on a Python float
+    return d.dot(d) > (r0 + r1) * (r0 + r1)
 
 
 def _in_balls(x, Ql, Rl) -> bool:
@@ -629,8 +630,10 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
     if feasible and _in_balls(u.tolist(), Ql, Rl):
         return u, lam, s, nu  # no ball binds: the rows-only projection
     # the objective at the start only now, when the ball search reads it
-    bound = (np.inf if sw is not None
-             else 0.5 * min(math.dist(ubar, q) + r for q, r in zip(Ql, Rl)) ** 2)
+    bound = np.inf
+    if sw is None:  # squared as a product, as in `_balls_disjoint`
+        reach = min(math.dist(ubar, q) + r for q, r in zip(Ql, Rl))
+        bound = 0.5 * (reach * reach)
     res = _ball_multipliers(evaluate, Q, R, bound, start=evaluate(nu, start))
     if res is None:
         return None

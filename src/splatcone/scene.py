@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -100,6 +99,8 @@ class PreprocessOptions:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if None not in (self.scale_min, self.scale_max) and self.scale_min > self.scale_max:
+            raise ConfigError(f"scale_min {self.scale_min!r} exceeds scale_max {self.scale_max!r}")
         if not self.anisotropy_cap >= 1.0:
             raise ConfigError(f"anisotropy_cap must be at least 1, got {self.anisotropy_cap!r}")
 
@@ -171,17 +172,19 @@ def _cells(x: np.ndarray, lo: float, edge: float, low: float, top: float) -> np.
 
 
 def _index(means: np.ndarray) -> _Grid:
-    """The scene's `_Grid` over its means."""
+    """The scene's `_Grid` over its means, read through one contiguous
+    copy of their columns."""
     n = means.shape[0]
-    lo = [float(col.min()) if n else 0.0 for col in means.T]
-    extents = [float(col.max()) - a if n else 0.0 for col, a in zip(means.T, lo)]
+    cols = means.T.copy()
+    lo = [float(col.min()) if n else 0.0 for col in cols]
+    extents = [float(col.max()) - a if n else 0.0 for col, a in zip(cols, lo)]
     edge = _cell_edge(extents, max(n, 1))
     if not all(map(math.isfinite, (edge, *extents))):
         edge = math.inf  # coordinates that span more than a float: one cell
     # the top cell of each axis is the cell of its largest coordinate
     shape = [1 if edge == math.inf else math.floor(e / edge) + 1 for e in extents]
     key = np.zeros(n, dtype=np.intp)
-    for col, a, size in zip(means.T, lo, shape):
+    for col, a, size in zip(cols, lo, shape):
         key *= size
         key += _cells(col, a, edge, 0.0, size - 1.0)
     # sorted by key, then id: one sort of the keys with the ids in the low
@@ -192,9 +195,7 @@ def _index(means: np.ndarray) -> _Grid:
     key.sort()
     order = key & ((1 << bits) - 1)
     key >>= bits
-    xyz = np.empty((3, n))
-    for col, out in zip(means.T, xyz):
-        np.take(col, order, out=out)
+    xyz = np.take(cols, order, axis=1)
     corner = [abs(a) + e for a, e in zip(lo, extents)]
     return _Grid(tuple(lo), edge, tuple(shape), max(corner) + (edge if edge < math.inf else 0.0),
                  key, order, xyz, means)
@@ -300,38 +301,6 @@ def _pair_blocks(counts: np.ndarray, budget: int):
         lo = hi
 
 
-# Scenes of more than this many splats build their grid on a thread of
-# their own (`_IndexBuild`) while `Scene.from_arrays` computes the
-# covariances on the calling thread: numpy's sort and ufuncs release the
-# GIL. A smaller scene's build (0.18 ms on the 2,400-splat ring) is a few
-# dozen short numpy calls, which contend with the covariance pass for the
-# GIL; on a second thread it made perfbench's ring set-up about 25%
-# slower, so the calling thread builds it.
-_WORKER_MIN = 20000
-
-
-class _IndexBuild(threading.Thread):
-    """`_index(means)`, built on a thread started at once; `grid()` joins
-    the thread and returns the grid, or raises the build's error."""
-
-    def __init__(self, means: np.ndarray):
-        super().__init__(name="splatcone-index")
-        self._means, self._out = means, None
-        self.start()
-
-    def run(self):
-        try:
-            self._out = _index(self._means)
-        except Exception as exc:  # raised again in the caller's thread
-            self._out = exc
-
-    def grid(self) -> _Grid:
-        self.join()
-        if isinstance(self._out, Exception):
-            raise self._out
-        return self._out
-
-
 def _d2(p: tuple, xyz: np.ndarray) -> np.ndarray:
     """Squared distances from `p` to the means given as the columns of
     `xyz` (3, k), summed (dx^2 + dy^2) + dz^2. `xyz` may be a strided
@@ -427,8 +396,10 @@ class _NeighbourList(NamedTuple):
 @dataclass
 class Scene:
     """Immutable splat collection with a spatial index over the means: a
-    uniform grid of cells (`_Grid`), built once and kept by a
-    `dataclasses.replace` that keeps the means (rebuilt for other means).
+    uniform grid of cells (`_Grid`), built once on the calling thread: by
+    `from_arrays`, which hands it over, or else when the scene is made. A
+    `dataclasses.replace` that keeps the means keeps it (other means get
+    their own).
 
     Arrays are read-only after construction. `confidence` is the shared
     squared confidence radius c^2.
@@ -582,16 +553,11 @@ class Scene:
         Applies the preprocessing pipeline: finiteness checks, degenerate
         quaternion rejection, opacity filtering, scale clamping with the
         anisotropy cap, then precomputes inverse covariances (chunk by chunk,
-        so no whole-scene temporary is held) and builds the spatial index.
-        The grid (`_Grid`, about 9 ms at 170k splats) of a scene of more
-        than _WORKER_MIN splats is built from the kept means on a thread
-        started for this call (`_IndexBuild`) while this thread computes the
-        bounds, clamps and covariances, and joined before the scene is made;
-        it is the grid a serial build gives, and built on this thread
-        instead it would add 6-10 ms to a two-core 170k-splat load (README).
-        A smaller scene's grid is built here, after the covariances.
-        The caller's arrays are left writable and are not aliased. With
-        `copy=False` the caller hands its arrays over instead: the scene may
+        so no whole-scene temporary is held). The spatial index (`_Grid`,
+        about 6 ms at 170k splats) is built on the calling thread as soon
+        as the kept means are final, before the covariance pass, and handed
+        to the scene. The caller's arrays are left writable and are not
+        aliased. With `copy=False` the caller hands its arrays over instead: the scene may
         keep float64 `means` and `opacities` as they are, and freezes them.
         """
         opts = opts or PreprocessOptions()
@@ -639,9 +605,9 @@ class Scene:
         if not keep.all():
             means, quats, qnorm = means[keep], quats[keep], qnorm[keep]
             scales, opacities = scales[keep], opacities[keep]
-        # the means are final: index a large scene's on a thread meanwhile;
-        # an error below leaves the build to finish unread
-        build = _IndexBuild(means) if len(means) > _WORKER_MIN else None
+        # the means are final; indexed before the covariance pass, whose
+        # temporaries would otherwise be alive under the grid's copy
+        grid = _index(means)
 
         lo = np.array([col.min() for col in means.T])
         hi = np.array([col.max() for col in means.T])
@@ -696,5 +662,5 @@ class Scene:
             confidence=c2,
             bounds=bounds,
             options=opts,
-            _grid=None if build is None else build.grid(),
+            _grid=grid,
         )

@@ -25,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import recfunctions
 
 from .scene import ConfigError, PreprocessOptions, Scene, SceneError
 
@@ -49,6 +50,9 @@ _PLY_TYPES = {
 
 _REQUIRED = ("x", "y", "z", "scale_0", "scale_1", "scale_2",
              "rot_0", "rot_1", "rot_2", "rot_3", "opacity")
+# The required properties in the four arrays `load_ply` reads them into:
+# positions, log scales, rotations and the opacity logit.
+_GROUPS = (_REQUIRED[:3], _REQUIRED[3:6], _REQUIRED[6:10], _REQUIRED[10:])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -130,22 +134,21 @@ def load_ply(path: str | Path, opts: PreprocessOptions | None = None) -> Scene:
     if raw.shape[0] != count:
         raise SceneError(f"truncated body: expected {count} vertices, got {raw.shape[0]}")
 
-    for name in _REQUIRED:
-        bad = ~np.isfinite(raw[name])
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise SceneError(f"non-finite value in property '{name}' at splat index {i}")
-
-    # column by column, with no stacked temporaries; the record is freed
-    # before the scene is built
-    means, scales, quats = np.empty((count, 3)), np.empty((count, 3)), np.empty((count, 4))
-    for arr, cols in ((means, ("x", "y", "z")), (scales, ("scale_0", "scale_1", "scale_2")),
-                      (quats, ("rot_0", "rot_1", "rot_2", "rot_3"))):
-        for j, name in enumerate(cols):
-            arr[:, j] = raw[name]
-    np.exp(scales, out=scales)
-    opacities = _sigmoid(raw["opacity"].astype(np.float64))
+    # one pass over the record per group, into a float64 array of its own;
+    # the record is freed before the scene is built
+    means, scales, quats, logit = (
+        recfunctions.structured_to_unstructured(raw[list(names)], dtype=np.float64)
+        for names in _GROUPS)
     del raw
+    for names, arr in zip(_GROUPS, (means, scales, quats, logit)):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            j = int(np.argmin(finite.all(axis=0)))
+            i = int(np.argmin(finite[:, j]))
+            raise SceneError(f"non-finite value in property '{names[j]}' at splat index {i}")
+    np.exp(scales, out=scales)
+    opacities = _sigmoid(logit[:, 0])
+    del logit
     # the arrays are this function's own: the scene keeps them without a copy
     return Scene.from_arrays(means, quats, scales, opacities, opts, copy=False)
 

@@ -416,6 +416,11 @@ _SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
     (f"run {_SINGLE} --kp inf --out {{out}}", None),
     (f"run {_SINGLE} --kd inf --out {{out}}", None),
     (f"run {_SINGLE} --dt inf --out {{out}}", None),
+    # an infinite gain or radius: a traceback from the rows, or a NaN margin
+    (f"run {_SINGLE} --pk inf --out {{out}}", None),
+    (f"run {_SINGLE} --rho inf --out {{out}}", None),
+    (f"run {_SINGLE} --filter distance_baseline --baseline-alpha1 inf --out {{out}}", None),
+    (f"run {_SINGLE} --filter distance_baseline --baseline-alpha2 inf --out {{out}}", None),
     (f"run {_SINGLE} --dt 1e-300 --timeout 1e10 --out {{out}}", None),
     # a placement circle of radius 0 never left the splat at its centre
     ("run --scene synth:single --start-radius 0 --out {out}", None),
@@ -483,6 +488,7 @@ def test_config_keys_are_simconfig_fields(tmp_path, capsys):
 @pytest.mark.parametrize("settings, kw, message", [
     (PreprocessOptions, dict(opacity_min=1.5), "opacity_min must lie in [0, 1], got 1.5"),
     (PreprocessOptions, dict(confidence=0.0), "confidence must be positive and finite, got 0.0"),
+    (PreprocessOptions, dict(scale_min=2.0, scale_max=1.0), "scale_min 2.0 exceeds scale_max 1.0"),
     (SyntheticSpec, dict(count=0), "count must be positive, got 0"),
     (SyntheticSpec, dict(pattern="spiral"), "unknown pattern 'spiral'"),
     (FilterConfig, dict(rho=-1.0), "rho must be non-negative"),
@@ -498,6 +504,14 @@ def test_one_error_for_a_bad_setting(settings, kw, message):
     with pytest.raises(ConfigError) as exc:
         settings(**kw)
     assert type(exc.value) is ConfigError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["dt", "slack_weight", "p_k", "rho",
+                                  "baseline_alpha1", "baseline_alpha2"])
+def test_filter_config_requires_finite_settings(name):
+    with pytest.raises(ConfigError) as exc:
+        FilterConfig(**{name: float("inf")})
+    assert str(exc.value) == f"{name} must be finite"
 
 
 def test_out_of_range_option_in_dump_exits_2(tmp_path, capsys):

@@ -4,20 +4,24 @@ means finds, including means on cell faces, queries outside the scene,
 degenerate scenes and radii larger than the scene."""
 import dataclasses
 import functools
+import math
+import types
 
 import numpy as np
 import pytest
 
+import reference_step as ref
 from helpers import all_pairs, candidate_counts, ring_scene
 from splatcone import scene as scene_mod, simulator
-from splatcone.scene import _SCAN_MAX, Scene
+from splatcone.scene import _SCAN_MAX, PreprocessOptions, Scene
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
+from test_step_pins import dense_min_margin
 
 
-def _scene(means):
+def _scene(means, opts=None):
     n = len(means)
     return Scene.from_arrays(np.asarray(means, dtype=np.float64), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
-                             np.full((n, 3), 0.1), np.full(n, 0.9))
+                             np.full((n, 3), 0.1), np.full(n, 0.9), opts)
 
 
 def _rule(scene, p, radius):
@@ -105,6 +109,27 @@ def test_degenerate_scenes(name, monkeypatch):
     rng = np.random.default_rng(8)
     points = np.vstack([_queries(scene, rng, 15), scene.means[:3]])
     _check_scene(scene, points, [0.05, 0.7, 3.0], monkeypatch)
+
+
+def test_means_spanning_more_than_a_float_make_one_cell(monkeypatch):
+    """Means at x = +-1e308, whose extent overflows to inf, and a few near
+    the origin: the grid is one cell of infinite edge, and every search,
+    and the audit's margins, still find what a scan of every mean finds."""
+    rng = np.random.default_rng(12)
+    means = np.vstack([[[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]], rng.uniform(-1.0, 1.0, (30, 3))])
+    # explicit clamps: the default ones scale with the scene's diameter, inf here
+    with np.errstate(over="ignore", invalid="ignore"):
+        scene = _scene(means, PreprocessOptions(scale_min=0.01, scale_max=1.0))
+    grid = scene._grid
+    assert grid.edge == math.inf and grid.shape == (1, 1, 1)
+    points = np.vstack([means[:3], rng.uniform(-1.5, 1.5, (40, 3))])
+    # the reference audit scans every mean (the scene is below _SCAN_MAX)
+    monkeypatch.setattr(ref, "kernels", types.SimpleNamespace(min_margin=dense_min_margin))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref.scene_margins(scene, points)
+        got = simulator.scene_margins(scene, points)
+        assert (want < 0).any() and np.array_equal(got, want)
+        _check_scene(scene, points, [0.05, 0.7, 3.0], monkeypatch)
 
 
 @pytest.mark.parametrize("radius", [40.0, 1e6, 1e200])

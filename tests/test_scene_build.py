@@ -230,11 +230,11 @@ def test_ply_io_peak_memory(tmp_path):
     assert peak <= 2.0 * scene_bytes(back)
 
 
-# The grid of a scene of more than `_WORKER_MIN` splats is built on a
-# thread of its own (`scene._IndexBuild`) while the covariances are
-# computed; it must be the grid a serial build gives. A smaller scene's
-# grid is built on the calling thread.
+# `Scene.from_arrays` builds the grid once, on the calling thread, from the
+# kept means and before the covariance pass; it must be the grid that
+# `_index` gives over the scene's means.
 _serial_index = scene_mod._index
+LARGE = 25000  # splats: above _SCAN_MAX, so the neighbour list refills from the grid
 
 
 def _serial_grid(scene):
@@ -249,60 +249,59 @@ def assert_same_grid(got, want, points, radius):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("make, radius, on_worker", [
-    (ring_scene.__wrapped__, 5.0, False),  # built here, not the cached scene
+def record_calls(monkeypatch):
+    """(name, thread) of each `_index` call and of each `_rotation` call
+    (one per chunk of the covariance pass), in call order."""
+    calls = []
+    for name in ("_index", "_rotation"):
+        def recorded(*args, _name=name, _real=getattr(scene_mod, name)):
+            calls.append((_name, threading.current_thread()))
+            return _real(*args)
+
+        monkeypatch.setattr(scene_mod, name, recorded)
+    return calls
+
+
+def index_threads(calls):
+    return [thread for name, thread in calls if name == "_index"]
+
+
+@pytest.mark.parametrize("make, radius", [
+    (ring_scene.__wrapped__, 5.0),  # built here, not the cached scene
     # a scene the neighbour list refills from the grid
-    (lambda: make_synthetic_scene(dataclasses.replace(CLUTTER, count=_SCAN_MAX + 5000),
-                                  seed=15), 5.5, True),
+    (lambda: make_synthetic_scene(dataclasses.replace(CLUTTER, count=LARGE), seed=15), 5.5),
 ])
-def test_worker_grid_equals_a_serial_build(make, radius, on_worker, monkeypatch):
-    built_on, real = [], scene_mod._index
-
-    def index(means):
-        built_on.append(threading.current_thread())
-        return real(means)
-
-    monkeypatch.setattr(scene_mod, "_index", index)
+def test_grid_built_once_on_the_calling_thread(make, radius, monkeypatch):
+    calls = record_calls(monkeypatch)
     scene = make()
-    assert (len(scene) > scene_mod._WORKER_MIN) == on_worker
-    assert len(built_on) == 1 and (built_on[0] is not threading.current_thread()) == on_worker
+    # once, on this thread, before the first chunk of covariances
+    assert index_threads(calls) == [threading.current_thread()]
+    assert calls[0][0] == "_index" and calls[1][0] == "_rotation"
     points = np.concatenate([scene.means[::97],
                              np.random.default_rng(3).uniform(*scene.bounds, (50, 3))])
     assert_same_grid(scene._grid, _serial_grid(scene), points, radius)
 
 
-def test_an_error_after_the_submit_leaves_the_next_build_working(monkeypatch):
-    submitted = []
-
-    class Recorded(scene_mod._IndexBuild):
-        def __init__(self, means):
-            submitted.append(self)
-            super().__init__(means)
-
-    monkeypatch.setattr(scene_mod, "_IndexBuild", Recorded)
-    # the scale clamp is checked after the means are final
+def test_a_failed_build_leaves_the_next_build_working(monkeypatch):
+    assert LARGE > _SCAN_MAX
+    calls = record_calls(monkeypatch)
+    # the scale clamp is checked after the grid is built: a scale_min above
+    # the default scale_max, the scene's diameter (about 35 here)
     with pytest.raises(SceneError, match="invalid scale clamp range"):
-        Scene.from_arrays(*raw_splats(2 * scene_mod._WORKER_MIN, seed=16),
-                          PreprocessOptions(scale_min=2.0, scale_max=1.0))
-    assert len(submitted) == 1
-    raw = raw_splats(2 * scene_mod._WORKER_MIN, seed=17)
+        Scene.from_arrays(*raw_splats(LARGE, seed=16), PreprocessOptions(scale_min=100.0))
+    assert index_threads(calls) == [threading.current_thread()]
+    raw = raw_splats(LARGE, seed=17)
     scene = Scene.from_arrays(*raw)
-    assert len(submitted) == 2 and submitted[1].grid() is scene._grid
+    assert index_threads(calls) == [threading.current_thread()] * 2
     assert_same_scene(scene, ref.from_arrays(*raw))
     assert_same_grid(scene._grid, _serial_grid(scene), scene.means[::50], 2.0)
 
 
 def test_concurrent_builds_get_their_own_grids(monkeypatch):
     """Threads that build scenes at once each get their own scene's grid,
-    built on a thread of the build's own."""
-    built_on, real = [], scene_mod._index
-
-    def index(means):
-        built_on.append(threading.current_thread())
-        return real(means)
-
-    monkeypatch.setattr(scene_mod, "_index", index)
-    raws = [raw_splats(2 * scene_mod._WORKER_MIN + 50 * k, seed=100 + k) for k in range(6)]
+    built on the building thread."""
+    calls = record_calls(monkeypatch)
+    raws = [raw_splats(LARGE + 50 * k, seed=100 + k) for k in range(6)]
     failures = []
 
     def build(k):
@@ -322,17 +321,31 @@ def test_concurrent_builds_get_their_own_grids(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    built_on = index_threads(calls)
     assert failures == [] and len(built_on) == 2 * len(raws)  # two threads build each
-    assert not set(built_on) & set(threads + [threading.current_thread()])
+    assert all(built_on.count(t) == 3 for t in threads)
 
 
-def test_builds_leave_no_index_thread_behind():
-    """Each large build joins its grid's thread before it returns: repeated
-    builds leave no `splatcone-index` thread alive."""
-    raw = raw_splats(25000, seed=18)
-    for _ in range(5):
-        assert len(Scene.from_arrays(*raw)) > scene_mod._WORKER_MIN
-        assert not [t for t in threading.enumerate() if t.name == "splatcone-index"]
+@pytest.mark.parametrize("bad, message", [
+    # the first bad property in the file's required order, then its first index
+    ({("y", 5): np.nan, ("x", 7): np.nan}, "'x' at splat index 7"),
+    ({("rot_2", 6): -np.inf, ("rot_2", 2): np.nan, ("rot_3", 0): np.nan}, "'rot_2' at splat index 2"),
+    ({("opacity", 4): np.inf}, "'opacity' at splat index 4"),
+    ({("opacity", 0): np.nan, ("scale_1", 8): -np.inf}, "'scale_1' at splat index 8"),
+])
+def test_load_ply_names_the_first_non_finite_property(bad, message, tmp_path):
+    n = 10
+    rec = np.zeros(n, dtype=[(name, "<f4") for name in sceneio._REQUIRED])
+    rec["rot_0"] = 1.0
+    for (name, i), value in bad.items():
+        rec[name][i] = value
+    header = (f"ply\nformat binary_little_endian 1.0\nelement vertex {n}\n"
+              + "".join(f"property float {name}\n" for name in sceneio._REQUIRED) + "end_header\n")
+    path = tmp_path / "bad.ply"
+    path.write_bytes(header.encode("ascii") + rec.tobytes())
+    with pytest.raises(SceneError) as exc:
+        load_ply(path)
+    assert str(exc.value) == f"non-finite value in property {message}"
 
 
 _FORKED_BUILD = """
@@ -340,14 +353,14 @@ import os, signal, sys
 import numpy as np
 from splatcone.scene import Scene
 
-N = 25000  # more than _WORKER_MIN: indexed on a thread of its own
+N = 25000  # more than _SCAN_MAX: the neighbour list refills from the grid
 
 def build(seed):
     rng = np.random.default_rng(seed)
     return Scene.from_arrays(rng.uniform(-5, 5, (N, 3)), rng.normal(size=(N, 4)),
                              rng.uniform(0.05, 0.2, (N, 3)), np.ones(N))
 
-build(0)  # a scene built on an index thread before the fork
+build(0)  # a scene built before the fork
 pid = os.fork()
 if pid == 0:
     signal.alarm(20)  # a build that hangs ends the child
@@ -360,11 +373,11 @@ print(code)
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_builds_a_scene():
-    """A child forked after the parent built a scene on an index thread
-    builds its own scenes, on threads of its own: a regression guard for
-    any index state kept across builds, which a child would inherit
-    without the threads that serve it. Run in a subprocess whose timeout
-    kills it, so a hang fails the test."""
+    """A child forked after the parent built a scene builds its own
+    scenes: a regression guard for any index state kept across builds,
+    such as a worker thread, which a child would inherit without the
+    threads that serve it. Run in a subprocess whose timeout kills it, so
+    a hang fails the test."""
     src = str(Path(scene_mod.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

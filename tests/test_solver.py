@@ -208,6 +208,17 @@ def test_row_whose_squared_norm_overflows_is_kept():
     assert mixed.status == "optimal" and mixed.u.tolist() == unit.u.tolist() == [1.5, 2.0, 10.0]
 
 
+@pytest.mark.parametrize("a_max", [10.0, 1e160])
+@pytest.mark.parametrize("ref", [(1.0, 2.0, 3.0), (10.0, 20.0, 30.0)])
+def test_ball_radius_whose_square_overflows_is_solved(ref, a_max):
+    # (r0 + r1) ** 2 and the dual bound's square raised OverflowError on
+    # Python floats; a radius this large is a bound that never binds
+    sol = _solve(ref, np.zeros((0, 3)), [], a_max, v_current=(1.0, 0.0, 0.0),
+                 v_max=1e160, dt=1.0)
+    free = _solve(ref, np.zeros((0, 3)), [], a_max)
+    assert sol.status == free.status == "optimal" and sol.u.tolist() == free.u.tolist()
+
+
 @pytest.mark.parametrize("pair", [3, 8])
 def test_slack_converges_at_large_weights(pair):
     # replayed cone steps from rest: every row through the apex carries a
