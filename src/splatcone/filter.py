@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .qp import FilterProblem, FilterSolution, solve_filter
+from .qp import FilterProblem, FilterSolution, SolverError, solve_filter
 from .scene import ConfigError, Scene
 
 DEFAULT_SLACK_WEIGHT = 1e4
@@ -166,7 +166,10 @@ def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: Fi
     diagnostics["norm_balls"] = problem.balls
     # looked up as this module's global at call time, so a wrapper set on
     # `filter.solve_filter` sees every filter's programs
-    return solve_filter(problem), diagnostics
+    try:
+        return solve_filter(problem), diagnostics
+    except ValueError as e:  # rows that overflow: a finite but huge gain
+        raise SolverError(f"rows not finite: {e}") from e
 
 
 def filter_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):

@@ -123,27 +123,29 @@ _SKIN = 0.1
 # Scenes of at most this many splats refill the neighbour list with one
 # numpy scan of every mean (`_d2`); larger scenes read the means of the
 # grid cells the list's sphere meets (`_Grid`); both build the same list.
-# A fresh list at radius 5 cost 176 us by scan and 289 us by grid on
-# 20,000 splats at the 170k-splat clutter scene's density, 374 against 274
-# us on 40,000, and 71 against 62 us on 10,000 in that scene's sparser
-# 17.7 m box. No workload is near the bound (ring 2,400 splats, clutter
-# 170k); the scan cut the ring's step_p99_ms by 15.5-19% (README).
+# A fresh list at radius 5 (median over 100 points in the scene's box)
+# cost 163 us by scan and 214 us by grid on 20,000 splats at the 170k-splat
+# clutter scene's density, 248 against 233 us on 30,000 and 331 against
+# 234 us on 40,000. No workload is near the bound (ring 2,400 splats,
+# clutter 170k); the scan cut the ring's step_p99_ms by 15.5-19% (README).
 _SCAN_MAX = 20000
 
 
 class _Grid(NamedTuple):
     """The scene's spatial index: cubic cells of edge `edge` from the
-    corner `lo` of the means' bounding box, `shape` cells along each axis,
-    and the splats sorted by the key (ix * ny + iy) * nz + iz of the cell
-    their mean lies in (ids ascending within a cell), so that the cells of
-    one (x, y) column are one run of that order, located by `searchsorted`
-    on the sorted keys. Only cells that hold a mean take memory."""
+    corner `lo` of the means' bounding box to `hi`, `shape` cells along
+    each axis, and the splats sorted by the key (ix * ny + iy) * nz + iz of
+    the cell their mean lies in (ids ascending within a cell), so that the
+    cells of one (x, y) column are one run of that order: cell c's splats
+    are positions [starts[c], starts[c + 1]) of it. The table of cell
+    starts has an entry for every cell, empty or not (at most 8n cells)."""
 
     lo: tuple          # (3,) the corner, Python floats
+    hi: tuple          # (3,) the opposite corner, Python floats
     edge: float
     shape: tuple       # (nx, ny, nz)
     scale: float       # bounds every |coordinate| of the grid's box
-    keys: np.ndarray   # (n,) sorted cell keys
+    starts: np.ndarray  # (cells + 1,) splats in the cells below each cell
     order: np.ndarray  # (n,) splat ids in key order
     xyz: np.ndarray    # (3, n) their means, column by column
     means: np.ndarray  # (n, 3) the array indexed, the scene's own
@@ -173,11 +175,12 @@ def _cells(x: np.ndarray, lo: float, edge: float, low: float, top: float) -> np.
 
 def _index(means: np.ndarray) -> _Grid:
     """The scene's `_Grid` over its means, read through one contiguous
-    copy of their columns."""
+    copy of their columns, which also gives the means' bounds."""
     n = means.shape[0]
     cols = means.T.copy()
     lo = [float(col.min()) if n else 0.0 for col in cols]
-    extents = [float(col.max()) - a if n else 0.0 for col, a in zip(cols, lo)]
+    hi = [float(col.max()) if n else 0.0 for col in cols]
+    extents = [b - a for a, b in zip(lo, hi)]
     edge = _cell_edge(extents, max(n, 1))
     if not all(map(math.isfinite, (edge, *extents))):
         edge = math.inf  # coordinates that span more than a float: one cell
@@ -194,11 +197,15 @@ def _index(means: np.ndarray) -> _Grid:
     key |= np.arange(n)
     key.sort()
     order = key & ((1 << bits) - 1)
+    # the table of cell starts: cell c's count at c + 1, summed in place
     key >>= bits
+    key += 1
+    starts = np.bincount(key, minlength=math.prod(shape) + 1)
+    np.cumsum(starts, out=starts)
     xyz = np.take(cols, order, axis=1)
     corner = [abs(a) + e for a, e in zip(lo, extents)]
-    return _Grid(tuple(lo), edge, tuple(shape), max(corner) + (edge if edge < math.inf else 0.0),
-                 key, order, xyz, means)
+    return _Grid(tuple(lo), tuple(hi), edge, tuple(shape),
+                 max(corner) + (edge if edge < math.inf else 0.0), starts, order, xyz, means)
 
 
 @functools.lru_cache(maxsize=16)
@@ -233,8 +240,9 @@ def _runs(grid: _Grid, points: np.ndarray, radius: float) -> tuple[np.ndarray, n
     end) of the grid's order, one per (x, y) column of cells of the
     stencil (`_stencil`; empty where it leaves the grid), that together
     hold every mean that passes `_d2`'s test d2 <= radius * radius for that
-    row, and other means of the same cells. When the stencil spans more
-    columns than the grid has, each row's one run is the whole order.
+    row, and other means of the same cells, their ends read from the table
+    of cell starts. When the stencil spans more columns than the grid has,
+    each row's one run is the whole order.
 
     The test passes only means within radius (1 + 3u) of the point (u =
     2^-53), and only points within the radius of the grid's box have such
@@ -254,7 +262,7 @@ def _runs(grid: _Grid, points: np.ndarray, radius: float) -> tuple[np.ndarray, n
         if (reach <= hx < nx - reach and reach <= hy < ny - reach
                 and below <= hz <= nz - above):
             # every cell of the stencil is in the grid: its runs as they are
-            bounds = np.searchsorted(grid.keys, offsets + ((hx * ny + hy) * nz + hz))
+            bounds = np.take(grid.starts, offsets + ((hx * ny + hy) * nz + hz))
             return bounds[:1], bounds[1:]
     # the points' own cells, clamped to where the stencil still meets the
     # grid, each cell once (a trajectory's points share cells); then the
@@ -267,9 +275,10 @@ def _runs(grid: _Grid, points: np.ndarray, radius: float) -> tuple[np.ndarray, n
     hx, hy, hz = (np.take(h, first)[:, None] for h in home)
     cx, cy = hx + dx, hy + dy
     column = (cx * ny + cy) * nz
-    start = np.searchsorted(grid.keys, column + np.clip(hz + dz, 0, nz))
-    end = np.searchsorted(grid.keys, column + np.clip(hz + dz_end, 0, nz))
-    # unsigned, a negative column index is out of the grid too
+    start = np.take(grid.starts, column + np.clip(hz + dz, 0, nz), mode="clip")
+    end = np.take(grid.starts, column + np.clip(hz + dz_end, 0, nz), mode="clip")
+    # a column off the grid read an end of the table or another column's
+    # cells; unsigned, a negative column index is out of the grid too
     np.copyto(end, start, where=(cx.view(np.uintp) >= nx) | (cy.view(np.uintp) >= ny))
     return np.take(start, inverse, axis=0), np.take(end, inverse, axis=0)
 
@@ -316,12 +325,11 @@ def _d2(p: tuple, xyz: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _within(p: tuple, radius: float, xyz: np.ndarray) -> tuple[np.ndarray, float]:
-    """(mask, gap): the mask of the neighbour list's means (columns of
-    `xyz`) whose squared distance to `p`, as `_d2` sums it, is at most
-    r2 = radius * radius, and the smallest |d2 - r2| over the list (inf
-    for an empty list)."""
-    d2 = _d2(p, xyz)
+def _within(radius: float, d2: np.ndarray) -> tuple[np.ndarray, float]:
+    """(mask, gap): the mask of the neighbour list's means whose squared
+    distance to the query point, as `_d2` sums it (`d2`, overwritten; a
+    refill's own, its anchor being that point), is at most r2 = radius *
+    radius, and the smallest |d2 - r2| over the list (inf if it is empty)."""
     r2 = radius * radius
     inner = d2 <= r2
     d2 -= r2
@@ -410,16 +418,17 @@ class Scene:
     covariances gathered. A scene of at most _SCAN_MAX splats is refilled
     by one scan of all its means, a larger one from the means of the grid
     cells near the centre (`_Grid`); both keep the means that pass `_d2`'s
-    test, so both build the same list. A later query of the same radius
-    centred within the skin filters that list instead of searching again.
+    test, so both build the same list, and the refill's answer reuses those
+    distances. A later query of the same radius centred within the skin
+    filters that list instead of searching again.
     The answer is the rule `_within` applies: the listed means whose
     squared distance to the query point, summed as (dx^2 + dy^2) + dz^2
     (`_d2`), is at most r^2, with r^2 the rounded radius * radius. That is
     the exact ball's answer except for a mean within rounding of the
     sphere. Each filtering makes a new read-only answer and copies its
     rows out of the blocks by position: the means as a C-contiguous (3, k)
-    block of columns, the layout the row kernels read, handed out as its
-    (k, 3) `.T` view. `gather` serves them for that answer. Each filtering
+    block, the row kernels' layout, handed out as its (k, 3) `.T` view.
+    `gather` serves them for that answer. Each filtering
     also certifies how far its answer holds: from the smallest |d^2 - r^2|
     over the list it proves a reach around the query point (`_reach`), and
     a later query within that reach of that point returns the last answer
@@ -472,15 +481,18 @@ class Scene:
                 raise SceneError(f"query point must be finite, got {pt!r}")
             skin = radius + _SKIN * radius
             if len(self) <= _SCAN_MAX:
-                sup = (_d2(pt, self.means.T) <= skin * skin).nonzero()[0]
+                d2 = _d2(pt, self.means.T)
+                sup = (d2 <= skin * skin).nonzero()[0]
                 # rows, then columns: np.take from the (3, n) view self.means.T
                 # would first copy all n means into a contiguous array
                 xyz = np.take(self.means, sup, axis=0).T.copy()
+                d2 = np.take(d2, sup)
             else:
                 grid = self._grid
                 pos = _positions(*_runs(grid, p[None], skin))
                 near = np.take(grid.xyz, pos, axis=1)
-                keep = (_d2(pt, near) <= skin * skin).nonzero()[0]
+                d2 = _d2(pt, near)
+                keep = (d2 <= skin * skin).nonzero()[0]
                 # sorted by splat id, each with its column of `near` in the
                 # low bits: a sort of one integer array, not an argsort
                 bits = pos.size.bit_length()
@@ -488,14 +500,16 @@ class Scene:
                 found |= keep
                 found.sort()
                 sup = found >> bits
-                xyz = np.take(near, found & ((1 << bits) - 1), axis=1)
+                found &= (1 << bits) - 1
+                xyz = np.take(near, found, axis=1)
+                d2 = np.take(d2, found)
             head = (radius, pt, sup, xyz, np.take(self.inv_cov, sup, axis=0))
         elif math.dist(pt, memo.point) <= memo.reach:
             return memo.idx
         else:
-            head = memo[:5]
+            head, d2 = memo[:5], _d2(pt, memo.xyz)
         _, _, sup, xyz, inv_cov = head
-        inner, gap = _within(pt, radius, xyz)
+        inner, gap = _within(radius, d2)
         pos = inner.nonzero()[0]
         idx = _frozen(sup[pos])
         self._memo = _NeighbourList(*head, idx, (
@@ -609,8 +623,7 @@ class Scene:
         # temporaries would otherwise be alive under the grid's copy
         grid = _index(means)
 
-        lo = np.array([col.min() for col in means.T])
-        hi = np.array([col.max() for col in means.T])
+        lo, hi = np.array(grid.lo), np.array(grid.hi)
         diam = float(np.linalg.norm(hi - lo))
         if diam < 1e-12:
             diam = max(1.0, 2.0 * float(scales.max()))

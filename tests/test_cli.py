@@ -514,6 +514,22 @@ def test_filter_config_requires_finite_settings(name):
     assert str(exc.value) == f"{name} must be finite"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--pk", "1e308"],
+    ["--filter", "distance_baseline", "--baseline-alpha1", "1e308"],
+    ["--filter", "distance_baseline", "--baseline-alpha2", "1e308"],
+], ids=" ".join)
+def test_finite_gain_whose_rows_overflow_exits_3(tmp_path, capsys, flags):
+    # a finite gain passes FilterConfig, but its rows' offsets overflow to
+    # inf: the step fails as a solver failure, not with a ValueError traceback
+    argv = ["run", "--scene", "synth:ring,count=200,pillar_count=4", "--timeout", "0.2",
+            *flags, "--out", str(tmp_path / "out")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "solver failure: rows not finite: offsets must be finite")
+
+
 def test_out_of_range_option_in_dump_exits_2(tmp_path, capsys):
     # a bad option in a dump is a malformed file, not a bad setting
     path = tmp_path / "scene.npz"

@@ -44,7 +44,7 @@ def _faces_scene():
     inner = np.stack([rng.choice(f[(f >= lo) & (f <= hi)], n - 2)
                       for f, lo, hi in zip(faces, corners[0], corners[1])], axis=1)
     scene = _scene(np.vstack([corners, inner]))
-    assert scene._grid[:3] == grid[:3]
+    assert scene._grid[:4] == grid[:4]  # lo, hi, edge, shape
     return scene, faces
 
 
@@ -73,10 +73,25 @@ def _queries(scene, rng, k):
                       rng.uniform(lo - 2.0 * span, hi + 2.0 * span, (k, 3))])
 
 
+def _check_starts(grid):
+    """The grid's table of cell starts is `searchsorted` of its means'
+    sorted cell keys over every cell and one past, and its order sorts
+    those keys."""
+    key = np.zeros(len(grid.order), dtype=np.intp)
+    for col, a, size in zip(grid.means.T, grid.lo, grid.shape):
+        key = key * size + scene_mod._cells(col, a, grid.edge, 0.0, size - 1.0)
+    keys = np.sort(key)
+    assert np.array_equal(key[grid.order], keys)
+    assert grid.starts.dtype == np.intp
+    assert np.array_equal(grid.starts, np.searchsorted(keys, np.arange(math.prod(grid.shape) + 1)))
+
+
 def _check_scene(scene, points, radii, monkeypatch):
-    """query_nearby (refilled from the grid), nearby_pairs (in blocks of
-    at most 64 candidates) and the candidate counts of its grid search
-    against the rule at every point and radius."""
+    """The grid's table of cell starts, then query_nearby (refilled from
+    the grid), nearby_pairs (in blocks of at most 64 candidates) and the
+    candidate counts of its grid search against the rule at every point
+    and radius."""
+    _check_starts(scene._grid)
     monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
     for radius in radii:
         owner, idx = all_pairs(scene, points, radius, 64)
@@ -132,6 +147,38 @@ def test_means_spanning_more_than_a_float_make_one_cell(monkeypatch):
         _check_scene(scene, points, [0.05, 0.7, 3.0], monkeypatch)
 
 
+def test_points_just_beyond_the_side_faces(monkeypatch):
+    """Audit points just beyond the grid's -x, -y, +x and +y faces, their
+    other coordinates inside it: their stencils' columns off the grid have
+    keys that read an end of the table of cell starts or, at iy = -1 or
+    ny, a real cell at the grid's far y side, and each such run is
+    emptied: every candidate lies within the radius plus two cell
+    diagonals of its point. The audit's margins and every search match
+    brute force."""
+    scene = _faces_scene()[0]
+    grid = scene._grid
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    reach = simulator.audit_reach(scene)
+    assert reach < grid.edge
+    rng = np.random.default_rng(14)
+    points = []
+    for axis, face, out in ((0, lo, -1.0), (1, lo, -1.0), (0, hi, 1.0), (1, hi, 1.0)):
+        p = rng.uniform(lo, hi, (40, 3))
+        p[:, axis] = face[axis] + out * reach * rng.uniform(0.01, 0.9, 40)
+        points.append(p)
+    points = np.vstack(points)
+    monkeypatch.setattr(ref, "kernels", types.SimpleNamespace(min_margin=dense_min_margin))
+    want = ref.scene_margins(scene, points)
+    assert np.isfinite(want).sum() >= 20
+    assert np.array_equal(simulator.scene_margins(scene, points), want)
+    for radius in (reach, 1.5):
+        start, end = scene_mod._runs(grid, points, radius)
+        for p, a, b in zip(points, start, end):
+            near = grid.xyz[:, scene_mod._positions(a, b)]
+            assert (np.linalg.norm(near.T - p, axis=1) <= radius + 2.0 * math.sqrt(3.0) * grid.edge).all()
+    assert _check_scene(scene, points, [0.37, grid.edge, 1.5], monkeypatch) > 0
+
+
 @pytest.mark.parametrize("radius", [40.0, 1e6, 1e200])
 def test_radius_larger_than_the_scene(radius, monkeypatch):
     scene = _faces_scene()[0]
@@ -147,6 +194,7 @@ def test_clutter_above_the_scan_size():
     the audit's batched pairs."""
     scene = _clutter_25k()
     assert len(scene) > _SCAN_MAX
+    _check_starts(scene._grid)
     rng = np.random.default_rng(10)
     points = _queries(scene, rng, 20)
     for p in points:

@@ -736,6 +736,37 @@ def test_query_nearby_random_walk_matches_tree_on_both_paths(monkeypatch, scan):
 
 
 @pytest.mark.parametrize("scan", [True, False], ids=["scan", "grid"])
+def test_query_nearby_refill_answers_with_its_own_distances(monkeypatch, scan):
+    """A refill's first answer filters the list with the squared distances
+    of its skin test, taken at its anchor, the query point: that answer and
+    its reach are, bit for bit, a fresh `_within` over the list's means,
+    for centres anywhere, on a mean and with a mean on the sphere."""
+    if not scan:
+        monkeypatch.setattr(scene_mod, "_SCAN_MAX", 0)
+    base = _walk_scene()
+    rng = np.random.default_rng(17)
+    sizes = []
+    for k in range(60):
+        radius = float(rng.choice([0.7, 1.37, 5.0]))
+        p = rng.uniform(-12.0, 12.0, size=3)
+        if k % 3 == 1:
+            p = base.means[rng.integers(len(base))].copy()
+        elif k % 3 == 2:
+            d = np.linalg.norm(base.means - p, axis=1)
+            j = int(np.argmin(np.abs(d - radius)))
+            p = base.means[j] + (p - base.means[j]) * (radius / d[j])
+        scene = dataclasses.replace(base)
+        got = scene.query_nearby(p, radius)
+        memo = scene._memo
+        assert memo.anchor == memo.point == tuple(p.tolist()) and memo.idx is got
+        inner, gap = scene_mod._within(radius, scene_mod._d2(memo.point, memo.xyz))
+        assert np.array_equal(got, memo.sup[inner]) and memo.reach == scene_mod._reach(gap, radius)
+        assert _rows_match(scene, got)
+        sizes.append(got.size)
+    assert min(sizes) == 0 and max(sizes) > 100
+
+
+@pytest.mark.parametrize("scan", [True, False], ids=["scan", "grid"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_query_nearby_rejects_a_non_finite_point(monkeypatch, scan, bad):
     """A non-finite query point is an error on both refill paths, with or

@@ -27,8 +27,11 @@ def test_identical_trees_read_a_ratio_near_one(tmp_path):
 
 
 def test_same_bits_compares_the_scenes_grids():
+    import collections
     import dataclasses
     import types
+
+    import numpy as np
 
     from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 
@@ -36,9 +39,20 @@ def test_same_bits_compares_the_scenes_grids():
     a, b = (make_synthetic_scene(spec, seed=3) for _ in range(2))
     assert setup_ab.same_bits(a, b)
     grid = b._grid
-    for field, value in (("order", grid.order[::-1]), ("keys", grid.keys + 1),
-                         ("xyz", grid.xyz[:, ::-1]), ("edge", 2.0 * grid.edge)):
+    for field, value in (("order", grid.order[::-1]), ("starts", grid.starts + 1),
+                         ("xyz", grid.xyz[:, ::-1]), ("edge", 2.0 * grid.edge),
+                         ("hi", grid.lo)):
         assert not setup_ab.same_bits(a, dataclasses.replace(b, _grid=grid._replace(**{field: value})))
+    # a grid from a tree that kept one sorted cell key per splat: its keys
+    # are compared as the table of cell starts they give
+    key = np.repeat(np.arange(len(grid.starts) - 1), np.diff(grid.starts))
+    fields = {k: v for k, v in grid._asdict().items() if k not in ("starts", "hi")}
+    keyed = types.SimpleNamespace(**{n: getattr(b, n) for n in setup_ab.ARRAYS},
+                                  _grid=collections.namedtuple("_Grid", [*fields, "keys"])(
+                                      *fields.values(), key))
+    assert setup_ab.same_bits(a, keyed) and setup_ab.same_bits(keyed, a)
+    keyed._grid = keyed._grid._replace(keys=key + 1)
+    assert not setup_ab.same_bits(a, keyed)
     assert not setup_ab.same_bits(a, make_synthetic_scene(spec, seed=4))
     # a scene from a tree that indexed its means with a kd-tree: arrays only
     tree_scene = types.SimpleNamespace(**{name: getattr(b, name) for name in setup_ab.ARRAYS})

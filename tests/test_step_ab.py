@@ -29,9 +29,9 @@ _NARROW = '''
 _exact_within = _within
 
 
-def _within(p, radius, xyz):
+def _within(radius, d2):
     """The rule at 0.9 times the radius: answers without the farthest splats."""
-    return _exact_within(p, 0.9 * radius, xyz)
+    return _exact_within(0.9 * radius, d2)
 '''
 
 _SHIFTED = '''

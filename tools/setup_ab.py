@@ -35,6 +35,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import math
 import os
 import sys
 import tempfile
@@ -74,13 +75,29 @@ def ring_raw(mods: dict) -> tuple:
     return captured[0]
 
 
+def grid_fields(grid) -> dict:
+    """A scene grid's fields by name, with a grid from before the table of
+    cell starts (one sorted cell key per splat, `keys`) read as that table:
+    the number of keys below each cell, for every cell and one past."""
+    fields = grid._asdict()
+    if "keys" in fields:
+        cells = np.arange(math.prod(fields["shape"]) + 1)
+        fields["starts"] = np.searchsorted(fields.pop("keys"), cells)
+    return fields
+
+
 def same_bits(a, b) -> bool:
     """Whether scenes a and b have the same arrays and, when both index
     their means with a grid (a tree from before the grid has a kd-tree),
-    the same grid: every field, arrays as bytes."""
+    the same grid: every field both grids have, arrays as bytes, and the
+    table of cell starts (`grid_fields`) always."""
     grids = [getattr(scene, "_grid", None) for scene in (a, b)]
-    return (all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ARRAYS)
-            and (None in grids or all(np.array_equal(x, y) for x, y in zip(*grids))))
+    if not all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ARRAYS):
+        return False
+    if None in grids:
+        return True
+    x, y = map(grid_fields, grids)
+    return all(np.array_equal(x[name], y[name]) for name in x.keys() & y.keys() | {"starts"})
 
 
 def _summary(seconds: list[float]) -> dict:
