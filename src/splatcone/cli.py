@@ -154,10 +154,12 @@ def _read_config_file(path: str | None, known: tuple[str, ...], skip: str | None
 
 def _prepare(args, known_keys: tuple[str, ...], default_out: str):
     """Parse and check every input of `run` or `batch`; only then load the
-    scene and make the output directory, so a bad input writes nothing.
+    scene, so a bad input writes nothing.
 
     Returns the run's configs (one, or one per batch filter), the scene, the
-    output directory and the resolved config that the artifacts echo.
+    output directory (made by the command when it writes its artifacts, so
+    a run that fails leaves none behind) and the resolved config that the
+    artifacts echo.
     """
     # [batch] holds batch's own keys, so that one file serves both commands
     file_cfg = _read_config_file(args.config, known_keys,
@@ -205,9 +207,7 @@ def _prepare(args, known_keys: tuple[str, ...], default_out: str):
         cfgs = tuple(dataclasses.replace(cfg, filter=name) for name in echo["filters"])
 
     scene = load_scene_source(source, seed, opts)
-    out_dir = Path(get("out", str, default_out))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfgs, scene, out_dir, echo
+    return cfgs, scene, Path(get("out", str, default_out)), echo
 
 
 def cmd_convert(args) -> int:
@@ -242,6 +242,7 @@ def cmd_run(args) -> int:
 
     summary = summary_dict(record, metrics, config_echo, config_echo["seed"])
     summary["timing"]["wall_clock_s"] = wall
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_record_csv(out_dir / "record.csv", record)
     write_json(out_dir / "summary.json", summary)
     write_trajectory_svg(out_dir / "trajectory.svg", scene, record, axes=args.axes)
@@ -255,14 +256,17 @@ def cmd_batch(args) -> int:
     cfgs, scene, out_dir, config_echo = _prepare(args, _BATCH_KEYS, "batch_out")
     per_filter: dict[str, dict] = {}
     timing: dict[str, dict] = {}
+    results = {}
     for cfg in cfgs:
         name = cfg.filter
-        result = run_batch(scene, config_echo["n"], cfg, config_echo["seed"])
+        results[name] = result = run_batch(scene, config_echo["n"], cfg, config_echo["seed"])
         agg = dict(result.aggregate)
         timing[name] = agg.pop("timing")
         per_filter[name] = agg
-        _write_batch_csv(out_dir / f"metrics_{name}.csv", result)
         print(f"{name}: success {agg['success_rate']:.0%}  outcomes {agg['outcomes']}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, result in results.items():
+        _write_batch_csv(out_dir / f"metrics_{name}.csv", result)
 
     comparison = {
         "config": config_echo,

@@ -1,9 +1,8 @@
 """Per-step safety filter over a splat scene: one pipeline for every filter.
 
 Each step queries the splats near the robot, builds one half-space row per
-active splat with a batch kernel, applies the inside policy and solves the
-minimally-invasive program with `solve_filter`. The filters differ only in
-their row builder:
+active splat with a batch kernel and solves the minimally-invasive program
+with `solve_filter`. The filters differ only in their row builder:
 
     cone               collision-cone barrier rows (exact Minkowski rows when
                        rho > 0 and inflation_mode is "exact"); the robot is
@@ -14,9 +13,9 @@ their row builder:
     off                no rows (the reference is only clipped to the norm
                        bounds); cone barrier values are kept for the record
 
-Splats whose (inflated) ellipsoid already contains the robot break the
-barrier premise; policy is configurable: hard (report infeasible) or slack
-(relax all rows quadratically and keep flying).
+A splat whose (inflated) ellipsoid already contains the robot breaks the
+barrier premise: the step builds no program and reports `infeasible`, which
+ends the run.
 """
 from __future__ import annotations
 
@@ -29,8 +28,6 @@ from . import kernels
 from .qp import FilterProblem, FilterSolution, SolverError, solve_filter
 from .scene import ConfigError, Scene
 
-DEFAULT_SLACK_WEIGHT = 1e4
-INSIDE_POLICIES = ("hard", "slack")
 INFLATION_MODES = ("conservative", "exact")
 
 
@@ -45,15 +42,10 @@ class FilterConfig:
     a_max: float = 10.0
     v_max: float | None = None
     dt: float = 0.02
-    slack_weight: float | None = None
-    inside_policy: str = "hard"           # hard | slack
     baseline_alpha1: float | None = None  # distance baseline only; None -> p_k
     baseline_alpha2: float | None = None
 
     def __post_init__(self):
-        if self.inside_policy not in INSIDE_POLICIES:
-            raise ConfigError(
-                f"unknown inside_policy {self.inside_policy!r}; options: {INSIDE_POLICIES}")
         if self.inflation_mode not in INFLATION_MODES:
             raise ConfigError(
                 f"unknown inflation_mode {self.inflation_mode!r}; options: {INFLATION_MODES}")
@@ -61,16 +53,15 @@ class FilterConfig:
         for name in ("dt", "a_max", "p_k", "activation_radius"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("v_max", "slack_weight", "baseline_alpha1", "baseline_alpha2"):
+        for name in ("v_max", "baseline_alpha1", "baseline_alpha2"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive when set")
         if not self.rho >= 0:
             raise ConfigError("rho must be non-negative")
-        # an infinite step never steps, an infinite penalty is no slack at all
-        # (as FilterProblem requires), and an infinite gain or radius makes
+        # an infinite step never steps, and an infinite gain or radius makes
         # the rows inf or NaN
-        for name in ("dt", "slack_weight", "p_k", "rho", "baseline_alpha1", "baseline_alpha2"):
+        for name in ("dt", "p_k", "rho", "baseline_alpha1", "baseline_alpha2"):
             value = getattr(self, name)
             if value is not None and not value < float("inf"):
                 raise ConfigError(f"{name} must be finite")
@@ -115,7 +106,7 @@ def _no_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
 
 
 def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
-    """query -> rows -> diagnostics -> inside policy -> FilterProblem -> solve.
+    """query -> rows -> diagnostics -> inside test -> FilterProblem -> solve.
 
     `build_rows(scene, idx, p, v, cfg)` returns (normals, offsets, h,
     inside mask, inflation fallback count) for the active splats `idx`; its
@@ -142,14 +133,10 @@ def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: Fi
         "norm_balls": None,
     }
 
-    slack_weight = cfg.slack_weight
-    if inside.size and cfg.inside_policy == "hard":
-        sol = FilterSolution(u=None, status="infeasible",
-                             active_ids=diagnostics["inside_ids"], slack_used=0.0,
+    if inside.size:
+        sol = FilterSolution(u=None, status="infeasible", active_ids=diagnostics["inside_ids"],
                              solve_time=0.0, kkt_residual=np.nan)
         return sol, diagnostics
-    if inside.size and slack_weight is None:
-        slack_weight = DEFAULT_SLACK_WEIGHT
 
     n_rows = offsets.size
     problem = FilterProblem(
@@ -161,7 +148,6 @@ def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: Fi
         v_current=v if cfg.v_max is not None else None,
         v_max=cfg.v_max,
         dt=cfg.dt,
-        slack_weight=slack_weight,
     )
     diagnostics["norm_balls"] = problem.balls
     # looked up as this module's global at call time, so a wrapper set on
@@ -179,7 +165,7 @@ def filter_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
     no splat is active), per-splat h, active splat indices, inside-splat ids,
     build time (query and rows), n_active, inflation fallbacks and the
     program's norm balls (Q, R) (None when no program was built: a step
-    inside a splat under the hard policy).
+    inside a splat).
     """
     return _filter_pipeline(_cone_rows, scene, state, u_ref, cfg)
 

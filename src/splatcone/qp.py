@@ -12,29 +12,19 @@ Half-spaces are handled by a dual active-set projection (no feasible start
 needed, detects infeasibility). Each ball ||u - q_k|| <= R_k enters through a
 multiplier nu_k >= 0; for fixed nu the optimum u(nu) is the rows-only
 solution at the shifted target (u_ref + sum nu_k q_k) / (1 + sum nu_k).
-One routine, `_ball_multipliers`, finds nu for the hard and the slack mode:
-a dual active set over the (at most two) balls (Goldfarb & Idnani 1983)
-with a safeguarded Newton step on the secular functions
-phi_k(nu) = 1/R_k - 1/||u(nu) - q_k|| (More & Sorensen 1983), whose
-Jacobian comes from the null-space projector of the active rows. With no
-row active, phi_k is linear in nu_k and one step lands on the root; with
-rows active the step is taken on the part of u - q_k in their null space,
-which keeps it exact while those rows stay active, and two balls are met
-there in closed form (`project_balls`, the circle from the smaller ball). A
-dual value above an upper bound on the optimum certifies infeasibility; the
+`_ball_multipliers` finds nu by a dual active set over the (at most two)
+balls (Goldfarb & Idnani 1983) with a safeguarded Newton step on the
+secular functions phi_k(nu) = 1/R_k - 1/||u(nu) - q_k|| (More & Sorensen
+1983), taken on the part of u - q_k in the null space of the active rows
+(`_null_projector`): the row-space part stays fixed while those rows stay
+active, so one ball's step is exact there, and two balls are met there in
+closed form (`project_balls`, the circle from the smaller ball). A dual
+value above an upper bound on the optimum certifies infeasibility; the
 search stops after `_BALL_BUDGET` evaluations of u(nu), a row projection
 after `_ROW_ITER` iterations, each with a SolverError carrying residuals.
 Without rows the program is a projection onto two balls, solved in closed
-form; `_in_balls` is the one ball-membership test.
-
-With a slack weight sw the rows relax to a_i^T u + xi_i >= b_i at a cost
-sw ||xi||^2 (the elastic mode of SQP codes, Gill, Murray & Saunders 2005).
-The relaxed rows are hard rows [a_i, e_i / sqrt(sw)] in the lifted space of
-(u, sqrt(sw) xi), so the same projection solves them, and the slack is
-xi = lam / sw. Each lifted step comes from the SVD of the working rows, in
-O(k) for k rows. Lifted rows are never dependent, so the balls alone decide
-feasibility. Every violated row carries a multiplier under the penalty, so
-the working set grows to every penalised row, one step each.
+form; `_in_balls` is the one ball-membership test. The rows are hard: a
+program no point satisfies is reported infeasible, never relaxed.
 
 Cost. At the ring batch's 400 rows a solve is mostly per-call overhead,
 not arithmetic, so the code keeps numpy calls few: the ball search's
@@ -74,7 +64,7 @@ _ZERO_NORMAL = 1e-30
 _FEAS_TOL = 1e-9
 _BALL_TOL = 1e-10    # |1 - R_k / ||u - q_k||| at which a working-set ball counts as met
 _BALL_BUDGET = 60    # evaluations of u(nu) per solve before SolverError
-_ROW_ITER = 200      # active-set iterations of a row projection, plus two per penalised row
+_ROW_ITER = 200      # active-set iterations of a row projection; a row joins in one
 _EYE3 = np.eye(3)
 
 
@@ -90,7 +80,6 @@ class FilterProblem:
     v_current: np.ndarray | None = None
     v_max: float | None = None
     dt: float | None = None
-    slack_weight: float | None = None
     # the norm bounds as balls (Q, R), see `norm_balls`; built once here
     balls: tuple = field(init=False, repr=False, compare=False)
 
@@ -107,8 +96,6 @@ class FilterProblem:
             raise ValueError("v_max must be positive when set")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite when set")
-        if self.slack_weight is not None and not 0 < self.slack_weight < math.inf:
-            raise ValueError("slack_weight must be positive and finite when set")
         shape = self.normals.shape
         if len(shape) != 2 or shape[1] != 3:
             raise ValueError(f"normals must have shape (m, 3), not {shape}")
@@ -172,26 +159,25 @@ class FilterSolution:
     built with values holds them."""
 
     u: np.ndarray | None
-    status: str                      # optimal | infeasible | degraded
+    status: str                      # optimal | infeasible
     active_ids: np.ndarray = _OnFirstRead()
-    slack_used: float
     solve_time: float
     kkt_residual: float = _OnFirstRead()
 
 
-def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: float, eps=0.0):
-    """min ||u - c||^2 / 2 s.t. N u >= b, rows of N unit-norm; with eps > 0,
-    min ||u - c||^2 / 2 + ||xi||^2 / (2 eps) s.t. N u + xi >= b.
+def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, abs_b: np.ndarray,
+                        b_scale: float):
+    """min ||u - c||^2 / 2 s.t. N u >= b, rows of N unit-norm.
 
     Dual active-set iteration starting from the unconstrained optimum, on
     m >= 1 rows (`solve_filter` solves a row-free program in closed form).
-    `b_scale` is 1 + max|b|, computed once per solve by the caller. With eps
-    the rows are the lifted [n_i, sqrt(eps) e_i] and xi = eps lam; a row
-    outside the working set carries no slack. A row joins the working set in
-    one iteration, and with eps every penalised row joins, so the cap is
-    `_ROW_ITER`, plus two per row with eps. Returns (u, lam, feasible, s):
-    lam is None when infeasible, and s is the last residual N u - b with the
-    working-set rows, and the dependent rows held within rounding, zeroed.
+    `abs_b` is |b| and `b_scale` 1 + max|b|, computed once per solve by the
+    caller. Row i counts as met when its residual is
+    within 1e-12 (1 + |b_i| + |c|), its own scale: one huge offset does not
+    excuse the other rows. A row joins the working set in one iteration, so
+    the cap is `_ROW_ITER`. Returns (u, lam, feasible, s): lam is None when
+    infeasible, and s is the last residual N u - b with the working-set
+    rows, and the dependent rows held within rounding, zeroed.
 
     A violated row that depends on the working set, with no working-set
     multiplier to release, is consistent with those rows when its violation
@@ -210,11 +196,11 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
     W: list[int] = []
     lamW: list[float] = []
     held = None  # (rows, the violation each may keep) once rows are held
-    scale = b_scale + math.sqrt(c.dot(c))
-    ftol = 1e-12 * scale
-    step_cap = 1e9 * scale  # longer steps mean numerically unreachable constraints
+    size = math.sqrt(c.dot(c))
+    least_tol = 1e-12 * (1.0 + size)  # no row's tolerance is smaller
+    step_cap = 1e9 * (b_scale + size)  # longer steps mean numerically unreachable constraints
 
-    for _ in range(_ROW_ITER + (2 * m if eps else 0)):
+    for _ in range(_ROW_ITER):
         s = N @ u - b
         for w in W:
             s[w] = 0.0
@@ -223,7 +209,15 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
             s[rows[s[rows] >= -slack]] = 0.0
         p = int(s.argmin())
         sp = float(s[p])
-        if sp >= -ftol:
+        met = sp >= -least_tol
+        if not met and sp >= -1e-12 * (1.0 + float(abs_b[p]) + size):
+            # row p is within its own tolerance; a row of smaller |b| may not be
+            late = (s < -1e-12 * (1.0 + abs_b + size)).nonzero()[0]
+            met = not late.size
+            if not met:
+                p = int(late[s[late].argmin()])
+                sp = float(s[p])
+        if met:
             lam = np.zeros(m)
             for w, lw in zip(W, lamW):
                 lam[w] = lw
@@ -231,24 +225,7 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
         npv = N[p]
         lam_p = 0.0
         while True:
-            if W and eps:
-                # from the SVD Nw = U diag(sv) Vt, Vt a full basis of R^3 and d
-                # the sv^2 padded with zeros to length 3: with g = Vt npv and
-                # h = g / (d + eps), rr = (Nw Nw^T + eps I)^-1 Nw npv = U (sv h)
-                # and z = npv - Nw^T rr = Vt^T (eps h). No factor exceeds
-                # 1 / (2 sqrt(eps)) and nothing cancels; the rounding of a
-                # Gram matrix, 1e-16 k, would be large against eps = sigma / sw
-                Un, sv, Vt = _svd(N.take(W, axis=0), full_matrices=len(W) < 3)
-                # numpy's layout: BLAS rounds a product with Fortran-ordered factors otherwise
-                Un, Vt = np.ascontiguousarray(Un), np.ascontiguousarray(Vt)
-                g = Vt @ npv
-                d = np.zeros(3)
-                d[:sv.size] = sv * sv
-                h = g / (d + eps)
-                rr = Un @ (sv * h[:sv.size])
-                z = Vt.T @ (eps * h)
-                zz = float(npv @ z) + eps  # the rate of row p's lifted residual: its lifted |z|^2
-            elif W:
+            if W:
                 Nw = N.take(W, axis=0)
                 M = Nw @ Nw.T
                 rhs = Nw @ npv
@@ -260,11 +237,10 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
                     except np.linalg.LinAlgError:
                         rr = np.linalg.lstsq(M, rhs, rcond=None)[0]
                 z = npv - Nw.T @ rr
-                zz = float(z @ z)
             else:
                 rr = None
                 z = npv
-                zz = float(z @ z) + eps
+            zz = float(z @ z)
             # the first working-set multiplier to reach 0 along lam_W - t rr
             rl = rr.tolist() if W else []
             t_block, j_block = np.inf, -1
@@ -273,8 +249,7 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, b_scale: fl
                     t_block, j_block = lamW[j] / rj, j
             # rows are unit norm, so zz is the squared independent component;
             # near-dependence gets the dual-only branch to avoid huge steps
-            # (lifted rows are never dependent)
-            if eps or zz > 1e-12 and -sp / zz <= step_cap:
+            if zz > 1e-12 and -sp / zz <= step_cap:
                 t_full = -sp / zz
                 t = min(t_full, t_block)
                 u += t * z
@@ -402,12 +377,11 @@ def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _svd(a: np.ndarray, full_matrices: bool = True):
-    """`np.linalg.svd(a, full_matrices)`, the same values bit for bit from
-    the same LAPACK dgesdd without numpy's wrapper; the factors come back in
-    Fortran order. Raises LinAlgError when it does not converge, as numpy
-    does."""
-    u, s, vt, info = dgesdd(a, full_matrices=full_matrices)
+def _svd(a: np.ndarray):
+    """`np.linalg.svd(a)`, the same values bit for bit from the same LAPACK
+    dgesdd without numpy's wrapper; the factors come back in Fortran order.
+    Raises LinAlgError when it does not converge, as numpy does."""
+    u, s, vt, info = dgesdd(a)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     return u, s, vt
@@ -428,33 +402,33 @@ def _null_projector(Na: np.ndarray) -> np.ndarray:
     return _EYE3 - vt[:rank].T @ vt[:rank]
 
 
-def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, start=None):
+def _ball_multipliers(evaluate, Q, R, dual_bound: float, start=None):
     """Multipliers nu >= 0 of the norm balls ||u - Q[k]|| <= R[k];
     `evaluate` handles the rest of the program.
 
     `evaluate(nu)` returns (u, jac, f, aux): the minimiser u(nu) of the
-    Lagrangian with the balls priced at nu, a callable giving the symmetric
-    M with du/dnu_k = -M (u - q_k), or None when u(nu) is the shifted target
-    itself and M = I / (1 + sum nu) (called only when a step is taken), the
-    objective at u (the dual value less the ball terms
-    nu_k (||u - q_k||^2 - R_k^2) / 2), and caller data handed back with the
-    optimum. Returns (u, nu, aux), or None once the dual value exceeds
-    `dual_bound`, an upper bound on the optimal value: then no point meets
-    every constraint. Raises SolverError after `_BALL_BUDGET` evaluations. `start`
-    is `evaluate` at nu = 0 when the caller has it already.
+    Lagrangian with the balls priced at nu, a callable giving
+    M = P / (1 + sum nu), P the null-space projector of the rows active at
+    u(nu), so that du/dnu_k = -M (u - q_k), or None when no row is active
+    and P = I (called only when a step is taken), the objective at u (the
+    dual value less the ball terms nu_k (||u - q_k||^2 - R_k^2) / 2), and
+    caller data handed back with the optimum. Returns (u, nu, aux), or None
+    once the dual value exceeds `dual_bound`, an upper bound on the optimal
+    value: then no point meets every constraint. Raises SolverError after
+    `_BALL_BUDGET` evaluations. `start` is `evaluate` at nu = 0 when the
+    caller has it already.
 
     A working set W over the balls: the most violated ball joins once every
     ball in W is met, and a ball leaves when its nu reaches 0. The balls in W
     are met by Newton steps on the secular functions
     r_k = R_k phi_k = 1 - R_k / ||u(nu) - q_k||, with Jacobian
-    -R_k / ||d_k||^3 d_k^T M d_j (d_k = u - q_k). Where u(nu) projects onto
-    the affine set of the active rows ((1 + sum nu) M is then the null-space
-    projector P of those rows), the step is exact for that set: the
-    row-space part of d_k stays fixed there, so one ball's Newton step runs
-    on 1/rho_k - 1/||P d_k||, linear in nu_k, and two balls are solved in
-    closed form on the set. With one ball in W, r_k is monotone in nu_k and
-    the step stays in a bracket, bisecting when Newton leaves it; with two,
-    a backtracking line search on the dual value guards the step.
+    -R_k / ||d_k||^3 d_k^T M d_j (d_k = u - q_k). The step is exact on the
+    affine set of the active rows: the row-space part of d_k stays fixed
+    there, so one ball's Newton step runs on 1/rho_k - 1/||P d_k||, linear
+    in nu_k, and two balls are solved in closed form on the set. With one
+    ball in W, r_k is monotone in nu_k and the step stays in a bracket,
+    bisecting when Newton leaves it; with two, a backtracking line search on
+    the dual value guards the step.
 
     The per-ball scalars are Python floats, computed in numpy's own order;
     the products that BLAS rounds with FMA (G, nu @ Q, the dual's dot) stay
@@ -497,11 +471,8 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, start=None):
                                "nu": nu.tolist(), "evaluations": evals})
         sigma = 1.0 + sum(nu.tolist())
         M = jac()
-        if M is None:  # P = sigma (I / sigma), a projector to rounding
-            P, affine = _EYE3 * (sigma * (1.0 / sigma)), True
-        else:
-            P = sigma * M
-            affine = float(np.abs(P @ P - P).max()) <= 1e-9
+        # P = sigma (I / sigma) without rows, a projector to rounding
+        P = _EYE3 * (sigma * (1.0 / sigma)) if M is None else sigma * M
         if len(W) == 1:
             k = W[0]
             Dk = D[k:k + 1]
@@ -511,14 +482,9 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, start=None):
                 lo = max(lo, nu_k)
             else:
                 hi = min(hi, nu_k)
-            if affine:
-                rho2_k = R_k * R_k - (nd_k * nd_k - g_kk)
-                t = (nu_k + sigma * (math.sqrt(g_kk / rho2_k) - 1.0)
-                     if rho2_k > 0.0 and g_kk > 0.0 else np.nan)
-            else:
-                # numpy's power, as the two-ball Jacobian takes it
-                J_kk = float(-(R_k / np.power(nd_k, 3)) * g_kk / sigma)
-                t = nu_k - r[k] / J_kk if J_kk < 0.0 else np.nan
+            rho2_k = R_k * R_k - (nd_k * nd_k - g_kk)
+            t = (nu_k + sigma * (math.sqrt(g_kk / rho2_k) - 1.0)
+                 if rho2_k > 0.0 and g_kk > 0.0 else np.nan)
             if not lo < t < hi:
                 # bisect, in log scale across a wide bracket; expand without one
                 t = (max(2.0 * lo, 1.0) if hi == np.inf else 0.5 * (lo + hi) if hi <= 4.0 * (1.0 + lo)
@@ -548,7 +514,7 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, start=None):
                     else step * sigma / step.max())
         else:
             piece = None
-            if affine and (rho2 > 0.0).all():
+            if (rho2 > 0.0).all():
                 # centers and reference projected onto the rows' affine set
                 # (by stationarity the reference lands on u + sum nu_k P d_k),
                 # smaller first: a large ball's circle radius would cancel
@@ -584,25 +550,22 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float = np.inf, start=None):
             lo, hi = 0.0, np.inf
 
 
-def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
+def _project_with_balls(ubar, N, b, abs_b, b_scale, Q, R):
     """Projection onto {N u >= b} intersect the balls ||u - Q[k]|| <= R[k],
-    with b_scale = 1 + max|b|; with a slack weight `sw` the rows are relaxed
-    as in `_project_polyhedron`. Returns (u, lam, s, nus), s the row residual
-    N u - b with the final working-set rows zeroed, or None when the
-    intersection is empty.
+    with `abs_b` and `b_scale` as in `_project_polyhedron`. Returns (u, lam,
+    s, nus), s the row residual N u - b with the final working-set rows
+    zeroed, or None when the intersection is empty.
 
     For fixed nu the optimum is the polyhedron projection of the shifted
     target (ubar + sum nu_k q_k) / (1 + sum nu_k), with row multipliers scaled
-    by 1 + sum nu_k (and eps = (1 + sum nu_k) / sw). With hard rows the dual
-    value is checked against min_k (||ubar - q_k|| + R_k)^2 / 2, which bounds
-    the primal optimum because every feasible point lies in each ball; a
-    penalised optimum can exceed it.
+    by 1 + sum nu_k. The dual value is checked against
+    min_k (||ubar - q_k|| + R_k)^2 / 2, which bounds the primal optimum
+    because every feasible point lies in each ball.
     """
     def project(nu):
         sigma = 1.0 + sum(nu.tolist())
         target = ubar if sigma == 1.0 else (ubar + nu @ Q) / sigma
-        return sigma, _project_polyhedron(target, N, b, b_scale,
-                                          eps=0.0 if sw is None else sigma / sw)
+        return sigma, _project_polyhedron(target, N, b, abs_b, b_scale)
 
     def evaluate(nu, projected=None):
         sigma, (u, lam, feasible, s) = project(nu) if projected is None else projected
@@ -611,17 +574,11 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
 
         def jac():
             act = lam > 0.0
-            if sw is not None:
-                Na = N[act]
-                return np.linalg.inv(sigma * np.eye(3) + sw * (Na.T @ Na))
             return _null_projector(N[act]) / sigma if act.any() else None
 
         e = u - ubar
         rows = (lam if sigma == 1.0 else lam * sigma, s)  # x * 1.0 is x, bit for bit
-        f = 0.5 * float(e @ e)
-        if sw is not None:
-            f += 0.5 * float(rows[0] @ rows[0]) / sw  # sw ||xi||^2 / 2 with xi = lam / sw
-        return u, jac, f, rows
+        return u, jac, 0.5 * float(e @ e), rows
 
     nu = np.zeros(R.size)
     start = project(nu)
@@ -629,12 +586,10 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
     Ql, Rl = Q.tolist(), R.tolist()
     if feasible and _in_balls(u.tolist(), Ql, Rl):
         return u, lam, s, nu  # no ball binds: the rows-only projection
-    # the objective at the start only now, when the ball search reads it
-    bound = np.inf
-    if sw is None:  # squared as a product, as in `_balls_disjoint`
-        reach = min(math.dist(ubar, q) + r for q, r in zip(Ql, Rl))
-        bound = 0.5 * (reach * reach)
-    res = _ball_multipliers(evaluate, Q, R, bound, start=evaluate(nu, start))
+    # the objective at the start only now, when the ball search reads it;
+    # the bound squared as a product, as in `_balls_disjoint`
+    reach = min(math.dist(ubar, q) + r for q, r in zip(Ql, Rl))
+    res = _ball_multipliers(evaluate, Q, R, 0.5 * (reach * reach), start=evaluate(nu, start))
     if res is None:
         return None
     u, nus, rows = res
@@ -642,23 +597,21 @@ def _project_with_balls(ubar, N, b, b_scale, Q, R, sw=None):
 
 
 def solve_filter(problem: FilterProblem) -> FilterSolution:
-    """Solve the per-step program. Hard constraints by default; with
-    `slack_weight` set, rows relax to a_i^T u >= b_i - xi_i with quadratic
-    slack penalties and status 'degraded' whenever slack is actually used.
-    Raises ValueError when `normals` or `offsets` hold a non-finite value.
+    """Solve the per-step program with hard rows: status 'optimal', or
+    'infeasible' when no point meets every constraint. Raises ValueError
+    when `normals` or `offsets` hold a non-finite value.
 
     The normals may come in any layout; the row kernels hand them over as
     columns (the .T view of a C-contiguous (3, m) array), from which the row
-    norms are taken contiguously. The hard mode's `active_ids` and every
-    mode's `kkt_residual` are computed on first read (see `FilterSolution`)."""
+    norms are taken contiguously. `active_ids` and `kkt_residual` are
+    computed on first read (see `FilterSolution`)."""
     t0 = time.perf_counter()
     # a copy: a deferred residual reads it, and the caller may reuse its array
     ubar = np.array(problem.reference, dtype=np.float64)
 
     def infeasible():
         return FilterSolution(u=None, status="infeasible", active_ids=np.zeros(0, dtype=np.intp),
-                              slack_used=0.0, solve_time=time.perf_counter() - t0,
-                              kkt_residual=np.nan)
+                              solve_time=time.perf_counter() - t0, kkt_residual=np.nan)
 
     N, b, ids = problem.normals, problem.offsets, problem.splat_ids
     norms = np.sqrt(dot3(N.T, N.T))
@@ -696,31 +649,24 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
     if N.shape[0] == 0:
         u, nus = project_balls(ubar, Q, R)
         return FilterSolution(u=u, status="optimal", active_ids=np.zeros(0, dtype=np.intp),
-                              slack_used=0.0, solve_time=time.perf_counter() - t0,
+                              solve_time=time.perf_counter() - t0,
                               kkt_residual=_Later(_stationarity, u, ubar, nus, Q))
 
-    sw = problem.slack_weight
     abs_b = np.abs(b)
-    res = _project_with_balls(ubar, N, b, 1.0 + float(abs_b.max()), Q, R, sw)
+    res = _project_with_balls(ubar, N, b, abs_b, 1.0 + float(abs_b.max()), Q, R)
     if res is None:
         return infeasible()
     u, lam, s, nus = res
-    if sw is None:
-        # the ids copied: the caller may reuse its array before the first read
-        active, slack_used, status = _Later(_tight_ids, ids.copy(), s, abs_b), 0.0, "optimal"
-    else:
-        xi = np.maximum(0.0, b - N @ u)
-        slack_used = float(xi.max())
-        active, status = ids[xi > 1e-8], "degraded" if slack_used > 1e-8 else "optimal"
-    return FilterSolution(u=u, status=status, active_ids=active, slack_used=slack_used,
+    # the ids copied: the caller may reuse its array before the first read
+    return FilterSolution(u=u, status="optimal", active_ids=_Later(_tight_ids, ids.copy(), s, abs_b),
                           solve_time=time.perf_counter() - t0,
                           kkt_residual=_Later(_stationarity, u, ubar, nus, Q, N, lam))
 
 
 def _tight_ids(ids, s, abs_b):
-    """The ids of the rows a hard-mode optimum holds with equality. A row
-    with lam > 0 is in the final working set, where the residual s is
-    zeroed, so the residual test alone finds every tight row."""
+    """The ids of the rows the optimum holds with equality. A row with
+    lam > 0 is in the final working set, where the residual s is zeroed,
+    so the residual test alone finds every tight row."""
     return ids[np.abs(s) <= 1e-7 * (1.0 + abs_b)]
 
 

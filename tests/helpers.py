@@ -319,21 +319,6 @@ def kkt_residual(point, u, halfspaces, balls, tight_rtol=1e-7):
     return _nnls_residual(u - np.asarray(point, dtype=np.float64), u, cols, balls, tight_rtol)
 
 
-def lifted_kkt_residual(point, u, halfspaces, balls, slack_weight, tight_rtol=1e-7):
-    """Stationarity residual of `u` as the optimum of the slack program
-    min ||u - point||^2 + sw ||xi||^2 s.t. a.u + xi >= b (rows scaled to
-    unit a), u in the balls. The rows' multipliers are fixed by u,
-    sw xi with xi = max(b - a.u, 0); the balls' are recomputed by
-    non-negative least squares over the balls tight at u."""
-    u = np.asarray(u, dtype=np.float64)
-    target = u - np.asarray(point, dtype=np.float64)
-    for a, b in halfspaces:
-        a = np.asarray(a, dtype=np.float64)
-        na = np.linalg.norm(a)
-        target = target - slack_weight * max(b / na - a @ u / na, 0.0) * (a / na)
-    return _nnls_residual(target, u, [], balls, tight_rtol)
-
-
 def _nnls_residual(target, u, cols, balls, tight_rtol):
     """min ||sum c_i cols_i - sum nu_k (u - q_k) - target|| over c, nu >= 0,
     the balls taken where tight at u."""

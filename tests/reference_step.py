@@ -3,10 +3,6 @@ and the collision audit as they stood before their numpy calls were
 trimmed. Kept verbatim (two type hints dropped), so a test can compare the
 library's results with these bit for bit; helpers that did not change are
 imported from the library. Nothing in the library imports this module.
-
-The slack mode here is the piecewise-Newton solver (`_solve_slack_at`,
-`_slack_objective_grad`) that the library replaced by the lifted dual active
-set: its results are a reference to about 1e-8 relative, not bit for bit.
 """
 from __future__ import annotations
 
@@ -337,81 +333,14 @@ def _project_with_balls(ubar, N, b, Q, R):
     return u, lam, nus
 
 
-def _slack_objective_grad(u, ubar, N, b, sw, nus, centers):
-    xi = b - N @ u
-    act = xi > 0.0
-    grad = 2.0 * (u - ubar)
-    if act.any():
-        grad = grad - 2.0 * sw * (N[act].T @ xi[act])
-    for nu, q in zip(nus, centers):
-        grad = grad + 2.0 * nu * (u - q)
-    return grad, xi, act
-
-
-def _solve_slack_at(ubar, N, b, sw, nus, centers, max_iter: int = 100):
-    """Piecewise-Newton minimization of the slack-penalized objective for
-    fixed ball multipliers. The objective is smooth (C1) convex piecewise
-    quadratic, so Newton on the active piece with an Armijo backtrack
-    converges globally."""
-    u = ubar.copy()
-    scale = 1.0 + float(np.linalg.norm(ubar))
-    for _ in range(max_iter):
-        grad, xi, act = _slack_objective_grad(u, ubar, N, b, sw, nus, centers)
-        gn = float(np.linalg.norm(grad))
-        if gn <= 1e-11 * scale:
-            return u
-        H = 2.0 * (1.0 + sum(nus)) * np.eye(3)
-        if act.any():
-            Na = N[act]
-            H = H + 2.0 * sw * (Na.T @ Na)
-        d = np.linalg.solve(H, -grad)
-
-        def f(x):
-            val = float((x - ubar) @ (x - ubar))
-            r = b - N @ x
-            r = r[r > 0.0]
-            val += sw * float(r @ r)
-            for nu, q in zip(nus, centers):
-                val += nu * float((x - q) @ (x - q))
-            return val
-
-        f0 = f(u)
-        t = 1.0
-        while f(u + t * d) > f0 + 1e-4 * t * float(grad @ d) and t > 1e-12:
-            t *= 0.5
-        u = u + t * d
-    return u
-
-
-def _solve_slack(ubar, N, b, sw, Q, R):
-    """Slack-mode optimum (u, nus). The balls must intersect: the rows are
-    soft, so the balls alone decide feasibility."""
-    def evaluate(nu):
-        u = _solve_slack_at(ubar, N, b, sw, nu, Q)
-        xi = np.maximum(b - N @ u, 0.0)
-        Na = N[xi > 0.0]
-        f = 0.5 * float((u - ubar) @ (u - ubar)) + 0.5 * sw * float(xi @ xi)
-
-        def jac():
-            return np.linalg.inv((1.0 + nu.sum()) * np.eye(3) + sw * (Na.T @ Na))
-
-        return u, jac, f, None
-
-    u, nus, _ = _ball_multipliers(evaluate, Q, R)
-    return u, nus
-
-
 def solve_filter(problem: FilterProblem) -> FilterSolution:
-    """Solve the per-step program. Hard constraints by default; with
-    `slack_weight` set, rows relax to a_i^T u >= b_i - xi_i with quadratic
-    slack penalties and status 'degraded' whenever slack is actually used."""
+    """Solve the per-step program with hard constraints."""
     t0 = time.perf_counter()
     ubar = np.asarray(problem.reference, dtype=np.float64)
 
     def infeasible():
         return FilterSolution(u=None, status="infeasible", active_ids=np.zeros(0, dtype=np.intp),
-                              slack_used=0.0, solve_time=time.perf_counter() - t0,
-                              kkt_residual=np.nan)
+                              solve_time=time.perf_counter() - t0, kkt_residual=np.nan)
 
     N, b, ids = problem.normals.reshape(-1, 3), problem.offsets, problem.splat_ids
     norms = np.sqrt(np.einsum("ij,ij->i", N, N))
@@ -431,19 +360,8 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
         u, nus = project_balls(ubar, Q, R)
         g = u - ubar + nus.sum() * u - nus @ Q
         return FilterSolution(u=u, status="optimal", active_ids=np.zeros(0, dtype=np.intp),
-                              slack_used=0.0, solve_time=time.perf_counter() - t0,
+                              solve_time=time.perf_counter() - t0,
                               kkt_residual=math.sqrt(float(g @ g)))
-
-    if problem.slack_weight is not None:
-        sw = float(problem.slack_weight)
-        u, nus = _solve_slack(ubar, N, b, sw, Q, R)
-        xi = np.maximum(0.0, b - N @ u)
-        grad, _, _ = _slack_objective_grad(u, ubar, N, b, sw, nus, Q)
-        slack_used = float(xi.max())
-        status = "degraded" if slack_used > 1e-8 else "optimal"
-        return FilterSolution(u=u, status=status, active_ids=np.asarray(ids[xi > 1e-8]),
-                              slack_used=slack_used, solve_time=time.perf_counter() - t0,
-                              kkt_residual=float(np.linalg.norm(grad)) / 2.0)
 
     res = _project_with_balls(ubar, N, b, Q, R)
     if res is None:
@@ -452,7 +370,7 @@ def solve_filter(problem: FilterProblem) -> FilterSolution:
     # stationarity: (u - ubar) + sum nu_k (u - q_k) - N^T lam = 0
     g = u - ubar + nus.sum() * u - nus @ Q - N.T @ lam
     tight = (np.abs(N @ u - b) <= 1e-7 * (1.0 + np.abs(b))) | (lam > 1e-12)
-    return FilterSolution(u=u, status="optimal", active_ids=np.asarray(ids[tight]), slack_used=0.0,
+    return FilterSolution(u=u, status="optimal", active_ids=np.asarray(ids[tight]),
                           solve_time=time.perf_counter() - t0, kkt_residual=math.sqrt(float(g @ g)))
 
 

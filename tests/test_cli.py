@@ -236,8 +236,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert summary["seed"] == 4  # file value used where no flag given
 
 
-@pytest.mark.parametrize("line, option", [("inside_policy = hrad", "inside_policy"),
-                                          ("inflation_mode = exakt", "inflation_mode")])
+@pytest.mark.parametrize("line, option", [("inflation_mode = exakt", "inflation_mode")])
 def test_config_file_rejects_unknown_enum(tmp_path, capsys, line, option):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[run]\n{line}\n")
@@ -247,7 +246,7 @@ def test_config_file_rejects_unknown_enum(tmp_path, capsys, line, option):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"unknown {option}" in err
-    expected = {"inside_policy": ("hard", "slack"), "inflation_mode": ("conservative", "exact")}
+    expected = {"inflation_mode": ("conservative", "exact")}
     assert all(opt in err for opt in expected[option])
     assert not out.exists()
 
@@ -362,10 +361,7 @@ def test_synthetic_spec_key_given_twice_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, message", [("--rho=-3", "rho must be non-negative"),
-                                           ("--slack-weight=-1", "slack_weight must be positive"),
-                                           ("--slack-weight=0", "slack_weight must be positive"),
-                                           ("--slack-weight=inf", "slack_weight must be finite")])
+@pytest.mark.parametrize("flag, message", [("--rho=-3", "rho must be non-negative")])
 def test_out_of_range_setting_exit_1(tmp_path, capsys, flag, message):
     # a negative rho makes the audit's reach negative, and a path through
     # the splat would be audited as clear
@@ -422,6 +418,8 @@ _SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
     (f"run {_SINGLE} --filter distance_baseline --baseline-alpha1 inf --out {{out}}", None),
     (f"run {_SINGLE} --filter distance_baseline --baseline-alpha2 inf --out {{out}}", None),
     (f"run {_SINGLE} --dt 1e-300 --timeout 1e10 --out {{out}}", None),
+    # the relaxed inside policy is gone: a step inside a splat always ends the run
+    (f"run {_SINGLE} --inside-policy slack --out {{out}}", None),
     # a placement circle of radius 0 never left the splat at its centre
     ("run --scene synth:single --start-radius 0 --out {out}", None),
     ("run --scene synth:single --start-radius nan --out {out}", None),
@@ -492,8 +490,6 @@ def test_config_keys_are_simconfig_fields(tmp_path, capsys):
     (SyntheticSpec, dict(count=0), "count must be positive, got 0"),
     (SyntheticSpec, dict(pattern="spiral"), "unknown pattern 'spiral'"),
     (FilterConfig, dict(rho=-1.0), "rho must be non-negative"),
-    (FilterConfig, dict(inside_policy="soft"),
-     "unknown inside_policy 'soft'; options: ('hard', 'slack')"),
     (SimConfig, dict(filter="bogus"),
      "unknown filter 'bogus'; options: ('cone', 'distance_baseline', 'off')"),
     (SimConfig, dict(kd=float("inf")), "kd must be finite"),
@@ -506,7 +502,7 @@ def test_one_error_for_a_bad_setting(settings, kw, message):
     assert type(exc.value) is ConfigError and str(exc.value) == message
 
 
-@pytest.mark.parametrize("name", ["dt", "slack_weight", "p_k", "rho",
+@pytest.mark.parametrize("name", ["dt", "p_k", "rho",
                                   "baseline_alpha1", "baseline_alpha2"])
 def test_filter_config_requires_finite_settings(name):
     with pytest.raises(ConfigError) as exc:
@@ -528,6 +524,7 @@ def test_finite_gain_whose_rows_overflow_exits_3(tmp_path, capsys, flags):
         assert main(argv) == 3
     assert capsys.readouterr().err.startswith(
         "solver failure: rows not finite: offsets must be finite")
+    assert not (tmp_path / "out").exists()  # no artifact, no directory
 
 
 def test_out_of_range_option_in_dump_exits_2(tmp_path, capsys):

@@ -320,11 +320,9 @@ def test_batch_start_perturbed_out_of_obstacle():
     assert scene_margins(scene, start[None, :])[0] > 0
 
 
-@pytest.mark.parametrize("kw", [dict(inside_policy="hrad"), dict(inflation_mode="exakt"),
+@pytest.mark.parametrize("kw", [dict(inflation_mode="exakt"),
                                 dict(rho=-1.0), dict(p_k=0.0), dict(p_k=float("nan")),
-                                dict(v_max=-1.0), dict(slack_weight=0.0),
-                                dict(slack_weight=float("inf")),
-                                dict(baseline_alpha2=-1.0)], ids=str)
+                                dict(v_max=-1.0), dict(baseline_alpha2=-1.0)], ids=str)
 def test_filter_settings_checked_once(kw):
     """FilterConfig rejects a bad filter setting; SimConfig, which extends
     it, reports the same message as the same ConfigError."""
@@ -359,11 +357,11 @@ def test_simconfig_placement_range_ends():
 
 @pytest.mark.parametrize("name", ["cone", "distance_baseline", "off"])
 def test_inside_policy(monkeypatch, name):
-    """Robot inside the splat ellipsoid: 'hard' reports infeasible without a
-    solve, 'slack' solves with the default slack weight, 'off' never refuses."""
+    """Robot inside the splat ellipsoid: the barrier filters report
+    infeasible without a solve, 'off' never refuses."""
     from splatcone import filter as filter_mod
     from splatcone import simulator
-    from splatcone.filter import DEFAULT_SLACK_WEIGHT, FilterConfig
+    from splatcone.filter import FilterConfig
 
     scene = single_splat_scene()
     state = RobotState(p=np.array([0.4, 0.1, 0.0]), v=np.array([1.0, 0.2, 0.0]), t=0.0)
@@ -380,7 +378,7 @@ def test_inside_policy(monkeypatch, name):
     monkeypatch.setattr(filter_mod, "solve_filter", capture)
     monkeypatch.setattr(simulator, "solve_filter", capture)
     step_fn = simulator._FILTER_STEPS[name]
-    fcfg = FilterConfig(p_k=1.0, activation_radius=6.0, a_max=10.0, inside_policy="hard")
+    fcfg = FilterConfig(p_k=1.0, activation_radius=6.0, a_max=10.0)
 
     sol, diag = step_fn(scene, state, u_ref, fcfg)
     if name == "off":
@@ -392,17 +390,6 @@ def test_inside_policy(monkeypatch, name):
     assert diag["inside_ids"].tolist() == [0]
     assert sol.active_ids.tolist() == [0]
     assert problems == []
-
-    slack_cfg = FilterConfig(p_k=1.0, activation_radius=6.0, a_max=10.0, inside_policy="slack")
-    sol, diag = step_fn(scene, state, u_ref, slack_cfg)
-    assert diag["inside_ids"].tolist() == [0]
-    assert len(problems) == 1 and problems[0].slack_weight == DEFAULT_SLACK_WEIGHT
-    assert sol.status in ("optimal", "degraded") and sol.u is not None
-    # an explicit weight is kept
-    sol, _ = step_fn(scene, state, u_ref,
-                     FilterConfig(p_k=1.0, activation_radius=6.0, a_max=10.0,
-                                  inside_policy="slack", slack_weight=50.0))
-    assert len(problems) == 2 and problems[1].slack_weight == 50.0
 
 
 @pytest.mark.parametrize("name", ["cone", "distance_baseline", "off"])

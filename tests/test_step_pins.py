@@ -7,9 +7,7 @@ The start-from-rest stall ends by rounding (see test_kernels.py), so a
 speed-up of any of these must leave every bit of every result unchanged.
 The solves are replayed from short ring batch trajectories of both filters;
 results are compared with np.array_equal, scalars with ==. Two kinds of
-solve are the exception. Slack mode's solver was replaced, so it matches its
-reference to 1e-8 relative and passes an independent KKT check. A solve
-that takes a two-ball step of the ball search takes the intersection circle
+solve are the exception. A solve that takes a two-ball step of the ball search takes the intersection circle
 from the smaller ball, which the reference does not: it matches to 1e-12
 relative, and it reaches the optimum where the reference stops just short
 (`helpers.assert_close_to_reference`). And a rows-only optimum within an ulp
@@ -24,8 +22,8 @@ import numpy as np
 import pytest
 
 import reference_step as ref
-from helpers import (assert_close_to_reference, is_reference_ball_floor, lens_instance,
-                     lifted_kkt_residual, ring_problems, ring_scene, solve_against_reference)
+from helpers import (assert_close_to_reference, lens_instance, ring_problems, ring_scene,
+                     solve_against_reference)
 from splatcone import qp
 from splatcone.filter import FilterConfig
 from splatcone.scene import Scene
@@ -74,7 +72,6 @@ def assert_same_solution(got, want):
     if want.u is not None:
         assert np.array_equal(got.u, want.u)
     assert np.array_equal(got.active_ids, want.active_ids)
-    assert got.slack_used == want.slack_used
     assert np.array_equal(got.kkt_residual, want.kkt_residual, equal_nan=True)
 
 
@@ -157,45 +154,6 @@ def test_replayed_solves_bit_identical(replayed, monkeypatch):
             kinds[kind + (", tight rows" if got.active_ids.size else "")] += 1
     # the replay covers every branch of the solve tail
     assert min(kinds.values()) > 0, kinds
-
-
-def _reference_or_ball_floor(problem, floor_allowed):
-    """The reference's solve of `problem`, or None for its two-ball floor
-    (`helpers.is_reference_ball_floor`). Only where `floor_allowed`."""
-    try:
-        return ref.solve_filter(problem)
-    except qp.SolverError as exc:
-        assert floor_allowed and is_reference_ball_floor(exc), exc.residuals
-        return None
-
-
-def test_replayed_slack_solves_match_reference(replayed):
-    # the same programs with the rows relaxed, solved on lifted rows by the
-    # hard mode's projection; the reference is the piecewise-Newton solver it
-    # replaced, converged to a gradient of 1e-11 at this weight
-    problems = [p for ps in replayed.values() for p in ps[::7] if p.normals.shape[0]]
-    assert len(problems) > 100
-    problems += [dataclasses.replace(p, a_max=0.05) for p in problems]
-    statuses = {"optimal": 0, "degraded": 0}
-    for problem in problems:
-        relaxed = dataclasses.replace(problem, slack_weight=1e4)
-        got = qp.solve_filter(relaxed)
-        statuses[got.status] += 1
-        keep = np.linalg.norm(problem.normals, axis=1) > 0.0
-        Q, R = qp.norm_balls(problem.a_max, problem.v_current, problem.v_max, problem.dt)
-        residual = lifted_kkt_residual(problem.reference, got.u,
-                                       list(zip(problem.normals[keep], problem.offsets[keep])),
-                                       list(zip(Q, R)), 1e4)
-        assert residual < 1e-9 * max(1.0, np.linalg.norm(problem.reference))
-        # the reference's two-ball floor shows only in the a_max 0.05 variants
-        want = _reference_or_ball_floor(relaxed, problem.a_max == 0.05)
-        if want is None:
-            continue
-        assert got.status == want.status
-        assert np.array_equal(got.active_ids, want.active_ids)
-        assert np.abs(got.u - want.u).max() <= 1e-8 * max(1.0, np.linalg.norm(want.u))
-        assert abs(got.slack_used - want.slack_used) <= 1e-8 * max(1.0, want.slack_used)
-    assert min(statuses.values()) > 0, statuses
 
 
 def test_clip_bit_identical_on_replayed_steps(replayed):
