@@ -361,10 +361,14 @@ def test_synthetic_spec_key_given_twice_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, message", [("--rho=-3", "rho must be non-negative")])
+@pytest.mark.parametrize("flag, message", [("--rho=-3", "rho must be non-negative"),
+                                           ("--a-max=0", "a_max must be positive"),
+                                           ("--activation-radius=-1",
+                                            "activation_radius must be positive")])
 def test_out_of_range_setting_exit_1(tmp_path, capsys, flag, message):
     # a negative rho makes the audit's reach negative, and a path through
-    # the splat would be audited as clear
+    # the splat would be audited as clear; an empty acceleration ball or
+    # query sphere is refused before the run, not found by the first step
     out = tmp_path / "out"
     rc = main(["run", "--scene", "synth:single,count=1,scale_lo=0.5,scale_hi=0.5",
                "--filter", "cone", "--pk", "8", "--activation-radius", "6",
@@ -420,6 +424,9 @@ _SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
     (f"run {_SINGLE} --dt 1e-300 --timeout 1e10 --out {{out}}", None),
     # the relaxed inside policy is gone: a step inside a splat always ends the run
     (f"run {_SINGLE} --inside-policy slack --out {{out}}", None),
+    (f"run {_SINGLE} --slack-weight 10 --out {{out}}", None),
+    ("run --config {cfg} --out {out}", "[run]\ninside_policy = hard\n"),
+    ("run --config {cfg} --out {out}", "[run]\nslack_weight = 10\n"),
     # a placement circle of radius 0 never left the splat at its centre
     ("run --scene synth:single --start-radius 0 --out {out}", None),
     ("run --scene synth:single --start-radius nan --out {out}", None),
@@ -500,6 +507,15 @@ def test_one_error_for_a_bad_setting(settings, kw, message):
     with pytest.raises(ConfigError) as exc:
         settings(**kw)
     assert type(exc.value) is ConfigError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("settings", [FilterConfig, SimConfig], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("name", ["inside_policy", "slack_weight"])
+def test_removed_inside_settings_are_not_fields(settings, name):
+    # a step inside a splat always ends the run: there is no policy to set
+    assert name not in {f.name for f in dataclasses.fields(settings)}
+    with pytest.raises(TypeError, match=name):
+        settings(**{name: "hard" if name == "inside_policy" else 10.0})
 
 
 @pytest.mark.parametrize("name", ["dt", "p_k", "rho",

@@ -322,7 +322,9 @@ def test_batch_start_perturbed_out_of_obstacle():
 
 @pytest.mark.parametrize("kw", [dict(inflation_mode="exakt"),
                                 dict(rho=-1.0), dict(p_k=0.0), dict(p_k=float("nan")),
-                                dict(v_max=-1.0), dict(baseline_alpha2=-1.0)], ids=str)
+                                dict(v_max=-1.0), dict(baseline_alpha2=-1.0),
+                                dict(a_max=0.0), dict(activation_radius=float("nan")),
+                                dict(dt=float("inf"))], ids=str)
 def test_filter_settings_checked_once(kw):
     """FilterConfig rejects a bad filter setting; SimConfig, which extends
     it, reports the same message as the same ConfigError."""

@@ -16,6 +16,7 @@ from helpers import (
     lens_instance,
     ring_problems,
 )
+import reference_step
 
 
 def _solve(ubar, normals, offsets, a_max, **kw):
@@ -62,6 +63,52 @@ def test_zero_normal_rows():
 def test_opposing_halfspaces_infeasible():
     sol = _solve([0.0, 0.0, 0.0], [[1, 0, 0], [-1, 0, 0]], [1.0, 1.0], a_max=10.0)
     assert sol.status == "infeasible"
+
+
+@pytest.mark.parametrize("width", [0.2, 0.0, -0.2])
+@pytest.mark.parametrize("d", [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0]], ids=str)
+def test_antiparallel_rows_bound_a_band(d, width):
+    # 0.3 <= d.u <= 0.3 + width: a band, a plane when width = 0 (both rows
+    # tight), and no point at all when width < 0, which ends the step
+    d = np.array(d) / np.linalg.norm(d)
+    sol = _solve(np.zeros(3), [d, -d], [0.3, -0.3 - width], a_max=10.0)
+    if width < 0.0:
+        assert sol.status == "infeasible" and sol.u is None
+        return
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.u, 0.3 * d, rtol=0.0, atol=1e-15)
+    assert sol.active_ids.size == (2 if width == 0.0 else 1)
+    assert sol.kkt_residual < 1e-12
+
+
+def test_hundreds_of_violated_rows_through_one_point():
+    # 400 rows through the origin, all violated by the reference: the
+    # projection ends at the origin with every row tight, as the reference
+    # solver's does
+    rng = np.random.default_rng(0)
+    normals = rng.normal(size=(400, 3))
+    normals[:, 0] = np.abs(normals[:, 0])
+    problem = FilterProblem(reference=np.array([-20.0, 0.0, 0.0]), a_max=10.0,
+                            normals=normals, offsets=np.zeros(400))
+    sol = solve_filter(problem)
+    assert sol.status == "optimal"
+    assert sol.active_ids.size > 350
+    assert np.abs(sol.u).max() < 1e-12
+    assert sol.kkt_residual < 1e-9
+    want = reference_step.solve_filter(problem)
+    assert np.array_equal(sol.active_ids, want.active_ids)
+    assert np.array_equal(sol.u, want.u)
+
+
+def test_rows_satisfied_at_the_reference_keep_it():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        ubar = rng.normal(size=3)
+        normals = rng.normal(size=(3, 3))
+        offsets = normals @ ubar - rng.uniform(0.5, 2.0, size=3)  # satisfied at ubar
+        sol = _solve(ubar, normals, offsets, a_max=50.0)
+        assert sol.status == "optimal"
+        assert sol.u.tolist() == ubar.tolist() and sol.active_ids.size == 0
 
 
 def test_halfspace_outside_ball_infeasible():
@@ -112,6 +159,13 @@ def test_bad_weight_or_bound_rejected(kw, message):
         FilterProblem(**{"reference": np.zeros(3), "a_max": 1.0, **kw})
 
 
+def test_slack_weight_is_not_a_field():
+    # a program's rows are hard: there is no penalty weight to relax them
+    assert "slack_weight" not in {f.name for f in dataclasses.fields(FilterProblem)}
+    with pytest.raises(TypeError, match="slack_weight"):
+        FilterProblem(reference=np.zeros(3), a_max=1.0, slack_weight=1e4)
+
+
 def test_splat_ids_filled_only_when_none_given():
     # rows without ids are labelled -1; ids that do not match the rows are
     # an error, not silently replaced
@@ -148,10 +202,16 @@ def test_non_finite_rows_rejected(rows, message):
     assert sol.status == "optimal" and sol.u.tolist() == [1.0, 2.0, 100.0]
 
 
-def test_one_huge_offset_does_not_excuse_the_other_rows():
+@pytest.mark.parametrize("huge", [-1e300, -1e20])
+@pytest.mark.parametrize("first", [False, True], ids=["huge-last", "huge-first"])
+def test_one_huge_offset_does_not_excuse_the_other_rows(huge, first):
     # the violation tolerance scaled with the largest |b|: 1e-12 * 1e300
     # let u_z >= 100 pass at u_z = 3, and the reference came back as optimal
-    sol = _solve((1.0, 2.0, 3.0), [(0, 0, 1), (1, 0, 0)], [100.0, -1e300], 1000.0)
+    rows = [((0, 0, 1), 100.0), ((1, 0, 0), huge)]
+    if first:
+        rows.reverse()
+    normals, offsets = zip(*rows)
+    sol = _solve((1.0, 2.0, 3.0), normals, offsets, 1000.0)
     assert sol.status == "optimal" and sol.u.tolist() == [1.0, 2.0, 100.0]
     assert sol.active_ids.tolist() == [-1]  # the first row, which carries no id
 
