@@ -367,7 +367,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.command == "convert":
+            return args.func(args)
+        # a finite gain whose rows overflow fails as one `solver failure:`
+        # line below, without numpy's overflow warning before it
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (ConfigError, SimulationError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -375,7 +380,8 @@ def main(argv=None) -> int:
         print(f"I/O or parse error: {e}", file=sys.stderr)
         return 2
     except SolverError as e:
-        print(f"solver failure: {e} residuals={e.residuals}", file=sys.stderr)
+        residuals = f" residuals={e.residuals}" if e.residuals else ""
+        print(f"solver failure: {e}{residuals}", file=sys.stderr)
         return 3
 
 

@@ -4,18 +4,17 @@ Each step queries the splats near the robot, builds one half-space row per
 active splat with a batch kernel and solves the minimally-invasive program
 with `solve_filter`. The filters differ only in their row builder:
 
-    cone               collision-cone barrier rows (exact Minkowski rows when
-                       rho > 0 and inflation_mode is "exact"); the robot is
-                       inside a splat when eta <= 0
+    cone               collision-cone barrier rows; the robot is inside a
+                       splat when eta <= 0
     distance_baseline  second-order Mahalanobis-distance barrier rows; its
-                       barrier h is the conservative cone's eta, so
-                       inside is h <= 0
+                       barrier h is the cone's eta, so inside is h <= 0
     off                no rows (the reference is only clipped to the norm
                        bounds); cone barrier values are kept for the record
 
-A splat whose (inflated) ellipsoid already contains the robot breaks the
-barrier premise: the step builds no program and reports `infeasible`, which
-ends the run.
+A robot of radius rho inflates each splat's c to c + rho / s_min
+(`effective_c2`, which the audit shares). A splat whose inflated ellipsoid
+already contains the robot breaks the barrier premise: the step builds no
+program and reports `infeasible`, which ends the run.
 """
 from __future__ import annotations
 
@@ -28,8 +27,6 @@ from . import kernels
 from .qp import FilterProblem, FilterSolution, SolverError, solve_filter
 from .scene import ConfigError, Scene
 
-INFLATION_MODES = ("conservative", "exact")
-
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -38,7 +35,6 @@ class FilterConfig:
     p_k: float = 1.0
     activation_radius: float = 5.0
     rho: float = 0.0
-    inflation_mode: str = "conservative"  # conservative | exact
     a_max: float = 10.0
     v_max: float | None = None
     dt: float = 0.02
@@ -46,9 +42,6 @@ class FilterConfig:
     baseline_alpha2: float | None = None
 
     def __post_init__(self):
-        if self.inflation_mode not in INFLATION_MODES:
-            raise ConfigError(
-                f"unknown inflation_mode {self.inflation_mode!r}; options: {INFLATION_MODES}")
         # `not x > 0` so that NaN fails too
         for name in ("dt", "a_max", "p_k", "activation_radius"):
             if not getattr(self, name) > 0:
@@ -79,14 +72,9 @@ def effective_c2(scene: Scene, rho: float, idx: np.ndarray):
 
 def _cone_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     means, A = scene.gather(idx)
-    if cfg.rho > 0.0 and cfg.inflation_mode == "exact":
-        c = float(np.sqrt(scene.confidence))
-        normals, offsets, h, eta, fb = kernels.cone_rows_inflated(
-            p, v, means, A, np.take(scene.s_min, idx), c, cfg.rho, cfg.p_k)
-        return normals, offsets, h, eta <= 0.0, int(fb.sum())
     normals, offsets, h, eta = kernels.cone_rows(
         p, v, means, A, effective_c2(scene, cfg.rho, idx), cfg.p_k)
-    return normals, offsets, h, eta <= 0.0, 0
+    return normals, offsets, h, eta <= 0.0
 
 
 def _baseline_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
@@ -95,32 +83,32 @@ def _baseline_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
     means, A = scene.gather(idx)
     normals, offsets, h = kernels.baseline_rows(
         p, v, means, A, effective_c2(scene, cfg.rho, idx), a1, a2)
-    return normals, offsets, h, h <= 0.0, 0
+    return normals, offsets, h, h <= 0.0
 
 
 def _no_rows(scene: Scene, idx: np.ndarray, p, v, cfg: FilterConfig):
-    # conservative cone values for the record only; nothing is constrained
+    # cone values for the record only; nothing is constrained
     means, A = scene.gather(idx)
     _, _, h, _ = kernels.cone_rows(p, v, means, A, effective_c2(scene, cfg.rho, idx), cfg.p_k)
-    return np.zeros((0, 3)), np.zeros(0), h, np.zeros(h.size, dtype=bool), 0
+    return np.zeros((0, 3)), np.zeros(0), h, np.zeros(h.size, dtype=bool)
 
 
 def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
     """query -> rows -> diagnostics -> inside test -> FilterProblem -> solve.
 
     `build_rows(scene, idx, p, v, cfg)` returns (normals, offsets, h,
-    inside mask, inflation fallback count) for the active splats `idx`; its
-    rows either match `idx` one to one or are empty ('off').
+    inside mask) for the active splats `idx`; its rows either match `idx`
+    one to one or are empty ('off').
     """
     t0 = time.perf_counter()
     p = np.asarray(state.p, dtype=np.float64)
     v = np.asarray(state.v, dtype=np.float64)
     idx = scene.query_nearby(p, cfg.activation_radius)
     if idx.size:
-        normals, offsets, h, is_inside, fallbacks = build_rows(scene, idx, p, v, cfg)
+        normals, offsets, h, is_inside = build_rows(scene, idx, p, v, cfg)
     else:
         normals, offsets, h = np.zeros((0, 3)), np.zeros(0), np.zeros(0)
-        is_inside, fallbacks = np.zeros(0, dtype=bool), 0
+        is_inside = np.zeros(0, dtype=bool)
     inside = np.nonzero(is_inside)[0]
     diagnostics = {
         "min_h": float(h.min()) if h.size else float("inf"),
@@ -129,7 +117,6 @@ def _filter_pipeline(build_rows, scene: Scene, state, u_ref: np.ndarray, cfg: Fi
         "inside_ids": idx[inside] if inside.size else np.zeros(0, dtype=np.intp),
         "build_time": time.perf_counter() - t0,
         "n_active": int(idx.size),
-        "inflation_fallbacks": fallbacks,
         "norm_balls": None,
     }
 
@@ -163,9 +150,8 @@ def filter_step(scene: Scene, state, u_ref: np.ndarray, cfg: FilterConfig):
 
     Diagnostics (the same keys for every filter): min_h (+inf sentinel when
     no splat is active), per-splat h, active splat indices, inside-splat ids,
-    build time (query and rows), n_active, inflation fallbacks and the
-    program's norm balls (Q, R) (None when no program was built: a step
-    inside a splat).
+    build time (query and rows), n_active and the program's norm balls
+    (Q, R) (None when no program was built: a step inside a splat).
     """
     return _filter_pipeline(_cone_rows, scene, state, u_ref, cfg)
 

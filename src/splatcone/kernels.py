@@ -41,53 +41,13 @@ def active_backend() -> str:
 def cone_rows(p, v, means, inv_cov, c2eff, p_k):
     """Half-space rows of the cone barrier constraint, one per splat.
 
-    c2eff is the effective squared confidence radius (already inflated for
-    conservative robot-radius handling), per splat or one for all.
+    c2eff is the effective squared confidence radius, per splat or one for
+    all: c^2 inflated by the robot radius (`filter.effective_c2`).
     """
-    _, Ar, Av, rar, delta, beta = _terms(p, v, means, inv_cov)
+    Ar, Av, rar, delta, beta = _terms(p, v, means, inv_cov)
     eta = rar - c2eff
     h = beta * eta - delta * delta
     return _rows_of(eta * Av, delta * Ar), -0.5 * p_k * h, h, eta
-
-
-def cone_rows_inflated(p, v, means, inv_cov, s_min, c, rho, p_k):
-    """Cone rows with exact Minkowski inflation c_M = c + rho * psi(p, v).
-
-    Splats with a degenerate direction (v parallel to the sight line, or
-    beta = 0) fall back per-splat to the conservative radius c + rho/s_min;
-    the returned mask marks them.
-    """
-    r, Ar, Av, rar, delta, beta = _terms(p, v, means, inv_cov)
-    vc = v[:, None]
-    safe_beta = np.where(beta > 0.0, beta, 1.0)
-    t = r - vc * (delta / safe_beta)
-    tn = np.linalg.norm(t, axis=0)
-    fallback = (beta <= 0.0) | (tn <= 1e-9 * np.linalg.norm(r, axis=0))
-
-    tn_s = np.where(fallback, 1.0, tn)
-    At = _cov_dot(inv_cov, t)
-    q2 = dot3(t, At)
-    q = np.sqrt(np.where(q2 > 0.0, q2, 1.0))
-    psi = np.where(fallback, 1.0 / s_min, q / tn_s)
-    c_M = c + rho * psi
-
-    # grad_t psi = At/(|t| q) - (q/|t|^3) t
-    gt = At / (tn_s * q) - (q / tn_s ** 3) * t
-    # dt/dr = I - v (Av)^T / beta ; grad wrt p flips sign through r = mu - p
-    gt_dot_v = dot3(gt, vc)
-    grad_p = -(rho * (gt - Av * (gt_dot_v / safe_beta)))
-    # dt/dv = -v (beta Ar - 2 delta Av)^T / beta^2 - (delta/beta) I
-    k_vec = (beta * Ar - 2.0 * delta * Av) / safe_beta ** 2
-    grad_v = rho * (-k_vec * gt_dot_v - (delta / safe_beta) * gt)
-    grad_p[:, fallback] = 0.0
-    grad_v[:, fallback] = 0.0
-
-    eta = rar - c_M * c_M
-    h = beta * eta - delta * delta
-    bcm = beta * c_M
-    normals = _rows_of(eta * Av - delta * Ar, bcm * grad_v)
-    offsets = -0.5 * p_k * h + bcm * dot3(grad_p, vc)
-    return normals, offsets, h, eta, fallback
 
 
 def baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
@@ -95,7 +55,7 @@ def baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
     h = (p - mu)^T A (p - mu) - c2eff: hdd + (a1 + a2) hd + a1 a2 h >= 0
     under p'' = u, with grad h = -2 A r, hd = -2 delta and
     hdd = 2 beta + grad h . u."""
-    _, Ar, _, rar, delta, beta = _terms(p, v, means, inv_cov)
+    Ar, _, rar, delta, beta = _terms(p, v, means, inv_cov)
     # 0 - 2x rather than -2x: an exact zero stays +0, as 2 A (p - mu) gives it
     h, hdot, curv = rar - c2eff, 0.0 - 2.0 * delta, 2.0 * beta
     return _rows_of(0.0, 2.0 * Ar), -curv - (a1 + a2) * hdot - (a1 * a2) * h, h
@@ -114,19 +74,19 @@ def min_margin(points, owner, means, inv_cov, c2eff):
 
 def _terms(p, v, means, inv_cov):
     """The batch form of `cone.RelativeGeometry`: the columns (3, m) of
-    r = mu - p, A r and A v, and per splat r^T A r, delta = r^T A v and
+    A r and A v for r = mu - p, and per splat r^T A r, delta = r^T A v and
     beta = v^T A v."""
     r = np.subtract(means.T, p[:, None], order="C")  # C whatever means' layout
     Ar = _cov_dot(inv_cov, r)
     Av = _matvec(inv_cov, v)
     beta = Av @ v
     Av = Av.T.copy()  # contiguous columns
-    return r, Ar, Av, dot3(r, Ar), dot3(r, Av), beta
+    return Ar, Av, dot3(r, Ar), dot3(r, Av), beta
 
 
 def dot3(x, y):
-    """Column-wise x_j . y_j of (3, m) arrays (or a (3, 1) y), summed in
-    einsum's order for a row of three, (x0 y0 + x2 y2) + x1 y1: the bits of
+    """Column-wise x_j . y_j of (3, m) arrays, summed in einsum's order for
+    a row of three, (x0 y0 + x2 y2) + x1 y1: the bits of
     np.einsum("mi,mi->m") over C-ordered rows x.T and y.T, without its
     set-up cost. The rows of an (m, 3) array N are the columns of N.T."""
     xy = x * y

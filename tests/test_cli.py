@@ -22,6 +22,16 @@ from splatcone.simulator import SimConfig
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 
 
+def _run_cli(*argv):
+    """The CLI in a fresh interpreter, as a shell runs it: its exit code
+    and all it writes to stderr."""
+    src = str(Path(splatcone.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "splatcone.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def _write_fixture_ply(path, rows):
     props = ["x", "y", "z", "scale_0", "scale_1", "scale_2",
              "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
@@ -236,18 +246,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert summary["seed"] == 4  # file value used where no flag given
 
 
-@pytest.mark.parametrize("line, option", [("inflation_mode = exakt", "inflation_mode")])
-def test_config_file_rejects_unknown_enum(tmp_path, capsys, line, option):
+def test_config_file_rejects_unknown_enum(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[run]\n{line}\n")
+    cfg.write_text("[run]\nfilter = bogus\n")
     out = tmp_path / "out"
     rc = main(["run", "--config", str(cfg), "--scene", "synth:single,count=1",
                "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"unknown {option}" in err
-    expected = {"inflation_mode": ("conservative", "exact")}
-    assert all(opt in err for opt in expected[option])
+    assert "unknown filter 'bogus'" in err
+    assert all(opt in err for opt in ("cone", "distance_baseline", "off"))
     assert not out.exists()
 
 
@@ -427,6 +435,9 @@ _SINGLE = "--scene synth:single,count=1,scale_lo=0.5,scale_hi=0.5"
     (f"run {_SINGLE} --slack-weight 10 --out {{out}}", None),
     ("run --config {cfg} --out {out}", "[run]\ninside_policy = hard\n"),
     ("run --config {cfg} --out {out}", "[run]\nslack_weight = 10\n"),
+    # one robot-radius inflation: the exact mode is gone
+    (f"run {_SINGLE} --inflation-mode exact --out {{out}}", None),
+    ("run --config {cfg} --out {out}", "[run]\ninflation_mode = exact\n"),
     # a placement circle of radius 0 never left the splat at its centre
     ("run --scene synth:single --start-radius 0 --out {out}", None),
     ("run --scene synth:single --start-radius nan --out {out}", None),
@@ -459,13 +470,7 @@ def test_bad_input_exits_1_and_writes_nothing(tmp_path, fixture_ply, argv, confi
     out, cfg = tmp_path / "out", tmp_path / "c.cfg"
     if config is not None:
         cfg.write_text(f"[scene]\nscene = synth:single\n{config}")
-    src = str(Path(splatcone.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "splatcone.cli",
-         *argv.format(out=out, cfg=cfg, ply=fixture_ply).split()],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli(*argv.format(out=out, cfg=cfg, ply=fixture_ply).split())
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("config error:"), proc.stderr
     assert "Traceback" not in proc.stderr
@@ -510,12 +515,14 @@ def test_one_error_for_a_bad_setting(settings, kw, message):
 
 
 @pytest.mark.parametrize("settings", [FilterConfig, SimConfig], ids=lambda c: c.__name__)
-@pytest.mark.parametrize("name", ["inside_policy", "slack_weight"])
-def test_removed_inside_settings_are_not_fields(settings, name):
-    # a step inside a splat always ends the run: there is no policy to set
+@pytest.mark.parametrize("name, value", [("inside_policy", "hard"), ("slack_weight", 10.0),
+                                         ("inflation_mode", "exact")])
+def test_removed_inside_and_inflation_settings_are_not_fields(settings, name, value):
+    # a step inside a splat always ends the run: there is no policy to set;
+    # and rho > 0 always inflates c by rho / s_min: there is no mode to set
     assert name not in {f.name for f in dataclasses.fields(settings)}
     with pytest.raises(TypeError, match=name):
-        settings(**{name: "hard" if name == "inside_policy" else 10.0})
+        settings(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["dt", "p_k", "rho",
@@ -526,11 +533,14 @@ def test_filter_config_requires_finite_settings(name):
     assert str(exc.value) == f"{name} must be finite"
 
 
-@pytest.mark.parametrize("flags", [
+_OVERFLOWING_GAINS = [
     ["--pk", "1e308"],
     ["--filter", "distance_baseline", "--baseline-alpha1", "1e308"],
     ["--filter", "distance_baseline", "--baseline-alpha2", "1e308"],
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("flags", _OVERFLOWING_GAINS, ids=" ".join)
 def test_finite_gain_whose_rows_overflow_exits_3(tmp_path, capsys, flags):
     # a finite gain passes FilterConfig, but its rows' offsets overflow to
     # inf: the step fails as a solver failure, not with a ValueError traceback
@@ -541,6 +551,17 @@ def test_finite_gain_whose_rows_overflow_exits_3(tmp_path, capsys, flags):
     assert capsys.readouterr().err.startswith(
         "solver failure: rows not finite: offsets must be finite")
     assert not (tmp_path / "out").exists()  # no artifact, no directory
+
+
+@pytest.mark.parametrize("flags", _OVERFLOWING_GAINS, ids=" ".join)
+def test_solver_failure_is_one_line(tmp_path, flags):
+    # as the command line shows it: numpy's overflow warning from the rows
+    # does not print before the failure, and an empty residual dict is not
+    # printed
+    proc = _run_cli("run", "--scene", "synth:ring,count=200,pillar_count=4",
+                    "--timeout", "0.2", *flags, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "solver failure: rows not finite: offsets must be finite\n"
 
 
 def test_out_of_range_option_in_dump_exits_2(tmp_path, capsys):

@@ -43,16 +43,18 @@ def test_cone_rows_match_scalar_builder(batch):
 
 
 def test_inflated_rows_match_scalar_builder(batch):
+    """cone_rows on the filter's inflated radii, (c + rho / s_min)^2 per
+    splat as `filter.effective_c2` gives them, are the scalar builder's
+    conservative Minkowski rows."""
     p, v, means, inv_cov, smin, c2eff = batch
     c = 2.0
     rho = 0.4
-    normals, offsets, h, eta, fb = kernels.cone_rows_inflated(
-        p, v, means, inv_cov, smin, c, rho, 1.0)
-    assert not fb.any()  # random geometry: no degenerate directions expected
+    normals, offsets, h, eta = kernels.cone_rows(
+        p, v, means, inv_cov, (c + rho / smin) ** 2, 1.0)
     for i in range(means.shape[0]):
         g = RelativeGeometry(r=means[i] - p, v=v, A=inv_cov[i], c2=c * c)
-        scales = np.array([smin[i], 1.0, 1.0])  # only min matters for fallback
-        con = build_constraint_inflated(g, scales, rho=rho, p_k=1.0, mode="exact")
+        scales = smin[i] * np.array([1.0, 1.5, 2.0])  # only the min sets the radius
+        con = build_constraint_inflated(g, scales, rho=rho, p_k=1.0, mode="conservative")
         scale = max(np.linalg.norm(con.normal), abs(con.offset), 1.0)
         assert np.linalg.norm(normals[i] - con.normal) <= 1e-9 * scale
         assert abs(offsets[i] - con.offset) <= 1e-9 * scale
@@ -118,38 +120,6 @@ def _ref_cone_rows(p, v, means, inv_cov, c2eff, p_k):
     h = beta * eta - delta * delta
     normals = eta[:, None] * Av - delta[:, None] * Ar
     return normals, -0.5 * p_k * h, h, eta
-
-
-def _ref_cone_rows_inflated(p, v, means, inv_cov, s_min, c, rho, p_k):
-    r = means - p
-    Ar = np.einsum("mij,mj->mi", inv_cov, r)
-    Av = inv_cov @ v
-    rar = np.einsum("mi,mi->m", r, Ar)
-    delta = np.einsum("mi,mi->m", r, Av)
-    beta = Av @ v
-    rnorm = np.linalg.norm(r, axis=1)
-    safe_beta = np.where(beta > 0.0, beta, 1.0)
-    t = r - v[None, :] * (delta / safe_beta)[:, None]
-    tn = np.linalg.norm(t, axis=1)
-    fallback = (beta <= 0.0) | (tn <= 1e-9 * rnorm)
-    tn_s = np.where(fallback, 1.0, tn)
-    At = np.einsum("mij,mj->mi", inv_cov, t)
-    q2 = np.einsum("mi,mi->m", t, At)
-    q = np.sqrt(np.where(q2 > 0.0, q2, 1.0))
-    c_M = c + rho * np.where(fallback, 1.0 / s_min, q / tn_s)
-    gt = At / (tn_s * q)[:, None] - (q / tn_s ** 3)[:, None] * t
-    gt_dot_v = np.einsum("mi,i->m", gt, v)
-    grad_p = -(rho * (gt - Av * (gt_dot_v / safe_beta)[:, None]))
-    k_vec = (beta[:, None] * Ar - 2.0 * delta[:, None] * Av) / safe_beta[:, None] ** 2
-    grad_v = rho * (-k_vec * gt_dot_v[:, None] - (delta / safe_beta)[:, None] * gt)
-    grad_p[fallback] = 0.0
-    grad_v[fallback] = 0.0
-    eta = rar - c_M * c_M
-    h = beta * eta - delta * delta
-    bcm = beta * c_M
-    normals = eta[:, None] * Av - delta[:, None] * Ar - bcm[:, None] * grad_v
-    offsets = -0.5 * p_k * h + bcm * np.einsum("mi,i->m", grad_p, v)
-    return normals, offsets, h, eta, fallback
 
 
 def _ref_baseline_rows(p, v, means, inv_cov, c2eff, a1, a2):
@@ -222,26 +192,8 @@ def test_cone_rows_bit_identical(batch, active_2000):
         normals, offsets, h, eta = _ref_cone_rows(
             p, v, scene.means[idx], scene.inv_cov[idx], c2eff, 8.0)
         got = filter_mod._cone_rows(scene, idx, p, v, cfg)
-        _assert_bits_equal(got[:4], (normals, offsets, h, eta <= 0.0))
+        _assert_bits_equal(got, (normals, offsets, h, eta <= 0.0))
         assert np.array_equal(filter_mod._no_rows(scene, idx, p, v, cfg)[2], h)
-
-
-def test_cone_rows_inflated_bit_identical(batch, active_2000):
-    """cone_rows_inflated equals the reference bit for bit, on the fixture
-    batch and through the filter's gathers on ~2000 splats: the
-    start-from-rest stall ends by rounding, so rows must not move by one bit."""
-    p, v, means, inv_cov, smin, c2eff = batch
-    _assert_bits_equal(kernels.cone_rows_inflated(p, v, means, inv_cov, smin, 2.0, 0.4, 1.0),
-                       _ref_cone_rows_inflated(p, v, means, inv_cov, smin, 2.0, 0.4, 1.0))
-    scene, idx, p, _ = active_2000
-    v = 0.5 * (scene.means[idx[7]] - p)  # aimed at a splat: its row falls back to 1/s_min
-    cfg = filter_mod.FilterConfig(p_k=8.0, rho=0.2, inflation_mode="exact")
-    c = float(np.sqrt(scene.confidence))
-    normals, offsets, h, eta, fb = _ref_cone_rows_inflated(
-        p, v, scene.means[idx], scene.inv_cov[idx], scene.s_min[idx], c, 0.2, 8.0)
-    assert fb[7]
-    got = filter_mod._cone_rows(scene, idx, p, v, cfg)
-    _assert_bits_equal(got, (normals, offsets, h, eta <= 0.0, int(fb.sum())))
 
 
 def test_baseline_rows_bit_identical(batch, active_2000):
@@ -257,8 +209,8 @@ def test_baseline_rows_bit_identical(batch, active_2000):
     normals, offsets, h = _ref_baseline_rows(
         p, v, scene.means[idx], scene.inv_cov[idx], c2eff, 8.0, 8.0)
     got = filter_mod._baseline_rows(scene, idx, p, v, cfg)
-    _assert_bits_equal(got, (normals, offsets, h, h <= 0.0, 0))
-    # one inside rule: the baseline's barrier is the conservative cone's eta
+    _assert_bits_equal(got, (normals, offsets, h, h <= 0.0))
+    # one inside rule: the baseline's barrier is the cone's eta
     eta = kernels.cone_rows(p, v, scene.means[idx], scene.inv_cov[idx], c2eff, 8.0)[3]
     _assert_bits_equal((h,), (eta,))
 
@@ -383,8 +335,8 @@ _LAYOUTS = {
 
 def _splat_sets(batch, active_2000):
     """(p, v, means, inv_cov, s_min, c2eff) of the fixture batch and of the
-    ~2000 active splats, with a velocity aimed at one splat so that one
-    inflated row falls back to 1/s_min."""
+    ~2000 active splats, the latter also with a velocity aimed at one
+    splat (v along its sight line)."""
     scene, idx, p, v = active_2000
     means = np.take(scene.means, idx, axis=0)
     s_min = np.take(scene.s_min, idx)
@@ -395,15 +347,14 @@ def _splat_sets(batch, active_2000):
 
 @pytest.mark.parametrize("layout", list(_LAYOUTS))
 def test_row_kernels_give_the_reference_bytes_for_every_layout(batch, active_2000, layout):
-    """cone_rows, cone_rows_inflated and baseline_rows give the bytes of the
-    einsum formulas whatever the memory layout of `means`, and their
-    normals are handed over as columns: normals.T is C-contiguous."""
-    for p, v, means, inv_cov, s_min, c2eff in _splat_sets(batch, active_2000):
+    """cone_rows and baseline_rows give the bytes of the einsum formulas
+    whatever the memory layout of `means`, and their normals are handed
+    over as columns: normals.T is C-contiguous."""
+    for p, v, means, inv_cov, _, c2eff in _splat_sets(batch, active_2000):
         given = _LAYOUTS[layout](means)
         assert np.array_equal(given, means)
         for kernel, ref, args in (
                 (kernels.cone_rows, _ref_cone_rows, (c2eff, 8.0)),
-                (kernels.cone_rows_inflated, _ref_cone_rows_inflated, (s_min, 2.0, 0.2, 8.0)),
                 (kernels.baseline_rows, _ref_baseline_rows, (c2eff, 8.0, 8.0))):
             got = kernel(p, v, given, inv_cov, *args)
             _assert_bits_equal(got, ref(p, v, means, inv_cov, *args))

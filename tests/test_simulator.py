@@ -19,6 +19,7 @@ from splatcone.simulator import (
     step,
 )
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
+from helpers import RING_KW, RING_PAIRS, ring_scene
 
 
 def single_splat_scene(scale=0.5):
@@ -320,8 +321,7 @@ def test_batch_start_perturbed_out_of_obstacle():
     assert scene_margins(scene, start[None, :])[0] > 0
 
 
-@pytest.mark.parametrize("kw", [dict(inflation_mode="exakt"),
-                                dict(rho=-1.0), dict(p_k=0.0), dict(p_k=float("nan")),
+@pytest.mark.parametrize("kw", [dict(rho=-1.0), dict(p_k=0.0), dict(p_k=float("nan")),
                                 dict(v_max=-1.0), dict(baseline_alpha2=-1.0),
                                 dict(a_max=0.0), dict(activation_radius=float("nan")),
                                 dict(dt=float("inf"))], ids=str)
@@ -421,3 +421,16 @@ def test_every_filter_solves_through_the_filter_module(monkeypatch, name):
     rec = run_trajectory(scene, np.array([-4.0, 0.12, 0.0]), np.array([8.0, 0.0, 0.0]), cfg)
     assert rec.outcome == "timeout"
     assert counts == {"step": len(rec), "solve": len(rec)}
+
+
+@pytest.mark.parametrize("pair", [8, 33])
+def test_ring_pairs_reach_their_goals_at_a_robot_radius(pair):
+    """The closed loop with a robot of radius 0.2 on two acceptance ring
+    pairs: the cone filter, whose rows and audit both inflate each splat's
+    c by rho / s_min, reaches the goal with no audited contact."""
+    scene = ring_scene()
+    cfg = SimConfig(filter="cone", rho=0.2, **RING_KW)
+    start, goal = batch_start_goal(scene, pair, RING_PAIRS, cfg, cfg.rho)
+    record = run_trajectory(scene, start, goal, cfg)
+    assert record.outcome == "reached_goal"
+    assert record.audit_min_margin >= 0.0
