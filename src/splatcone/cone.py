@@ -10,12 +10,13 @@ the ray p + t v (t >= 0) intersects the ellipsoid iff
     h = beta * gamma - delta^2 <= 0   and   delta >= 0,
 
 provided the robot starts outside (gamma > 0). h doubles as a barrier
-function: h >= 0 is the safe (no-collision) set. All functions here are pure
-and stateless; batch versions live in `kernels`.
+function: h >= 0 is the safe (no-collision) set. A robot sphere of radius
+rho enters only through c2 (`inflate`). All functions here are pure and
+stateless; batch versions live in `kernels`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +31,6 @@ class InsideEllipsoidError(GeometryError):
 
 class ZeroVelocityError(GeometryError):
     """Operation requires a nonzero relative velocity."""
-
-
-class DegenerateDirectionError(GeometryError):
-    """Sight line parallel to velocity: exact inflation direction undefined."""
 
 
 @dataclass(frozen=True)
@@ -148,79 +145,21 @@ def whitened_test(geom: RelativeGeometry, L: np.ndarray) -> bool:
     return h_t <= 0.0 and float(rt @ vt) >= 0.0
 
 
-@dataclass(frozen=True)
-class InflationResult:
-    """Effective confidence radius after robot-sphere inflation.
+def inflate(geom: RelativeGeometry, scales: np.ndarray, rho: float) -> RelativeGeometry:
+    """Minkowski-sum inflation of the confidence radius by a robot sphere:
+    c_M = c + rho / s_min, the filter's rule (`filter.effective_c2`).
 
-    `psi` is the direction-dependent radial factor (1/s_min in conservative
-    mode, where it bounds every direction). Gradients are with respect to the
-    robot position p and velocity v; conservative mode is state-independent
-    so they vanish.
+    The c_M-ellipsoid covers the c-ellipsoid grown by rho in every
+    direction, and is that Minkowski sum exactly for an isotropic splat.
+    Returns `geom` with c2 = c_M^2, or `geom` itself when rho = 0.
     """
-
-    c_M: float
-    psi: float
-    grad_cM_p: np.ndarray
-    grad_cM_v: np.ndarray
-    mode: str  # "exact" | "conservative"
-
-
-def inflation_terms(geom: RelativeGeometry):
-    """Exact-mode internals: (t, psi, grad_t_psi, dt_dr, dt_dv).
-
-    t = r - v * delta / beta is the A-orthogonal projection of the sight line
-    onto the plane normal to v; psi = sqrt(t^T A t) / ||t||.
-    """
-    beta = geom.beta
-    if beta <= 0.0:
-        raise DegenerateDirectionError("exact inflation requires beta > 0 (v != 0)")
-    r, v, A = geom.r, geom.v, geom.A
-    delta = geom.delta
-    t = r - v * (delta / beta)
-    tn = float(np.linalg.norm(t))
-    if tn <= 1e-9 * float(np.linalg.norm(r)):
-        raise DegenerateDirectionError("sight line parallel to velocity (t ~ 0)")
-    At = A @ t
-    q = float(np.sqrt(t @ At))
-    psi = q / tn
-    grad_t_psi = At / (tn * q) - (q / tn ** 3) * t
-    Av = A @ v
-    Ar = A @ r
-    dt_dr = np.eye(3) - np.outer(v, Av) / beta
-    dt_dv = -np.outer(v, beta * Ar - 2.0 * delta * Av) / beta ** 2 - (delta / beta) * np.eye(3)
-    return t, psi, grad_t_psi, dt_dr, dt_dv
-
-
-def inflate(
-    geom: RelativeGeometry,
-    scales: np.ndarray,
-    rho: float,
-    mode: str = "exact",
-) -> InflationResult:
-    """Minkowski-sum inflation of the confidence radius by a robot sphere.
-
-    Conservative mode: c_M = c + rho / s_min, valid in every direction and
-    state-independent. Exact mode: c_M = c + rho * psi(p, v) with gradients
-    via the chain rule through t; note r = mu - p flips the sign of the
-    position gradient relative to the r-derivative.
-    """
-    if rho < 0:
-        raise GeometryError("robot radius must be nonnegative")
-    if mode not in ("exact", "conservative"):
-        raise GeometryError(f"unknown inflation mode {mode!r}")
-    c = float(np.sqrt(geom.c2))
+    # written so that NaN fails each test
+    if not 0.0 <= rho < float("inf"):
+        raise GeometryError("robot radius must be finite and nonnegative")
     s_min = float(np.min(scales))
-    if s_min <= 0:
+    if not s_min > 0:
         raise GeometryError("scales must be positive")
-    zero = np.zeros(3)
     if rho == 0.0:
-        return InflationResult(c_M=c, psi=1.0 / s_min, grad_cM_p=zero, grad_cM_v=zero, mode=mode)
-    if mode == "conservative":
-        return InflationResult(c_M=c + rho / s_min, psi=1.0 / s_min,
-                               grad_cM_p=zero, grad_cM_v=zero, mode="conservative")
-    t, psi, grad_t_psi, dt_dr, dt_dv = inflation_terms(geom)
-    grad_r = rho * (dt_dr.T @ grad_t_psi)
-    grad_p = -grad_r
-    grad_v = rho * (dt_dv.T @ grad_t_psi)
-    return InflationResult(c_M=c + rho * psi, psi=psi,
-                           grad_cM_p=grad_p, grad_cM_v=grad_v, mode="exact")
+        return geom
+    c_m = float(np.sqrt(geom.c2)) + rho / s_min
+    return replace(geom, c2=c_m * c_m)

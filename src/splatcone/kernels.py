@@ -1,7 +1,8 @@
 """Batch per-splat kernels for the closed-loop hot path.
 
-One vectorized numpy implementation per row type, checked against the
-scalar builders in `cone.py` and `constraints.py` (`tests/test_kernels.py`).
+One vectorized numpy implementation per row type. The cone rows are checked
+against the scalar `constraints.build_constraint`, inflated or not by
+`cone.inflate` (`tests/test_kernels.py`).
 Every kernel starts from one Mahalanobis pass over its splats (`_terms`, the
 batch form of `cone.RelativeGeometry`). The distance baseline's barrier
 (p - mu)^T A (p - mu) - c2eff is the cone's eta, so its rows come from the

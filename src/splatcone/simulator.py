@@ -212,6 +212,9 @@ def run_trajectory(scene: Scene, start: np.ndarray, goal: np.ndarray,
     """Simulate one start-to-goal run; outcome per the post-hoc audit."""
     start = np.asarray(start, dtype=np.float64)
     goal = np.asarray(goal, dtype=np.float64)
+    if start.shape != (3,) or goal.shape != (3,):
+        raise SimulationError(
+            f"start/goal must have shape (3,), got {start.shape} and {goal.shape}")
     if not (np.isfinite(start).all() and np.isfinite(goal).all()):
         raise SimulationError("start/goal must be finite")
     if scene_margins(scene, start[None, :], cfg.rho)[0] <= 0.0:

@@ -292,18 +292,6 @@ def finite_difference_gradient(f, x, step=1e-6):
     return g
 
 
-def finite_difference_jacobian(f, x, step=1e-6):
-    """Central finite-difference Jacobian of vector f at x: J[i, j] = df_i/dx_j."""
-    x = np.asarray(x, dtype=np.float64)
-    f0 = np.asarray(f(x))
-    J = np.zeros((f0.size, x.size))
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = step
-        J[:, j] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * step)
-    return J
-
-
 def kkt_residual(point, u, halfspaces, balls, tight_rtol=1e-7):
     """Stationarity residual of `u` as the projection of `point` onto
     {a.u >= b} intersect balls, with multipliers recomputed independently:

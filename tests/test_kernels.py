@@ -8,8 +8,8 @@ from scipy.spatial import cKDTree
 
 from splatcone import filter as filter_mod
 from splatcone import kernels, simulator
-from splatcone.cone import RelativeGeometry
-from splatcone.constraints import build_constraint, build_constraint_inflated
+from splatcone.cone import RelativeGeometry, inflate
+from splatcone.constraints import build_constraint
 from splatcone.synthetic import SyntheticSpec, make_synthetic_scene
 from helpers import all_pairs, candidate_counts, random_spd
 
@@ -44,8 +44,8 @@ def test_cone_rows_match_scalar_builder(batch):
 
 def test_inflated_rows_match_scalar_builder(batch):
     """cone_rows on the filter's inflated radii, (c + rho / s_min)^2 per
-    splat as `filter.effective_c2` gives them, are the scalar builder's
-    conservative Minkowski rows."""
+    splat as `filter.effective_c2` gives them, are the scalar builder's rows
+    on `cone.inflate`'s geometry."""
     p, v, means, inv_cov, smin, c2eff = batch
     c = 2.0
     rho = 0.4
@@ -54,7 +54,7 @@ def test_inflated_rows_match_scalar_builder(batch):
     for i in range(means.shape[0]):
         g = RelativeGeometry(r=means[i] - p, v=v, A=inv_cov[i], c2=c * c)
         scales = smin[i] * np.array([1.0, 1.5, 2.0])  # only the min sets the radius
-        con = build_constraint_inflated(g, scales, rho=rho, p_k=1.0, mode="conservative")
+        con = build_constraint(inflate(g, scales, rho), p_k=1.0)
         scale = max(np.linalg.norm(con.normal), abs(con.offset), 1.0)
         assert np.linalg.norm(normals[i] - con.normal) <= 1e-9 * scale
         assert abs(offsets[i] - con.offset) <= 1e-9 * scale

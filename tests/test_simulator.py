@@ -133,6 +133,17 @@ def test_start_inside_rejected():
         run_trajectory(scene, np.zeros(3), np.array([5.0, 0, 0]), cfg)
 
 
+@pytest.mark.parametrize("which", ["start", "goal"])
+@pytest.mark.parametrize("size", [2, 4])
+def test_start_and_goal_must_be_points_in_space(which, size):
+    # other shapes used to fail deep inside the loop, each with another
+    # numpy error
+    ends = {"start": np.array([-8.0, 6.0, 0.0]), "goal": np.array([-6.0, 6.0, 0.0])}
+    ends[which] = np.full(size, 1.0)
+    with pytest.raises(SimulationError, match=r"shape \(3,\)"):
+        run_trajectory(single_splat_scene(), ends["start"], ends["goal"], SimConfig(filter="cone"))
+
+
 def test_baseline_far_from_splats_passthrough():
     scene = single_splat_scene()
     cfg = SimConfig(filter="distance_baseline", a_max=10.0, v_max=2.5,
