@@ -8,23 +8,26 @@ of barrier half-spaces and norm balls:
          ||u|| <= a_max                 (acceleration bound)
          ||v + dt u|| <= v_max          (optional velocity bound, a ball in u)
 
-Half-spaces are handled by a dual active-set projection (no feasible start
-needed, detects infeasibility). Each ball ||u - q_k|| <= R_k enters through a
-multiplier nu_k >= 0; for fixed nu the optimum u(nu) is the rows-only
-solution at the shifted target (u_ref + sum nu_k q_k) / (1 + sum nu_k).
-`_ball_multipliers` finds nu by a dual active set over the (at most two)
-balls (Goldfarb & Idnani 1983) with a safeguarded Newton step on the
-secular functions phi_k(nu) = 1/R_k - 1/||u(nu) - q_k|| (More & Sorensen
-1983), taken on the part of u - q_k in the null space of the active rows
-(`_null_projector`): the row-space part stays fixed while those rows stay
-active, so one ball's step is exact there, and two balls are met there in
-closed form (`project_balls`, the circle from the smaller ball). A dual
-value above an upper bound on the optimum certifies infeasibility; the
-search stops after `_BALL_BUDGET` evaluations of u(nu), a row projection
-after `_ROW_ITER` iterations, each with a SolverError carrying residuals.
-Without rows the program is a projection onto two balls, solved in closed
-form; `_in_balls` is the one ball-membership test. The rows are hard: a
-program no point satisfies is reported infeasible, never relaxed.
+Half-spaces are handled by a dual active-set projection
+(`_project_polyhedron`: no feasible start needed; None when no point meets
+the rows). Each ball ||u - q_k|| <= R_k enters through a multiplier
+nu_k >= 0; for fixed nu the optimum u(nu) is the rows-only solution at the
+shifted target (u_ref + sum nu_k q_k) / (1 + sum nu_k). One search,
+`_project_with_balls`, projects at each trial nu and finds nu by a dual
+active set over the (at most two) balls (Goldfarb & Idnani 1983) with a
+safeguarded Newton step on the secular functions
+phi_k(nu) = 1/R_k - 1/||u(nu) - q_k|| (More & Sorensen 1983), exact on the
+null space of the active rows (`_null_projector`), where two balls are met
+in closed form (`project_balls`, the circle from the smaller ball). It
+reports infeasibility when a projection finds the rows infeasible, at any
+nu, or when the dual value exceeds an upper bound on the optimum. A ball
+whose squared radius overflows (a_max or v_max / dt above about 1.3e154,
+or inf) never binds. The search stops after `_BALL_BUDGET` projections, a
+row projection after `_ROW_ITER` iterations, each with a SolverError
+carrying residuals. Without rows the program is a projection onto two
+balls, solved in closed form; `_in_balls` is the one ball-membership test.
+The rows are hard: a program no point satisfies is reported infeasible,
+never relaxed.
 
 Cost. At the ring batch's 400 rows a solve is mostly per-call overhead,
 not arithmetic, so the code keeps numpy calls few: the ball search's
@@ -65,6 +68,7 @@ _FEAS_TOL = 1e-9
 _BALL_TOL = 1e-10    # |1 - R_k / ||u - q_k||| at which a working-set ball counts as met
 _BALL_BUDGET = 60    # evaluations of u(nu) per solve before SolverError
 _ROW_ITER = 200      # active-set iterations of a row projection; a row joins in one
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # the cap on a squared ball radius
 _EYE3 = np.eye(3)
 
 
@@ -175,9 +179,9 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, abs_b: np.n
     caller. Row i counts as met when its residual is
     within 1e-12 (1 + |b_i| + |c|), its own scale: one huge offset does not
     excuse the other rows. A row joins the working set in one iteration, so
-    the cap is `_ROW_ITER`. Returns (u, lam, feasible, s): lam is None when
-    infeasible, and s is the last residual N u - b with the working-set
-    rows, and the dependent rows held within rounding, zeroed.
+    the cap is `_ROW_ITER`. Returns (u, lam, s), s the last residual
+    N u - b with the working-set rows, and the dependent rows held within
+    rounding, zeroed; or None when no point meets the rows.
 
     A violated row that depends on the working set, with no working-set
     multiplier to release, is consistent with those rows when its violation
@@ -221,7 +225,7 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, abs_b: np.n
             lam = np.zeros(m)
             for w, lw in zip(W, lamW):
                 lam[w] = lw
-            return u, lam, True, s
+            return u, lam, s
         npv = N[p]
         lam_p = 0.0
         while True:
@@ -261,7 +265,7 @@ def _project_polyhedron(c: np.ndarray, N: np.ndarray, b: np.ndarray, abs_b: np.n
                     held = _held(N, b, u, s, W)
                     if p in held[0]:
                         break
-                return u, None, False, s
+                return None
             else:
                 t_full, t = np.inf, t_block  # dependent: only the multipliers move
             lamW = [lj - t * rj for lj, rj in zip(lamW, rl)]
@@ -402,77 +406,94 @@ def _null_projector(Na: np.ndarray) -> np.ndarray:
     return _EYE3 - vt[:rank].T @ vt[:rank]
 
 
-def _ball_multipliers(evaluate, Q, R, dual_bound: float, start=None):
-    """Multipliers nu >= 0 of the norm balls ||u - Q[k]|| <= R[k];
-    `evaluate` handles the rest of the program.
+def _project_with_balls(ubar, N, b, abs_b, b_scale, Q, R):
+    """Projection onto {N u >= b} intersect the balls ||u - Q[k]|| <= R[k],
+    with `abs_b` and `b_scale` as in `_project_polyhedron`: (u, lam, s, nu),
+    s the row residual N u - b with the final working-set rows zeroed and
+    nu the ball multipliers, or None when the intersection is empty.
 
-    `evaluate(nu)` returns (u, jac, f, aux): the minimiser u(nu) of the
-    Lagrangian with the balls priced at nu, a callable giving
-    M = P / (1 + sum nu), P the null-space projector of the rows active at
-    u(nu), so that du/dnu_k = -M (u - q_k), or None when no row is active
-    and P = I (called only when a step is taken), the objective at u (the
-    dual value less the ball terms nu_k (||u - q_k||^2 - R_k^2) / 2), and
-    caller data handed back with the optimum. Returns (u, nu, aux), or None
-    once the dual value exceeds `dual_bound`, an upper bound on the optimal
-    value: then no point meets every constraint. Raises SolverError after
-    `_BALL_BUDGET` evaluations. `start` is `evaluate` at nu = 0 when the
-    caller has it already.
+    With the balls priced at nu, u(nu) is the row projection of the shifted
+    target, with row multipliers scaled by sigma = 1 + sum nu_k, and
+    du/dnu_k = -P (u - q_k) / sigma, P the null-space projector of the rows
+    active at u(nu). The rows do not depend on nu, so an infeasible
+    projection at any nu returns None; so does a dual value
+    ||u - ubar||^2 / 2 + sum nu_k (||u - q_k||^2 - R_k^2) / 2 above
+    min_k (||ubar - q_k|| + R_k)^2 / 2, which bounds the primal optimum
+    because every feasible point lies in each ball. The dual reads a squared
+    radius that overflows as the largest float, so that the zero multiplier
+    of that ball, which never binds, keeps the dual finite.
 
     A working set W over the balls: the most violated ball joins once every
-    ball in W is met, and a ball leaves when its nu reaches 0. The balls in W
-    are met by Newton steps on the secular functions
-    r_k = R_k phi_k = 1 - R_k / ||u(nu) - q_k||, with Jacobian
-    -R_k / ||d_k||^3 d_k^T M d_j (d_k = u - q_k). The step is exact on the
-    affine set of the active rows: the row-space part of d_k stays fixed
-    there, so one ball's Newton step runs on 1/rho_k - 1/||P d_k||, linear
-    in nu_k, and two balls are solved in closed form on the set. With one
-    ball in W, r_k is monotone in nu_k and the step stays in a bracket,
-    bisecting when Newton leaves it; with two, a backtracking line search on
-    the dual value guards the step.
+    ball in W is met, and a ball leaves when its nu reaches 0. The balls in
+    W are met by Newton steps on r_k = R_k phi_k = 1 - R_k / ||d_k||,
+    d_k = u - q_k, with Jacobian -R_k / ||d_k||^3 d_k^T P d_j / sigma. The
+    row-space part of d_k stays fixed on the active rows' affine set, so one
+    ball's Newton step runs on 1/rho_k - 1/||P d_k||, linear in nu_k, and
+    two balls are solved in closed form on the set. With one ball in W, r_k
+    is monotone in nu_k and the step stays in a bracket, bisecting when
+    Newton leaves it; with two, a backtracking line search on the dual value
+    guards the step.
 
     The per-ball scalars are Python floats, computed in numpy's own order;
     the products that BLAS rounds with FMA (G, nu @ Q, the dual's dot) stay
     numpy calls, so every bit is that of the array formulas.
     """
+    Ql, Rl = Q.tolist(), R.tolist()
+    nu = np.zeros(len(Rl))
+    rows = _project_polyhedron(ubar, N, b, abs_b, b_scale)
+    if rows is None:
+        return None
+    if _in_balls(rows[0].tolist(), Ql, Rl):
+        return (*rows, nu)  # no ball binds: the rows-only projection
+    # the bound squared as a product, as in `_balls_disjoint`; it is attained
+    # when the feasible set is one point opposite the reference (the braking
+    # apex of the cone rows on the a_max sphere)
+    reach = min(math.dist(ubar, q) + r for q, r in zip(Ql, Rl))
+    bound = 0.5 * (reach * reach) * (1.0 + 1e-9)
+    R2 = [min(r * r, _FLOAT_MAX) for r in Rl]
     evals = 0
-    R2 = R * R
-    Rl = R.tolist()
-    n_balls = len(Rl)
 
-    def at(nu, known=None):
+    def at(nu, rows=None):
+        # the search's state with the balls priced at nu, or None when no
+        # point meets the rows; `rows`, the projection at nu = 0, is known
         nonlocal evals
         evals += 1
-        u, jac, f, aux = evaluate(nu) if known is None else known
+        sigma = 1.0 + sum(nu.tolist())
+        if rows is None:
+            rows = _project_polyhedron(ubar if sigma == 1.0 else (ubar + nu @ Q) / sigma,
+                                       N, b, abs_b, b_scale)
+            if rows is None:
+                return None
+        u = rows[0]
         D = u - Q
         # each row summed left to right: the bits of (D * D).sum(axis=1)
         nd2 = [d0 * d0 + d1 * d1 + d2 * d2 for d0, d1, d2 in D.tolist()]
         nd = [max(math.sqrt(x), 1e-300) for x in nd2]
-        dual = f + 0.5 * float(nu @ np.subtract(nd2, R2))
-        return nu, u, jac, dual, aux, D, nd, [1.0 - rk / ndk for rk, ndk in zip(Rl, nd)]
+        e = u - ubar
+        dual = 0.5 * float(e @ e) + 0.5 * float(nu @ np.subtract(nd2, R2))
+        return nu, sigma, rows, dual, D, nd, [1.0 - rk / ndk for rk, ndk in zip(Rl, nd)]
 
-    cur = at(np.zeros(n_balls), start)
+    cur = at(nu, rows)
     W: list[int] = []
     lo, hi = 0.0, np.inf
     while True:
-        nu, u, jac, dual, aux, D, nd, r = cur
-        # the bound is attained when the feasible set is one point opposite
-        # the reference (the braking apex of the cone rows on the a_max sphere)
-        if dual > dual_bound * (1.0 + 1e-9):
-            return None
+        if cur is None or cur[3] > bound:
+            return None  # no point meets the rows, or none meets every constraint
+        nu, sigma, (u, lam, s), dual, D, nd, r = cur
         if all(abs(r[k]) <= _BALL_TOL for k in W):
-            out = [k for k in range(n_balls) if k not in W and r[k] > _FEAS_TOL]
+            out = [k for k in range(len(Rl)) if k not in W and r[k] > _FEAS_TOL]
             if not out:
-                return u, nu, aux
+                return u, lam if sigma == 1.0 else lam * sigma, s, nu  # x * 1.0 is x
             W.append(max(out, key=lambda k: nd[k] - Rl[k]))
             lo, hi = 0.0, np.inf
         if evals >= _BALL_BUDGET:
             raise SolverError("ball multipliers did not converge within budget",
                               {"ball_residual": max(abs(r[k]) for k in W), "working_set": list(W),
                                "nu": nu.tolist(), "evaluations": evals})
-        sigma = 1.0 + sum(nu.tolist())
-        M = jac()
-        # P = sigma (I / sigma) without rows, a projector to rounding
-        P = _EYE3 * (sigma * (1.0 / sigma)) if M is None else sigma * M
+        act = lam > 0.0
+        # without active rows P = sigma (I / sigma), a projector to rounding
+        P = (sigma * (_null_projector(N[act]) / sigma) if act.any()
+             else _EYE3 * (sigma * (1.0 / sigma)))
         if len(W) == 1:
             k = W[0]
             Dk = D[k:k + 1]
@@ -533,9 +554,11 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float, start=None):
             trial[w] = np.maximum(nu[w] + t * step, 0.0)
             if blocked:
                 trial[w[block]] = 0.0
-            nxt = at(trial)
-            rise = nxt[3] - dual
-            r_new = np.array(nxt[-1])[w]
+            cur = at(trial)
+            if cur is None:
+                return None
+            rise = cur[3] - dual
+            r_new = np.array(cur[-1])[w]
             # sufficient dual ascent; near the optimum, where the dual is flat
             # to rounding, a step that cuts the residual suffices
             if (rise >= 1e-4 * t * float(g @ step)
@@ -544,56 +567,9 @@ def _ball_multipliers(evaluate, Q, R, dual_bound: float, start=None):
                     or evals >= _BALL_BUDGET):
                 break
             t *= 0.5
-        cur = nxt
         if blocked:
             W.remove(int(w[block]))
             lo, hi = 0.0, np.inf
-
-
-def _project_with_balls(ubar, N, b, abs_b, b_scale, Q, R):
-    """Projection onto {N u >= b} intersect the balls ||u - Q[k]|| <= R[k],
-    with `abs_b` and `b_scale` as in `_project_polyhedron`. Returns (u, lam,
-    s, nus), s the row residual N u - b with the final working-set rows
-    zeroed, or None when the intersection is empty.
-
-    For fixed nu the optimum is the polyhedron projection of the shifted
-    target (ubar + sum nu_k q_k) / (1 + sum nu_k), with row multipliers scaled
-    by 1 + sum nu_k. The dual value is checked against
-    min_k (||ubar - q_k|| + R_k)^2 / 2, which bounds the primal optimum
-    because every feasible point lies in each ball.
-    """
-    def project(nu):
-        sigma = 1.0 + sum(nu.tolist())
-        target = ubar if sigma == 1.0 else (ubar + nu @ Q) / sigma
-        return sigma, _project_polyhedron(target, N, b, abs_b, b_scale)
-
-    def evaluate(nu, projected=None):
-        sigma, (u, lam, feasible, s) = project(nu) if projected is None else projected
-        if not feasible:
-            return u, None, np.inf, None
-
-        def jac():
-            act = lam > 0.0
-            return _null_projector(N[act]) / sigma if act.any() else None
-
-        e = u - ubar
-        rows = (lam if sigma == 1.0 else lam * sigma, s)  # x * 1.0 is x, bit for bit
-        return u, jac, 0.5 * float(e @ e), rows
-
-    nu = np.zeros(R.size)
-    start = project(nu)
-    _, (u, lam, feasible, s) = start
-    Ql, Rl = Q.tolist(), R.tolist()
-    if feasible and _in_balls(u.tolist(), Ql, Rl):
-        return u, lam, s, nu  # no ball binds: the rows-only projection
-    # the objective at the start only now, when the ball search reads it;
-    # the bound squared as a product, as in `_balls_disjoint`
-    reach = min(math.dist(ubar, q) + r for q, r in zip(Ql, Rl))
-    res = _ball_multipliers(evaluate, Q, R, 0.5 * (reach * reach), start=evaluate(nu, start))
-    if res is None:
-        return None
-    u, nus, rows = res
-    return u, *rows, nus
 
 
 def solve_filter(problem: FilterProblem) -> FilterSolution:

@@ -1,12 +1,12 @@
 """Filter-solve correctness against independent projection oracles."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from splatcone import qp
-from splatcone.qp import (FilterProblem, SolverError, _ball_multipliers, norm_balls, project_balls,
-                          solve_filter)
+from splatcone.qp import FilterProblem, SolverError, norm_balls, project_balls, solve_filter
 from splatcone.simulator import _clip_reference
 from helpers import (
     dykstra_projection,
@@ -63,6 +63,32 @@ def test_zero_normal_rows():
 def test_opposing_halfspaces_infeasible():
     sol = _solve([0.0, 0.0, 0.0], [[1, 0, 0], [-1, 0, 0]], [1.0, 1.0], a_max=10.0)
     assert sol.status == "infeasible"
+
+
+@pytest.mark.parametrize("a_max", [1e160, np.inf])
+def test_opposing_halfspaces_infeasible_in_a_huge_ball(a_max):
+    # the dual bound (||ubar|| + a_max)^2 / 2 overflows to inf, so no dual
+    # value exceeds it: the row projection's own infeasibility ends the solve
+    sol = _solve([0.0, 0.0, 0.0], [[1, 0, 0], [-1, 0, 0]], [1.0, 1.0], a_max=a_max)
+    assert sol.status == "infeasible" and sol.u is None
+
+
+def test_ball_whose_square_overflows_never_binds():
+    # a_max = inf squares to inf, which read 0 * (||u||^2 - inf) = NaN into
+    # the dual value and switched the infeasibility certificate off
+    kw = dict(v_current=np.zeros(3), v_max=2.5, dt=0.02)  # the velocity ball ||u|| <= 125
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # x >= 1000 lies outside the velocity ball
+        sol = _solve(np.zeros(3), [[1.0, 0.0, 0.0]], [1000.0], a_max=np.inf, **kw)
+        assert sol.status == "infeasible"
+        # the velocity ball and the row y <= 10 bind; the a_max ball does not
+        ref, normals, offsets = [150.0, 90.0, 0.0], [[0.0, -1.0, 0.0]], [-10.0]
+        sol = _solve(ref, normals, offsets, a_max=np.inf, **kw)
+        want = _solve(ref, normals, offsets, a_max=1e4, **kw)
+    assert sol.status == want.status == "optimal"
+    np.testing.assert_allclose(sol.u, [np.sqrt(125.0**2 - 100.0), 10.0, 0.0], rtol=1e-12)
+    assert np.array_equal(sol.u, want.u)
 
 
 @pytest.mark.parametrize("width", [0.2, 0.0, -0.2])
@@ -417,14 +443,20 @@ def test_project_balls_on_axis_with_both_spheres_binding():
 
 
 def test_ball_budget_raises_solver_error(monkeypatch):
-    # a minimiser that never moves toward the ball: the working set cannot
-    # be met, and the budget stops the search
-    def stuck(nu):
-        return np.array([2.0, 0.0, 0.0]), lambda: np.zeros((3, 3)), 0.0, None
+    # a row projection that never moves toward the ball, with three rows
+    # active (a zero null-space projector): the working set cannot be met,
+    # and the reference is far enough that the dual bound cannot end the
+    # search before the budget does
+    N = np.eye(3)
 
+    def stuck(*args):
+        return np.array([2.0, 0.0, 0.0]), np.ones(3), np.zeros(3)
+
+    monkeypatch.setattr(qp, "_project_polyhedron", stuck)
     monkeypatch.setattr(qp, "_BALL_BUDGET", 7)
     with pytest.raises(SolverError) as exc:
-        _ball_multipliers(stuck, np.zeros((1, 3)), np.array([1.0]), np.inf)
+        qp._project_with_balls(np.array([1e3, 0.0, 0.0]), N, np.zeros(3), np.zeros(3), 1.0,
+                               np.zeros((1, 3)), np.array([1.0]))
     assert {"ball_residual", "working_set", "nu", "evaluations"} <= exc.value.residuals.keys()
     assert exc.value.residuals["evaluations"] == 7
     assert exc.value.residuals["ball_residual"] > 0.0

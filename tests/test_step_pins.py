@@ -113,20 +113,20 @@ def _lens_problems():
 
 def test_replayed_solves_bit_identical(replayed, monkeypatch):
     projections, balls_bound = [], []
-    project, multipliers = qp._project_polyhedron, qp._ball_multipliers
+    project, with_balls = qp._project_polyhedron, qp._project_with_balls
 
     def counted(*args, **kwargs):
         projections[-1] += 1
         return project(*args, **kwargs)
 
     def bound(*args, **kwargs):
-        res = multipliers(*args, **kwargs)
+        res = with_balls(*args, **kwargs)
         if res is not None:
-            balls_bound[-1] = int((res[1] > 0.0).sum())
+            balls_bound[-1] = int((res[3] > 0.0).sum())
         return res
 
     monkeypatch.setattr(qp, "_project_polyhedron", counted)
-    monkeypatch.setattr(qp, "_ball_multipliers", bound)
+    monkeypatch.setattr(qp, "_project_with_balls", bound)
     kinds = {"no rows": 0, "rows only": 0, "rows only, tight rows": 0,
              "one ball": 0, "one ball, tight rows": 0, "two balls": 0, "two balls, tight rows": 0,
              "infeasible": 0, "two-ball step": 0, "two-ball floor of the reference": 0}
